@@ -3,8 +3,7 @@
 The reachability and clique shapes of the paper's figures, scaled past them
 (ROADMAP: "wider workloads"): a depth series whose transitive closure runs
 hundreds of small delta rounds, a layered series whose rounds carry wide
-deltas (the shape the sharded parallel executor partitions across workers),
-and a k-clique series on denser graphs than the Example 4.3 sizes.
+deltas, and a k-clique series on denser graphs than the Example 4.3 sizes.
 """
 
 import pytest
@@ -52,17 +51,10 @@ def test_layered_reachability(benchmark, layers, width):
 
 @pytest.mark.parametrize("layers,width", [(12, 64)])
 def test_closure_probe_184k(benchmark, layers, width):
-    """The 184k-fact closure probe pinning the shared-memory sync win.
+    """The 184k-fact closure probe: bulk recursion over wide deltas.
 
     layered_graph(12, 64) materializes 184,498 facts (179,956 connected
-    pairs) through rounds of wide deltas, so in parallel mode every round
-    crosses the dispatch threshold and the sync direction dominates the
-    wire.  With shared-memory attach the parent ships segment tables
-    instead of replica fact rows: pipe bytes drop from ~14.4 MB (pre-
-    columnar protocol) to ~550 KB on this probe (~26x), and ~14x against
-    the same engine with ``REPRO_SHM=0``.  ``parallel_bytes_shipped`` is
-    recorded per scenario, so the harness baseline gate keeps the
-    reduction pinned.
+    pairs) through rounds of wide deltas.
     """
     database = layered_graph(layers, width, out_degree=3, seed=1).to_database()
     evaluator = SemiNaiveEvaluator(REACHABILITY)
@@ -73,69 +65,6 @@ def test_closure_probe_184k(benchmark, layers, width):
     benchmark.extra_info["layers"] = layers
     benchmark.extra_info["width"] = width
     benchmark.extra_info["connected_pairs"] = pairs
-
-
-#: (graph key) -> (sync ns, postings rows rebuilt) for the CSR-off control
-#: replay; one probe per process, shared by every warmup/repeat invocation —
-#: see the recompute memos in bench_stream_churn.py for the rationale.
-_CSR_OFF_MEMO = {}
-
-
-@pytest.mark.parametrize("layers,width", [(12, 64)])
-def test_repeated_push_csr_sync(benchmark, layers, width):
-    """Repeated-push sync probe: CSR attach deletes the postings rebuild.
-
-    The same 184k closure as ``test_closure_probe_184k``, but pushed through
-    a long-lived :class:`DeltaSession` in four chunks so the parallel
-    executor synchronises workers repeatedly.  Pre-CSR, every sync made each
-    worker re-post the new replica rows into per-process postings dicts —
-    O(rows x positions) per worker per sync.  With the CSR directory sealed
-    in shared memory the workers attach and binary-search it instead, so
-    ``postings_rebuilt`` must read **zero** on the shm+CSR path; the probe
-    asserts exactly that, and records the CSR-off control's sync time and
-    rebuild volume for the committed baseline to document the win.
-    """
-    from repro.engine.incremental import DeltaSession
-    from repro.engine.mode import get_execution_mode
-    from repro.engine.parallel import csr_enabled, csr_override, shm_enabled
-    from repro.engine.stats import STATS
-
-    database = list(layered_graph(layers, width, out_degree=3, seed=1).to_database())
-    chunk = (len(database) + 3) // 4
-    batches = [database[i : i + chunk] for i in range(0, len(database), chunk)]
-
-    def replay():
-        session = DeltaSession(REACHABILITY, batches[0])
-        for batch in batches[1:]:
-            session.push(batch)
-        size = len(session)
-        session.close()
-        return size
-
-    size = benchmark.pedantic(replay, rounds=1, iterations=1)
-    assert size == 184498  # triple + knows + connected closure of the probe
-    benchmark.extra_info["chunks"] = len(batches)
-    if get_execution_mode() == "parallel" and shm_enabled() and csr_enabled():
-        # The tentpole invariant: zero postings rows rebuilt worker-side.
-        # (A silent fallback to the legacy protocol would fail this too —
-        # deliberately: the probe exists to keep the zero-copy path alive.)
-        assert STATS.postings_rebuilt == 0, STATS.postings_rebuilt
-        benchmark.extra_info["sync_ms_csr_on"] = round(
-            STATS.parallel_sync_ns / 1e6, 3
-        )
-        memo_key = (layers, width)
-        if memo_key not in _CSR_OFF_MEMO:
-            with csr_override(False):
-                STATS.reset()
-                replay()
-                _CSR_OFF_MEMO[memo_key] = (
-                    STATS.parallel_sync_ns,
-                    STATS.postings_rebuilt,
-                )
-        off_sync_ns, off_rebuilt = _CSR_OFF_MEMO[memo_key]
-        assert off_rebuilt > 0  # the control really pays the rebuild
-        benchmark.extra_info["sync_ms_csr_off"] = round(off_sync_ns / 1e6, 3)
-        benchmark.extra_info["postings_rebuilt_csr_off"] = off_rebuilt
 
 
 @pytest.mark.parametrize("n,k,p", [(10, 3, 0.4), (12, 3, 0.3)])

@@ -1,12 +1,10 @@
 """Scale series L — LUBM-style university workloads.
 
-University-scale materialisation for the sharded parallel executor
-(ROADMAP: "wider workloads").  The fixed entailment-regime query of the
-Theorem 6.7 series runs over the richer multi-university ABoxes of
+University-scale materialisation (ROADMAP: "wider workloads").  The fixed
+entailment-regime query of the Theorem 6.7 series runs over the richer
+multi-university ABoxes of
 :func:`repro.workloads.ontologies.lubm_style_ontology` at three scales, so
-the per-round deltas are large enough for the hash-partitioned worker pool
-to have real batches to chew on — unlike the paper-figure scenarios, whose
-deltas mostly sit below the parallel dispatch threshold.
+the per-round deltas are far larger than the paper-figure scenarios'.
 """
 
 import pytest

@@ -6,18 +6,16 @@ engine-core counters (:mod:`repro.engine.stats`) around each measured
 section, and writes ``BENCH_engine_core.json`` in a stable schema that CI
 diffs against the committed baseline.
 
-Every scenario runs once per **execution mode** (row-at-a-time,
-column-at-a-time batch, and the sharded parallel executor; see
-:mod:`repro.engine.mode`), producing one record per ``scenario@mode`` id
-(parallel records additionally carry the worker count).  Besides the
-per-mode wall times — which is how the batch and parallel executors'
-speedups are tracked in the committed baseline — the harness enforces the
-cross-mode counter contract: the mode-independent counters (facts added,
-triggers fired, nulls invented, pivots skipped, and the retraction trio of
-facts retracted / re-derived / nulls collected) must be *identical* across
-every mode of a scenario, and the run fails otherwise.  That equality is
-what keeps the bench-smoke counter gate meaningful with three executors
-behind one baseline.
+Every scenario runs once per **execution mode** (row-at-a-time and
+column-at-a-time batch; see :mod:`repro.engine.mode`), producing one record
+per ``scenario@mode`` id.  Besides the per-mode wall times — which is how
+the batch executor's speedup is tracked in the committed baseline — the
+harness enforces the cross-mode counter contract: the mode-independent
+counters (facts added, triggers fired, nulls invented, pivots skipped, and
+the retraction trio of facts retracted / re-derived / nulls collected) must
+be *identical* across every mode of a scenario, and the run fails otherwise.
+That equality is what keeps the bench-smoke counter gate meaningful with two
+executors behind one baseline.
 
 The ``bench_*.py`` files stay plain pytest-benchmark suites; the harness
 discovers their ``test_*`` functions, expands ``pytest.mark.parametrize``
@@ -36,7 +34,6 @@ Usage::
                                                       # CI smoke: fail on >25% regression
     python benchmarks/harness.py --only theorem67     # substring filter
     python benchmarks/harness.py --modes batch        # only one executor
-    python benchmarks/harness.py --workers 4          # parallel-mode pool size
     python benchmarks/harness.py --quick --only lubm --profile profile.json
                                                       # per-plan step profiles
     python benchmarks/harness.py --list               # show scenario ids and exit
@@ -71,16 +68,12 @@ for path in (SRC, BENCH_DIR):
 
 from repro.engine import plancache  # noqa: E402
 from repro.engine.mode import execution_mode  # noqa: E402
-from repro.engine.parallel import shutdown_pool  # noqa: E402
 from repro.engine.stats import STATS  # noqa: E402
 from repro.obs.profile import PROFILER  # noqa: E402
 
-SCHEMA_VERSION = 9
+SCHEMA_VERSION = 10
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_engine_core.json")
-MODES = ("row", "batch", "parallel")
-# An empty string counts as unset, matching repro.engine.mode (CI matrices
-# export REPRO_ENGINE_PARALLEL='' for the non-parallel rows).
-DEFAULT_WORKERS = int(os.environ.get("REPRO_ENGINE_PARALLEL") or 2)
+MODES = ("row", "batch")
 #: Counters that must be identical between execution modes of one scenario.
 MODE_INDEPENDENT_COUNTERS = (
     "facts_added",
@@ -97,13 +90,6 @@ MODE_INDEPENDENT_COUNTERS = (
 #: Regressions smaller than this (seconds) never fail the gate: scenarios in
 #: the low-millisecond range jitter far more than 25% on shared CI runners.
 MIN_REGRESSION_SECONDS = 0.010
-#: Parallel payload regressions smaller than this (bytes) never fail the
-#: gate; tiny dispatches jitter with pickling details, big ones matter.
-#: Schema v9 tightened this from 64 KiB to 8 KiB: with CSR postings sealed in
-#: shared memory and sub-segment results riding the pooled worker ring, the
-#: pipe should carry near-zero payload, so even modest growth is a real
-#: protocol regression.
-MIN_BYTES_REGRESSION = 8192
 
 
 def _peak_rss_kb() -> Optional[int]:
@@ -252,7 +238,7 @@ def select_runs(
 
 
 def run_scenario(
-    scenario: Dict[str, Any], warmup: int, repeats: int, mode: str, workers: int
+    scenario: Dict[str, Any], warmup: int, repeats: int, mode: str
 ) -> Dict[str, Any]:
     """Run one scenario ``warmup + repeats`` times under ``mode``."""
     runs: List[float] = []
@@ -260,10 +246,9 @@ def run_scenario(
         "id": f"{scenario['id']}@{mode}",
         "file": scenario["file"],
         "mode": mode,
-        "workers": workers if mode == "parallel" else 1,
     }
     proxy = HarnessBenchmark()
-    with execution_mode(mode, workers if mode == "parallel" else None):
+    with execution_mode(mode):
         for i in range(warmup + repeats):
             proxy = HarnessBenchmark()
             scenario["fn"](benchmark=proxy, **scenario["kwargs"])
@@ -291,26 +276,10 @@ def run_scenario(
             "rederived": last_stats["rederived"],
             "nulls_collected": last_stats["nulls_collected"],
             "batch_probe_groups": last_stats["batch_probe_groups"],
-            "parallel_tasks": last_stats["parallel_tasks"],
-            "parallel_fallbacks": last_stats["parallel_fallbacks"],
-            # Schema v5: the parallel IPC payload volume of the last measured
-            # run (dictionary deltas + columnar fact/result arrays; 0 outside
-            # parallel mode) and the process peak RSS sampled after the
-            # scenario.
-            "parallel_bytes_shipped": last_stats["parallel_bytes_shipped"],
-            # Schema v8: bytes of match results moved through worker-created
-            # shared-memory segments under the zero-copy attach protocol (0
-            # outside parallel mode, or with REPRO_SHM=0).  Reported, never
-            # gated — read together with parallel_bytes_shipped.
-            "parallel_shm_bytes": last_stats["parallel_shm_bytes"],
-            # Schema v9: synchronisation time split out of the dispatch wall
-            # (sealing CSR postings + promoting columns + broadcasting the
-            # sync message), worker postings rows rebuilt per-row (0 on the
-            # CSR attach path — that zero is the whole point), and tombstone
-            # compactions run by retraction sessions.  Reported, never gated.
-            "parallel_sync_ms": round(last_stats["parallel_sync_ns"] / 1e6, 3),
-            "postings_rebuilt": last_stats["postings_rebuilt"],
+            # Schema v9: tombstone compactions run by retraction sessions.
+            # Reported, never gated.
             "compactions": last_stats["compactions"],
+            # Schema v5: the process peak RSS sampled after the scenario.
             "peak_rss_kb": _peak_rss_kb(),
             "facts_per_second": (
                 round(last_stats["facts_added"] / median) if median > 0 else None
@@ -387,7 +356,7 @@ def merge_remeasure(record: Dict[str, Any], retry: Dict[str, Any]) -> Dict[str, 
 def cross_mode_mismatches(results: List[Dict[str, Any]]) -> List[str]:
     """Scenarios whose mode-independent counters differ between modes.
 
-    All executors — row, batch, and sharded parallel — are required to fire
+    Both executors — row and batch — are required to fire
     the same triggers in the same order, so any divergence here is a
     correctness bug in an executor (or a nondeterministic scenario), never an
     acceptable perf trade-off.  Every mode present is compared against the
@@ -547,25 +516,6 @@ def compare_to_baseline(
                     f"{record['id']}: qps {now:.1f} vs speed-adjusted baseline "
                     f"{reference:.1f} ({(now / reference - 1) * 100:.0f}%)"
                 )
-        # parallel_bytes_shipped (schema v5) gates the IPC payload volume of
-        # dispatching scenarios: the columnar dictionary-encoded wire format
-        # exists to keep this down, and an executor change that silently
-        # reverts to object shipping would be invisible to wall time on small
-        # runners.  Deterministic per machine, so no speed adjustment.
-        now, then = (
-            record.get("parallel_bytes_shipped"),
-            base.get("parallel_bytes_shipped"),
-        )
-        # A zero baseline still gates: a scenario that never dispatched
-        # suddenly shipping real payload is exactly the object-shipping
-        # regression this counter exists to catch.
-        if now is not None and then is not None:
-            if now > then * (1 + threshold) and now - then > MIN_BYTES_REGRESSION:
-                grew = f"+{(now / then - 1) * 100:.0f}%" if then else "was 0"
-                regressions.append(
-                    f"{record['id']}: parallel_bytes_shipped {now} vs baseline "
-                    f"{then} ({grew})"
-                )
     return regressions
 
 
@@ -578,14 +528,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--modes",
         default=",".join(MODES),
-        help="comma-separated execution modes to run (default: row,batch,parallel)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=DEFAULT_WORKERS,
-        help="worker processes for parallel-mode records "
-        f"(default: $REPRO_ENGINE_PARALLEL or {DEFAULT_WORKERS})",
+        help="comma-separated execution modes to run (default: row,batch)",
     )
     parser.add_argument("--list", action="store_true", help="list scenario ids and exit")
     parser.add_argument(
@@ -660,7 +603,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     for scenario, mode in runs:
         if args.profile:
             PROFILER.reset()
-        record = run_scenario(scenario, warmup, repeats, mode, args.workers)
+        record = run_scenario(scenario, warmup, repeats, mode)
         results.append(record)
         if args.profile:
             profiles.append({"id": record["id"], "plans": PROFILER.snapshot(top=10)})
@@ -690,7 +633,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "warmup": warmup,
         "repeats": repeats,
         "execution_modes": modes,
-        "parallel_workers": args.workers,
         "python": ".".join(map(str, sys.version_info[:3])),
         "scenario_count": len(results),
         "plan_cache": {
@@ -725,14 +667,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     ):
         print(f"suite speedup batch vs row: "
               f"{per_mode_sums['row'] / per_mode_sums['batch']:.2f}x")
-    if (
-        "batch" in modes
-        and "parallel" in modes
-        and per_mode_sums["parallel"] > 0
-        and per_mode_sums["batch"] > 0
-    ):
-        print(f"suite speedup parallel({args.workers}w) vs batch: "
-              f"{per_mode_sums['batch'] / per_mode_sums['parallel']:.2f}x")
 
     if len(modes) > 1:
         mismatches = cross_mode_mismatches(results)
@@ -803,7 +737,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                       f"(pass {attempt + 1}/{args.retries})...")
                 for rid in suspects:
                     scenario, mode = by_id[rid]
-                    retry = run_scenario(scenario, warmup, repeats, mode, args.workers)
+                    retry = run_scenario(scenario, warmup, repeats, mode)
                     results[index_of[rid]] = merge_remeasure(
                         results[index_of[rid]], retry
                     )
@@ -820,7 +754,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 1
         print(f"\nOK: no scenario regressed more than "
               f"{args.fail_threshold * 100:.0f}% vs {args.baseline}")
-    shutdown_pool()
     return 0
 
 

@@ -22,12 +22,12 @@ Quickstart::
     answers = engine.evaluate(program, "connected", db)
 
 Configuration is programmatic (:class:`Engine` / :class:`EngineConfig`); the
-``REPRO_ENGINE_MODE`` / ``REPRO_ENGINE_PARALLEL`` environment variables
-remain supported as lazy fallbacks, read at first use.  See ``docs/api.md``
-for the facade reference and the deprecation table.
+``REPRO_ENGINE_MODE`` environment variable remains supported as a lazy
+fallback, read at first use.  See ``docs/api.md`` for the facade reference
+and the deprecation table.
 """
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 # -- the facade (start here) ------------------------------------------------
 from repro.api import Engine, EngineConfig, configure
@@ -97,20 +97,19 @@ __all__ = [
     # Service layer (lazy — see __getattr__).
     "MaterializedView",
     "QueryService",
-    # Deprecated shims (prefer Engine / EngineConfig).
+    # Deprecated shim (prefer Engine / EngineConfig).
     "set_execution_mode",
-    "set_worker_count",
 ]
 
 # The service layer pulls in asyncio plumbing nobody pays for unless they
 # serve; same lazy re-export pattern as repro.engine's incremental exports.
 _SERVICE_EXPORTS = ("MaterializedView", "QueryService")
 
-# Legacy module-level configuration entry points, kept as thin shims over
+# Legacy module-level configuration entry point, kept as a thin shim over
 # the same state the facade writes.  New code should use Engine/EngineConfig
-# (or repro.configure); these delegate unchanged so existing call sites and
+# (or repro.configure); it delegates unchanged so existing call sites and
 # the env-var workflow keep working byte-identically.
-_DEPRECATED_SHIMS = ("set_execution_mode", "set_worker_count")
+_DEPRECATED_SHIMS = ("set_execution_mode",)
 
 
 def __getattr__(name: str):

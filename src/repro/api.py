@@ -1,14 +1,13 @@
 """The programmatic facade: :class:`EngineConfig` + :class:`Engine`.
 
 Historically the engine was configured through environment variables
-(``REPRO_ENGINE_MODE``, ``REPRO_ENGINE_PARALLEL``,
-``REPRO_PARALLEL_THRESHOLD``) read at import time — a footgun for any caller
-that imported submodules before setting them.  This module replaces that
-with explicit configuration::
+(``REPRO_ENGINE_MODE``, ``REPRO_COMPACT_RATIO``) read at import time — a
+footgun for any caller that imported submodules before setting them.  This
+module replaces that with explicit configuration::
 
     import repro
 
-    engine = repro.Engine(repro.EngineConfig(mode="parallel", workers=4))
+    engine = repro.Engine(repro.EngineConfig(mode="row"))
     answers = engine.evaluate(program_text, "connected", database)
     with engine.delta_session(program_text) as session:
         session.push(facts)
@@ -16,12 +15,12 @@ with explicit configuration::
 The environment variables still work — they are now *lazy fallbacks*, read
 at the first evaluation that needs them and only when nothing was configured
 programmatically (see :mod:`repro.engine.mode`).  The legacy module-level
-setters (:func:`repro.engine.set_execution_mode` and friends) remain as thin
-shims over the same state the facade writes; new code should construct an
+setter (:func:`repro.engine.set_execution_mode`) remains as a thin shim
+over the same state the facade writes; new code should construct an
 :class:`Engine`.
 
 One process, one engine configuration: the execution mode is process-global
-state (worker pools, plan caches, and the interning table are shared), so
+state (plan caches and the interning table are shared), so
 :class:`Engine` is a configuration *scope*, not an isolated instance —
 constructing a second Engine with a different config reconfigures the
 process, exactly like the env vars always did.  The class exists so that the
@@ -41,10 +40,9 @@ from repro.datalog.program import Program
 from repro.datalog.semantics import evaluate_program
 from repro.engine import index as _index
 from repro.engine import mode as _mode
-from repro.engine import parallel as _parallel
 from repro.engine.plancache import load_plan_cache, save_plan_cache
 
-_VALID_MODES = (None, "row", "batch", "parallel")
+_VALID_MODES = (None, "row", "batch")
 
 
 @dataclass(frozen=True)
@@ -58,18 +56,12 @@ class EngineConfig:
     field                     replaces                        default
     ========================  ==============================  ================
     ``mode``                  ``REPRO_ENGINE_MODE``           ``"batch"``
-    ``workers``               ``REPRO_ENGINE_PARALLEL``       ``2``
-    ``parallel_threshold``    ``REPRO_PARALLEL_THRESHOLD``    ``4096``
-    ``shm_result_min``        ``REPRO_SHM_RESULT_MIN``        ``0``
     ``compact_ratio``         ``REPRO_COMPACT_RATIO``         ``0.5``
     ``plan_cache``            —                               no persistence
     ========================  ==============================  ================
 
-    ``shm_result_min`` is the match-result payload size (bytes) below which
-    parallel workers use the result pipe instead of their pooled
-    shared-memory segment; workers resolve it from their fork-inherited
-    environment, so set it before the pool first spawns.  ``compact_ratio``
-    is the tombstone fraction above which :meth:`DeltaSession.retract
+    ``compact_ratio`` is the tombstone fraction above which
+    :meth:`DeltaSession.retract
     <repro.engine.incremental.DeltaSession.retract>` compacts a predicate's
     lanes (1.0 or higher disables compaction).
 
@@ -79,9 +71,6 @@ class EngineConfig:
     """
 
     mode: Optional[str] = None
-    workers: Optional[int] = None
-    parallel_threshold: Optional[int] = None
-    shm_result_min: Optional[int] = None
     compact_ratio: Optional[float] = None
     plan_cache: Optional[str] = None
 
@@ -89,16 +78,6 @@ class EngineConfig:
         if self.mode not in _VALID_MODES:
             raise ValueError(
                 f"mode must be one of {_VALID_MODES[1:]} or None, got {self.mode!r}"
-            )
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.parallel_threshold is not None and self.parallel_threshold < 0:
-            raise ValueError(
-                f"parallel_threshold must be >= 0, got {self.parallel_threshold}"
-            )
-        if self.shm_result_min is not None and self.shm_result_min < 0:
-            raise ValueError(
-                f"shm_result_min must be >= 0, got {self.shm_result_min}"
             )
         if self.compact_ratio is not None and self.compact_ratio <= 0:
             raise ValueError(
@@ -114,24 +93,10 @@ class EngineConfig:
         fallback would have resolved, immune to later ``os.environ`` edits.
         """
         environ = os.environ if environ is None else environ
-        workers_raw = environ.get("REPRO_ENGINE_PARALLEL") or None
-        workers = int(workers_raw) if workers_raw else None
         mode = environ.get("REPRO_ENGINE_MODE") or None
-        if mode is None and workers is not None:
-            mode = "parallel"
-        threshold_raw = environ.get("REPRO_PARALLEL_THRESHOLD") or None
-        threshold = int(threshold_raw) if threshold_raw else None
-        result_min_raw = environ.get("REPRO_SHM_RESULT_MIN") or None
-        result_min = int(result_min_raw) if result_min_raw else None
         ratio_raw = environ.get("REPRO_COMPACT_RATIO") or None
         ratio = float(ratio_raw) if ratio_raw else None
-        return cls(
-            mode=mode,
-            workers=workers,
-            parallel_threshold=threshold,
-            shm_result_min=result_min,
-            compact_ratio=ratio,
-        )
+        return cls(mode=mode, compact_ratio=ratio)
 
     def with_overrides(self, **changes) -> "EngineConfig":
         """A copy with the given fields replaced."""
@@ -157,12 +122,6 @@ class Engine:
     def _apply(self) -> None:
         if self.config.mode is not None:
             _mode.set_execution_mode(self.config.mode)
-        if self.config.workers is not None:
-            _mode.set_worker_count(self.config.workers)
-        if self.config.parallel_threshold is not None:
-            _parallel.set_parallel_threshold(self.config.parallel_threshold)
-        if self.config.shm_result_min is not None:
-            _parallel.set_shm_result_min(self.config.shm_result_min)
         if self.config.compact_ratio is not None:
             _index.set_compact_ratio(self.config.compact_ratio)
         if self.config.plan_cache is not None and os.path.exists(self.config.plan_cache):
@@ -174,11 +133,6 @@ class Engine:
     def mode(self) -> str:
         """The execution mode actually in effect (resolves the lazy default)."""
         return _mode.get_execution_mode()
-
-    @property
-    def workers(self) -> int:
-        """The parallel worker count actually in effect."""
-        return _mode.get_worker_count()
 
     # -- evaluation ----------------------------------------------------------
 
@@ -270,10 +224,11 @@ class Engine:
         return save_plan_cache(target)
 
     def close(self) -> None:
-        """Release process-level engine resources (the parallel worker pool)."""
-        from repro.engine.parallel import shutdown_pool
+        """A no-op: the engine holds no process-level resources.
 
-        shutdown_pool()
+        Kept, with the ``with`` form, so existing
+        ``with repro.Engine(...) as engine:`` call sites keep working.
+        """
 
     def __enter__(self) -> "Engine":
         return self
@@ -282,13 +237,13 @@ class Engine:
         self.close()
 
     def __repr__(self) -> str:
-        return f"Engine(mode={self.mode!r}, workers={self.workers}, config={self.config})"
+        return f"Engine(mode={self.mode!r}, config={self.config})"
 
 
 def configure(config: Optional[EngineConfig] = None, **kwargs) -> Engine:
     """Apply a configuration to the process and return the Engine scope.
 
-    ``repro.configure(mode="parallel", workers=4)`` is the one-liner form of
+    ``repro.configure(mode="row")`` is the one-liner form of
     ``repro.Engine(EngineConfig(...))``.
     """
     return Engine(config, **kwargs)

@@ -46,7 +46,6 @@ from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Constant, Null, Term, Variable
 from repro.engine.interning import TERMS
 from repro.engine.mode import batch_enabled
-from repro.engine.parallel import maybe_session
 from repro.engine.plan import compile_rule
 from repro.engine.stats import STATS
 
@@ -109,20 +108,13 @@ class WardedEngine:
         )
         null_types: Dict[Null, Tuple] = {}
         fired = 0
-        session = maybe_session(
-            instance, [crule for stratum in self.compiled_strata for crule in stratum]
-        )
-        try:
-            for stratum in self.compiled_strata:
-                if not stratum:
-                    continue
-                reference = instance.snapshot()
-                fired += self._fixpoint(
-                    stratum, instance, reference, provenance, null_types, session
-                )
-        finally:
-            if session is not None:
-                session.close()
+        for stratum in self.compiled_strata:
+            if not stratum:
+                continue
+            reference = instance.snapshot()
+            fired += self._fixpoint(
+                stratum, instance, reference, provenance, null_types
+            )
         return WardedResult(
             instance=instance,
             provenance=provenance if provenance is not None else {},
@@ -165,7 +157,6 @@ class WardedEngine:
         negation_reference,
         provenance: Optional[Dict[Atom, Justification]],
         null_types: Dict[Null, Tuple],
-        session=None,
     ) -> int:
         fired = 0
         fired_existential_triggers: Set[Tuple[int, Tuple]] = set()
@@ -229,10 +220,7 @@ class WardedEngine:
             nonlocal fired
             rule = crule.rule
             has_existentials = bool(rule.existential_variables)
-            if session is not None:
-                batches = session.trigger_row_batches(crule, delta, negation_reference)
-            else:
-                batches = crule.trigger_row_batches(instance, delta, negation_reference)
+            batches = crule.trigger_row_batches(instance, delta, negation_reference)
             add_key = instance.add_key
             sink_add = delta_sink.add_fact
             for plan, rows in batches:
@@ -281,11 +269,10 @@ class WardedEngine:
                                     body_instantiation = ops.body_facts_row(row)
                                 provenance[fact] = (rule, body_instantiation)
 
-        # Body matching honours the process-wide execution mode; every path
-        # (row, batch, and the sharded parallel session, which merges worker
-        # results back into batch order) produces triggers in the same order
-        # and invents nulls in ``sorted_existentials`` order, so the
-        # materialisation is identical atom for atom across modes.
+        # Body matching honours the process-wide execution mode; both paths
+        # (row and batch) produce triggers in the same order and invent nulls
+        # in ``sorted_existentials`` order, so the materialisation is
+        # identical atom for atom across modes.
         use_batch = batch_enabled()
 
         # Naive first round over the full instance.

@@ -41,7 +41,6 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Null, Term, Variable
 from repro.engine.interning import TERMS
 from repro.engine.mode import batch_enabled
-from repro.engine.parallel import maybe_session
 from repro.engine.plan import compile_body, compile_rule
 from repro.engine.stats import STATS
 from repro.obs.trace import TRACER
@@ -210,7 +209,6 @@ class ChaseEngine:
         negation_reference: Optional[Instance] = None,
         *,
         reuse_instance: bool = False,
-        session=None,
         state: Optional[ChaseState] = None,
     ) -> ChaseResult:
         """Run the chase of ``program`` over ``database``.
@@ -228,13 +226,6 @@ class ChaseEngine:
         live instance through all strata, taking a frozen
         :meth:`~repro.datalog.database.Instance.snapshot` per stratum as the
         negation reference instead of rebuilding the index each time.
-
-        ``session`` (engine-internal) supplies an externally owned
-        :class:`~repro.engine.parallel.ParallelSession` bound to the working
-        instance, so a caller chasing the same instance repeatedly (one chase
-        per stratum) reuses one worker replica instead of resetting and
-        re-shipping the whole instance per call; it is ignored unless it is
-        bound to the instance actually chased, and never closed here.
 
         ``state`` carries resumable bookkeeping (:class:`ChaseState`): when
         supplied, the null-depth map is read from and written back to it and
@@ -264,30 +255,16 @@ class ChaseEngine:
         # produce it in the same order, and all invent nulls in
         # ``sorted_existentials`` order, so every mode builds the same
         # instance atom for atom.  The batch path works on slot rows
-        # throughout (RowOps templates), and the parallel session distributes
-        # exactly that matching across the worker pool (firing stays here).
-        # Negation stays a per-trigger check in every mode — not a batched
-        # pre-filter — because ``reference`` may be the working instance
-        # itself, which mutates as triggers fire.
+        # throughout (RowOps templates).  Negation stays a per-trigger check
+        # in every mode — not a batched pre-filter — because ``reference``
+        # may be the working instance itself, which mutates as triggers fire.
         use_batch = batch_enabled()
-        owned_session = None
-        if session is not None and (
-            not use_batch or session.instance is not instance
-        ):
-            session = None
-        if session is None and use_batch:
-            session = owned_session = maybe_session(instance, compiled)
-
-        try:
-            return self._chase_loop(
-                instance, reference, compiled, null_depth, use_batch, session, state
-            )
-        finally:
-            if owned_session is not None:
-                owned_session.close()
+        return self._chase_loop(
+            instance, reference, compiled, null_depth, use_batch, state
+        )
 
     def _chase_loop(
-        self, instance, reference, compiled, null_depth, use_batch, session, state=None
+        self, instance, reference, compiled, null_depth, use_batch, state=None
     ) -> ChaseResult:
         steps = 0
         invented = 0
@@ -309,10 +286,7 @@ class ChaseEngine:
             for rule_index, crule in enumerate(compiled):
                 rule = crule.rule
                 if use_batch:
-                    if session is not None:
-                        triggers = session.full_rows(crule)
-                    else:
-                        triggers = crule.plan.run_batch(instance)
+                    triggers = crule.plan.run_batch(instance)
                     ops = crule.row_ops(crule.plan)
                 else:
                     triggers = list(crule.substitutions(instance))
@@ -456,7 +430,6 @@ class ChaseEngine:
         negation_reference: Optional[Instance] = None,
         *,
         state: Optional[ChaseState] = None,
-        session=None,
     ) -> ChaseResult:
         """Continue a completed chase after new facts were appended.
 
@@ -476,10 +449,7 @@ class ChaseEngine:
         ``negation_reference`` exactly as in :meth:`chase`.  ``state``
         (:class:`ChaseState`) carries the null-depth map and the lifetime
         step/null totals from the initial run (the ``max_steps`` budget is
-        per call); ``session`` is an externally owned
-        :class:`~repro.engine.parallel.ParallelSession` bound to
-        ``instance``, re-armed here for every delta round so streaming
-        callers keep one synced worker replica across batches.
+        per call).
 
         Returns a :class:`ChaseResult` whose ``steps`` / ``invented_nulls``
         count this continuation and whose ``delta_rounds`` reports the
@@ -500,30 +470,12 @@ class ChaseEngine:
             [_rule_signature(crule.rule) for crule in compiled] if self.deterministic_nulls else None
         )
         use_batch = batch_enabled()
-        owned_session = None
-        if session is not None and (
-            not use_batch or session.instance is not instance
-        ):
-            session = None
-        if session is None and use_batch:
-            session = owned_session = maybe_session(instance, compiled)
-        try:
-            return self._resume_loop(
-                instance,
-                reference,
-                compiled,
-                signatures,
-                state,
-                use_batch,
-                session,
-                delta,
-            )
-        finally:
-            if owned_session is not None:
-                owned_session.close()
+        return self._resume_loop(
+            instance, reference, compiled, signatures, state, use_batch, delta
+        )
 
     def _resume_loop(
-        self, instance, reference, compiled, signatures, state, use_batch, session, delta
+        self, instance, reference, compiled, signatures, state, use_batch, delta
     ) -> ChaseResult:
         # The per-trigger core below deliberately mirrors _chase_loop's (in
         # both executor flavours) rather than sharing a helper: the cold
@@ -548,10 +500,7 @@ class ChaseEngine:
             for rule_index, crule in enumerate(compiled):
                 rule = crule.rule
                 if use_batch:
-                    if session is not None:
-                        batches = session.trigger_row_batches(crule, delta, None)
-                    else:
-                        batches = crule.trigger_row_batches(instance, delta, None)
+                    batches = crule.trigger_row_batches(instance, delta, None)
                     for plan, rows in batches:
                         ops = crule.row_ops(plan)
                         for trigger in rows:

@@ -140,19 +140,14 @@ class Instance:
     def discard(self, atom: Atom) -> bool:
         """Remove a fact if present; returns True if it was there.
 
-        The fact's global ordinal (the parallel executor's gid) is captured
-        *before* the maps forget it and handed to the index tombstone, which
-        logs ``(predicate, row_id, gid)`` for replica replay.  Ordinals of
-        surviving facts are never renumbered and ``_counter`` never rewinds,
-        so re-added facts get strictly fresh ordinals — the contiguity
-        invariant the delta-window dispatch relies on.
+        Ordinals of surviving facts are never renumbered and ``_counter``
+        never rewinds, so re-added facts get strictly fresh ordinals.
         """
-        gid = self._ordinals.get(atom)
-        if gid is None:
+        if atom not in self._ordinals:
             return False
         del self._ordinals[atom]
         del self._keys[TERMS.atom_key(atom)]
-        self._index.tombstone(atom, gid)
+        self._index.tombstone(atom)
         return True
 
     # -- dictionary-encoded fast paths ---------------------------------------
@@ -168,7 +163,7 @@ class Instance:
     def add_key(self, key: Tuple[int, ...]) -> Optional[Atom]:
         """Add an encoded fact; returns its (decoded) Atom if new, else None.
 
-        This is how the batch/parallel firing paths land head facts: the
+        This is how the batch firing paths land head facts: the
         duplicate check costs one int-tuple lookup, and the Atom is only
         materialised for genuinely new facts (it is needed for the decoded
         row view and the ordinal map — the result boundary).

@@ -73,27 +73,19 @@ class StratifiedSemantics:
         and the stratum's negation reference is a frozen
         :meth:`~repro.datalog.database.Instance.snapshot` — per-predicate row
         counts, not a copy — so the per-stratum re-index the seed performed
-        is gone.  In parallel mode one worker session spans all strata for
-        the same reason: each fact ships to the pool once, not once per
-        stratum.
+        is gone.
         """
         current = Instance(database)
-        session = self._session_for(current)
-        try:
-            for stratum_rules in self.strata:
-                if not stratum_rules:
-                    continue
-                reference = current.snapshot()
-                self.chase_engine.chase(
-                    current,
-                    Program(stratum_rules),
-                    negation_reference=reference,
-                    reuse_instance=True,
-                    session=session,
-                )
-        finally:
-            if session is not None:
-                session.close()
+        for stratum_rules in self.strata:
+            if not stratum_rules:
+                continue
+            reference = current.snapshot()
+            self.chase_engine.chase(
+                current,
+                Program(stratum_rules),
+                negation_reference=reference,
+                reuse_instance=True,
+            )
         if self._violates_constraints(current):
             return INCONSISTENT
         return current
@@ -113,20 +105,6 @@ class StratifiedSemantics:
             self.program, database, engine="chase", chase_engine=self.chase_engine
         )
 
-    def _session_for(self, current: Instance):
-        """One parallel session spanning every stratum's chase (or None)."""
-        from repro.engine.mode import parallel_enabled
-
-        if not parallel_enabled():
-            return None
-        from repro.engine.parallel import maybe_session
-        from repro.engine.plan import compile_rule
-
-        return maybe_session(
-            current,
-            [compile_rule(rule) for stratum in self.strata for rule in stratum],
-        )
-
     def _violates_constraints(self, instance: Instance) -> bool:
         for constraint in self.program.constraints:
             if next(match_atoms(constraint.body, instance), None) is not None:
@@ -136,22 +114,16 @@ class StratifiedSemantics:
     def violated_constraints(self, database: Iterable[Atom]) -> List[Constraint]:
         """The constraints violated by ``database`` under the program (diagnostics)."""
         current = Instance(database)
-        session = self._session_for(current)
-        try:
-            for stratum_rules in self.strata:
-                if not stratum_rules:
-                    continue
-                reference = current.snapshot()
-                self.chase_engine.chase(
-                    current,
-                    Program(stratum_rules),
-                    negation_reference=reference,
-                    reuse_instance=True,
-                    session=session,
-                )
-        finally:
-            if session is not None:
-                session.close()
+        for stratum_rules in self.strata:
+            if not stratum_rules:
+                continue
+            reference = current.snapshot()
+            self.chase_engine.chase(
+                current,
+                Program(stratum_rules),
+                negation_reference=reference,
+                reuse_instance=True,
+            )
         return [
             c
             for c in self.program.constraints

@@ -19,14 +19,11 @@ precompiled pivot plans against the delta's index, and the lower-strata
 negation reference is a frozen :meth:`~repro.datalog.database.Instance.snapshot`
 rather than a full copy.
 
-Three executor modes (:mod:`repro.engine.mode`) share the same plans: the
-row-at-a-time backtracker, the column-at-a-time batch executor — which
+Two executor modes (:mod:`repro.engine.mode`) share the same plans: the
+row-at-a-time backtracker and the column-at-a-time batch executor, which
 fetches one bulk index probe per distinct probe key per step and filters
-negation in bulk against the frozen snapshot — and the sharded parallel
-executor (:mod:`repro.engine.parallel`), which fans each round's match work
-out to worker processes and merges the shard streams back into batch order
-before firing.  Matches arrive in the same order in every mode, so results
-and counters are mode-independent.  Delta
+negation in bulk against the frozen snapshot.  Matches arrive in the same
+order in both modes, so results and counters are mode-independent.  Delta
 rounds additionally skip pivots whose delta postings bucket is empty for a
 *bound* term of the pivot atom (not just pivots whose predicate is absent
 from the delta) — counted in ``STATS.pivots_skipped``.
@@ -45,7 +42,6 @@ from repro.datalog.rules import RuleError
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Term, Variable
 from repro.engine.mode import batch_enabled
-from repro.engine.parallel import maybe_session
 from repro.engine.plan import compile_rule
 from repro.engine.stats import STATS
 from repro.obs.trace import TRACER
@@ -72,21 +68,14 @@ class SemiNaiveEvaluator:
     def evaluate(self, database: Iterable[Atom]) -> Instance:
         """Materialise all derivable facts (ignores constraints)."""
         instance = Instance(database)
-        session = maybe_session(
-            instance, [crule for stratum in self.compiled_strata for crule in stratum]
-        )
-        try:
-            for number, stratum in enumerate(self.compiled_strata):
-                if not stratum:
-                    continue
-                reference = instance.snapshot()
-                with TRACER.span(
-                    "seminaive.stratum", stratum=number, rules=len(stratum)
-                ):
-                    self._evaluate_stratum(stratum, instance, reference, session)
-        finally:
-            if session is not None:
-                session.close()
+        for number, stratum in enumerate(self.compiled_strata):
+            if not stratum:
+                continue
+            reference = instance.snapshot()
+            with TRACER.span(
+                "seminaive.stratum", stratum=number, rules=len(stratum)
+            ):
+                self._evaluate_stratum(stratum, instance, reference)
         return instance
 
     def facts_of(self, database: Iterable[Atom], predicate: str) -> Set[Atom]:
@@ -107,7 +96,6 @@ class SemiNaiveEvaluator:
         instance: Instance,
         delta: Instance,
         negation_reference,
-        session=None,
     ) -> int:
         """Continue one stratum's fixpoint from an externally supplied delta.
 
@@ -121,13 +109,13 @@ class SemiNaiveEvaluator:
         rounds executed.
         """
         return self._delta_rounds(
-            self.compiled_strata[stratum], instance, delta, negation_reference, session
+            self.compiled_strata[stratum], instance, delta, negation_reference
         )
 
     # -- internals --------------------------------------------------------------------
 
     def _evaluate_stratum(
-        self, compiled: Sequence, instance: Instance, negation_reference, session=None
+        self, compiled: Sequence, instance: Instance, negation_reference
     ) -> None:
         """Fixpoint of one stratum using delta iteration.
 
@@ -143,11 +131,11 @@ class SemiNaiveEvaluator:
         delta = Instance()
         for crule in compiled:
             self._fire_rule(
-                crule, instance, negation_reference, delta, None, session, use_batch
+                crule, instance, negation_reference, delta, None, use_batch
             )
 
         # Delta rounds: at least one body atom must come from the last delta.
-        self._delta_rounds(compiled, instance, delta, negation_reference, session)
+        self._delta_rounds(compiled, instance, delta, negation_reference)
 
     def _delta_rounds(
         self,
@@ -155,7 +143,6 @@ class SemiNaiveEvaluator:
         instance: Instance,
         delta: Instance,
         negation_reference,
-        session=None,
     ) -> int:
         """Run delta rounds until the fixpoint; returns the round count."""
         use_batch = batch_enabled()
@@ -170,7 +157,6 @@ class SemiNaiveEvaluator:
                     negation_reference,
                     new_delta,
                     delta,
-                    session,
                     use_batch,
                 )
             delta = new_delta
@@ -178,7 +164,7 @@ class SemiNaiveEvaluator:
 
     @staticmethod
     def _fire_rule(
-        crule, instance, negation_reference, delta_sink, delta, session, use_batch
+        crule, instance, negation_reference, delta_sink, delta, use_batch
     ) -> None:
         """Match and fire one rule for one round (naive when ``delta`` is None).
 
@@ -187,18 +173,13 @@ class SemiNaiveEvaluator:
         evaluation point sees the same instance state regardless of mode and
         the executors stay trigger-for-trigger identical.  The batch path
         fires head facts directly from slot rows (precompiled RowOps
-        templates); the row path goes through substitution dicts.  With a
-        parallel ``session``, matching is fanned out to the worker pool and
-        merged back into the same order; firing stays sequential here.
+        templates); the row path goes through substitution dicts.
         """
         traced = TRACER.enabled
         if traced:
             trace_start = time.perf_counter_ns()
         if use_batch:
-            if session is not None:
-                batches = session.trigger_row_batches(crule, delta, negation_reference)
-            else:
-                batches = crule.trigger_row_batches(instance, delta, negation_reference)
+            batches = crule.trigger_row_batches(instance, delta, negation_reference)
             add_key = instance.add_key
             sink_add = delta_sink.add_fact
             for plan, rows in batches:

@@ -25,19 +25,15 @@ package instead of re-deriving join strategy per call:
   a constant check, a bound-slot check, or a slot binding (this covers
   repeated variables), negated atoms become precompiled membership probes,
   and semi-naive pivots get one dedicated plan per body atom.
-* Each plan has **three executors** selected by :mod:`repro.engine.mode`
-  (``REPRO_ENGINE_MODE`` / ``REPRO_ENGINE_PARALLEL`` env vars, or
-  :func:`set_execution_mode`): the row-at-a-time depth-first backtracker
-  (``JoinPlan.execute``); the column-at-a-time batch executor
-  (:mod:`repro.engine.batch`, ``JoinPlan.run_batch``, the default) that
-  extends a whole batch of partial matches per step, sharing one bulk index
-  probe per distinct probe key and filtering negation in bulk against frozen
-  snapshot views; and the sharded parallel executor
-  (:mod:`repro.engine.shard` + :mod:`repro.engine.parallel`) that
-  hash-partitions step-0 candidates across a pool of worker processes and
-  merges the per-shard streams back into batch order by global insertion
-  ordinal.  All three produce the same matches in the same order, so results
-  and counters are mode-independent.
+* Each plan has **two executors** selected by :mod:`repro.engine.mode`
+  (the ``REPRO_ENGINE_MODE`` env var, or :func:`set_execution_mode`): the
+  row-at-a-time depth-first backtracker (``JoinPlan.execute``) and the
+  column-at-a-time batch executor (:mod:`repro.engine.batch`,
+  ``JoinPlan.run_batch``, the default) that extends a whole batch of partial
+  matches per step, sharing one bulk index probe per distinct probe key and
+  filtering negation in bulk against frozen snapshot views.  Both produce the
+  same matches in the same order, so results and counters are
+  mode-independent.
 * :mod:`repro.engine.stats` exposes the counters (facts added, triggers
   fired, nulls invented, pivots skipped, batch probe groups) that
   ``benchmarks/harness.py`` samples per scenario and per execution mode.
@@ -53,22 +49,10 @@ from repro.engine.mode import (
     batch_enabled,
     execution_mode,
     get_execution_mode,
-    get_worker_count,
-    parallel_enabled,
     set_execution_mode,
-    set_worker_count,
-)
-from repro.engine.parallel import (
-    ParallelSession,
-    maybe_session,
-    parallel_threshold,
-    parallel_threshold_override,
-    set_parallel_threshold,
-    shutdown_pool,
 )
 from repro.engine.plan import CompiledRule, JoinPlan, compile_body, compile_rule
 from repro.engine.plancache import load_plan_cache, save_plan_cache
-from repro.engine.shard import ShardedInstance, merge_sharded, run_batch_sharded, shard_of
 from repro.engine.stats import STATS, EngineStats
 
 # The incremental streaming subsystem builds *on top of* the datalog layer
@@ -94,10 +78,8 @@ __all__ = [
     "EngineStats",
     "InstanceSnapshot",
     "JoinPlan",
-    "ParallelSession",
     "PredicateIndex",
     "STATS",
-    "ShardedInstance",
     "TERMS",
     "TermTable",
     "batch_enabled",
@@ -105,19 +87,8 @@ __all__ = [
     "compile_rule",
     "execution_mode",
     "get_execution_mode",
-    "get_worker_count",
     "is_null_id",
     "load_plan_cache",
-    "maybe_session",
-    "merge_sharded",
-    "parallel_enabled",
-    "parallel_threshold",
-    "parallel_threshold_override",
-    "run_batch_sharded",
     "save_plan_cache",
     "set_execution_mode",
-    "set_parallel_threshold",
-    "set_worker_count",
-    "shard_of",
-    "shutdown_pool",
 ]

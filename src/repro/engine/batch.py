@@ -112,14 +112,7 @@ class _BatchStep:
     # -- execution -----------------------------------------------------------
 
     def apply(self, index, limits, rows_in: List[SlotRow]) -> List[SlotRow]:
-        """Extend every partial row in ``rows_in`` through this atom.
-
-        Deliberately duplicated by :meth:`apply_tracked` (the gid-carrying
-        variant) rather than wrapped: this loop is the hottest path of the
-        default executor and a tag stream would cost every batch-mode row.
-        Change the probe/extension logic in BOTH methods — the shard parity
-        suite (``tests/test_engine_shard_parity.py``) fails on divergence.
-        """
+        """Extend every partial row in ``rows_in`` through this atom."""
         predicate = self.predicate
         rows = index.cols.get(predicate)
         if not rows:
@@ -178,74 +171,6 @@ class _BatchStep:
                         extend([row + ext for ext in exts])
         active_stats().batch_probe_groups += len(cache)
         return out
-
-    def apply_tracked(
-        self, index, limits, gids_in: List[int], rows_in: List[SlotRow]
-    ) -> Tuple[List[int], List[SlotRow]]:
-        """:meth:`apply`, carrying a per-row tag through the step.
-
-        The sharded executor (:mod:`repro.engine.shard`) tags every partial
-        row with the global insertion ordinal of its step-0 candidate; the
-        tag is what lets the parent process merge the per-shard result
-        streams back into the exact single-process match order.  Extensions
-        inherit their input row's tag, and output order is row-major with
-        candidates ascending — identical to :meth:`apply`.
-        """
-        predicate = self.predicate
-        rows = index.cols.get(predicate)
-        if not rows:
-            return [], []
-        cap = len(rows) if limits is None else min(len(rows), limits.get(predicate, 0))
-        if cap <= 0:
-            return [], []
-        out_gids: List[int] = []
-        out_rows: List[SlotRow] = []
-        append_gid = out_gids.append
-        append_row = out_rows.append
-        slot_probes = self.slot_probes
-        if not slot_probes:
-            exts = self._extensions(
-                rows, index.probe_ids(predicate, self.const_pairs, cap)
-            )
-            active_stats().batch_probe_groups += 1
-            if exts:
-                for gid, row in zip(gids_in, rows_in):
-                    for ext in exts:
-                        append_gid(gid)
-                        append_row(row + ext)
-            return out_gids, out_rows
-        const_pairs = self.const_pairs
-        probe_ids = index.probe_ids
-        cache: Dict[object, List[SlotRow]] = {}
-        cache_get = cache.get
-        if len(slot_probes) == 1:
-            position, slot = slot_probes[0]
-            for gid, row in zip(gids_in, rows_in):
-                key = row[slot]
-                exts = cache_get(key)
-                if exts is None:
-                    pairs = const_pairs + ((position, key),)
-                    exts = self._extensions(rows, probe_ids(predicate, pairs, cap))
-                    cache[key] = exts
-                for ext in exts:
-                    append_gid(gid)
-                    append_row(row + ext)
-        else:
-            for gid, row in zip(gids_in, rows_in):
-                key = tuple(row[slot] for _, slot in slot_probes)
-                exts = cache_get(key)
-                if exts is None:
-                    pairs = const_pairs + tuple(
-                        (position, value)
-                        for (position, _), value in zip(slot_probes, key)
-                    )
-                    exts = self._extensions(rows, probe_ids(predicate, pairs, cap))
-                    cache[key] = exts
-                for ext in exts:
-                    append_gid(gid)
-                    append_row(row + ext)
-        active_stats().batch_probe_groups += len(cache)
-        return out_gids, out_rows
 
     def _extensions(self, cols, candidate_ids) -> List[SlotRow]:
         """The verified extension tuples for one probe key, ids ascending.

@@ -1,74 +1,29 @@
 """Flat columnar fact storage: one int64 buffer per predicate position.
 
-Until this revision :attr:`PredicateIndex.cols
-<repro.engine.index.PredicateIndex.cols>` held one Python tuple of term IDs
-per fact — compact enough, but every batch-kernel scan paid a pointer chase
-per row and a ``PyObject`` header per value, nothing could be handed to
-``numpy`` without a copy, and the parallel workers had to receive and re-store
-every row through the pickled wire protocol.  :class:`ColumnBuffer` packs the
-same data into **flat 64-bit columns**:
+:attr:`PredicateIndex.cols <repro.engine.index.PredicateIndex.cols>` holds
+one :class:`ColumnBuffer` per predicate, packing the fact ID rows into
+**flat 64-bit columns** — no ``PyObject`` header per value, no pointer chase
+per row, and ``numpy`` can view the memory without a copy:
 
 * ``arities[row]`` — the row's arity, or :data:`TOMB` (``-1``) for a
   tombstoned row.  Tombstoning flips *only* the arity: the position values
-  stay in place, so a deletion replayed elsewhere (worker postings unlink)
-  can still read what the row held, and every scan path filters dead rows
-  with the same single ``arities[row] != arity`` comparison that already
-  rejects wrong-arity rows.
+  stay in place, and every scan path filters dead rows with the same single
+  ``arities[row] != arity`` comparison that already rejects wrong-arity
+  rows.
 * ``gids[row]`` — the fact's global insertion ordinal (``-1`` when the
-  writer has none), stored at append time so shared-memory workers can
-  rebuild shard gid lists without any per-fact wire traffic.
+  writer has none), stored at append time: the row's birth ordinal.
 * ``buffers[p][row]`` — the term ID at position ``p``; rows narrower than
   the widest arity seen pad the wider columns with ``-1`` (never read: the
   arity filter runs first).
 
-All regions are int64 (``array('q')`` on the heap, ``memoryview("q")`` over
-a ``multiprocessing.shared_memory`` segment when promoted), so a transient
-``numpy.frombuffer`` view is zero-copy in every mode — the batch kernels of
-:mod:`repro.engine.kernels` rely on this.
-
-**Three backing modes, one object identity.**
-
-* *heap* — plain ``array('q')`` storage, grown by ``append``.  The default;
-  every instance starts here and single-process runs never leave it.
-* *promoted* — the same logical content moved into one shared-memory
-  segment (:meth:`promote`), laid out as ``capacity``-row regions in the
-  order ``arities | gids | position 0 | position 1 | ...``.  Appends write
-  in place through memoryviews; outgrowing the capacity (rows or positions)
-  allocates a doubled segment, byte-copies the regions, and unlinks the old
-  one immediately (attached workers keep their mapping until they re-attach
-  at the next sync — POSIX keeps unlinked segments alive while mapped).
-  Promotion and demotion mutate the buffer **in place**, so every index and
-  executor holding a reference sees the switch for free.
-* *attached* — a worker-side read-only view over a parent's segment
-  (:meth:`attach`), with ``n_rows`` pinned to the sync watermark so rows the
-  parent appends afterwards stay invisible until the next sync message.
-
-**Lifecycle.**  Segments are owned by the promoting (parent) process: every
-promoted buffer is tracked in a module registry and :func:`demote_all` —
-called from ``shutdown_pool`` and therefore also on term-table epoch resets
-and interpreter exit — copies the content back to the heap and unlinks the
-segment, which is what keeps ``/dev/shm`` clean after the pool goes away
-(``tests/test_engine_shm_lifecycle.py`` asserts this).  Attachers close
-their mapping but never unlink.
-
-**Resource-tracker discipline.**  CPython 3.8–3.12 registers a POSIX
-shared-memory name with the ``resource_tracker`` on *every* ``SharedMemory``
-open, attaches included — and fork workers may share the parent's tracker
-process (inherited fd), whose bookkeeping is a plain set that raises on
-unbalanced unregisters.  The only arrangement that stays silent in both the
-shared- and private-tracker cases is: the **creator** holds the single
-registration and drops it exactly once (``unlink`` does, or
-:func:`_unregister_attachment` when ownership is handed to another process),
-while **attachers never register at all**
-(:func:`_registration_suppressed`).
+All lanes are heap ``array('q')``, so a transient ``numpy.frombuffer`` view
+is zero-copy — the batch kernels of :mod:`repro.engine.kernels` rely on
+this.
 """
 
 from __future__ import annotations
 
-import os
-import weakref
 from array import array
-from contextlib import contextmanager
 from typing import List, Optional, Tuple
 
 #: The arity value marking a tombstoned row.  Position values of a dead row
@@ -79,165 +34,18 @@ TOMB = -1
 #: (the arity filter runs first); distinct-value kernels mask it out.
 PAD = -1
 
-_ITEMSIZE = 8  # int64 everywhere
-_MIN_CAPACITY = 64
-
-# Promoted buffers owned by this process, for demote_all() teardown sweeps.
-_PROMOTED: "weakref.WeakSet[ColumnBuffer]" = weakref.WeakSet()
-
-# CSR seal segments owned (created) by this process, for the same sweep:
-# a retired pool leaves no attacher, so an owned seal segment would only
-# leak /dev/shm space past shutdown_pool().
-_SEALS: "weakref.WeakSet[SharedIntSegment]" = weakref.WeakSet()
-
-_seg_counter = 0
-
-
-def _segment_name(kind: str = "col") -> str:
-    """A process-unique shared-memory segment name."""
-    global _seg_counter
-    _seg_counter += 1
-    return f"repro-{kind}-{os.getpid()}-{_seg_counter}"
-
-
-def _unregister_attachment(name: str) -> None:
-    """Drop this process's resource-tracker registration for ``name``.
-
-    Used by a *creator* handing segment ownership to another process (the
-    worker→parent result segments): the registration must leave with the
-    ownership, or the tracker would unlink the segment under the new owner
-    at cleanup time.  Never call this for a name this process did not
-    register — the tracker's bookkeeping is a set and an unbalanced remove
-    raises (noisily) inside the tracker process.
-    """
-    try:  # pragma: no cover - stdlib-version defensive
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister("/" + name.lstrip("/"), "shared_memory")
-    except Exception:
-        pass
-
-
-@contextmanager
-def _registration_suppressed():
-    """Open a ``SharedMemory`` without registering with the resource tracker.
-
-    The attach side must not register: fork workers can share the parent's
-    tracker process, where a register+unregister pair from an attacher would
-    silently delete the *owner's* registration (the tracker keeps a set).
-    Suppressing the call entirely is balanced in every topology.  The
-    processes involved are single-threaded at attach points, so the brief
-    monkeypatch window cannot race.
-    """
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        yield
-    finally:
-        resource_tracker.register = original
-
-
-class SharedIntSegment:
-    """One flat int64 shared-memory region: the CSR seal container.
-
-    The parent packs a whole seal — every lane chunk of one sync — into a
-    single segment (:meth:`create`) and ships only its name plus a
-    directory of offsets; workers map it read-only (:meth:`attach`) and
-    slice zero-copy chunk views out of :attr:`data`.  Same tracker
-    discipline as :class:`ColumnBuffer`: the creator holds the single
-    registration (and the unlink), attachers never register.  Creator-side
-    instances are swept by :func:`demote_all` so a retired pool leaves
-    ``/dev/shm`` exactly as it found it even when a session object (and the
-    sealer state it owns) outlives the pool.
-    """
-
-    __slots__ = ("name", "data", "_shm", "_owned", "__weakref__")
-
-    def __init__(self, shm, n_values: int, owned: bool):
-        self.name = shm.name
-        self._shm = shm
-        self._owned = owned
-        self.data = shm.buf[: n_values * _ITEMSIZE].cast("q")
-        if owned:
-            _SEALS.add(self)
-
-    @classmethod
-    def create(cls, values) -> Optional["SharedIntSegment"]:
-        """Pack ``values`` (an ``array('q')``) into a fresh owned segment.
-
-        None when shared memory is unavailable or full — the caller falls
-        back to the non-CSR protocol for the session.
-        """
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=max(len(values), 1) * _ITEMSIZE,
-                name=_segment_name("csr"),
-            )
-        except Exception:  # pragma: no cover - /dev/shm unavailable or full
-            return None
-        raw = memoryview(values).cast("B")
-        shm.buf[: len(raw)] = raw
-        return cls(shm, len(values), owned=True)
-
-    @classmethod
-    def attach(cls, name: str, n_values: int) -> "SharedIntSegment":
-        """Map a parent seal segment read-only (worker side, unregistered)."""
-        from multiprocessing import shared_memory
-
-        with _registration_suppressed():
-            shm = shared_memory.SharedMemory(name=name)
-        return cls(shm, n_values, owned=False)
-
-    def release(self) -> None:
-        """Drop the mapping; owners also unlink the segment (idempotent)."""
-        shm, self._shm = self._shm, None
-        if shm is None:
-            return
-        try:
-            self.data.release()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-        if self._owned:
-            _SEALS.discard(self)
-            _close_and_unlink(shm)
-        else:
-            try:
-                shm.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-
 
 class ColumnBuffer:
     """Flat int64 columns (arities, gids, one buffer per position) for one
     predicate's rows."""
 
-    __slots__ = (
-        "n_rows",
-        "arities",
-        "gids",
-        "buffers",
-        "_shm",
-        "_capacity",
-        "_n_positions",
-        "_finalizer",
-        "_attached",
-        "__weakref__",
-    )
+    __slots__ = ("n_rows", "arities", "gids", "buffers")
 
     def __init__(self) -> None:
         self.n_rows = 0
         self.arities = array("q")
         self.gids = array("q")
         self.buffers: List = []
-        self._shm = None
-        self._capacity = 0
-        self._n_positions = 0
-        self._finalizer = None
-        self._attached = False
 
     # -- introspection -------------------------------------------------------
 
@@ -249,19 +57,6 @@ class ColumnBuffer:
         """The widest arity this buffer has stored (column count)."""
         return len(self.buffers)
 
-    @property
-    def shared(self) -> bool:
-        """True while the storage lives in a shared-memory segment."""
-        return self._shm is not None
-
-    @property
-    def segment(self) -> Optional[Tuple[str, int, int, int]]:
-        """(name, capacity, n_positions, n_rows) of the backing segment, or
-        None on the heap — exactly what a sync message ships per predicate."""
-        if self._shm is None:
-            return None
-        return (self._shm.name, self._capacity, len(self.buffers), self.n_rows)
-
     def row(self, row_id: int) -> Optional[Tuple[int, ...]]:
         """The ID row at ``row_id`` as a tuple, or None if tombstoned."""
         arity = self.arities[row_id]
@@ -270,51 +65,28 @@ class ColumnBuffer:
         buffers = self.buffers
         return tuple(buffers[p][row_id] for p in range(arity))
 
-    def values_at(self, row_id: int, arity: int) -> Tuple[int, ...]:
-        """The first ``arity`` position values of ``row_id``, dead or alive.
-
-        Tombstoning clears only the arity, so a caller that knows the
-        original width (the tombstone log records it) can still read what a
-        dead row held — the shared-memory deletion replay relies on this.
-        """
-        buffers = self.buffers
-        return tuple(buffers[p][row_id] for p in range(arity))
-
-    # -- writes (heap / promoted) --------------------------------------------
+    # -- writes --------------------------------------------------------------
 
     def append(self, ids, gid: int = -1) -> int:
         """Append one ID row with its global ordinal; returns its row id."""
-        if self._attached:
-            raise RuntimeError("attached ColumnBuffer is read-only")
         arity = len(ids)
         row_id = self.n_rows
-        if self._shm is None:
-            buffers = self.buffers
-            if len(buffers) == arity:
-                # Hot path: predicates are fixed-arity in practice, so the
-                # row exactly spans the existing columns — no widening, no
-                # padding.
-                for buffer, value in zip(buffers, ids):
-                    buffer.append(value)
-            else:
-                while len(buffers) < arity:
-                    buffers.append(array("q", [PAD]) * row_id)
-                for p in range(arity):
-                    buffers[p].append(ids[p])
-                for p in range(arity, len(buffers)):
-                    buffers[p].append(PAD)
-            self.arities.append(arity)
-            self.gids.append(gid)
+        buffers = self.buffers
+        if len(buffers) == arity:
+            # Hot path: predicates are fixed-arity in practice, so the
+            # row exactly spans the existing columns — no widening, no
+            # padding.
+            for buffer, value in zip(buffers, ids):
+                buffer.append(value)
         else:
-            if row_id >= self._capacity or arity > len(self.buffers):
-                self._regrow(row_id + 1, max(arity, len(self.buffers)))
-            buffers = self.buffers
-            self.arities[row_id] = arity
-            self.gids[row_id] = gid
+            while len(buffers) < arity:
+                buffers.append(array("q", [PAD]) * row_id)
             for p in range(arity):
-                buffers[p][row_id] = ids[p]
+                buffers[p].append(ids[p])
             for p in range(arity, len(buffers)):
-                buffers[p][row_id] = PAD
+                buffers[p].append(PAD)
+        self.arities.append(arity)
+        self.gids.append(gid)
         self.n_rows = row_id + 1
         return row_id
 
@@ -323,14 +95,8 @@ class ColumnBuffer:
 
         The bulk half of :meth:`append`: one ``array.extend`` per lane
         instead of per-row Python-loop appends — the difference between a
-        churn rebuild paying ~µs and ~0.1µs per fact.  Heap mode only (the
-        promoted in-place write path stays per-row); rows may mix arities.
+        churn rebuild paying ~µs and ~0.1µs per fact.  Rows may mix arities.
         """
-        if self._shm is not None or self._attached:
-            first = self.n_rows
-            for ids, gid in zip(id_rows, gids):
-                self.append(ids, gid)
-            return first
         first = self.n_rows
         n = len(id_rows)
         buffers = self.buffers
@@ -352,267 +118,12 @@ class ColumnBuffer:
         self.n_rows = first + n
         return first
 
-    def kill(self, row_id: int) -> Optional[Tuple[int, ...]]:
-        """Tombstone ``row_id``; returns the ids it held (None if already dead).
+    def kill(self, row_id: int) -> None:
+        """Tombstone ``row_id``.
 
-        Only the arity flips to :data:`TOMB` — position values stay readable,
-        which is what lets shared-memory workers unlink their local postings
-        for a deletion the parent already applied.
+        Only the arity flips to :data:`TOMB` — position values stay in place.
         """
-        arity = self.arities[row_id]
-        if arity < 0:
-            return None
-        buffers = self.buffers
-        ids = tuple(buffers[p][row_id] for p in range(arity))
         self.arities[row_id] = TOMB
-        return ids
-
-    def append_dead(self) -> int:
-        """Append an already-tombstoned placeholder row (worker replicas)."""
-        if self._attached:
-            raise RuntimeError("attached ColumnBuffer is read-only")
-        row_id = self.n_rows
-        if self._shm is None:
-            self.arities.append(TOMB)
-            self.gids.append(-1)
-            for buffer in self.buffers:
-                buffer.append(PAD)
-        else:
-            if row_id >= self._capacity:
-                self._regrow(row_id + 1, len(self.buffers))
-            self.arities[row_id] = TOMB
-            self.gids[row_id] = -1
-            for buffer in self.buffers:
-                buffer[row_id] = PAD
-        self.n_rows = row_id + 1
-        return row_id
-
-    # -- shared-memory lifecycle ---------------------------------------------
-
-    def promote(self) -> Optional[Tuple[str, int, int, int]]:
-        """Move the storage into a shared-memory segment (idempotent).
-
-        Returns :attr:`segment`, or None when shared memory is unavailable
-        on this platform (the buffer then simply stays on the heap and the
-        caller falls back to the pickled wire protocol).
-        """
-        if self._shm is not None:
-            return self.segment
-        if self._attached:
-            raise RuntimeError("cannot promote an attached ColumnBuffer")
-        try:
-            from multiprocessing import shared_memory
-        except ImportError:  # pragma: no cover - platform without shm
-            return None
-        n_positions = len(self.buffers)
-        capacity = _MIN_CAPACITY
-        while capacity < self.n_rows:
-            capacity *= 2
-        size = (2 + n_positions) * capacity * _ITEMSIZE
-        try:
-            shm = shared_memory.SharedMemory(
-                create=True, size=size, name=_segment_name()
-            )
-        except Exception:  # pragma: no cover - /dev/shm unavailable or full
-            return None
-        views = self._views(shm, capacity, n_positions)
-        n = self.n_rows
-        views[0][:n] = memoryview(self.arities)[:n]
-        views[1][:n] = memoryview(self.gids)[:n]
-        for p, buffer in enumerate(self.buffers):
-            views[2 + p][:n] = memoryview(buffer)[:n]
-        self._install(shm, views, capacity)
-        _PROMOTED.add(self)
-        return self.segment
-
-    def demote(self) -> None:
-        """Copy the content back to the heap and unlink the segment (idempotent)."""
-        if self._shm is None:
-            return
-        if self._attached:
-            raise RuntimeError("attached buffers detach(), they never demote()")
-        n = self.n_rows
-        arities = array("q", self.arities[:n].tobytes() if n else b"")
-        gids = array("q", self.gids[:n].tobytes() if n else b"")
-        buffers = [
-            array("q", view[:n].tobytes() if n else b"") for view in self.buffers
-        ]
-        self._release_views()
-        shm, self._shm = self._shm, None
-        if self._finalizer is not None:
-            self._finalizer.detach()
-            self._finalizer = None
-        _close_and_unlink(shm)
-        self.arities = arities
-        self.gids = gids
-        self.buffers = buffers
-        self._capacity = 0
-        _PROMOTED.discard(self)
-
-    @classmethod
-    def attach(
-        cls, name: str, capacity: int, n_positions: int, n_rows: int
-    ) -> "ColumnBuffer":
-        """Map a parent segment read-only at the given watermark (worker side)."""
-        from multiprocessing import shared_memory
-
-        with _registration_suppressed():
-            shm = shared_memory.SharedMemory(name=name)
-        self = cls()
-        self._attached = True
-        views = self._views(shm, capacity, n_positions)
-        self._shm = shm
-        self._capacity = capacity
-        self.arities = views[0]
-        self.gids = views[1]
-        self.buffers = list(views[2:])
-        self.n_rows = n_rows
-        return self
-
-    def detach(self) -> None:
-        """Close an attached mapping (the parent owns the unlink)."""
-        if self._shm is None:
-            return
-        self._release_views()
-        shm, self._shm = self._shm, None
-        try:
-            shm.close()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-
-    def advance(self, n_rows: int) -> None:
-        """Move an attached buffer's watermark forward (same segment)."""
-        self.n_rows = n_rows
-
-    # -- internals -----------------------------------------------------------
-
-    @staticmethod
-    def _views(shm, capacity: int, n_positions: int) -> List[memoryview]:
-        """Region memoryviews (arities, gids, positions...) over ``shm``."""
-        region = capacity * _ITEMSIZE
-        mv = shm.buf
-        return [
-            mv[k * region : (k + 1) * region].cast("q")
-            for k in range(2 + n_positions)
-        ]
-
-    def _install(self, shm, views: List[memoryview], capacity: int) -> None:
-        self._shm = shm
-        self._capacity = capacity
-        self.arities = views[0]
-        self.gids = views[1]
-        self.buffers = list(views[2:])
-        if self._finalizer is not None:
-            self._finalizer.detach()
-        # The finalizer holds the views so it can release them *before*
-        # closing the mmap (GC teardown order is arbitrary, and closing with
-        # exported views raises).  The pid pins segment ownership: a fork
-        # child inheriting this object must never unlink the parent's live
-        # segment when its copy dies.
-        self._finalizer = weakref.finalize(
-            self, _teardown_segment, shm, list(views), os.getpid()
-        )
-
-    def _release_views(self) -> None:
-        for view in (self.arities, self.gids, *self.buffers):
-            if isinstance(view, memoryview):
-                view.release()
-        self.arities = array("q")
-        self.gids = array("q")
-        self.buffers = []
-
-    def _regrow(self, need_rows: int, need_positions: int) -> None:
-        """Replace the segment with one covering the new shape.
-
-        The old segment is unlinked immediately; attached workers keep their
-        (stale) mapping alive until they re-attach from the next sync
-        message, which ships the new name and watermark.
-        """
-        from multiprocessing import shared_memory
-
-        capacity = max(self._capacity, _MIN_CAPACITY)
-        while capacity < need_rows:
-            capacity *= 2
-        size = (2 + need_positions) * capacity * _ITEMSIZE
-        shm = shared_memory.SharedMemory(create=True, size=size, name=_segment_name())
-        views = self._views(shm, capacity, need_positions)
-        n = self.n_rows
-        if n:
-            views[0][:n] = self.arities[:n]
-            views[1][:n] = self.gids[:n]
-            for p, old in enumerate(self.buffers):
-                views[2 + p][:n] = old[:n]
-        for p in range(len(self.buffers), need_positions):
-            view = views[2 + p]
-            for row in range(n):
-                view[row] = PAD
-        self._release_views()
-        old_shm, self._shm = self._shm, None
-        _close_and_unlink(old_shm)
-        self._install(shm, views, capacity)
 
     def __repr__(self) -> str:
-        mode = "attached" if self._attached else ("shm" if self._shm else "heap")
-        return (
-            f"ColumnBuffer({self.n_rows} rows, {len(self.buffers)} positions, "
-            f"{mode})"
-        )
-
-
-def _close_and_unlink(shm) -> None:
-    """Best-effort close+unlink of an owned segment."""
-    try:
-        shm.close()
-    except Exception:  # pragma: no cover - teardown best effort
-        pass
-    try:
-        shm.unlink()
-    except Exception:  # pragma: no cover - already unlinked
-        pass
-
-
-def _teardown_segment(shm, views: List[memoryview], owner_pid: int) -> None:
-    """Finalizer for a promoted buffer that was never explicitly demoted.
-
-    Releases the region views first (the mmap cannot close while they are
-    exported, and plain GC frees them in arbitrary order relative to the
-    ``SharedMemory.__del__`` that would try), then closes and unlinks.  The
-    pid check keeps finalizers inherited across ``fork`` from destroying the
-    parent's live segment when the child exits.
-    """
-    if os.getpid() != owner_pid:  # pragma: no cover - fork-child safety net
-        return
-    for view in views:
-        try:
-            view.release()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-    _close_and_unlink(shm)
-
-
-def demote_all() -> None:
-    """Demote every promoted buffer of this process back to the heap.
-
-    Called by ``shutdown_pool`` (and therefore by term-table epoch resets
-    and interpreter exit): once no worker pool exists, nothing references
-    the segments, and leaving them mapped would leak ``/dev/shm`` space for
-    the life of the process — or past it, had the finalizers not run.
-    """
-    for buffer in list(_PROMOTED):
-        try:
-            buffer.demote()
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-    for segment in list(_SEALS):
-        segment.release()
-
-
-def promoted_stats() -> Tuple[int, int]:
-    """(segment count, total mapped bytes) of this process's promoted buffers."""
-    count = 0
-    total = 0
-    for buffer in list(_PROMOTED):
-        if buffer.shared:
-            count += 1
-            total += (2 + len(buffer.buffers)) * buffer._capacity * _ITEMSIZE
-    return count, total
+        return f"ColumnBuffer({self.n_rows} rows, {len(self.buffers)} positions)"

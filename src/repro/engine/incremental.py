@@ -35,19 +35,12 @@ delta discipline *across* runs:
   invents for the same triggers.  The differential suite in
   ``tests/test_engine_incremental_parity.py`` pins the resulting parity
   contract: existential-free sessions are **byte-identical** (sorted facts)
-  to a cold evaluation of the accumulated EDB in all three execution modes;
+  to a cold evaluation of the accumulated EDB in both execution modes;
   chase sessions agree byte-identically whenever the cold run fires the same
   triggers, and always agree on the ground fact set and on query answers
   (both results are universal models of the same database and program).
-* **Execution modes.**  Continuations run through the same row, batch, and
-  sharded-parallel executors as cold runs (:mod:`repro.engine.mode`).  In
-  parallel mode the session owns one
-  :class:`~repro.engine.parallel.ParallelSession` spanning all pushes: each
-  delta round's dispatch re-arms the worker replicas by shipping only the
-  facts appended since the last sync, so a long-lived stream pays the
-  replica cost once, not once per batch.  Every per-stratum delta is a
-  contiguous ordinal window of the live instance, which is precisely the
-  shape the parallel executor's delta dispatch requires.
+* **Execution modes.**  Continuations run through the same row and batch
+  executors as cold runs (:mod:`repro.engine.mode`).
 
 * **Deletions** go through :meth:`DeltaSession.retract`, a DRed
   (delete-and-rederive, Gupta–Mumick–Subrahmanian) maintenance pass:
@@ -63,8 +56,7 @@ delta discipline *across* runs:
      have other support) — DRed's classic over-estimate.
   2. **Delete.**  The marked set is tombstoned in place
      (:meth:`~repro.engine.index.PredicateIndex.tombstone`): surviving rows
-     are never renumbered, postings stay sound (probes skip tombstones), and
-     each deletion is logged for the parallel replicas' wire protocol.
+     are never renumbered and postings stay sound (probes skip tombstones).
   3. **Re-derive.**  Per stratum ascending: retracted-but-still-accumulated
      EDB facts come back verbatim; every other marked fact is re-checked
      *goal-directedly* (unify the rule heads with the deleted fact, search
@@ -85,7 +77,7 @@ delta discipline *across* runs:
 
   The parity oracle is the same as for pushes: after any interleaving of
   pushes and retractions, an existential-free session is byte-identical to a
-  cold evaluation of the *surviving* EDB in all three execution modes
+  cold evaluation of the *surviving* EDB in both execution modes
   (``tests/test_engine_retract_parity.py``).
 """
 
@@ -106,7 +98,6 @@ from repro.datalog.terms import Term
 from repro.engine.index import _COMPACT_MIN_ROWS, compact_ratio
 from repro.engine.interning import TERMS
 from repro.engine.mode import batch_enabled
-from repro.engine.parallel import maybe_session
 from repro.engine.plan import compile_rule
 from repro.engine.stats import STATS
 from repro.obs.trace import TRACER
@@ -194,8 +185,8 @@ class DeltaSession:
     ``max_steps`` allowance — a long-lived stream is never starved by its
     own history), while ``ChaseState.steps`` reports the lifetime total.
 
-    The session may be used as a context manager; :meth:`close` releases the
-    parallel worker replicas (no-op outside parallel mode).
+    The session may be used as a context manager; :meth:`close` makes it
+    read-only.
     """
 
     def __init__(
@@ -245,9 +236,6 @@ class DeltaSession:
             self._chase_state = None
         self.n_strata = len(self.strata)
         self._stratum_programs = [Program(rules) for rules in self.strata]
-        self._all_compiled = [
-            crule for stratum in self.compiled_strata for crule in stratum
-        ]
         #: Negated predicates per stratum — the stratum-re-run trigger.
         self._neg_preds: List[Set[str]] = [
             {atom.predicate for rule in stratum for atom in rule.body_negative}
@@ -269,7 +257,6 @@ class DeltaSession:
             self._edb[fact] = None
             self.instance.add_fact(fact)
         self._closed = False
-        self._session = maybe_session(self.instance, self._all_compiled)
         self.pushes = 0
         #: Retraction generation: bumped once per completed :meth:`retract`.
         #: Snapshot holders (the service's published views) record it so a
@@ -447,7 +434,7 @@ class DeltaSession:
                 return self._retract_degenerate(
                     len(batch), removed_edb, affected, changed
                 )
-        # Phase 2: physical deletion (tombstones are logged for replicas).
+        # Phase 2: physical deletion.
         with TRACER.span("retract.tombstone", marked=len(marked)):
             discard = self.instance.discard
             for fact in marked:
@@ -502,10 +489,9 @@ class DeltaSession:
         physical — the live facts, their order, and their gids are
         untouched, which is why results and the gated counters stay
         byte-identical to a never-compacting run (pinned by the retract
-        parity suite).  Renumbering invalidates the parallel replicas' row
-        alignment, so a compaction re-arms the session from scratch; any
-        snapshot that predates it was already flagged stale by the
-        tombstoning that pushed the ratio over the threshold.
+        parity suite).  Any snapshot that predates a compaction was already
+        flagged stale by the tombstoning that pushed the ratio over the
+        threshold.
         """
         index = self.instance._index
         ratio = compact_ratio()
@@ -523,11 +509,6 @@ class DeltaSession:
                     self.compaction_counts.get(predicate, 0) + 1
                 )
                 compacted += 1
-        if compacted and self._session is not None:
-            # Replica row ids are parent-aligned by append order; compaction
-            # renumbered them, so the workers must resync from scratch.
-            self._session.close()
-            self._session = maybe_session(self.instance, self._all_compiled)
         return compacted
 
     def query(self, predicate: str) -> FrozenSet[Tuple[Term, ...]]:
@@ -567,10 +548,7 @@ class DeltaSession:
         return ok
 
     def close(self) -> None:
-        """Release the parallel worker replicas; the session becomes read-only."""
-        if self._session is not None:
-            self._session.close()
-            self._session = None
+        """The session becomes read-only: later pushes and retractions raise."""
         self._closed = True
 
     def __enter__(self) -> "DeltaSession":
@@ -604,13 +582,12 @@ class DeltaSession:
                     self._stratum_programs[stratum],
                     negation_reference=reference,
                     reuse_instance=True,
-                    session=self._session,
                     state=self._chase_state,
                 )
                 self._note_chase_outcome(result)
             else:
                 self._evaluator._evaluate_stratum(
-                    compiled, self.instance, reference, self._session
+                    compiled, self.instance, reference
                 )
 
     def _continue_stratum(self, stratum: int, delta: Instance, reference) -> int:
@@ -622,12 +599,11 @@ class DeltaSession:
                 delta,
                 reference,
                 state=self._chase_state,
-                session=self._session,
             )
             self._note_chase_outcome(result)
             return result.delta_rounds
         return self._evaluator.resume_stratum(
-            stratum, self.instance, delta, reference, self._session
+            stratum, self.instance, delta, reference
         )
 
     def _note_chase_outcome(self, result) -> None:
@@ -691,14 +667,10 @@ class DeltaSession:
                 for fact in self._edb
                 if stratum_of.get(fact.predicate, 0) >= first
             ]
-            if self._session is not None:
-                self._session.close()
-                self._session = None
             instance = Instance()
             instance.bulk_load(kept)
             instance.bulk_load(extras)
             self.instance = instance
-            self._session = maybe_session(self.instance, self._all_compiled)
             # The instance was swapped and the re-run strata re-derived: every
             # cached constraint verdict is suspect.
             self._constraint_cache = [None] * len(self._constraint_preds)
@@ -713,9 +685,8 @@ class DeltaSession:
         would make every push pay for the whole accumulated history.  The
         session's instance is append-only, so insertion position equals
         ordinal and the re-sorted window is a contiguous, ascending ordinal
-        range — the exact shape
-        :class:`~repro.engine.parallel.ParallelSession` accepts for
-        distributed delta dispatch.
+        range — the delta replays the appends in the order a cold run makes
+        them.
         """
         delta = Instance()
         if self.instance._counter > mark:
@@ -738,8 +709,8 @@ class DeltaSession:
         marked more than half the live materialisation, so drop every fact of
         strata ``>= affected`` and rebuild them cold from the surviving EDB.
 
-        :meth:`_rebuild` already owns the machinery (fresh instance, replica
-        re-arm, constraint-cache reset, deterministic nulls), and cold
+        :meth:`_rebuild` already owns the machinery (fresh instance,
+        constraint-cache reset, deterministic nulls), and cold
         evaluation of the surviving EDB *is* the parity oracle — the rebuilt
         instance is byte-identical to what per-fact restoration would have
         produced, minus the 2×-or-worse cost of restoring each survivor
@@ -837,13 +808,10 @@ class DeltaSession:
 
         Mirrors ``SemiNaiveEvaluator._fire_rule``'s mode split so the trigger
         enumeration order (and hence the marked-dict insertion order) is
-        byte-identical across row/batch/parallel sessions.
+        byte-identical across row and batch sessions.
         """
         if use_batch:
-            if self._session is not None:
-                batches = self._session.trigger_row_batches(crule, delta, reference)
-            else:
-                batches = crule.trigger_row_batches(self.instance, delta, reference)
+            batches = crule.trigger_row_batches(self.instance, delta, reference)
             for plan, rows in batches:
                 ops = crule.row_ops(plan)
                 for row in rows:
@@ -875,8 +843,8 @@ class DeltaSession:
         An unknown label proves the trigger never fired — content-addressed
         nulls make the label a pure function of (rule, frontier) — so the
         trigger derived nothing and marks nothing (return ``None``).
-        Interning here would both pollute the dictionary and desync the
-        parallel replicas, hence :meth:`~repro.engine.interning.TermTable.find_null`.
+        Interning here would pollute the dictionary, hence
+        :meth:`~repro.engine.interning.TermTable.find_null`.
         """
         if not crule.sorted_existentials:
             return row

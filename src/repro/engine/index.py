@@ -1,24 +1,21 @@
 """Hash-indexed fact storage, dictionary-encoded on dense integer term IDs.
 
-The seed implementation kept per-``(predicate, position, term)`` *sets* of
-atoms and copied the chosen bucket into a fresh list on every lookup.  PR 1
-replaced that with append-only per-predicate rows plus row-id postings; this
-revision **dictionary-encodes** the whole structure on the engine's
+Facts live in append-only per-predicate rows with row-id postings, the whole
+structure **dictionary-encoded** on the engine's
 :mod:`~repro.engine.interning` term IDs:
 
-* ``rows[predicate]`` still holds the decoded :class:`Atom` objects — they
-  *are* the result boundary (instance iteration, provenance, snapshots), so
+* ``rows[predicate]`` holds the decoded :class:`Atom` objects — they *are*
+  the result boundary (instance iteration, provenance, snapshots), so
   keeping them costs nothing extra and decoding is free.
 * ``cols[predicate]`` holds the **ID rows** packed into a flat
   :class:`~repro.engine.colbuf.ColumnBuffer`: one int64 buffer per
   position plus an arity column and a gid column, aligned row-for-row with
-  ``rows``.  Every executor — the row-at-a-time backtracker, the
-  column-at-a-time batch steps, the sharded workers — probes and verifies
-  on these flat buffers (``arities[row] != arity`` is the single check that
-  rejects both tombstones and wrong-arity rows); the batch kernels
+  ``rows``.  Both executors — the row-at-a-time backtracker and the
+  column-at-a-time batch steps — probe and verify on these flat buffers
+  (``arities[row] != arity`` is the single check that rejects both
+  tombstones and wrong-arity rows); the batch kernels
   (:mod:`repro.engine.kernels`) take zero-copy numpy views of the same
-  memory, and the parallel executor can promote whole buffers into shared
-  memory without changing a single consumer.
+  memory.
 * ``postings`` keys are ``(predicate, position, tid)`` — int-keyed plain
   ``list`` buckets of ascending row ids, probed with IDs the plans compiled
   in at plan time.  Lists, not ``array('q')``: buckets are appended to on
@@ -35,32 +32,23 @@ retraction path of :meth:`DeltaSession.retract
 <repro.engine.incremental.DeltaSession.retract>` — tombstones both the row
 and the ID row in place, eagerly unlinks the row id from its postings
 buckets (buckets stay ascending; an emptied bucket is deleted so viability
-pre-checks treat the vanished value like a never-seen one), records the
-deletion in
-:attr:`PredicateIndex.tombstone_log` for the parallel replicas, and never
-renumbers surviving rows, so postings, snapshots taken *after* the deletion,
-and replica row alignment all stay valid.  Snapshots taken *before* a
-deletion observe it (the prefix view shares the live storage); holders that
-need to detect this compare :attr:`InstanceSnapshot.stale`.
-
-Worker replicas of the parallel executor ingest facts through
-:meth:`PredicateIndex.add_encoded`, which stores the ID row **without**
-materialising the Atom (a ``None`` placeholder keeps the lists aligned);
-workers only match on ``cols``, so the decoded view is never consulted
-there.
+pre-checks treat the vanished value like a never-seen one), and never
+renumbers surviving rows, so postings and snapshots taken *after* the
+deletion stay valid.  Snapshots taken *before* a deletion observe it (the
+prefix view shares the live storage); holders that need to detect this
+compare :attr:`InstanceSnapshot.stale`.
 """
 
 from __future__ import annotations
 
 import os
-from array import array
 from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Variable
 from repro.engine import kernels
-from repro.engine.colbuf import ColumnBuffer, SharedIntSegment
+from repro.engine.colbuf import ColumnBuffer
 from repro.engine.interning import TERMS
 
 #: Floor of the distinct-value summary budget: the per-round pivot-viability
@@ -86,11 +74,6 @@ def _summary_cap(n_rows: int) -> int:
 #: overhead dwarfs the reclaimed bytes, and the retract-parity suites rely on
 #: small fixtures keeping their row numbering stable.
 _COMPACT_MIN_ROWS = 256
-
-#: A predicate whose sealed CSR lane accumulates this many delta chunks is
-#: re-emitted as a single merged chunk at the next seal — bounding per-probe
-#: chunk fan-out without paying a full rebuild on every sync.
-_MAX_CSR_CHUNKS = 8
 
 # None = not resolved yet; resolved lazily at first use so test harnesses can
 # set the env var after import (matching repro.engine.mode).
@@ -135,14 +118,11 @@ class PredicateIndex:
         "postings",
         "live",
         "tombstoned",
-        "tombstone_log",
         "_summaries",
-        "csr",
     )
 
     def __init__(self) -> None:
-        # predicate -> list of facts in insertion order (None = tombstone,
-        # or an encoded-only row in worker replicas).
+        # predicate -> list of facts in insertion order (None = tombstone).
         self.rows: Dict[str, List[Optional[Atom]]] = {}
         # predicate -> flat column buffer (arities + gids + one int64 buffer
         # per position), aligned row-for-row with ``rows``.
@@ -153,36 +133,20 @@ class PredicateIndex:
         self.live: Dict[str, int] = {}
         # Total tombstones ever created (lets snapshots detect deletions).
         self.tombstoned = 0
-        # Append-only (predicate, row_id, gid, arity) deletion records, in
-        # deletion order — the retraction half of the parallel executor's
-        # wire protocol (each worker replays the suffix it has not seen
-        # yet).  The arity travels because tombstoning keeps the position
-        # values but clears the width, and the shared-memory deletion
-        # replay needs both to unlink worker-local postings.
-        self.tombstone_log: List[Tuple[str, int, Optional[int], int]] = []
         # (predicate, position) -> (row count, distinct tids | None) — the
         # per-round bound-value summaries behind extended pivot skipping.
         self._summaries: Dict[Tuple[str, int], Tuple[int, Optional[frozenset]]] = {}
-        # Sealed CSR postings (worker replicas only): a CsrStore holding the
-        # parent's shared lane chunks.  None on the parent and on every
-        # non-CSR path — probes then use the mutable list buckets above.
-        self.csr: Optional["CsrStore"] = None
 
     def add(self, atom: Atom, gid: int = -1) -> int:
         """Append a (caller-deduplicated) fact; returns its row id.
 
         ``gid`` is the fact's global insertion ordinal, stored in the
-        buffer's gid column so shared-memory workers can rebuild shard
-        ordering without per-fact wire traffic (``-1`` = caller has none).
+        buffer's gid column (``-1`` = caller has none).
         """
         return self._append(atom.predicate, atom, TERMS.atom_key(atom)[1:], gid)
 
-    def add_encoded(self, predicate: str, ids: Tuple[int, ...], gid: int = -1) -> int:
-        """Append an ID row without materialising its Atom (worker replicas)."""
-        return self._append(predicate, None, ids, gid)
-
     def _append(
-        self, predicate: str, atom: Optional[Atom], ids: Tuple[int, ...], gid: int
+        self, predicate: str, atom: Atom, ids: Tuple[int, ...], gid: int
     ) -> int:
         rows = self.rows.get(predicate)
         if rows is None:
@@ -193,8 +157,8 @@ class PredicateIndex:
         cols = self.cols[predicate]
         buffers = cols.buffers
         arity = len(ids)
-        if cols._shm is None and len(buffers) == arity:
-            # Inlined ColumnBuffer.append fast path (fixed-arity heap row):
+        if len(buffers) == arity:
+            # Inlined ColumnBuffer.append fast path (fixed-arity row):
             # this is the per-derived-fact hot spot of every fixpoint, so
             # the dominant arities unpack the lanes instead of zipping.
             row_id = cols.n_rows
@@ -257,13 +221,10 @@ class PredicateIndex:
             row_id += 1
         return row_id - len(id_rows)
 
-    def tombstone(self, atom: Atom, gid: Optional[int] = None) -> Optional[int]:
+    def tombstone(self, atom: Atom) -> Optional[int]:
         """Mark a fact deleted and unlink its row id from every postings bucket.
 
-        Returns the tombstoned row id (None if the fact was absent) and logs
-        ``(predicate, row_id, gid)`` so parallel replicas can replay the
-        deletion; ``gid`` is the fact's global insertion ordinal, which the
-        sharded stores are keyed by.
+        Returns the tombstoned row id (None if the fact was absent).
 
         The eager postings unlink is what keeps probe cost proportional to
         the *live* bucket: leaving dead ids behind made every later probe of
@@ -294,29 +255,9 @@ class PredicateIndex:
                 self.rows[predicate][row_id] = None
                 self.live[predicate] -= 1
                 self.tombstoned += 1
-                self.tombstone_log.append((predicate, row_id, gid, arity))
                 self._unlink(predicate, row_id, ids)
                 return row_id
         return None
-
-    def tombstone_row(self, predicate: str, row_id: int) -> None:
-        """Replay a parent-side deletion by row id (worker replicas).
-
-        Idempotent: a row that is already dead (an appended-and-deleted
-        placeholder, or a deletion replayed twice after a pool re-arm) is
-        left alone, which is what makes full-log replay after a replica
-        reset safe.  No log entry is written — replicas are leaves.
-        """
-        cols = self.cols.get(predicate)
-        if cols is None or row_id >= len(cols):
-            return
-        ids = cols.kill(row_id)
-        if ids is None:
-            return
-        self.rows[predicate][row_id] = None
-        self.live[predicate] -= 1
-        self.tombstoned += 1
-        self._unlink(predicate, row_id, ids)
 
     def _unlink(self, predicate: str, row_id: int, ids: Tuple[int, ...]) -> None:
         """Drop ``row_id`` from each of its postings buckets (which stay
@@ -334,112 +275,24 @@ class PredicateIndex:
             if not bucket:
                 del postings[bucket_key]
 
-    def add_dead(self, predicate: str) -> int:
-        """Append an already-tombstoned placeholder row (worker replicas).
-
-        A fact appended *and* deleted between two replica syncs is shipped as
-        a dead placeholder: its content is gone on the parent side, but the
-        replica must still burn the row id so later rows of the predicate
-        keep their parent-aligned positions.  No postings, no live count.
-        """
-        rows = self.rows.get(predicate)
-        if rows is None:
-            rows = self.rows[predicate] = []
-            self.cols[predicate] = ColumnBuffer()
-            self.live[predicate] = 0
-        rows.append(None)
-        row_id = self.cols[predicate].append_dead()
-        self.tombstoned += 1
-        return row_id
-
-    def index_attached(self, predicate: str, cols: ColumnBuffer, start: int) -> None:
-        """Install an attached column buffer and post its new rows.
-
-        The shared-memory worker path: ``cols`` is a read-only view over the
-        parent's segment, and this index contributes only the *postings*
-        (and live counts) for the rows in ``[start, n_rows)`` — the fact
-        payload itself is never copied.  Tombstoned rows are skipped, which
-        is what makes full reindexing after a replica reset equivalent to
-        replaying the whole append+deletion history.
-        """
-        self.cols[predicate] = cols
-        if predicate not in self.rows:
-            self.rows[predicate] = []
-            self.live[predicate] = 0
-        postings = self.postings
-        arities = cols.arities
-        buffers = cols.buffers
-        live = 0
-        for row_id in range(start, cols.n_rows):
-            arity = arities[row_id]
-            if arity < 0:
-                continue
-            live += 1
-            for position in range(arity):
-                key = (predicate, position, buffers[position][row_id])
-                bucket = postings.get(key)
-                if bucket is None:
-                    postings[key] = [row_id]
-                else:
-                    bucket.append(row_id)
-        self.live[predicate] += live
-
-    def attach_cols(self, predicate: str, cols: ColumnBuffer) -> None:
-        """Install an attached column buffer **without** posting its rows.
-
-        The CSR worker path: probes resolve against the parent's sealed
-        lane chunks (:attr:`csr`), so the per-sync reindex pass of
-        :meth:`index_attached` is skipped entirely — the whole point of the
-        seal protocol.  Live counts stay untouched; nothing on the worker
-        match path consults them (probes and extension filtering run on the
-        flat columns).
-        """
-        self.cols[predicate] = cols
-        if predicate not in self.rows:
-            self.rows[predicate] = []
-            self.live[predicate] = 0
-
-    def unlink_dead(self, predicate: str, row_id: int, arity: int) -> None:
-        """Unlink postings for a row the parent already tombstoned.
-
-        Shared-memory deletion replay: the parent flipped the row's arity in
-        the shared buffer before this message arrived, but the position
-        values are still readable (:meth:`ColumnBuffer.values_at
-        <repro.engine.colbuf.ColumnBuffer.values_at>`), so the worker can
-        drop the row id from its locally built buckets.  The caller
-        guarantees the row was previously indexed (deletions of rows that
-        died inside one sync window are filtered out by the watermark).
-        """
-        cols = self.cols.get(predicate)
-        if cols is None or row_id >= len(cols):
-            return
-        ids = cols.values_at(row_id, arity)
-        self.live[predicate] -= 1
-        self.tombstoned += 1
-        self._unlink(predicate, row_id, ids)
-
     def compact(self, predicate: str) -> int:
         """Pack the predicate's live rows and renumber; returns rows reclaimed.
 
         The tombstone-compaction half of the DRed maintenance path: the live
         rows are rewritten in their existing relative order (gids preserved)
-        into a fresh heap :class:`ColumnBuffer` through the bulk rebuild path
+        into a fresh :class:`ColumnBuffer` through the bulk rebuild path
         (:meth:`add_bulk`), so lane bytes shrink to the live set instead of
         carrying the predicate's whole deletion history.  Renumbering
         invalidates every row-id-bearing structure for this predicate, so the
         method also
 
-        * drops the predicate's postings buckets (rebuilt by ``add_bulk``),
-        * drops its :attr:`tombstone_log` entries (a full-log replay after a
-          replica reset would otherwise kill renumbered survivors), and
+        * drops the predicate's postings buckets (rebuilt by ``add_bulk``), and
         * drops its memoised distinct-value summaries (a stale summary is no
           longer a superset once new appends land on the shrunken count).
 
         :attr:`tombstoned` stays monotone — snapshots taken before the
         triggering retraction are already flagged stale by the tombstoning
-        that preceded this call, and callers must re-arm any parallel
-        session (the replicas' row alignment is gone).  Parent-side only:
-        worker replicas never compact.
+        that preceded this call.
         """
         cols = self.cols.get(predicate)
         if cols is None:
@@ -459,8 +312,6 @@ class PredicateIndex:
             id_rows.append(tuple(buffers[p][row_id] for p in range(arity)))
             gids.append(gid_column[row_id])
         reclaimed = len(rows) - len(atoms)
-        if cols.shared:
-            cols.demote()
         self.rows[predicate] = []
         self.cols[predicate] = ColumnBuffer()
         self.live[predicate] = 0
@@ -470,9 +321,6 @@ class PredicateIndex:
         summaries = self._summaries
         for key in [key for key in summaries if key[0] == predicate]:
             del summaries[key]
-        self.tombstone_log = [
-            entry for entry in self.tombstone_log if entry[0] != predicate
-        ]
         self.add_bulk(predicate, atoms, id_rows, gids)
         return reclaimed
 
@@ -499,8 +347,6 @@ class PredicateIndex:
         """
         if not pairs:
             return range(cap)
-        if self.csr is not None:
-            return self._probe_ids_csr(self.csr, predicate, pairs, cap)
         postings = self.postings
         if len(pairs) == 1:
             position, value = pairs[0]
@@ -546,41 +392,6 @@ class PredicateIndex:
                 else:
                     out.append(row_id)
         return out
-
-    @staticmethod
-    def _probe_ids_csr(
-        csr: "CsrStore",
-        predicate: str,
-        pairs: Sequence[Tuple[int, int]],
-        cap: int,
-    ) -> Sequence[int]:
-        """The CSR half of :meth:`probe_ids` (sealed worker replicas).
-
-        Buckets come out of the shared lane chunks instead of the mutable
-        list postings; they hold the same ascending live row ids (the seal
-        rebuilds dirtied lanes before any match runs against them), so the
-        capped single-bucket slice and the shortest-anchor intersection
-        reproduce the list-bucket results exactly — which the three-way
-        differential fuzz suite pins.
-        """
-        if len(pairs) == 1:
-            position, value = pairs[0]
-            bucket = csr.bucket(predicate, position, value)
-            if bucket is None or not len(bucket):
-                return ()
-            end = bisect_left(bucket, cap)
-            return bucket if end == len(bucket) else bucket[:end]
-        buckets = []
-        for position, value in pairs:
-            bucket = csr.bucket(predicate, position, value)
-            if bucket is None or not len(bucket):
-                return ()
-            buckets.append((len(bucket), bucket))
-        buckets.sort(key=lambda item: item[0])
-        smallest = buckets[0][1]
-        end = bisect_left(smallest, cap)
-        anchor = smallest if end == len(smallest) else smallest[:end]
-        return kernels.csr_intersect(anchor, [item[1] for item in buckets[1:]])
 
     def scan_ids(
         self,
@@ -720,249 +531,6 @@ class PredicateIndex:
                 fact = rows[row_id]
                 if fact is not None and len(fact.terms) == arity:
                     yield fact
-
-
-class CsrStore:
-    """Worker-side sealed postings: zero-copy CSR chunks per lane.
-
-    Each applied seal contributes *chunks* to ``(predicate, position)``
-    lanes: a chunk is ``(tids, offsets, rows, segment_name)`` where the
-    three views are ``memoryview`` slices of one attached
-    :class:`~repro.engine.colbuf.SharedIntSegment` — ``tids`` the sorted
-    term-ID directory, ``offsets`` its ``len + 1`` prefix sums, ``rows``
-    the flat ascending row ids.  Delta chunks accumulate in seal order
-    (their row windows are disjoint and ascending, so concatenation stays
-    sorted); a ``replace`` record drops a lane's accumulated chunks first
-    (full rebuild after a deletion dirtied the sealed region, or a merge).
-
-    Segments are refcounted by the chunks that slice into them and closed
-    as soon as the last chunk is dropped — the parent owns every unlink.
-    """
-
-    __slots__ = ("lanes", "_segments")
-
-    def __init__(self) -> None:
-        # (predicate, position) -> chunk list in seal order.
-        self.lanes: Dict[Tuple[str, int], List[tuple]] = {}
-        # segment name -> [SharedIntSegment, chunk refcount].
-        self._segments: Dict[str, list] = {}
-
-    def apply(self, name: str, n_values: int, preds, directory) -> None:
-        """Attach one seal segment and install its directory records.
-
-        ``directory`` is the flat six-int records the parent shipped:
-        ``(pred_idx, position, replace, off, n_tids, n_rows)`` with
-        ``pred_idx`` indexing the sync message's shared predicate table.
-        """
-        segment = SharedIntSegment.attach(name, n_values)
-        entry = self._segments[name] = [segment, 0]
-        data = segment.data
-        for k in range(0, len(directory), 6):
-            pred_idx, position, replace, off, n_tids, n_rows = directory[k : k + 6]
-            key = (preds[pred_idx], position)
-            if replace:
-                self._drop_lane(key)
-            tids = data[off : off + n_tids]
-            offsets = data[off + n_tids : off + 2 * n_tids + 1]
-            rows = data[off + 2 * n_tids + 1 : off + 2 * n_tids + 1 + n_rows]
-            chunks = self.lanes.get(key)
-            if chunks is None:
-                chunks = self.lanes[key] = []
-            chunks.append((tids, offsets, rows, name))
-            entry[1] += 1
-        if entry[1] == 0:  # pragma: no cover - parent never ships empty seals
-            segment.release()
-            del self._segments[name]
-
-    def bucket(self, predicate: str, position: int, tid: int):
-        """The ascending row ids sealed for ``tid`` in one lane, or None.
-
-        Single-chunk lanes (the common case between rebuilds) return the
-        zero-copy memoryview slice straight out of the segment; multi-chunk
-        lanes concatenate in seal order, which preserves ascending ids.
-        """
-        chunks = self.lanes.get((predicate, position))
-        if not chunks:
-            return None
-        if len(chunks) == 1:
-            tids, offsets, rows, _ = chunks[0]
-            return kernels.csr_find(tids, offsets, rows, tid)
-        parts = []
-        for tids, offsets, rows, _ in chunks:
-            part = kernels.csr_find(tids, offsets, rows, tid)
-            if part is not None and len(part):
-                parts.append(part)
-        if not parts:
-            return None
-        if len(parts) == 1:
-            return parts[0]
-        out: List[int] = []
-        for part in parts:
-            out.extend(part)
-        return out
-
-    def _drop_lane(self, key: Tuple[str, int]) -> None:
-        chunks = self.lanes.pop(key, None)
-        if not chunks:
-            return
-        for tids, offsets, rows, name in chunks:
-            for view in (tids, offsets, rows):
-                try:
-                    view.release()
-                except Exception:  # pragma: no cover - teardown best effort
-                    pass
-            entry = self._segments.get(name)
-            if entry is not None:
-                entry[1] -= 1
-                if entry[1] <= 0:
-                    entry[0].release()
-                    del self._segments[name]
-
-    def release_all(self) -> None:
-        """Drop every lane and close every attached segment (reset/stop)."""
-        for key in list(self.lanes):
-            self._drop_lane(key)
-        # _drop_lane closes segments as their refcounts hit zero; anything
-        # left is an attach that never gained a chunk (defensive).
-        for entry in self._segments.values():  # pragma: no cover
-            entry[0].release()
-        self._segments.clear()
-
-
-class CsrSealer:
-    """Parent-side incremental CSR seal state for one parallel session.
-
-    Tracks, per predicate, how many rows the last seal covered and how many
-    delta chunks are outstanding; each :meth:`seal` call emits exactly the
-    lanes that changed since the sync watermark:
-
-    * **delta** — new rows ``[sealed, n_rows)`` only (dead rows skipped),
-      appended as one chunk per touched lane;
-    * **replace** — a full lane rebuild, forced when a deletion landed in
-      the already-sealed region (the sealed chunks would carry a dead row)
-      or when the predicate's chunk count reaches
-      :data:`_MAX_CSR_CHUNKS` (merge).
-
-    All chunks of one seal pack into a single
-    :class:`~repro.engine.colbuf.SharedIntSegment`.  The previous seal's
-    segment is released at the next seal: every sync is followed by a match
-    whose results the parent collects, so by the time seal *N+1* runs,
-    every worker has attached seal *N* — the name is no longer needed.
-    """
-
-    __slots__ = ("_sealed_rows", "_chunk_counts", "_sealed_log", "_segments")
-
-    def __init__(self) -> None:
-        self._sealed_rows: Dict[str, int] = {}
-        self._chunk_counts: Dict[str, int] = {}
-        self._sealed_log = 0
-        self._segments: List[SharedIntSegment] = []
-
-    def seal(
-        self, index: PredicateIndex
-    ) -> Optional[Tuple[Optional[str], int, List[Tuple[str, int, int, int, int, int]]]]:
-        """Seal the index's postings delta; returns the payload descriptor.
-
-        ``(segment_name, n_values, entries)`` where each entry is
-        ``(predicate, position, replace, off, n_tids, n_rows)`` —
-        the caller interns the predicate into the sync message's shared
-        table and flattens.  ``(None, 0, [])`` when nothing changed since
-        the last seal; ``None`` when shared memory gave out (the session
-        falls back to the non-CSR protocol).
-        """
-        log = index.tombstone_log
-        sealed_rows = self._sealed_rows
-        dirty = set()
-        for predicate, row_id, _gid, _arity in log[self._sealed_log :]:
-            if row_id < sealed_rows.get(predicate, 0):
-                dirty.add(predicate)
-        self._sealed_log = len(log)
-        values = array("q")
-        entries: List[Tuple[str, int, int, int, int, int]] = []
-        chunk_counts = self._chunk_counts
-        for predicate, cols in index.cols.items():
-            start = sealed_rows.get(predicate, 0)
-            n_rows = cols.n_rows
-            if predicate in dirty or (
-                n_rows > start and chunk_counts.get(predicate, 0) >= _MAX_CSR_CHUNKS
-            ):
-                self._emit(values, entries, predicate, cols, 0, n_rows, replace=True)
-                chunk_counts[predicate] = 1
-            elif n_rows > start:
-                self._emit(values, entries, predicate, cols, start, n_rows, replace=False)
-                chunk_counts[predicate] = chunk_counts.get(predicate, 0) + 1
-            else:
-                continue
-            sealed_rows[predicate] = n_rows
-        if not entries:
-            return (None, 0, [])
-        segment = SharedIntSegment.create(values)
-        if segment is None:  # pragma: no cover - /dev/shm unavailable or full
-            return None
-        for previous in self._segments:
-            previous.release()
-        self._segments = [segment]
-        return (segment.name, len(values), entries)
-
-    @staticmethod
-    def _emit(
-        values,
-        entries: List[Tuple[str, int, int, int, int, int]],
-        predicate: str,
-        cols: ColumnBuffer,
-        start: int,
-        n_rows: int,
-        replace: bool,
-    ) -> None:
-        """Append one chunk per touched lane of ``[start, n_rows)`` to the seal.
-
-        Dead rows are skipped, so a replace chunk holds exactly the live
-        postings; a delta chunk skips lanes no new row touched (untouched
-        lanes keep their accumulated chunks).  A replace chunk is emitted
-        even for an emptied lane — the directory record's ``replace`` flag
-        is what drops the worker's stale chunks.
-        """
-        arities = cols.arities
-        buffers = cols.buffers
-        n_positions = len(buffers)
-        lanes: List[Dict[int, List[int]]] = [{} for _ in range(n_positions)]
-        for row_id in range(start, n_rows):
-            arity = arities[row_id]
-            if arity < 0:
-                continue
-            for position in range(arity):
-                tid = buffers[position][row_id]
-                bucket = lanes[position].get(tid)
-                if bucket is None:
-                    lanes[position][tid] = [row_id]
-                else:
-                    bucket.append(row_id)
-        flag = 1 if replace else 0
-        for position in range(n_positions):
-            lane = lanes[position]
-            if not lane and not replace:
-                continue
-            off = len(values)
-            tids = sorted(lane)
-            values.extend(tids)
-            offsets = [0] * (len(tids) + 1)
-            total = 0
-            for slot, tid in enumerate(tids):
-                total += len(lane[tid])
-                offsets[slot + 1] = total
-            values.extend(offsets)
-            for tid in tids:
-                values.extend(lane[tid])
-            entries.append((predicate, position, flag, off, len(tids), total))
-
-    def release(self) -> None:
-        """Unlink the retained seal segment and forget all watermarks."""
-        for segment in self._segments:
-            segment.release()
-        self._segments = []
-        self._sealed_rows.clear()
-        self._chunk_counts.clear()
-        self._sealed_log = 0
 
 
 class InstanceSnapshot:

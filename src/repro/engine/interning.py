@@ -1,13 +1,11 @@
 """Dictionary-encoded term storage: the :class:`TermTable` interning layer.
 
-Every layer built since PR 1 — postings probes, batch columns, shard
-pickling, incremental delta windows — manipulated boxed
-:class:`~repro.datalog.terms.Constant` / :class:`~repro.datalog.terms.Null`
-objects, paying Python-level ``__hash__`` / ``__eq__`` dispatch on every
-probe and shipping full object graphs on every parallel dispatch.  This
-module is the classic Datalog-engine answer: **dictionary-encode** every
-ground term into a dense ``int`` ID once, and run the whole storage and
-execution stack on those IDs.
+Matching on boxed :class:`~repro.datalog.terms.Constant` /
+:class:`~repro.datalog.terms.Null` objects pays Python-level ``__hash__`` /
+``__eq__`` dispatch on every probe.  This module is the classic
+Datalog-engine answer: **dictionary-encode** every ground term into a dense
+``int`` ID once, and run the whole storage and execution stack — postings
+probes, batch columns, incremental delta windows — on those IDs.
 
 * :data:`TERMS` is the process-global table.  IDs are dense and append-only:
   a constant interned as the *k*-th distinct constant gets ID ``k << 1``, a
@@ -21,23 +19,11 @@ execution stack on those IDs.
 * Predicate names are interned through the same constant space
   (:func:`TermTable.intern_constant`), which makes a whole fact a flat
   ``(pid, tid1, ..., tidn)`` int tuple — the membership key of
-  :class:`~repro.datalog.database.Instance` and the wire format of the
-  parallel executor.
-
-**The dictionary-delta protocol.**  The table is append-only and IDs are
-assigned in interning order, so a replica that replays the same entries in
-the same order assigns the same IDs.  The parallel executor exploits this:
-the parent ships each worker the table *suffix* it has not seen yet
-(:meth:`TermTable.delta_since` → :meth:`TermTable.apply_delta`) together
-with facts as flat int arrays; each constant string crosses the process
-boundary **once per pool lifetime** instead of once per fact occurrence.
-Workers must never intern a term the parent has not shipped — worker-side
-plan compilation only touches rule constants, which the parent interned when
-it compiled the same rules — and :meth:`apply_delta` asserts the alignment.
+  :class:`~repro.datalog.database.Instance`.
 
 Decoding back to terms happens only at result boundaries (``Instance``
 iteration, provenance records, SPARQL answers); the chase, semi-naive, and
-warded engines plus all three execution modes run ID-native in between.
+warded engines in both execution modes run ID-native in between.
 """
 
 from __future__ import annotations
@@ -57,9 +43,7 @@ def is_null_id(tid: int) -> bool:
 #: is dropped.  The engine layers register the invalidation work they own:
 #: :mod:`repro.engine.plan` drops its compiled-plan caches (plans embed
 #: constant IDs only and would survive, but a clean slate is cheap and makes
-#: the contract trivially auditable) and :mod:`repro.engine.parallel` shuts
-#: down the worker pool (replicas have replayed the null suffix, and the
-#: dictionary-delta protocol cannot express a shrinking table).
+#: the contract trivially auditable).
 _EPOCH_HOOKS: List[Callable[[], None]] = []
 
 
@@ -79,9 +63,8 @@ class TermTable:
     """Append-only dictionary encoding of ground terms to dense int IDs.
 
     Constants and nulls live in disjoint ID spaces distinguished by the low
-    bit (constants even, nulls odd); both spaces are dense and append-only,
-    which is what makes the worker dictionary-delta protocol a plain suffix
-    ship.  Constant vocabularies are small and repeat across runs, so the
+    bit (constants even, nulls odd); both spaces are dense and append-only.
+    Constant vocabularies are small and repeat across runs, so the
     constant space never shrinks.  Invented-null labels are unique per
     invention (~200 bytes each; the whole benchmark suite invents ~25k), so a
     long-lived process that materializes forever accrues a slow monotone
@@ -94,7 +77,7 @@ class TermTable:
     discarded materialization and must be dropped by the caller *before* the
     reset (the service layer enforces this by fencing reads).  Hooks
     registered via :func:`register_epoch_hook` run first and take care of the
-    engine-internal invalidation (plan caches, worker pool).
+    engine-internal invalidation (plan caches).
     """
 
     __slots__ = (
@@ -116,8 +99,8 @@ class TermTable:
         self._epoch = 0
         self._orphaned_nulls = 0
         # Only the process-global :data:`TERMS` may write the ``_tid`` /
-        # ``_key`` caches on term and atom objects: a secondary table (the
-        # worker-protocol tests, ad-hoc tooling) caching ITS ids onto shared
+        # ``_key`` caches on term and atom objects: a secondary table (tests,
+        # ad-hoc tooling) caching ITS ids onto shared
         # objects would silently corrupt every lookup against the global
         # encoding.  Secondary tables always go through their dicts.
         self._memoise = _memoise
@@ -196,16 +179,14 @@ class TermTable:
         The retraction over-delete phase uses this to reconstruct
         content-addressed null labels *without* interning: an absent label
         proves the corresponding chase trigger never fired, so there is
-        nothing to over-delete for it (and interning it here would desync
-        replica dictionaries that replay the parent's suffix in order).
+        nothing to over-delete for it.
         """
         return self._null_ids.get(label)
 
     def retire_nulls(self, count: int) -> None:
         """Record ``count`` invented nulls orphaned by retraction.
 
-        The dictionary stays append-only within an epoch (the worker delta
-        protocol cannot express a shrinking table, and ``_tid`` memos on
+        The dictionary stays append-only within an epoch (``_tid`` memos on
         canonical objects must never dangle), so retirement only *counts*
         the garbage; the physical reclaim point remains
         :meth:`begin_epoch`, which drops the whole null space.
@@ -263,64 +244,9 @@ class TermTable:
             )
         return key
 
-    # -- worker dictionary deltas -------------------------------------------
-
     def counts(self) -> Tuple[int, int]:
-        """(#constants, #nulls) — the replica-sync high-water mark."""
+        """(#constants, #nulls) currently interned."""
         return len(self._constants), len(self._nulls)
-
-    def delta_since(self, n_constants: int, n_nulls: int) -> Tuple[List[str], List[str]]:
-        """The table suffix beyond the given per-kind counts (parent side)."""
-        return (
-            [term.value for term in self._constants[n_constants:]],
-            [term.label for term in self._nulls[n_nulls:]],
-        )
-
-    def apply_delta(
-        self,
-        n_constants: int,
-        n_nulls: int,
-        constants: Sequence[str],
-        nulls: Sequence[str],
-    ) -> None:
-        """Replay a parent table suffix (worker side).
-
-        ``n_constants`` / ``n_nulls`` are the parent-side counts the delta
-        starts at.  Entries this table already holds are verified to be a
-        prefix of the parent's (the worker must never have interned a term
-        the parent did not ship — that would fork the ID spaces and silently
-        corrupt every subsequent match).
-        """
-        if len(self._constants) < n_constants or len(self._nulls) < n_nulls:
-            raise RuntimeError(
-                "term-table delta out of order: replica is behind the delta start"
-            )
-        for offset, value in enumerate(constants):
-            index = n_constants + offset
-            if index < len(self._constants):
-                if self._constants[index].value != value:
-                    raise RuntimeError(
-                        f"term-table divergence: constant slot {index} holds "
-                        f"{self._constants[index].value!r}, parent shipped {value!r}"
-                    )
-            elif self.intern_constant(value) != index << 1:
-                raise RuntimeError(
-                    f"term-table divergence: constant {value!r} already "
-                    "interned out of parent order"
-                )
-        for offset, label in enumerate(nulls):
-            index = n_nulls + offset
-            if index < len(self._nulls):
-                if self._nulls[index].label != label:
-                    raise RuntimeError(
-                        f"term-table divergence: null slot {index} holds "
-                        f"{self._nulls[index].label!r}, parent shipped {label!r}"
-                    )
-            elif self.intern_null(label) != (index << 1) | 1:
-                raise RuntimeError(
-                    f"term-table divergence: null {label!r} already "
-                    "interned out of parent order"
-                )
 
     # -- epoch lifecycle ----------------------------------------------------
 
@@ -340,7 +266,7 @@ class TermTable:
         ``_key`` memos embed constant IDs only and stay valid), clears the
         ``_tid`` memo on each canonical null object so a stale null that
         leaks back in cannot resurrect a reassigned ID, runs the registered
-        epoch hooks (plan caches, worker pool), and returns the new epoch
+        epoch hooks (plan caches), and returns the new epoch
         ordinal.  The caller owns discarding every null-bearing structure
         built in the previous epoch first.
         """

@@ -30,7 +30,6 @@ caller treats these as drop-in replacements for the loops they had inline.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from typing import List, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised via both CI legs
@@ -54,16 +53,6 @@ _MIN_BULK = 256
 #: per-call conversion), so its numpy path pays off much earlier than the
 #: candidate-gather kernels'.
 _MIN_BULK_SCAN = 48
-
-#: CSR directory sizes below this resolve a :func:`csr_find` lookup with a
-#: pure ``bisect`` — one binary search beats a ``searchsorted`` round-trip
-#: until the directory is long enough to amortise the array wrap.
-_MIN_BULK_CSR = 128
-
-#: Anchor lengths below this run :func:`csr_intersect` with plain set
-#: membership; ``np.isin`` sorts its operands, which only pays off once the
-#: anchor (and the buckets hashed against it) are bulk-sized.
-_MIN_BULK_INTERSECT = 256
 
 
 def numpy_available() -> bool:
@@ -229,60 +218,3 @@ def distinct_values(colbuf, position: int, cap: int) -> Optional[frozenset]:
             if len(values) > cap:
                 return None
     return frozenset(values)
-
-
-def csr_find(tids, offsets, rows, tid: int):
-    """The row-id bucket for ``tid`` in one sealed CSR chunk, or None.
-
-    ``tids`` is the chunk's sorted term-ID directory, ``offsets`` its
-    ``len(tids) + 1`` prefix-sum array, ``rows`` the flat ascending row-id
-    payload; all three are int64 sequences (shared-memory ``memoryview``
-    slices on the worker path, plain arrays in tests).  The returned bucket
-    is a zero-copy slice of ``rows`` — a memoryview slice stays a
-    memoryview, so no row id is materialised until a consumer iterates.
-
-    The numpy ``searchsorted`` fast path and the pure ``bisect`` fallback
-    locate the same directory slot, so the result is representation- and
-    dispatch-identical (``REPRO_NUMPY=0`` honoured like every kernel here).
-    """
-    n_tids = len(tids)
-    if not n_tids:
-        return None
-    if n_tids >= _MIN_BULK_CSR and numpy_enabled():
-        slot = int(_np.searchsorted(_candidate_array(tids), tid))
-    else:
-        slot = bisect_left(tids, tid)
-    if slot >= n_tids or tids[slot] != tid:
-        return None
-    return rows[offsets[slot] : offsets[slot + 1]]
-
-
-def csr_intersect(anchor, others) -> List[int]:
-    """Ids of ``anchor`` present in every bucket of ``others``, ascending.
-
-    The multi-bound CSR probe: ``anchor`` is the shortest (already capped)
-    bucket, ``others`` the remaining buckets — all ascending, duplicate-free
-    row-id sequences.  The numpy path masks the anchor with ``np.isin``
-    (``assume_unique`` holds by construction); the pure path hashes each
-    other bucket once.  Both preserve the anchor's ascending order, so the
-    outputs are byte-identical.
-    """
-    if len(anchor) >= _MIN_BULK_INTERSECT and numpy_enabled():
-        kept = _candidate_array(anchor)
-        for other in others:
-            if not len(kept):
-                break
-            mask = _np.isin(
-                kept, _candidate_array(other), assume_unique=True
-            )
-            kept = kept[mask]
-        return kept.tolist()
-    out: List[int] = []
-    sets = [set(other) for other in others]
-    for row_id in anchor:
-        for other in sets:
-            if row_id not in other:
-                break
-        else:
-            out.append(row_id)
-    return out

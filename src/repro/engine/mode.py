@@ -1,4 +1,4 @@
-"""Process-wide execution-mode switch: row, batch, or sharded-parallel.
+"""Process-wide execution-mode switch: row or batch.
 
 Every engine (chase, semi-naive, warded) evaluates rule bodies through the
 compiled :class:`~repro.engine.plan.JoinPlan`; this module selects *how* those
@@ -10,35 +10,20 @@ plans are executed:
   each plan step consumes and produces a whole batch of partial slot tuples,
   probe lookups are shared across all rows with equal probe keys, and
   negation is checked in bulk against the frozen snapshot reference.
-* ``"parallel"`` — the sharded multi-process executor
-  (:mod:`repro.engine.parallel`): rule-body matching is fanned out to a pool
-  of worker processes, each matching the hash shard of step-0 candidates it
-  owns (:mod:`repro.engine.shard`); the parent merges the shard results back
-  into the exact batch-mode order and fires heads sequentially.  Work below a
-  cost threshold falls back to the in-process batch executor, so small
-  fixpoints never pay IPC costs.
 
-All three executors produce the same matches **in the same order** (batch
-emits row-major, candidates ascending — exactly the depth-first order; the
-parallel merge reconstructs that order from the shard streams), so engine
+Both executors produce the same matches **in the same order** (batch emits
+row-major, candidates ascending — exactly the depth-first order), so engine
 results, invented-null sequences, and the mode-independent
-:mod:`~repro.engine.stats` counters are identical in every mode; the
-differential suites in ``tests/test_engine_batch_parity.py`` and
-``tests/test_engine_shard_parity.py`` lock this in.
+:mod:`~repro.engine.stats` counters are identical in either mode; the
+differential suite in ``tests/test_engine_batch_parity.py`` locks this in.
 
-Configuration is **lazy**: the ``REPRO_ENGINE_MODE`` /
-``REPRO_ENGINE_PARALLEL`` environment variables are read at the *first call*
-that needs them, not at import time, and only when no explicit setting has
-been made.  This fixes the historic footgun where ``set_execution_mode``
-callers who imported submodules in the wrong order silently got the default:
-an explicit :func:`set_execution_mode` / :func:`set_worker_count` call (or
-the :class:`repro.EngineConfig` facade, which goes through them) always wins,
-regardless of import order, and ``os.environ`` changes made before first use
-are honoured.  The default mode is ``"batch"`` (``REPRO_ENGINE_MODE=row``
-restores the row-at-a-time executor); ``REPRO_ENGINE_PARALLEL=N`` alone
-selects the parallel executor with ``N`` workers, and when both variables are
-set ``REPRO_ENGINE_MODE`` wins while ``REPRO_ENGINE_PARALLEL`` only sizes the
-pool.
+Configuration is **lazy**: the ``REPRO_ENGINE_MODE`` environment variable is
+read at the *first call* that needs it, not at import time, and only when no
+explicit setting has been made.  An explicit :func:`set_execution_mode` call
+(or the :class:`repro.EngineConfig` facade, which goes through it) always
+wins, regardless of import order, and ``os.environ`` changes made before
+first use are honoured.  The default mode is ``"batch"``
+(``REPRO_ENGINE_MODE=row`` selects the row-at-a-time executor).
 """
 
 from __future__ import annotations
@@ -49,58 +34,27 @@ from typing import Iterator, Optional
 
 ROW = "row"
 BATCH = "batch"
-PARALLEL = "parallel"
-_VALID = (ROW, BATCH, PARALLEL)
+_VALID = (ROW, BATCH)
 
 # None = "not resolved yet": the first getter call resolves from the
 # environment; an explicit setter call pins the value and the environment is
-# never consulted again (for that knob) in this process.
+# never consulted again in this process.
 _mode: Optional[str] = None
-_workers: Optional[int] = None
-
-
-def _resolve_workers_env() -> Optional[int]:
-    """``REPRO_ENGINE_PARALLEL`` as an int, or None when unset/empty.
-
-    An empty string counts as unset (CI matrices pass ``''`` for the
-    non-parallel rows).
-    """
-    raw = os.environ.get("REPRO_ENGINE_PARALLEL") or None
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_ENGINE_PARALLEL must be an integer worker count, got {raw!r}"
-        ) from None
-    if workers < 1:
-        raise ValueError(f"REPRO_ENGINE_PARALLEL must be >= 1, got {workers}")
-    return workers
 
 
 def _resolve() -> None:
-    """Resolve any still-unset knob from the environment (first use)."""
-    global _mode, _workers
-    workers_env = _resolve_workers_env()
-    if _workers is None:
-        _workers = workers_env if workers_env is not None else 2
-    if _mode is None:
-        mode = os.environ.get("REPRO_ENGINE_MODE") or None
-        if mode is None:
-            # ``REPRO_ENGINE_PARALLEL=N`` alone is the documented toggle for
-            # the sharded executor; otherwise batch is the default (ROADMAP:
-            # flipped after soaking in CI behind the row default).
-            mode = PARALLEL if workers_env is not None else BATCH
-        if mode not in _VALID:
-            raise ValueError(
-                f"REPRO_ENGINE_MODE must be one of {_VALID}, got {mode!r}"
-            )
-        _mode = mode
+    """Resolve the still-unset mode from the environment (first use)."""
+    global _mode
+    mode = os.environ.get("REPRO_ENGINE_MODE") or BATCH
+    if mode not in _VALID:
+        raise ValueError(
+            f"REPRO_ENGINE_MODE must be one of {_VALID}, got {mode!r}"
+        )
+    _mode = mode
 
 
 def get_execution_mode() -> str:
-    """The current mode: ``"row"``, ``"batch"``, or ``"parallel"``."""
+    """The current mode: ``"row"`` or ``"batch"``."""
     if _mode is None:
         _resolve()
     return _mode
@@ -115,56 +69,36 @@ def set_execution_mode(mode: str) -> None:
 
 
 def batch_enabled() -> bool:
-    """True iff engines should run plans column-at-a-time.
-
-    The parallel executor is a distribution layer over the batch executor
-    (workers match shards column-at-a-time, the parent fires from slot rows),
-    so engines use their batch firing paths in parallel mode too.
-    """
+    """True iff engines should run plans column-at-a-time."""
     return get_execution_mode() != ROW
 
 
-def parallel_enabled() -> bool:
-    """True iff engines should fan rule-body matching out to the worker pool."""
-    return get_execution_mode() == PARALLEL
-
-
 def get_worker_count() -> int:
-    """Worker processes the parallel executor uses (``REPRO_ENGINE_PARALLEL``)."""
-    if _workers is None:
-        _resolve()
-    return _workers
+    """Always 1: the engine is one process.
 
-
-def set_worker_count(workers: int) -> None:
-    """Resize the parallel executor (takes effect at the next pool spawn)."""
-    global _workers
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    _workers = workers
+    Survives only because the frozen ``ledger/run.py`` imports it for its
+    report's ``config`` block; the next benchmark PR drops it together with
+    the ledger's ``--mode parallel`` / ``--workers`` flags.
+    """
+    return 1
 
 
 def _reset_for_tests() -> None:
-    """Forget explicit settings so the next use re-reads the environment.
+    """Forget the explicit setting so the next use re-reads the environment.
 
     Test-only: lets the lazy-resolution regression tests exercise the
     first-use path repeatedly within one process.
     """
-    global _mode, _workers
+    global _mode
     _mode = None
-    _workers = None
 
 
 @contextmanager
-def execution_mode(mode: str, workers: Optional[int] = None) -> Iterator[None]:
+def execution_mode(mode: str) -> Iterator[None]:
     """Temporarily switch mode (used by the harness and the parity tests)."""
     previous = get_execution_mode()
-    previous_workers = get_worker_count()
     set_execution_mode(mode)
-    if workers is not None:
-        set_worker_count(workers)
     try:
         yield
     finally:
         set_execution_mode(previous)
-        set_worker_count(previous_workers)

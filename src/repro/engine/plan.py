@@ -260,7 +260,7 @@ class JoinPlan:
         """False iff this pivot join provably has no match in the delta.
 
         Two cheap pre-checks, both evaluated identically in every execution
-        mode (parallel mode runs them in the parent):
+        mode:
 
         * a **constant** probe of the first step has an empty postings
           bucket in ``index`` (the delta) — the bound term never occurs in

@@ -12,27 +12,17 @@ Two classes of counter coexist:
 * **Mode-independent** (``facts_added``, ``triggers_fired``,
   ``nulls_invented``, ``pivots_skipped``, and the retraction trio
   ``retractions`` / ``rederived`` / ``nulls_collected``) — identical whether
-  plans run row-at-a-time, column-at-a-time, or sharded across the parallel
-  worker pool, because every executor produces the same matches in the same
-  order, the pivot-skip test is shared (and evaluated in the parent in
-  parallel mode), and firing always happens in the parent process.  The
-  retraction counters are defined on *sets* (the over-deleted closure, the
-  restored survivors, the unreachable nulls), which makes them
+  plans run row-at-a-time or column-at-a-time, because both executors
+  produce the same matches in the same order and the pivot-skip test is
+  shared.  The retraction counters are defined on *sets* (the over-deleted
+  closure, the restored survivors, the unreachable nulls), which makes them
   match-order-independent by construction.  These are the counters the
   bench-smoke gate diffs against the committed baseline;
   ``tests/test_engine_stats_determinism.py`` pins both the repeatability and
   the cross-mode equality.
 * **Batch instrumentation** (``batch_probe_groups``) — only advances in
-  batch/parallel mode; it counts distinct probe-key groups per step and is
-  reported in the benchmark JSON but never gated.  In parallel mode the
-  worker-side groups are aggregated back into the parent's counter per match
-  task (sharded probing changes the grouping, so the value is comparable
-  within a mode but not across modes — another reason it is never gated).
-* **Parallel instrumentation** (``parallel_tasks``, ``parallel_fallbacks``)
-  — only advances in parallel mode: match dispatches actually fanned out to
-  the worker pool, and dispatches that fell back to the in-process batch
-  executor because the estimated candidate count was below the cost
-  threshold.  Reported, never gated.
+  batch mode; it counts distinct probe-key groups per step and is reported
+  in the benchmark JSON but never gated.
 
 The counters are advisory instrumentation: they are not thread-safe and must
 never influence evaluation results.
@@ -48,8 +38,7 @@ blob around every query (:meth:`repro.service.view.MaterializedView.read`);
 single-threaded callers never bind one and keep the exact historical
 behaviour.  Only the sites reachable from reader threads pay the lookup —
 the per-trigger hot counters of the chase and semi-naive loops run on the
-writer thread (or in worker processes with their own module globals) and
-keep writing :data:`STATS` directly.
+writer thread and keep writing :data:`STATS` directly.
 """
 
 from __future__ import annotations
@@ -82,41 +71,12 @@ class EngineStats:
     nulls_collected: int = 0
     #: Distinct probe-key groups evaluated by the batch executor (0 in row
     #: mode); the ratio to batch rows shows how much probe work was shared.
-    #: In parallel mode, worker-side groups are folded in per match task.
     batch_probe_groups: int = 0
-    #: Match dispatches fanned out to the parallel worker pool (0 outside
-    #: parallel mode).
-    parallel_tasks: int = 0
-    #: Parallel-mode dispatches that ran in-process instead because the
-    #: estimated candidate count was below the cost threshold.
-    parallel_fallbacks: int = 0
-    #: Total bytes of parallel IPC payload shipped (sync broadcasts, counted
-    #: once per worker, plus worker match-result payloads).  0 outside
-    #: parallel mode.  The dictionary-encoded columnar wire format exists to
-    #: drive this down; the bench-smoke gate fails if it regresses.
-    parallel_bytes_shipped: int = 0
-    #: Bytes of parallel match results transferred through worker-created
-    #: shared-memory segments instead of the result pipe (0 outside the
-    #: shared-memory protocol).  Reported, never gated: together with
-    #: ``parallel_bytes_shipped`` it shows how much of the old pipe volume
-    #: the zero-copy attach protocol eliminated versus merely relocated.
-    parallel_shm_bytes: int = 0
-    #: Rows (re)posted into worker-local postings dicts during parallel
-    #: syncs, folded back from the workers per match task.  The CSR sealing
-    #: protocol exists to drive this to 0: workers attach the parent's
-    #: sealed postings read-only instead of rebuilding their own.  Reported,
-    #: never gated (it legitimately differs across protocol legs).
-    postings_rebuilt: int = 0
     #: Predicate lane compactions performed by the DRed maintenance path
     #: (tombstone ratio crossed the threshold and the live rows were packed
     #: and renumbered).  Reported, never gated — the forced-compaction CI
     #: leg runs with a deliberately different trigger threshold.
     compactions: int = 0
-    #: Nanoseconds the parent spent inside parallel sync shipments (segment
-    #: promotion, CSR sealing, payload pickling, broadcast) — the slice of
-    #: dispatch latency the zero-copy protocol targets.  Wall-clock, so
-    #: reported but never gated.
-    parallel_sync_ns: int = 0
 
     def reset(self) -> None:
         """Zero every counter (the harness calls this before a measured run)."""
@@ -128,13 +88,7 @@ class EngineStats:
         self.rederived = 0
         self.nulls_collected = 0
         self.batch_probe_groups = 0
-        self.parallel_tasks = 0
-        self.parallel_fallbacks = 0
-        self.parallel_bytes_shipped = 0
-        self.parallel_shm_bytes = 0
-        self.postings_rebuilt = 0
         self.compactions = 0
-        self.parallel_sync_ns = 0
 
     def snapshot(self) -> dict:
         """A plain-dict copy, in the key order the harness JSON uses."""
@@ -147,13 +101,7 @@ class EngineStats:
             "rederived": self.rederived,
             "nulls_collected": self.nulls_collected,
             "batch_probe_groups": self.batch_probe_groups,
-            "parallel_tasks": self.parallel_tasks,
-            "parallel_fallbacks": self.parallel_fallbacks,
-            "parallel_bytes_shipped": self.parallel_bytes_shipped,
-            "parallel_shm_bytes": self.parallel_shm_bytes,
-            "postings_rebuilt": self.postings_rebuilt,
             "compactions": self.compactions,
-            "parallel_sync_ns": self.parallel_sync_ns,
         }
 
     def gated(self) -> dict:

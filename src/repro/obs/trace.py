@@ -32,9 +32,8 @@ Usage::
 Instrumented sites (see ``docs/observability.md`` for the full catalogue):
 stratum fixpoints and per-rule firings (``seminaive.stratum`` /
 ``seminaive.rule``), chase rounds (``chase.round`` / ``chase.run``),
-DeltaSession push and retract phases (``delta.push``, ``delta.retract``,
-``retract.overdelete`` …), and parallel dispatch/sync
-(``parallel.dispatch`` / ``parallel.sync``).
+and DeltaSession push and retract phases (``delta.push``, ``delta.retract``,
+``retract.overdelete`` …).
 """
 
 from __future__ import annotations

@@ -48,7 +48,6 @@ from contextlib import contextmanager
 from typing import FrozenSet, Iterator, Optional, Set, Union
 
 from repro.datalog.semantics import INCONSISTENT
-from repro.engine.colbuf import promoted_stats
 from repro.engine.incremental import DeltaSession, PushResult, RetractResult
 from repro.engine.interning import TERMS
 from repro.engine.stats import STATS, local_stats
@@ -119,14 +118,6 @@ _PRED_TOMBSTONE = REGISTRY.gauge(
     "repro_predicate_tombstone_ratio",
     "Fraction of a predicate's index rows that are tombstones.",
     ("predicate",),
-)
-_SHM_SEGMENTS = REGISTRY.gauge(
-    "repro_shm_segments",
-    "Column buffers currently promoted into shared-memory segments.",
-)
-_SHM_BYTES = REGISTRY.gauge(
-    "repro_shm_bytes",
-    "Total bytes of promoted shared-memory column segments.",
 )
 
 
@@ -387,7 +378,7 @@ class MaterializedView:
         """Reclaim null dictionary space: new epoch, fresh materialization.
 
         Drains in-flight readers, begins a new term-table epoch (dropping
-        every invented-null entry, the plan caches, and the parallel pool),
+        every invented-null entry and the plan caches),
         rebuilds the materialization from the accumulated EDB, and publishes
         it.  Returns the new epoch ordinal.  Snapshots published before the
         call raise :class:`StaleSnapshotError` on further use.
@@ -420,7 +411,7 @@ class MaterializedView:
             return epoch
 
     def close(self) -> None:
-        """Release engine resources (parallel replicas, if any)."""
+        """Close the underlying session: the view stops accepting writes."""
         self._session.close()
 
     def __enter__(self) -> "MaterializedView":
@@ -471,7 +462,6 @@ class MaterializedView:
                 "compactions": compaction_counts.get(predicate, 0),
             }
         constants, nulls = TERMS.counts()
-        shm_segments, shm_bytes = promoted_stats()
         with self._gate:
             readers = self._active_readers
         return {
@@ -481,10 +471,6 @@ class MaterializedView:
                 "nulls": nulls,
                 "orphaned_nulls": TERMS.orphaned_nulls,
                 "epoch": TERMS.epoch(),
-            },
-            "shared_memory": {
-                "segments": shm_segments,
-                "bytes": shm_bytes,
             },
             "readers_pinned": readers,
         }
@@ -510,8 +496,6 @@ class MaterializedView:
         for predicate, entry in health["predicates"].items():
             _PRED_LIVE.labels(predicate).set(entry["live"])
             _PRED_TOMBSTONE.labels(predicate).set(entry["tombstone_ratio"])
-        _SHM_SEGMENTS.set(health["shared_memory"]["segments"])
-        _SHM_BYTES.set(health["shared_memory"]["bytes"])
         for name, value in STATS.snapshot().items():
             REGISTRY.counter(
                 f"repro_engine_{name}_total",

@@ -164,7 +164,7 @@ def random_undirected_graph(
 
 
 # ---------------------------------------------------------------------------
-# Deep chains and layered graphs (the parallel-scale reachability series)
+# Deep chains and layered graphs (the large-scale reachability series)
 # ---------------------------------------------------------------------------
 
 
@@ -195,8 +195,8 @@ def layered_graph(
     random edges into the next layer.
 
     Reachability closes in Θ(layers) rounds over wide deltas of up to
-    ``width²`` pairs per layer distance — the bulk-delta shape the sharded
-    parallel executor partitions across workers.
+    ``width²`` pairs per layer distance — the bulk-delta shape, as opposed
+    to the many small deltas of :func:`chain_graph`.
     """
     rng = random.Random(seed)
     graph = RDFGraph()

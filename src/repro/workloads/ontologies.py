@@ -140,7 +140,7 @@ def university_graph(**kwargs) -> RDFGraph:
 
 
 # ---------------------------------------------------------------------------
-# A LUBM-style multi-university workload (the parallel-scale series)
+# A LUBM-style multi-university workload (the university-scale series)
 # ---------------------------------------------------------------------------
 
 _LUBM_TBOX = [
@@ -194,10 +194,9 @@ def lubm_style_ontology(
     A richer TBox than :func:`university_ontology` (professor ranks,
     graduate courses, research groups, university/department organisation
     with ``subOrganizationOf`` existentials, advisor edges) over a
-    multi-university ABox — the university-scale series the sharded parallel
-    executor is benchmarked on.  The ABox grows linearly in every scale
-    parameter; the entailment-regime materialisation grows roughly with
-    #persons × class-hierarchy depth.
+    multi-university ABox — the university-scale benchmark series.  The
+    ABox grows linearly in every scale parameter; the entailment-regime
+    materialisation grows roughly with #persons × class-hierarchy depth.
     """
     rng = random.Random(seed)
     ontology = Ontology()

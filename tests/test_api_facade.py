@@ -9,6 +9,7 @@ second code path.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -38,7 +39,11 @@ print(json.dumps({{"answers": len(answers), "mode": engine.mode,
 """
 
 
-def run_workload(configure_lines, env_overrides):
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def run_script(script, env_overrides):
+    """Last stdout line of ``script`` in a fresh process with only these REPRO_* set."""
     env = {
         key: value
         for key, value in os.environ.items()
@@ -47,15 +52,19 @@ def run_workload(configure_lines, env_overrides):
     env.update(env_overrides)
     env["PYTHONPATH"] = "src"
     result = subprocess.run(
-        [sys.executable, "-c", WORKLOAD.format(configure=configure_lines)],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
-        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        cwd=ROOT,
         timeout=240,
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip().splitlines()[-1]
+
+
+def run_workload(configure_lines, env_overrides):
+    return run_script(WORKLOAD.format(configure=configure_lines), env_overrides)
 
 
 class TestEnvVarParity:
@@ -70,21 +79,6 @@ class TestEnvVarParity:
         assert via_env == via_config
         assert json.loads(via_env)["mode"] == mode
 
-    def test_parallel_env_round_trip(self):
-        # Keep the threshold above the workload size so the counters cover
-        # the mode-selection plumbing without paying a pool spawn per test.
-        via_env = run_workload(
-            "",
-            {"REPRO_ENGINE_PARALLEL": "2", "REPRO_PARALLEL_THRESHOLD": "100000"},
-        )
-        via_config = run_workload(
-            "repro.Engine(repro.EngineConfig(mode='parallel', workers=2,"
-            " parallel_threshold=100000))",
-            {},
-        )
-        assert via_env == via_config
-        assert json.loads(via_env)["mode"] == "parallel"
-
     def test_config_wins_over_env(self):
         output = run_workload(
             "repro.Engine(repro.EngineConfig(mode='row'))",
@@ -93,25 +87,19 @@ class TestEnvVarParity:
         assert json.loads(output)["mode"] == "row"
 
     def test_from_env_pins_the_environment_snapshot(self):
-        config = EngineConfig.from_env(
-            {"REPRO_ENGINE_PARALLEL": "3", "REPRO_PARALLEL_THRESHOLD": "17"}
-        )
-        assert config == EngineConfig(
-            mode="parallel", workers=3, parallel_threshold=17
-        )
+        config = EngineConfig.from_env({"REPRO_ENGINE_MODE": "row"})
+        assert config == EngineConfig(mode="row")
         assert EngineConfig.from_env({}) == EngineConfig()
 
     def test_from_env_reads_maintenance_knobs(self):
-        config = EngineConfig.from_env(
-            {"REPRO_SHM_RESULT_MIN": "4096", "REPRO_COMPACT_RATIO": "0.25"}
-        )
-        assert config == EngineConfig(shm_result_min=4096, compact_ratio=0.25)
+        config = EngineConfig.from_env({"REPRO_COMPACT_RATIO": "0.25"})
+        assert config == EngineConfig(compact_ratio=0.25)
 
 
 class TestEngineConstruction:
     def test_kwargs_build_a_config(self):
-        engine = Engine(mode="batch", workers=2)
-        assert engine.config == EngineConfig(mode="batch", workers=2)
+        engine = Engine(mode="batch", compact_ratio=0.5)
+        assert engine.config == EngineConfig(mode="batch", compact_ratio=0.5)
 
     def test_config_and_kwargs_conflict(self):
         with pytest.raises(TypeError):
@@ -120,18 +108,8 @@ class TestEngineConstruction:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(mode="vectorised")
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(workers=0)
-
-    def test_invalid_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(parallel_threshold=-1)
-
-    def test_invalid_shm_result_min_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(shm_result_min=-1)
+        with pytest.raises(ValueError, match=r"must be one of \('row', 'batch'\)"):
+            EngineConfig(mode="parallel")
 
     def test_invalid_compact_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -139,7 +117,9 @@ class TestEngineConstruction:
 
     def test_with_overrides(self):
         base = EngineConfig(mode="batch")
-        assert base.with_overrides(workers=4) == EngineConfig(mode="batch", workers=4)
+        assert base.with_overrides(compact_ratio=0.4) == EngineConfig(
+            mode="batch", compact_ratio=0.4
+        )
 
     def test_configure_one_liner(self):
         engine = repro.configure(mode="batch")
@@ -191,7 +171,6 @@ class TestFacadeMethods:
 class TestDeprecatedShims:
     def test_legacy_setters_reachable_from_top_level(self):
         assert repro.set_execution_mode is not None
-        assert repro.set_worker_count is not None
         from repro.engine import mode
 
         assert repro.set_execution_mode is mode.set_execution_mode
@@ -208,3 +187,82 @@ class TestDeprecatedShims:
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):
             repro.does_not_exist
+
+
+def test_package_metadata_version_matches_the_module():
+    # CI still runs Python 3.10 (no tomllib): read the line with a regex.
+    with open(os.path.join(ROOT, "pyproject.toml"), encoding="utf-8") as handle:
+        declared = re.search(r'^version = "([^"]+)"', handle.read(), re.M).group(1)
+    assert declared == repro.__version__
+
+
+def test_env_knob_inventory_is_exactly_the_documented_four():
+    knobs = set()
+    for directory, _, files in os.walk(os.path.join(ROOT, "src")):
+        for name in files:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), encoding="utf-8") as handle:
+                    knobs.update(re.findall(r"REPRO_[A-Z_]+", handle.read()))
+    assert knobs == {
+        "REPRO_ENGINE_MODE",
+        "REPRO_NUMPY",
+        "REPRO_COMPACT_RATIO",
+        "REPRO_SLOW_QUERY_MS",
+    }
+    with open(os.path.join(ROOT, "docs", "api.md"), encoding="utf-8") as handle:
+        documented = handle.read()
+    for knob in knobs:
+        assert f"`{knob}`" in documented
+
+
+ONE_PROCESS_WORKLOAD = """
+import os, sys
+import repro
+from repro.datalog.chase import ChaseEngine
+from repro.datalog.seminaive import SemiNaiveEvaluator
+from repro.engine.incremental import DeltaSession
+from repro.engine.index import set_compact_ratio
+
+def shm_entries():
+    try:
+        return {name for name in os.listdir("/dev/shm") if name.startswith("repro-")}
+    except OSError:
+        return set()
+
+before = shm_entries()
+edges = [repro.parse_atom(f"edge(n{i}, n{i + 1})") for i in range(300)]
+closure = repro.parse_program(
+    "edge(?X, ?Y) -> path(?X, ?Y). edge(?X, ?Z), path(?Z, ?Y) -> path(?X, ?Y)."
+)
+assert len(SemiNaiveEvaluator(closure).evaluate(edges[:40])) == 40 + 40 * 41 // 2
+chased = ChaseEngine().chase(
+    [repro.parse_atom("person(a)")],
+    repro.parse_program("person(?X) -> exists ?Y . parent(?X, ?Y)."),
+)
+assert chased.invented_nulls == 1
+set_compact_ratio(0.2)
+session = DeltaSession(repro.parse_program("edge(?X, ?Y) -> link(?X, ?Y)."), edges[:200])
+session.push(edges[200:])
+session.retract(edges[:100])
+assert session.compaction_counts, "the retraction must have forced a compaction"
+session.close()
+assert "multiprocessing.shared_memory" not in sys.modules
+assert shm_entries() == before
+print("ok")
+"""
+
+
+def test_engine_is_one_process_and_never_reads_the_removed_knobs():
+    """Cold fixpoint, chase, push + retract + compaction: no shared memory.
+
+    The five env vars removed in 2.0.0 are all set: they selected and tuned
+    the multi-process executor, and must now be dead names.
+    """
+    removed = {
+        "REPRO_ENGINE_PARALLEL": "2",
+        "REPRO_PARALLEL_THRESHOLD": "0",
+        "REPRO_SHM": "1",
+        "REPRO_CSR": "1",
+        "REPRO_SHM_RESULT_MIN": "0",
+    }
+    assert run_script(ONE_PROCESS_WORKLOAD, removed) == "ok"

@@ -9,7 +9,7 @@ strength each fragment supports:
 * **Existential-free programs** (semi-naive path, with stratified negation):
   the session's facts are **byte-identical** — ``sorted_atoms()`` equality —
   to the cold run, on a fuzz corpus of random stratified Datalog¬ programs
-  under random batch schedules, in all three execution modes.  Negation
+  under random batch schedules, in both execution modes.  Negation
   exercises both incremental regimes: monotone strata are continued from the
   delta, strata whose negation references grew are re-run (facts must be
   *withdrawn* when new EDB kills their support).
@@ -21,9 +21,8 @@ strength each fragment supports:
   models, so the **ground fact set and every query answer** still agree —
   asserted on a workload built to hit exactly that case.
 * **Modes and replay**: one push schedule produces atom-for-atom identical
-  instances and identical gated counters across ``row``, ``batch``, and the
-  forced 2-worker ``parallel`` executor, and replaying a schedule is
-  counter-for-counter deterministic.  (Counters are *not* compared against
+  instances and identical gated counters across ``row`` and ``batch``, and
+  replaying a schedule is counter-for-counter deterministic.  (Counters are *not* compared against
   the cold run: a continuation enumerates matches through pivot plans where
   the cold run's naive round enumerates them once, so trigger counts
   legitimately differ while results may not — see ``docs/architecture.md``.)
@@ -41,11 +40,8 @@ from repro.datalog.semantics import INCONSISTENT, StratifiedSemantics
 from repro.datalog.terms import Constant, Null
 from repro.engine.incremental import DeltaSession, cold_equivalent
 from repro.engine.mode import execution_mode
-from repro.engine.parallel import parallel_threshold_override, shutdown_pool
 from repro.engine.stats import STATS
 from test_engine_batch_parity import random_datalog_program, random_instance
-
-WORKERS = 2
 
 TC_PROGRAM = """
     triple(?X, knows, ?Y) -> knows(?X, ?Y).
@@ -62,12 +58,6 @@ ANCESTOR_CHASE_PROGRAM = """
     parent(?X, ?Y) -> ancestor(?X, ?Y).
     ancestor(?X, ?Y), parent(?Y, ?Z) -> ancestor(?X, ?Z).
 """
-
-
-@pytest.fixture(scope="module", autouse=True)
-def stop_pool_after_module():
-    yield
-    shutdown_pool()
 
 
 def person(name):
@@ -334,22 +324,14 @@ class TestChaseParity:
 # ---------------------------------------------------------------------------
 
 
-def run_three_modes(fn):
-    """fn() per mode (parallel forced through 2 workers); {mode: (result, counters)}."""
+def run_both_modes(fn):
+    """fn() per mode; {mode: (result, counters)}."""
     results = {}
-    for mode, workers, threshold in (
-        ("row", None, None),
-        ("batch", None, None),
-        ("parallel", WORKERS, 0),
-    ):
-        with execution_mode(mode, workers):
+    for mode in ("row", "batch"):
+        with execution_mode(mode):
             Null._counter = itertools.count()
             STATS.reset()
-            if threshold is None:
-                results[mode] = (fn(), STATS.gated())
-            else:
-                with parallel_threshold_override(threshold):
-                    results[mode] = (fn(), STATS.gated())
+            results[mode] = (fn(), STATS.gated())
     return results
 
 
@@ -365,9 +347,9 @@ class TestModesAndDeterminism:
             session.close()
             return atoms
 
-        outcome = run_three_modes(stream)
-        assert outcome["row"][0] == outcome["batch"][0] == outcome["parallel"][0]
-        assert outcome["row"][1] == outcome["batch"][1] == outcome["parallel"][1]
+        outcome = run_both_modes(stream)
+        assert outcome["row"][0] == outcome["batch"][0]
+        assert outcome["row"][1] == outcome["batch"][1]
 
     def test_three_mode_parity_chase_stream(self):
         people = [person(f"p{i}") for i in range(9)]
@@ -380,21 +362,10 @@ class TestModesAndDeterminism:
             session.close()
             return atoms
 
-        outcome = run_three_modes(stream)
+        outcome = run_both_modes(stream)
         # Atom-for-atom equality covers insertion order and null labels.
-        assert outcome["row"][0] == outcome["batch"][0] == outcome["parallel"][0]
-        assert outcome["row"][1] == outcome["batch"][1] == outcome["parallel"][1]
-
-    def test_parallel_continuations_actually_dispatch(self):
-        edges = [edge(f"a{i}", f"a{i + 1}") for i in range(40)]
-        with execution_mode("parallel", WORKERS), parallel_threshold_override(0):
-            STATS.reset()
-            session = run_session(TC_PROGRAM, edges[:20], [edges[20:30], edges[30:]])
-            assert STATS.parallel_tasks > 0
-            with execution_mode("batch"):
-                expected = cold_equivalent(session)
-            assert session.instance.sorted_atoms() == expected.sorted_atoms()
-            session.close()
+        assert outcome["row"][0] == outcome["batch"][0]
+        assert outcome["row"][1] == outcome["batch"][1]
 
     def test_replay_is_counter_deterministic(self):
         edges = [edge(f"n{i}", f"n{i + 1}") for i in range(15)]
@@ -411,38 +382,6 @@ class TestModesAndDeterminism:
         second_atoms, second_counters = stream()
         assert first_atoms == second_atoms
         assert first_counters == second_counters
-
-    def test_delta_window_memo_survives_delta_id_reuse(self):
-        # Regression (latent since the sharded executor landed, exposed by
-        # streaming's long runs of equal-sized deltas): delta instances are
-        # transient, so a freed delta's address can be recycled by a later
-        # same-length delta.  The session's window memo must not serve the
-        # stale ordinal range — the parent's counter is part of the key.
-        import gc
-
-        from repro.datalog.database import Instance
-        from repro.engine.parallel import ParallelSession
-
-        facts = [edge(f"m{i}", f"m{i + 1}") for i in range(8)]
-        instance = Instance(facts[:4])
-        session = ParallelSession(instance, [], WORKERS)
-        first = Instance()
-        for atom in facts[:4]:
-            first.add_fact(atom)
-        assert session._delta_window(first) == (0, 4)
-        address = id(first)
-        del first
-        gc.collect()
-        for atom in facts[4:]:
-            instance.add_fact(atom)
-        second = Instance()
-        for atom in facts[4:]:
-            second.add_fact(atom)
-        # Same length; frequently the same recycled address.  Either way the
-        # memo must revalidate and report the new window.
-        assert session._delta_window(second) == (4, 8)
-        if id(second) == address:  # the hazardous case actually occurred
-            assert session._window_cache[3] == (4, 8)
 
     def test_constraint_violation_surfaces_after_push(self):
         program = parse_program(

@@ -1,17 +1,14 @@
 """The dictionary-encoding contract: TermTable round-trips and ID-native parity.
 
-Three layers of guarantee:
+Two layers of guarantee:
 
 * **Round-trips** — property-based fuzz over collision-heavy spellings
   (shared prefixes, separator characters, null labels that look like
   constant values): encode→decode is the identity, IDs are dense and
   kind-tagged, and re-interning is idempotent.
-* **The delta protocol** — replaying a parent table's suffixes into a fresh
-  table reproduces the exact ID assignment (the parallel replica contract),
-  and out-of-order replicas are rejected loudly.
 * **Cross-mode parity** — an end-to-end run over a program exercising
   constants, invented nulls, and negation is byte-identical (sorted facts,
-  null labels, gated counters) across ``row``, ``batch``, and ``parallel``
+  null labels, gated counters) across the ``row`` and ``batch``
   executors after the ID-native refactor, and instance round-trips
   (encode → key → decode) reproduce the original atoms object-for-object.
 """
@@ -30,14 +27,7 @@ from repro.datalog.semantics import StratifiedSemantics
 from repro.datalog.terms import Constant, Null, Variable
 from repro.engine.interning import TERMS, TermTable, is_null_id
 from repro.engine.mode import execution_mode
-from repro.engine.parallel import parallel_threshold_override, shutdown_pool
 from repro.engine.stats import STATS
-
-
-@pytest.fixture(scope="module", autouse=True)
-def stop_pool_after_module():
-    yield
-    shutdown_pool()
 
 
 def _nasty_spellings(rng, n):
@@ -139,50 +129,6 @@ class TestRoundTrips:
             assert TERMS.atom_key(atom) is key
 
 
-class TestDeltaProtocol:
-    def test_replay_reproduces_ids(self):
-        rng = random.Random(7)
-        parent = TermTable()
-        replica = TermTable()
-        marks = (0, 0)
-        for _ in range(5):
-            for spelling in _nasty_spellings(rng, 30):
-                if rng.random() < 0.4:
-                    parent.intern_null(spelling)
-                else:
-                    parent.intern_constant(spelling)
-            consts, nulls = parent.delta_since(*marks)
-            replica.apply_delta(marks[0], marks[1], consts, nulls)
-            marks = parent.counts()
-            assert replica.counts() == parent.counts()
-        # Every parent ID decodes identically in the replica.
-        for tid in list(parent._constant_ids.values()) + list(parent._null_ids.values()):
-            assert type(replica.term(tid)) is type(parent.term(tid))
-            assert str(replica.term(tid)) == str(parent.term(tid))
-
-    def test_overlapping_delta_is_idempotent(self):
-        parent = TermTable()
-        replica = TermTable()
-        for value in ("a", "b", "c"):
-            parent.intern_constant(value)
-        consts, nulls = parent.delta_since(0, 0)
-        replica.apply_delta(0, 0, consts, nulls)
-        # Re-applying the same suffix (a re-ship after a pool respawn) is a no-op.
-        replica.apply_delta(0, 0, consts, nulls)
-        assert replica.counts() == parent.counts()
-
-    def test_diverged_replica_is_rejected(self):
-        replica = TermTable()
-        replica.intern_constant("foreign")
-        with pytest.raises(RuntimeError, match="divergence"):
-            replica.apply_delta(0, 0, ["a"], [])
-
-    def test_behind_the_start_is_rejected(self):
-        replica = TermTable()
-        with pytest.raises(RuntimeError, match="behind"):
-            replica.apply_delta(5, 0, ["a"], [])
-
-
 class TestInstanceEncoding:
     def test_instance_round_trip_and_key_membership(self):
         rng = random.Random(11)
@@ -242,59 +188,39 @@ def _edge_database(seed, n=60, nodes=14):
 
 
 class TestCrossModeParity:
-    """Byte-identical results and gated counters across all three executors."""
+    """Byte-identical results and gated counters across both executors."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_seminaive_three_modes(self, seed):
         database = _edge_database(seed)
         outcomes = {}
-        for mode, workers, threshold in (
-            ("row", None, None),
-            ("batch", None, None),
-            ("parallel", 2, 0),
-        ):
-            with execution_mode(mode, workers):
+        for mode in ("row", "batch"):
+            with execution_mode(mode):
                 STATS.reset()
-                if threshold is None:
-                    result = list(SemiNaiveEvaluator(parse_program(PROGRAM)).evaluate(database))
-                else:
-                    with parallel_threshold_override(threshold):
-                        result = list(
-                            SemiNaiveEvaluator(parse_program(PROGRAM)).evaluate(database)
-                        )
+                result = list(SemiNaiveEvaluator(parse_program(PROGRAM)).evaluate(database))
                 outcomes[mode] = (result, STATS.gated())
-        assert outcomes["row"] == outcomes["batch"] == outcomes["parallel"]
+        assert outcomes["row"] == outcomes["batch"]
 
     def test_chase_null_labels_three_modes(self):
         program = parse_program(EXISTENTIAL)
         database = [Atom("person", (Constant(f"p{i}"),)) for i in range(8)]
         outcomes = {}
-        for mode, workers, threshold in (
-            ("row", None, None),
-            ("batch", None, None),
-            ("parallel", 2, 0),
-        ):
-            with execution_mode(mode, workers):
+        for mode in ("row", "batch"):
+            with execution_mode(mode):
                 Null._counter = itertools.count()
                 STATS.reset()
                 from repro.datalog.chase import ChaseEngine
 
-                if threshold is None:
-                    result = ChaseEngine(max_null_depth=2, on_limit="stop").chase(
-                        database, program
-                    )
-                else:
-                    with parallel_threshold_override(threshold):
-                        result = ChaseEngine(max_null_depth=2, on_limit="stop").chase(
-                            database, program
-                        )
+                result = ChaseEngine(max_null_depth=2, on_limit="stop").chase(
+                    database, program
+                )
                 # sorted_atoms() stringifies every term — the full decode
                 # boundary — so label-for-label equality is pinned here.
                 outcomes[mode] = (
                     result.instance.sorted_atoms(),
                     STATS.gated(),
                 )
-        assert outcomes["row"] == outcomes["batch"] == outcomes["parallel"]
+        assert outcomes["row"] == outcomes["batch"]
 
     def test_stratified_semantics_is_unchanged_by_encoding(self):
         # An end-to-end object-level check through the decode boundary:
@@ -308,40 +234,3 @@ class TestCrossModeParity:
         result = StratifiedSemantics(program).materialise(database)
         assert Atom("r", (Constant("b"),)) in result
         assert Atom("r", (Constant("a"),)) not in result
-
-    def test_parallel_dispatch_ships_columnar_bytes(self):
-        database = _edge_database(99, n=120, nodes=18)
-        with execution_mode("parallel", 2), parallel_threshold_override(0):
-            STATS.reset()
-            SemiNaiveEvaluator(parse_program(PROGRAM)).evaluate(database)
-            assert STATS.parallel_tasks > 0
-            assert STATS.parallel_bytes_shipped > 0
-
-    def test_string_spellings_ship_once_not_per_fact(self):
-        # The dictionary-delta contract, observed through payload sizes: with
-        # long URI-like spellings, shipping N facts over a small vocabulary
-        # must cost far less than N * spelling-length, because each spelling
-        # crosses the boundary once.
-        long = "http://example.org/a-very-long-namespace/prefix#"
-        database = [
-            Atom(
-                "triple",
-                (
-                    Constant(f"{long}node{i % 20}"),
-                    Constant("knows"),
-                    Constant(f"{long}node{(i * 7) % 20}"),
-                ),
-            )
-            for i in range(5000)
-        ]
-        program = parse_program("triple(?X, knows, ?Y) -> knows(?X, ?Y).")
-        with execution_mode("parallel", 2), parallel_threshold_override(0):
-            STATS.reset()
-            SemiNaiveEvaluator(program).evaluate(database)
-            assert STATS.parallel_tasks > 0
-            shipped = STATS.parallel_bytes_shipped
-        naive_floor = len(database) * len(long)
-        assert shipped < naive_floor, (
-            f"columnar wire format shipped {shipped} bytes; object shipping "
-            f"would exceed {naive_floor}"
-        )

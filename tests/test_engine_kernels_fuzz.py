@@ -14,10 +14,10 @@ Two layers are pinned here, with fixed seeds so CI runs are reproducible:
 * **kernel level** — :func:`kernels.extensions` and
   :func:`kernels.distinct_values` on randomly grown-and-killed buffers,
   numpy on vs off vs an independently computed tuple-space reference;
-* **engine level** — a random stratified program evaluated in all three
+* **engine level** — a random stratified program evaluated in both
   execution modes with the numpy kernels forced on and forced off: atoms,
   invented-null labels, and the gated counters must be byte-identical across
-  the full 2×3 matrix (exactly what the CI numpy/pure legs rerun).
+  the full 2×2 matrix (exactly what the CI numpy/pure legs rerun).
 """
 
 import itertools
@@ -29,7 +29,6 @@ from repro.datalog.terms import Null
 from repro.engine import kernels
 from repro.engine.colbuf import ColumnBuffer
 from repro.engine.mode import execution_mode
-from repro.engine.parallel import parallel_threshold_override, shutdown_pool
 from repro.engine.stats import STATS
 from test_engine_batch_parity import random_datalog_program, random_instance
 from test_engine_incremental_parity import ANCESTOR_CHASE_PROGRAM, person
@@ -52,14 +51,6 @@ def low_dispatch_threshold(monkeypatch):
     reach the numpy kernels through the public dispatcher — the production
     threshold sits above the sizes these differential tests can afford."""
     monkeypatch.setattr(kernels, "_MIN_BULK", 8)
-    monkeypatch.setattr(kernels, "_MIN_BULK_CSR", 4)
-    monkeypatch.setattr(kernels, "_MIN_BULK_INTERSECT", 4)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def stop_pool_after_module():
-    yield
-    shutdown_pool()
 
 
 # ---------------------------------------------------------------------------
@@ -170,110 +161,9 @@ def test_distinct_values_differential(seed):
             assert set(values) == expected, f"numpy={flag} position={position}"
 
 
-def test_extensions_on_promoted_buffer_matches_heap():
-    # Promotion pads the lanes out to segment capacity; the kernels must
-    # clip at n_rows, not capacity, in both dispatch modes.
-    rng = random.Random(99)
-    cols, rows = random_buffer(rng, 150, max_arity=3)
-    expected = reference_extensions(rows, range(len(cols)), 2, (0, 1), ())
-    assert cols.promote() is not None
-    try:
-        for flag in (False, True):
-            if flag and not kernels.numpy_available():
-                continue
-            kernels.set_numpy_enabled(flag)
-            got = kernels.extensions(cols, range(len(cols)), 2, (0, 1), ())
-            assert [tuple(r) for r in got] == expected
-            values = kernels.distinct_values(cols, 0, len(cols))
-            assert set(values) == {
-                ids[0] for ids in rows if ids is not None and len(ids) > 0
-            }
-    finally:
-        cols.demote()
-
-
 # ---------------------------------------------------------------------------
-# CSR postings kernels: dict-bucket reference vs pure vs numpy
+# Engine level: numpy on/off × row/batch, byte-identical
 # ---------------------------------------------------------------------------
-
-
-def random_csr_lane(rng, n_tids, universe=400):
-    """A CSR lane plus its dict-of-buckets shadow, built from plain ints.
-
-    The layout mirrors what :class:`~repro.engine.index.CsrSealer` emits into
-    shared memory — sorted tid directory, ``n_tids + 1`` prefix offsets, flat
-    ascending row ids per bucket — but over ordinary ``array('q')`` values,
-    so the kernel contract is pinned without any shm plumbing.  Empty
-    buckets are included deliberately: replace-mode sealing emits every
-    position of a predicate, hit or not.
-    """
-    from array import array
-
-    tids = sorted(rng.sample(range(universe), n_tids))
-    buckets = {}
-    offsets = [0]
-    rows = []
-    next_row = 0
-    for tid in tids:
-        count = rng.randint(0, 6)
-        span = range(next_row, next_row + 40)
-        ids = sorted(rng.sample(span, count)) if count else []
-        next_row += 40
-        buckets[tid] = ids
-        rows.extend(ids)
-        offsets.append(len(rows))
-    return buckets, array("q", tids), array("q", offsets), array("q", rows)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_csr_find_three_way_differential(seed):
-    rng = random.Random(11000 + seed)
-    buckets, tids, offsets, rows = random_csr_lane(rng, rng.randint(0, 30))
-    probes = set(buckets) | {rng.randrange(400) for _ in range(20)} | {-1, 401}
-    for tid in sorted(probes):
-        expected = buckets.get(tid)
-        for flag in (False, True):
-            if flag and not kernels.numpy_available():
-                continue
-            kernels.set_numpy_enabled(flag)
-            got = kernels.csr_find(tids, offsets, rows, tid)
-            if expected is None:
-                assert got is None, f"numpy={flag} tid={tid}"
-            else:
-                assert got is not None and list(got) == expected, (
-                    f"numpy={flag} tid={tid}"
-                )
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_csr_intersect_three_way_differential(seed):
-    rng = random.Random(12000 + seed)
-    universe = 300
-    # Buckets drawn from one shared row universe so intersections are
-    # non-trivial; each is sorted ascending like a sealed CSR bucket.
-    def bucket():
-        return sorted(rng.sample(range(universe), rng.randint(0, 60)))
-
-    for _ in range(10):
-        anchor = bucket()
-        others = [bucket() for _ in range(rng.randint(0, 3))]
-        sets = [set(other) for other in others]
-        expected = [
-            row for row in anchor if all(row in other for other in sets)
-        ]
-        for flag in (False, True):
-            if flag and not kernels.numpy_available():
-                continue
-            kernels.set_numpy_enabled(flag)
-            got = kernels.csr_intersect(anchor, others)
-            assert list(got) == expected, f"numpy={flag}"
-
-
-# ---------------------------------------------------------------------------
-# Engine level: numpy on/off × row/batch/parallel, byte-identical
-# ---------------------------------------------------------------------------
-
-WORKERS = 2
 
 
 def run_mode_matrix(fn):
@@ -282,19 +172,11 @@ def run_mode_matrix(fn):
     flags = [False] + ([True] if kernels.numpy_available() else [])
     for flag in flags:
         kernels.set_numpy_enabled(flag)
-        for mode, workers, threshold in (
-            ("row", None, None),
-            ("batch", None, None),
-            ("parallel", WORKERS, 0),
-        ):
-            with execution_mode(mode, workers):
+        for mode in ("row", "batch"):
+            with execution_mode(mode):
                 Null._counter = itertools.count()
                 STATS.reset()
-                if threshold is None:
-                    results[(flag, mode)] = (fn(), STATS.gated())
-                else:
-                    with parallel_threshold_override(threshold):
-                        results[(flag, mode)] = (fn(), STATS.gated())
+                results[(flag, mode)] = (fn(), STATS.gated())
     return results
 
 

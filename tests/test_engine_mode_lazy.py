@@ -13,7 +13,6 @@ from repro.engine import mode
 def clean_mode(monkeypatch):
     """Reset the module's resolved state and scrub the env for one test."""
     monkeypatch.delenv("REPRO_ENGINE_MODE", raising=False)
-    monkeypatch.delenv("REPRO_ENGINE_PARALLEL", raising=False)
     mode._reset_for_tests()
     yield
     mode._reset_for_tests()
@@ -26,55 +25,34 @@ class TestLazyResolution:
         assert mode.get_execution_mode() == "row"
         assert not mode.batch_enabled()
 
-    def test_parallel_env_alone_selects_parallel(self, clean_mode, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "3")
-        assert mode.get_execution_mode() == "parallel"
-        assert mode.get_worker_count() == 3
-        assert mode.parallel_enabled()
-
-    def test_mode_env_wins_over_parallel_env(self, clean_mode, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_MODE", "batch")
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "4")
+    def test_default_is_batch(self, clean_mode):
         assert mode.get_execution_mode() == "batch"
-        assert mode.get_worker_count() == 4
-
-    def test_default_is_batch_with_two_workers(self, clean_mode):
-        assert mode.get_execution_mode() == "batch"
-        assert mode.get_worker_count() == 2
 
     def test_empty_strings_count_as_unset(self, clean_mode, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_MODE", "")
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "")
         assert mode.get_execution_mode() == "batch"
-        assert mode.get_worker_count() == 2
 
     def test_explicit_setter_beats_environment(self, clean_mode, monkeypatch):
         """set_execution_mode before first env read pins the value for good."""
-        monkeypatch.setenv("REPRO_ENGINE_MODE", "parallel")
+        monkeypatch.setenv("REPRO_ENGINE_MODE", "bogus")
         mode.set_execution_mode("row")
         assert mode.get_execution_mode() == "row"
         # ...and later env churn is ignored once pinned.
         monkeypatch.setenv("REPRO_ENGINE_MODE", "batch")
         assert mode.get_execution_mode() == "row"
 
-    def test_explicit_worker_setter_beats_environment(self, clean_mode, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "7")
-        mode.set_worker_count(5)
-        assert mode.get_worker_count() == 5
-
     def test_bad_mode_raises_at_first_use_not_import(self, clean_mode, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE_MODE", "bogus")
         with pytest.raises(ValueError, match="REPRO_ENGINE_MODE"):
             mode.get_execution_mode()
 
-    def test_bad_worker_count_raises_at_first_use(self, clean_mode, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "zero")
-        with pytest.raises(ValueError, match="REPRO_ENGINE_PARALLEL"):
-            mode.get_worker_count()
-        monkeypatch.setenv("REPRO_ENGINE_PARALLEL", "0")
-        mode._reset_for_tests()
-        with pytest.raises(ValueError, match=">= 1"):
-            mode.get_worker_count()
+    def test_removed_parallel_mode_is_rejected(self, clean_mode, monkeypatch):
+        valid = r"must be one of \('row', 'batch'\)"
+        monkeypatch.setenv("REPRO_ENGINE_MODE", "parallel")
+        with pytest.raises(ValueError, match=valid):
+            mode.get_execution_mode()
+        with pytest.raises(ValueError, match=valid):
+            mode.set_execution_mode("parallel")
 
     def test_execution_mode_context_restores(self, clean_mode):
         mode.set_execution_mode("batch")
@@ -98,7 +76,6 @@ class TestLazyResolution:
         )
         env = dict(os.environ, PYTHONPATH="src")
         env.pop("REPRO_ENGINE_MODE", None)
-        env.pop("REPRO_ENGINE_PARALLEL", None)
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -120,7 +97,6 @@ class TestLazyResolution:
         )
         env = dict(os.environ, PYTHONPATH="src")
         env.pop("REPRO_ENGINE_MODE", None)
-        env.pop("REPRO_ENGINE_PARALLEL", None)
         result = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,

@@ -7,11 +7,10 @@ cold evaluation of the *surviving* EDB — the same differential contract
 deletion.  The suite covers:
 
 * **Fuzzed interleavings**: random stratified Datalog¬ programs under random
-  push/retract schedules (retractions sample the currently-live EDB), in all
-  three execution modes, compared ``sorted_atoms()``-equal to the cold run.
-  Mode parity also compares the gated counters, so row, batch, and the
-  forced 2-worker parallel executor take byte-identical work accounting
-  through the deletion path.
+  push/retract schedules (retractions sample the currently-live EDB), in
+  both execution modes, compared ``sorted_atoms()``-equal to the cold run.
+  Mode parity also compares the gated counters, so row and batch take
+  byte-identical work accounting through the deletion path.
 * **Negation**: a retraction that shrinks a negation reference re-runs the
   strata above it — facts whose negative support *returns* must reappear.
 * **Chase sessions**: content-addressed nulls make deletion parity
@@ -30,7 +29,6 @@ from repro.datalog.atoms import Atom
 from repro.datalog.terms import Constant
 from repro.engine.incremental import DeltaSession, cold_equivalent
 from repro.engine.interning import TERMS
-from repro.engine.parallel import shutdown_pool
 from test_engine_batch_parity import random_datalog_program, random_instance
 from test_engine_incremental_parity import (
     ANCESTOR_CHASE_PROGRAM,
@@ -38,14 +36,8 @@ from test_engine_incremental_parity import (
     TC_PROGRAM,
     edge,
     person,
-    run_three_modes,
+    run_both_modes,
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def stop_pool_after_module():
-    yield
-    shutdown_pool()
 
 
 def interleaved_schedule(rng, facts, n_ops):
@@ -213,11 +205,11 @@ class TestModeParity:
             session.close()
             return atoms
 
-        outcome = run_three_modes(stream)
-        assert outcome["row"][0] == outcome["batch"][0] == outcome["parallel"][0]
+        outcome = run_both_modes(stream)
+        assert outcome["row"][0] == outcome["batch"][0]
         # Gated counters too: the deletion path (over-delete, re-derive,
         # null GC) does identical accounted work in every executor.
-        assert outcome["row"][1] == outcome["batch"][1] == outcome["parallel"][1]
+        assert outcome["row"][1] == outcome["batch"][1]
 
     def test_three_mode_chase_retraction_parity(self):
         people = [person(f"p{i}") for i in range(9)]
@@ -231,9 +223,9 @@ class TestModeParity:
             session.close()
             return atoms
 
-        outcome = run_three_modes(stream)
-        assert outcome["row"][0] == outcome["batch"][0] == outcome["parallel"][0]
-        assert outcome["row"][1] == outcome["batch"][1] == outcome["parallel"][1]
+        outcome = run_both_modes(stream)
+        assert outcome["row"][0] == outcome["batch"][0]
+        assert outcome["row"][1] == outcome["batch"][1]
 
 
 class TestPackedColumnTombstones:
@@ -270,7 +262,9 @@ class TestPackedColumnTombstones:
         assert len(cols) == n_rows
         dead = [r for r in range(n_rows) if cols.arities[r] == TOMB]
         assert len(dead) == len(victims)
-        assert {tuple(cols.values_at(r, 3)) for r in dead} == victim_keys
+        assert {
+            tuple(cols.buffers[p][r] for p in range(3)) for r in dead
+        } == victim_keys
         assert_cold_parity(session)
         session.close()
 
@@ -406,12 +400,11 @@ class TestTombstoneCompaction:
                 session.close()
                 return atoms
 
-            outcome = run_three_modes(stream)
-            assert outcome["row"][0] == outcome["batch"][0] == outcome["parallel"][0]
-            # The gated counters too: compaction renumbers rows mid-session
-            # (forcing a parallel re-arm), which must not change the work any
-            # executor accounts for.
-            assert outcome["row"][1] == outcome["batch"][1] == outcome["parallel"][1]
+            outcome = run_both_modes(stream)
+            assert outcome["row"][0] == outcome["batch"][0]
+            # The gated counters too: compaction renumbers rows mid-session,
+            # which must not change the work any executor accounts for.
+            assert outcome["row"][1] == outcome["batch"][1]
         finally:
             set_compact_ratio(previous)
 

@@ -1,7 +1,7 @@
 """Mutation canaries: planted engine bugs must make the parity oracles fail.
 
-The engine's correctness story leans on differential testing — row vs batch
-vs parallel, warm vs cold, packed vs tuple — so the one failure mode the
+The engine's correctness story leans on differential testing — row vs
+batch, warm vs cold, packed vs tuple — so the one failure mode the
 test tree cannot afford is an oracle that silently stopped discriminating.
 Each canary here *plants* a seeded divergence at a load-bearing site, runs
 the same differential assertion the real parity suites pin, and requires it
@@ -9,29 +9,16 @@ to **fail**; the clean configuration is asserted to pass immediately before
 and after, so a red canary always means "the oracle went blind", never "the
 engine broke".
 
-Four mutations, one per protocol layer:
+Two mutations, one per batch-executor layer:
 
-* **skip the replica deletion replay** —
-  :meth:`PredicateIndex.tombstone_row` is how worker replicas and their
-  sharded step-0 stores apply parent-side retractions; a no-op here leaves
-  deleted facts matchable inside the workers, and the parallel
-  retract-vs-cold oracle must notice;
 * **perturb one probe verdict** — :func:`kernels.extensions` is the packed
   bulk-extension kernel of the batch executor; swallowing one surviving
   extension must break row/batch byte-parity;
 * **drop one head fire** — :meth:`Instance.add_key` lands batch-mode head
   facts; pretending one genuinely-new fact was a duplicate must break the
-  same parity (the row path lands heads through ``add_fact``);
-* **let the CSR directory go stale** — :meth:`CsrStore.apply` is how workers
-  install each sync's freshly sealed postings chunks; dropping every seal
-  after the first leaves the workers probing a directory frozen at the first
-  watermark, and the shared-memory parallel-vs-row oracle must notice the
-  matches the stale buckets can no longer find.
+  same parity (the row path lands heads through ``add_fact``).
 
-The mutations are applied through ``monkeypatch`` fixture toggles (no
-subprocesses needed: the forked worker pool inherits the patched classes,
-and every oracle retires the pool before and after so no mutant worker
-outlives its test).
+The mutations are applied through ``monkeypatch`` fixture toggles.
 """
 
 import itertools
@@ -41,109 +28,19 @@ import pytest
 from repro.datalog.database import Instance
 from repro.datalog.terms import Null
 from repro.engine import kernels
-from repro.engine.incremental import DeltaSession, cold_equivalent
-from repro.engine.index import CsrStore, PredicateIndex
+from repro.engine.incremental import DeltaSession
 from repro.engine.mode import execution_mode
-from repro.engine.parallel import (
-    csr_override,
-    parallel_threshold_override,
-    shm_override,
-    shutdown_pool,
-)
 from repro.engine.stats import STATS
 from test_engine_incremental_parity import TC_PROGRAM, edge
 
-WORKERS = 2
 
-
-@pytest.fixture(scope="module", autouse=True)
-def stop_pool_after_module():
-    yield
-    shutdown_pool()
-
-
-def edges(n, prefix="n"):
-    return [edge(f"{prefix}{i}", f"{prefix}{i + 1}") for i in range(n)]
+def edges(n):
+    return [edge(f"n{i}", f"n{i + 1}") for i in range(n)]
 
 
 # ---------------------------------------------------------------------------
-# The oracles: the same differential assertions the parity suites pin
+# The oracle: the same differential assertion the parity suites pin
 # ---------------------------------------------------------------------------
-
-
-def oracle_parallel_retract_vs_cold():
-    """Parallel DRed retraction equals a cold run of the surviving EDB.
-
-    The pool is retired first so the workers fork *under the current code*
-    — that is what lets a planted parent-side mutation reach the replicas.
-    The columnar wire protocol is forced (``shm_override(False)``) because
-    replica liveness is worker-local there, which is exactly where the
-    deletion replay is load-bearing; under the shared-memory protocol the
-    parent's tombstoned arity lane is visible to the workers by
-    construction.  A single mid-chain edge is retracted (small over-deleted
-    closure, so DRed stays on the in-place tombstone path), then a fresh
-    edge is pushed whose closure propagates *through* the deleted position:
-    a replica that skipped the replay extends the new matches over the
-    ghost edge and diverges from the cold run.
-
-    The live branch edge at the deleted position matters: the parent's
-    pivot-viability pre-check consults the parent's own (correctly
-    unlinked) postings, so a probe value whose bucket empties is pruned
-    before any worker is asked.  Keeping one live fact in the ghost's
-    bucket is what forces the dispatch through to the replicas, where the
-    planted skip is observable.
-    """
-    es = edges(12) + [edge("n10", "b0")]
-    shutdown_pool()
-    try:
-        with execution_mode("parallel", WORKERS):
-            with parallel_threshold_override(0), shm_override(False):
-                session = DeltaSession(TC_PROGRAM, es)
-                session.retract([es[10]])
-                session.push([edge("p0", "n0")])
-                atoms = session.instance.sorted_atoms()
-                cold = cold_equivalent(session)
-                session.close()
-                assert atoms == cold.sorted_atoms()
-    finally:
-        shutdown_pool()
-
-
-def oracle_parallel_csr_vs_row():
-    """Parallel evaluation over the sealed CSR directory equals the row run.
-
-    The shared-memory + CSR protocol is forced, and the session pushes a
-    second batch after its initial fixpoint so the workers must install a
-    sequence of seals: the initial replace chunks, then the delta chunks of
-    every later round.  A worker whose directory froze at an earlier
-    watermark probes buckets that are missing every later row, silently
-    drops the matches that extend through them, and the recursion dies —
-    which is exactly what the planted ``CsrStore.apply`` mutation must make
-    visible.  The reference closure is computed by the *row* executor, not
-    ``cold_equivalent``: a cold run inside parallel mode would dispatch
-    through the same mutated workers and inherit the same blindness, and an
-    oracle whose reference degrades with the mutation can never discriminate.
-    The pool is retired first so workers fork under the current (possibly
-    mutated) code.
-    """
-    es = edges(14, "g")
-    shutdown_pool()
-    try:
-        with execution_mode("row"):
-            reference = DeltaSession(TC_PROGRAM, es)
-            expected = reference.instance.sorted_atoms()
-            reference.close()
-        with execution_mode("parallel", WORKERS):
-            with parallel_threshold_override(0), shm_override(True), csr_override(
-                True
-            ):
-                session = DeltaSession(TC_PROGRAM, es[:8])
-                session.push(es[8:])
-                atoms = session.instance.sorted_atoms()
-                session.close()
-                assert atoms == expected
-    finally:
-        shutdown_pool()
 
 
 def oracle_row_vs_batch():
@@ -166,19 +63,6 @@ def oracle_row_vs_batch():
 # ---------------------------------------------------------------------------
 
 
-def test_skipped_replica_deletion_is_caught(monkeypatch):
-    oracle_parallel_retract_vs_cold()  # clean: must pass
-    with monkeypatch.context() as m:
-        # Plant: the replica-side deletion replay does nothing, so worker
-        # shards keep retracted facts live as step-0 candidates.
-        m.setattr(
-            PredicateIndex, "tombstone_row", lambda self, predicate, row_id: None
-        )
-        with pytest.raises(AssertionError):
-            oracle_parallel_retract_vs_cold()
-    oracle_parallel_retract_vs_cold()  # unplanted: must pass again
-
-
 def test_perturbed_probe_verdict_is_caught(monkeypatch):
     oracle_row_vs_batch()  # clean: must pass
     original = kernels.extensions
@@ -198,24 +82,6 @@ def test_perturbed_probe_verdict_is_caught(monkeypatch):
             oracle_row_vs_batch()
     assert state["perturbed"], "the mutant kernel was never exercised"
     oracle_row_vs_batch()  # unplanted: must pass again
-
-
-def test_stale_csr_directory_is_caught(monkeypatch):
-    oracle_parallel_csr_vs_row()  # clean: must pass
-    original = CsrStore.apply
-    state = {"applied": False}  # forked into each worker; flips per process
-
-    def mutant(self, name, n_values, preds, directory):
-        if state["applied"]:
-            return None  # drop every later seal: the directory goes stale
-        state["applied"] = True
-        return original(self, name, n_values, preds, directory)
-
-    with monkeypatch.context() as m:
-        m.setattr(CsrStore, "apply", mutant)
-        with pytest.raises(AssertionError):
-            oracle_parallel_csr_vs_row()
-    oracle_parallel_csr_vs_row()  # unplanted: must pass again
 
 
 def test_dropped_head_fire_is_caught(monkeypatch):

@@ -1,8 +1,8 @@
 """Observability neutrality: tracing/profiling on must change nothing.
 
 The tracer and the plan profiler are instrumentation only.  This suite runs
-the same scenarios with them off and on — across the row, batch, and
-parallel executors — and asserts the *byte-identical* contract: the same
+the same scenarios with them off and on — across the row and batch
+executors — and asserts the *byte-identical* contract: the same
 atoms (including invented-null labels), in the same order, with the same
 gated engine counters.  It also sanity-checks that the instrumented sites
 actually record events when tracing is on (a neutrality suite over dead
@@ -20,13 +20,10 @@ from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant, Null
 from repro.engine.incremental import DeltaSession
 from repro.engine.mode import execution_mode
-from repro.engine.parallel import parallel_threshold_override, shutdown_pool
 from repro.engine.stats import STATS
 from repro.obs.profile import PROFILER
 from repro.obs.trace import TRACER
 from repro.workloads.graphs import random_rdf_graph
-
-WORKERS = 2
 
 TC_PROGRAM = """
     triple(?X, knows, ?Y) -> knows(?X, ?Y).
@@ -46,12 +43,6 @@ CHURN_PROGRAM = """
     path(?X, ?Y), edge(?Y, ?Z) -> path(?X, ?Z).
     path(?X, ?Y) -> exists ?W . witness(?Y, ?W).
 """
-
-
-@pytest.fixture(scope="module", autouse=True)
-def stop_pool_after_module():
-    yield
-    shutdown_pool()
 
 
 @pytest.fixture(autouse=True)
@@ -105,17 +96,11 @@ def fingerprint(scenario):
     return atoms, STATS.gated()
 
 
-def mode_context(mode):
-    if mode == "parallel":
-        return execution_mode("parallel", WORKERS)
-    return execution_mode(mode)
-
-
 class TestTracingNeutrality:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
-    @pytest.mark.parametrize("mode", ["row", "batch", "parallel"])
+    @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_byte_parity_tracing_on_vs_off(self, scenario, mode):
-        with mode_context(mode):
+        with execution_mode(mode):
             baseline = fingerprint(scenario)
             TRACER.enable()
             traced = fingerprint(scenario)
@@ -124,20 +109,6 @@ class TestTracingNeutrality:
         assert traced == baseline
         assert again == baseline
         assert baseline[1]["facts_added"] > 0
-
-    def test_parallel_dispatch_parity_with_tracing(self):
-        # Force every match across the process boundary so the
-        # parallel.sync / parallel.dispatch records are actually exercised.
-        with execution_mode("batch"):
-            baseline = fingerprint(scenario_seminaive)
-        with execution_mode("parallel", WORKERS), parallel_threshold_override(0):
-            TRACER.enable()
-            traced = fingerprint(scenario_seminaive)
-            names = {event["name"] for event in TRACER.events()}
-            TRACER.disable()
-        assert traced == baseline
-        assert "parallel.sync" in names
-        assert "parallel.dispatch" in names
 
     def test_engine_sites_record_events(self):
         with execution_mode("batch"):
@@ -182,7 +153,7 @@ class TestProfilingNeutrality:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_byte_parity_profiling_on_vs_off(self, scenario, mode):
-        with mode_context(mode):
+        with execution_mode(mode):
             baseline = fingerprint(scenario)
             PROFILER.enable()
             PROFILER.reset()
