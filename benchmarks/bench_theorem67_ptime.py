@@ -54,7 +54,14 @@ def test_theorem67_growth_exponent_is_polynomial(benchmark):
         return points
 
     points = benchmark.pedantic(measure, rounds=1, iterations=1)
-    (n0, t0, _), (n1, t1, _) = points[0], points[-1]
+    # The small point is ~15 ms, so one scheduler hiccup in a single-shot
+    # timing bends the fitted exponent past the bound: time each scale as the
+    # min of three passes.  The two extra passes run outside the benchmarked
+    # call, so the record's counters and wall time stay those of one pass.
+    passes = [points, measure(), measure()]
+    (n0, _, _), (n1, _, _) = points[0], points[-1]
+    t0 = min(run[0][1] for run in passes)
+    t1 = min(run[-1][1] for run in passes)
     exponent = math.log(t1 / t0) / math.log(n1 / n0)
     assert exponent < 3.0, f"runtime grows with exponent {exponent:.2f}; expected polynomial"
     # Answers grow linearly with the ABox.

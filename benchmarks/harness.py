@@ -6,16 +6,15 @@ engine-core counters (:mod:`repro.engine.stats`) around each measured
 section, and writes ``BENCH_engine_core.json`` in a stable schema that CI
 diffs against the committed baseline.
 
-Every scenario runs once per **execution mode** (row-at-a-time and
-column-at-a-time batch; see :mod:`repro.engine.mode`), producing one record
-per ``scenario@mode`` id.  Besides the per-mode wall times — which is how
-the batch executor's speedup is tracked in the committed baseline — the
-harness enforces the cross-mode counter contract: the mode-independent
-counters (facts added, triggers fired, nulls invented, pivots skipped, and
-the retraction trio of facts retracted / re-derived / nulls collected) must
-be *identical* across every mode of a scenario, and the run fails otherwise.
-That equality is what keeps the bench-smoke counter gate meaningful with two
-executors behind one baseline.
+Every scenario runs once per **execution mode** (the depth-first and the
+column-at-a-time batch matcher behind the engines' one firing path; see
+:mod:`repro.engine.mode`), producing one record per ``scenario@mode`` id.
+The harness is an **exact-counter gate**, not a wall-clock benchmark (that is
+``ledger/``): the mode-independent counters (facts added, triggers fired,
+nulls invented, pivots skipped, and the retraction trio of facts retracted /
+re-derived / nulls collected) must be *identical* across every mode of a
+scenario and *equal* to the committed baseline record, and the run fails
+otherwise.  Wall times are measured, printed and written, never gated.
 
 The ``bench_*.py`` files stay plain pytest-benchmark suites; the harness
 discovers their ``test_*`` functions, expands ``pytest.mark.parametrize``
@@ -31,9 +30,9 @@ Usage::
     python benchmarks/harness.py                      # full run, writes BENCH_engine_core.json
     python benchmarks/harness.py --quick              # 1 warmup + 3 repeats, writes nothing
     python benchmarks/harness.py --quick --baseline BENCH_engine_core.json
-                                                      # CI smoke: fail on >25% regression
+                                                      # CI counter gate: exact equality
     python benchmarks/harness.py --only theorem67     # substring filter
-    python benchmarks/harness.py --modes batch        # only one executor
+    python benchmarks/harness.py --modes batch        # only one matcher
     python benchmarks/harness.py --quick --only lubm --profile profile.json
                                                       # per-plan step profiles
     python benchmarks/harness.py --list               # show scenario ids and exit
@@ -66,15 +65,15 @@ for path in (SRC, BENCH_DIR):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from repro.engine import plancache  # noqa: E402
 from repro.engine.mode import execution_mode  # noqa: E402
 from repro.engine.stats import STATS  # noqa: E402
 from repro.obs.profile import PROFILER  # noqa: E402
 
-SCHEMA_VERSION = 10
+SCHEMA_VERSION = 11
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_engine_core.json")
 MODES = ("row", "batch")
-#: Counters that must be identical between execution modes of one scenario.
+#: Counters that must be identical between execution modes of one scenario
+#: and equal to the baseline record: deterministic and machine-independent.
 MODE_INDEPENDENT_COUNTERS = (
     "facts_added",
     "chase_steps",
@@ -87,9 +86,6 @@ MODE_INDEPENDENT_COUNTERS = (
     "rederived",
     "nulls_collected",
 )
-#: Regressions smaller than this (seconds) never fail the gate: scenarios in
-#: the low-millisecond range jitter far more than 25% on shared CI runners.
-MIN_REGRESSION_SECONDS = 0.010
 
 
 def _peak_rss_kb() -> Optional[int]:
@@ -294,9 +290,7 @@ def run_scenario(
             # Schema v6: first-class concurrent-service columns.  The
             # service scenarios report queries-per-second and p50/p99
             # per-query latency through extra_info; both are None for every
-            # other scenario and gated against the baseline like wall time
-            # (speed-adjusted; p99 is recorded but not gated — tail noise on
-            # shared runners swamps it).
+            # other scenario.  Wall clock, so recorded and never gated.
             "qps": proxy.extra_info.get("qps"),
             "latency_ms": (
                 {
@@ -321,44 +315,12 @@ def run_scenario(
     return record
 
 
-def merge_remeasure(record: Dict[str, Any], retry: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold an isolated re-measurement into ``record``, keeping the best case.
-
-    Only the noise-sensitive wall-clock fields are merged (minimum wall time,
-    maximum qps, minimum latency percentiles, maximum incremental speedup) —
-    on a shared runner a transient CPU-steal burst can slow every repeat of
-    the main pass, and the best of two independent passes is a strictly
-    better estimate of the true cost.  The deterministic engine counters are
-    deliberately left untouched: they are identical run to run, so a retry
-    can never mask a genuine counter regression.
-    """
-    merged = dict(record)
-    runs = sorted(record["wall_seconds"]["runs"] + retry["wall_seconds"]["runs"])
-    merged["wall_seconds"] = {
-        "median": round(statistics.median(runs), 6),
-        "min": round(min(runs), 6),
-        "runs": runs,
-    }
-    if retry.get("qps") is not None:
-        merged["qps"] = max(record.get("qps") or 0, retry["qps"]) or None
-    if retry.get("latency_ms") and record.get("latency_ms"):
-        merged["latency_ms"] = {
-            "p50": min(record["latency_ms"]["p50"], retry["latency_ms"]["p50"]),
-            "p99": min(record["latency_ms"]["p99"], retry["latency_ms"]["p99"]),
-        }
-    if retry.get("incremental_speedup") is not None:
-        merged["incremental_speedup"] = max(
-            record.get("incremental_speedup") or 0, retry["incremental_speedup"]
-        ) or None
-    return merged
-
-
 def cross_mode_mismatches(results: List[Dict[str, Any]]) -> List[str]:
     """Scenarios whose mode-independent counters differ between modes.
 
-    Both executors — row and batch — are required to fire
+    Both matchers — row and batch — are required to produce
     the same triggers in the same order, so any divergence here is a
-    correctness bug in an executor (or a nondeterministic scenario), never an
+    correctness bug in a matcher (or a nondeterministic scenario), never an
     acceptable perf trade-off.  Every mode present is compared against the
     first (in ``MODES`` order) that ran for the scenario.
     """
@@ -384,77 +346,44 @@ def cross_mode_mismatches(results: List[Dict[str, Any]]) -> List[str]:
 
 
 def compare_to_baseline(
-    results: List[Dict[str, Any]],
-    baseline: Dict[str, Any],
-    threshold: float,
-    min_delta: float,
+    results: List[Dict[str, Any]], baseline: Dict[str, Any]
 ) -> List[str]:
-    """Regression messages for scenarios slower than baseline by > threshold.
+    """Messages for records whose gated values differ from the baseline.
 
-    The baseline may have been recorded on a different machine, so raw wall
-    times are not comparable; comparisons are normalised by the speed ratio
-    between the two runs (sum of per-record *minimum* wall times over the
-    shared records — the minimum is the least noise-sensitive estimate of a
-    scenario's true cost, since timing noise on a shared runner is strictly
-    one-sided).  Machine
-    speed is mode-independent, so the ratio is anchored on the **row**
-    records alone whenever both sides have them: if the batch executor
-    uniformly loses its edge (e.g. the probe cache stops working) the row
-    anchor stays put and every ``@batch`` record reads as a genuine relative
-    regression, instead of the slowdown inflating a pooled "machine speed"
-    ratio and hiding inside it.  (Pooled over all shared records is the
-    fallback for single-mode runs and pre-mode baselines.)  A regression is
-    then a record that got slower *relative to the anchor* — which is
-    machine-independent — by more than ``threshold`` and by more than
-    ``min_delta`` (speed-adjusted) in absolute terms.
+    No wall time is compared across runs: the baseline may come from another
+    machine, and an earlier speed-normalised wall gate failed on untouched
+    records whenever one mode's speed moved relative to the other.  Wall time
+    is the ledger's job (``ledger/run.py --compare``).  The one clock-derived
+    value gated is the within-run ``incremental_speedup`` ratio, at half its
+    baseline.
     """
     baseline_by_id = {s["id"]: s for s in baseline.get("scenarios", [])}
-    shared = [
-        (record, baseline_by_id[record["id"]])
-        for record in results
-        if record["id"] in baseline_by_id
-    ]
-    if not shared:
-        return []
-    anchor = [
-        (r, b) for r, b in shared if r.get("mode") == "row"
-    ] or shared
-    current_sum = sum(r["wall_seconds"]["min"] for r, _ in anchor)
-    baseline_sum = sum(b["wall_seconds"]["min"] for _, b in anchor)
-    if baseline_sum <= 0:
-        return []
-    speed_ratio = current_sum / baseline_sum  # >1 when this machine/run is slower overall
+    # One incremental_speedup reference per scenario: the smallest baseline
+    # ratio among its modes.  Both modes share the firing path, so the ratio
+    # is a property of the scenario — and the committed @row ratios still
+    # embed a recompute probe that ran the deleted dict-substitution firing
+    # path (sliding_social_window: 5.14x committed @row, 2.6–3.1x measured in
+    # either mode), so gating @row on its own record fails on noise alone.
+    weakest_speedup: Dict[str, float] = {}
+    for base in baseline_by_id.values():
+        ratio = base.get("incremental_speedup")
+        if ratio:
+            scenario = base["id"].rsplit("@", 1)[0]
+            weakest_speedup[scenario] = min(weakest_speedup.get(scenario, ratio), ratio)
     regressions: List[str] = []
-    for record, base in shared:
-        current = record["wall_seconds"]["min"]
-        reference = base["wall_seconds"]["min"] * speed_ratio
-        if current > reference * (1 + threshold) and current - reference > min_delta:
-            regressions.append(
-                f"{record['id']}: {current * 1000:.1f}ms vs speed-adjusted baseline "
-                f"{reference * 1000:.1f}ms (+{(current / reference - 1) * 100:.0f}%, "
-                f"suite speed ratio {speed_ratio:.2f})"
-            )
-        # The engine counters are deterministic and machine-independent, so
-        # they need no speed adjustment and catch what normalised wall time
-        # cannot: a uniform algorithmic regression across the whole suite
-        # (e.g. the compiled core suddenly firing more triggers everywhere).
-        for counter in (
-            "chase_steps",
-            "facts_added",
-            "nulls_invented",
-            # Schema v7: over-deletion growing past the baseline means the
-            # marking phase lost precision (deleting far more than the
-            # retracted closure warrants) even when the end state is right.
-            "retractions",
-            "rederived",
-        ):
-            now, then = record.get(counter), base.get(counter)
-            if now is None or not then:
-                continue
-            if now > then * (1 + threshold) and now - then > 50:
+    for record in results:
+        base = baseline_by_id.get(record["id"])
+        if base is None:
+            continue
+        # The engine counters are deterministic, so the gate is equality: more
+        # triggers or facts is an algorithmic regression, fewer is a change in
+        # semantics or in pivot skipping — either way the baseline is re-recorded
+        # deliberately or the change is wrong.
+        for counter in MODE_INDEPENDENT_COUNTERS:
+            if counter in base and record[counter] != base[counter]:
                 regressions.append(
-                    f"{record['id']}: {counter} {now} vs baseline {then} "
-                    f"(+{(now / then - 1) * 100:.0f}%)"
+                    f"{record['id']}: {counter} {record[counter]} "
+                    f"vs baseline {base[counter]}"
                 )
         # incremental_speedup (schema v4) is a within-run ratio, so it needs
         # no machine normalisation; it gates streaming scenarios against the
@@ -465,56 +394,13 @@ def compare_to_baseline(
         # (the churn-heavy social windows, where DRed degenerates by design
         # and the engine's guard rebuilds cold); those get the halving gate
         # only — the scenario's own in-test ceiling owns the absolute bound.
-        now, then = record.get("incremental_speedup"), base.get("incremental_speedup")
+        now = record.get("incremental_speedup")
+        then = weakest_speedup.get(record["id"].rsplit("@", 1)[0])
         if now is not None and then:
             floor = max(1.0, then * 0.5) if then >= 1.0 else then * 0.5
             if now < floor:
                 regressions.append(
                     f"{record['id']}: incremental_speedup {now}x vs baseline {then}x"
-                )
-        # pivots_skipped gates in *both* directions (schema v7 widened the
-        # historical drop-only gate).  A drop means the cost-based pivot
-        # selection stopped skipping (delta rounds probing pivots they should
-        # not) — invisible to the work counters above because skipped pivots
-        # produce no triggers or facts.  A *rise* is the mirror failure: the
-        # cost model refusing pivots it should probe, which silently shifts
-        # work onto full-relation scans that the trigger counters, measuring
-        # matches rather than probes, cannot see either.
-        now, then = record.get("pivots_skipped"), base.get("pivots_skipped")
-        if now is not None and then:
-            if now < then * (1 - threshold) and then - now > 50:
-                regressions.append(
-                    f"{record['id']}: pivots_skipped {now} vs baseline {then} "
-                    f"({(now / then - 1) * 100:.0f}%)"
-                )
-            elif now > then * (1 + threshold) and now - then > 50:
-                regressions.append(
-                    f"{record['id']}: pivots_skipped {now} vs baseline {then} "
-                    f"(+{(now / then - 1) * 100:.0f}%, over-skipping)"
-                )
-        # Schema v6: the concurrent-service columns.  p50 latency is wall
-        # clock, so it is speed-adjusted exactly like the scenario wall time;
-        # QPS gates downward (a throughput *drop* is the regression) with the
-        # inverse adjustment.  p99 is recorded but not gated.
-        now_lat, then_lat = record.get("latency_ms"), base.get("latency_ms")
-        if now_lat and then_lat and then_lat.get("p50"):
-            reference = then_lat["p50"] * speed_ratio
-            if (
-                now_lat["p50"] > reference * (1 + threshold)
-                and now_lat["p50"] - reference > min_delta * 1000
-            ):
-                regressions.append(
-                    f"{record['id']}: latency p50 {now_lat['p50']:.1f}ms vs "
-                    f"speed-adjusted baseline {reference:.1f}ms "
-                    f"(+{(now_lat['p50'] / reference - 1) * 100:.0f}%)"
-                )
-        now, then = record.get("qps"), base.get("qps")
-        if now is not None and then:
-            reference = then / speed_ratio
-            if now < reference * (1 - threshold) and reference - now > 1:
-                regressions.append(
-                    f"{record['id']}: qps {now:.1f} vs speed-adjusted baseline "
-                    f"{reference:.1f} ({(now / reference - 1) * 100:.0f}%)"
                 )
     return regressions
 
@@ -541,34 +427,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--baseline", default=None, help="baseline JSON to diff against (CI gate)"
     )
     parser.add_argument(
-        "--plan-cache",
-        default=None,
-        metavar="PATH",
-        help="persisted compiled-plan bundle: staged before the run (cold-start "
-        "scenarios skip rule compilation) and rewritten from this run's plan "
-        "cache afterwards",
-    )
-    parser.add_argument(
-        "--fail-threshold",
-        type=float,
-        default=0.25,
-        help="relative slowdown vs baseline that fails the gate (default 0.25)",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=2,
-        help="re-measure suspected wall-clock regressions in isolation this "
-        "many times before failing the gate (0 disables; counter regressions "
-        "are deterministic and unaffected)",
-    )
-    parser.add_argument(
         "--profile",
         default=None,
         metavar="PATH",
         help="enable per-plan step profiling and write hot-rule/hot-step "
-        "JSON here (profiled runs pay instrumentation overhead; never "
-        "combine with --baseline wall gating)",
+        "JSON here (profiled runs pay instrumentation overhead)",
     )
     args = parser.parse_args(argv)
 
@@ -579,12 +442,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if mode not in MODES:
             print(f"error: unknown mode {mode!r} (choose from {MODES})", file=sys.stderr)
             return 2
-
-    staged_plans = 0
-    if args.plan_cache:
-        staged_plans = plancache.load_plan_cache(args.plan_cache)
-        if staged_plans:
-            print(f"plan cache: staged {staged_plans} rule bundle(s) from {args.plan_cache}")
 
     runs = select_runs(discover_scenarios(), modes, args.only)
     if args.list:
@@ -635,10 +492,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "execution_modes": modes,
         "python": ".".join(map(str, sys.version_info[:3])),
         "scenario_count": len(results),
-        "plan_cache": {
-            "staged": staged_plans,
-            "hits": plancache.cache_hits(),
-        },
         "scenarios": results,
         "totals": {
             "wall_seconds_median_sum": round(
@@ -694,11 +547,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write("\n")
         print(f"wrote {os.path.relpath(output, os.getcwd())}")
 
-    if args.plan_cache:
-        saved = plancache.save_plan_cache(args.plan_cache)
-        print(f"plan cache: wrote {saved} rule bundle(s) to {args.plan_cache} "
-              f"({plancache.cache_hits()} rebuild hits this run)")
-
     if args.baseline:
         try:
             with open(args.baseline) as handle:
@@ -706,54 +554,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, json.JSONDecodeError) as error:
             print(f"error: cannot read baseline {args.baseline}: {error}", file=sys.stderr)
             return 2
-        regressions = compare_to_baseline(
-            results, baseline, args.fail_threshold, MIN_REGRESSION_SECONDS
-        )
+        regressions = compare_to_baseline(results, baseline)
         missing = {s["id"] for s in baseline.get("scenarios", [])} - {
             r["id"] for r in results
         }
         if args.only is None and missing:
             print(f"warning: {len(missing)} baseline scenarios did not run: "
                   + ", ".join(sorted(missing)[:5]))
-        if regressions and args.retries > 0:
-            # Wall-clock minima on a shared runner are vulnerable to
-            # sustained CPU-steal bursts that cover every repeat of the main
-            # pass (the suite-level speed ratio only corrects *uniform*
-            # slowness).  Before failing the gate, re-measure just the
-            # suspect records in isolation and keep the best observation —
-            # transient noise does not survive a second independent pass,
-            # a genuine regression does, and the deterministic counter gates
-            # cannot be masked because counters are identical run to run.
-            by_id = {f"{s['id']}@{m}": (s, m) for s, m in runs}
-            index_of = {r["id"]: i for i, r in enumerate(results)}
-            suspects = sorted(
-                {line.split(": ", 1)[0] for line in regressions} & by_id.keys()
-            )
-            for attempt in range(args.retries):
-                if not regressions:
-                    break
-                print(f"\n{len(regressions)} suspected regression(s); "
-                      f"re-measuring {len(suspects)} record(s) in isolation "
-                      f"(pass {attempt + 1}/{args.retries})...")
-                for rid in suspects:
-                    scenario, mode = by_id[rid]
-                    retry = run_scenario(scenario, warmup, repeats, mode)
-                    results[index_of[rid]] = merge_remeasure(
-                        results[index_of[rid]], retry
-                    )
-                regressions = compare_to_baseline(
-                    results, baseline, args.fail_threshold, MIN_REGRESSION_SECONDS
-                )
-                suspects = sorted(
-                    {line.split(": ", 1)[0] for line in regressions} & by_id.keys()
-                )
         if regressions:
             print(f"\nFAIL: {len(regressions)} regression(s) vs {args.baseline}:")
             for line in regressions:
                 print("  " + line)
             return 1
-        print(f"\nOK: no scenario regressed more than "
-              f"{args.fail_threshold * 100:.0f}% vs {args.baseline}")
+        print(f"\nOK: every gated counter equals {args.baseline}")
     return 0
 
 

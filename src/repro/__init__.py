@@ -27,7 +27,7 @@ fallback, read at first use.  See ``docs/api.md`` for the facade reference
 and the deprecation table.
 """
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 # -- the facade (start here) ------------------------------------------------
 from repro.api import Engine, EngineConfig, configure

@@ -40,7 +40,6 @@ from repro.datalog.program import Program
 from repro.datalog.semantics import evaluate_program
 from repro.engine import index as _index
 from repro.engine import mode as _mode
-from repro.engine.plancache import load_plan_cache, save_plan_cache
 
 _VALID_MODES = (None, "row", "batch")
 
@@ -57,32 +56,25 @@ class EngineConfig:
     ========================  ==============================  ================
     ``mode``                  ``REPRO_ENGINE_MODE``           ``"batch"``
     ``compact_ratio``         ``REPRO_COMPACT_RATIO``         ``0.5``
-    ``plan_cache``            —                               no persistence
     ========================  ==============================  ================
 
-    ``compact_ratio`` is the tombstone fraction above which
-    :meth:`DeltaSession.retract
+    ``mode`` selects the matcher behind the engines' one firing path (see
+    :mod:`repro.engine.mode`).  ``compact_ratio`` is the tombstone fraction
+    above which :meth:`DeltaSession.retract
     <repro.engine.incremental.DeltaSession.retract>` compacts a predicate's
     lanes (1.0 or higher disables compaction).
-
-    ``plan_cache`` is a filesystem path: compiled join plans are staged from
-    it when the engine is constructed (missing file = cold start) and written
-    back by :meth:`Engine.save_plan_cache`.
     """
 
     mode: Optional[str] = None
     compact_ratio: Optional[float] = None
-    plan_cache: Optional[str] = None
 
     def __post_init__(self):
         if self.mode not in _VALID_MODES:
             raise ValueError(
                 f"mode must be one of {_VALID_MODES[1:]} or None, got {self.mode!r}"
             )
-        if self.compact_ratio is not None and self.compact_ratio <= 0:
-            raise ValueError(
-                f"compact_ratio must be positive, got {self.compact_ratio}"
-            )
+        if self.compact_ratio is not None:
+            _index.checked_compact_ratio(self.compact_ratio, "compact_ratio")
 
     @classmethod
     def from_env(cls, environ=None) -> "EngineConfig":
@@ -95,7 +87,11 @@ class EngineConfig:
         environ = os.environ if environ is None else environ
         mode = environ.get("REPRO_ENGINE_MODE") or None
         ratio_raw = environ.get("REPRO_COMPACT_RATIO") or None
-        ratio = float(ratio_raw) if ratio_raw else None
+        ratio = (
+            _index.checked_compact_ratio(ratio_raw, "REPRO_COMPACT_RATIO")
+            if ratio_raw
+            else None
+        )
         return cls(mode=mode, compact_ratio=ratio)
 
     def with_overrides(self, **changes) -> "EngineConfig":
@@ -107,10 +103,9 @@ class Engine:
     """The library's front door: configure once, then evaluate/chase/serve.
 
     Construction applies the config to the process-global engine state (see
-    the module docstring for why it is global) and stages the plan cache if
-    one was named.  All methods accept programs as rule text or
-    :class:`~repro.datalog.program.Program` objects, mirroring the
-    module-level functions they supersede.
+    the module docstring for why it is global).  All methods accept programs
+    as rule text or :class:`~repro.datalog.program.Program` objects,
+    mirroring the module-level functions they supersede.
     """
 
     def __init__(self, config: Optional[EngineConfig] = None, **kwargs):
@@ -124,8 +119,6 @@ class Engine:
             _mode.set_execution_mode(self.config.mode)
         if self.config.compact_ratio is not None:
             _index.set_compact_ratio(self.config.compact_ratio)
-        if self.config.plan_cache is not None and os.path.exists(self.config.plan_cache):
-            load_plan_cache(self.config.plan_cache)
 
     # -- introspection -------------------------------------------------------
 
@@ -215,13 +208,6 @@ class Engine:
         return service
 
     # -- lifecycle -----------------------------------------------------------
-
-    def save_plan_cache(self, path: Optional[str] = None) -> int:
-        """Persist compiled join plans; returns the number written."""
-        target = path if path is not None else self.config.plan_cache
-        if target is None:
-            raise ValueError("no plan_cache path configured or given")
-        return save_plan_cache(target)
 
     def close(self) -> None:
         """A no-op: the engine holds no process-level resources.

@@ -25,6 +25,11 @@ Stratified grounded negation is evaluated against the lower strata exactly as
 in Step 1 of the Theorem 6.7 proof; constraints are checked against the final
 ground semantics as in Theorem 4.4.
 
+Triggers are fired from slot-ID rows
+(:meth:`~repro.engine.plan.CompiledRule.trigger_row_batches`) through
+precompiled ``RowOps`` templates — the one firing path every engine shares;
+the execution mode only selects the matcher behind those rows.
+
 The engine additionally records provenance (one justification per derived
 fact), which :mod:`repro.core.prooftree` unfolds into the proof trees of
 Definition 6.11 / Figure 1.
@@ -43,9 +48,8 @@ from repro.datalog.program import Program, Query
 from repro.datalog.rules import Rule
 from repro.datalog.semantics import INCONSISTENT, QueryResult
 from repro.datalog.stratification import partition_by_stratum, stratify
-from repro.datalog.terms import Constant, Null, Term, Variable
+from repro.datalog.terms import Constant, Null
 from repro.engine.interning import TERMS
-from repro.engine.mode import batch_enabled
 from repro.engine.plan import compile_rule
 from repro.engine.stats import STATS
 
@@ -161,60 +165,14 @@ class WardedEngine:
         fired = 0
         fired_existential_triggers: Set[Tuple[int, Tuple]] = set()
 
-        def process(rule_index: int, crule, substitution: Dict[Variable, Term], delta_sink: Instance) -> int:
-            nonlocal fired
-            rule = crule.rule
-            if crule.negation and crule.negation_blocked(
-                substitution, negation_reference
-            ):
-                return 0
-            if fired >= self.max_triggers:
-                raise RuntimeError(
-                    f"warded engine exceeded max_triggers={self.max_triggers}; "
-                    "the program/database pair is larger than expected"
-                )
-            if rule.existential_variables:
-                abstract = self._abstract_trigger(
-                    crule.sorted_frontier, substitution, null_types
-                )
-                key = (rule_index, abstract)
-                if key in fired_existential_triggers:
-                    return 0
-                fired_existential_triggers.add(key)
-                extension = dict(substitution)
-                for existential in crule.sorted_existentials:
-                    fresh = Null.fresh(existential.name.lower())
-                    extension[existential] = fresh
-                    null_types[fresh] = (rule_index, existential.name, abstract)
-                    STATS.nulls_invented += 1
-            else:
-                extension = substitution
-            added = 0
-            fired += 1
-            STATS.triggers_fired += 1
-            body_instantiation = None
-            for fact in crule.head_facts(extension):
-                if instance.add_fact(fact):
-                    delta_sink.add_fact(fact)
-                    added += 1
-                    if provenance is not None and fact not in provenance:
-                        # Provenance is only instantiated for genuinely new
-                        # facts; duplicate triggers skip the body application.
-                        if body_instantiation is None:
-                            body_instantiation = tuple(
-                                atom.apply(substitution) for atom in rule.body_positive
-                            )
-                        provenance[fact] = (rule, body_instantiation)
-            return added
-
         def process_rows(rule_index: int, crule, delta_sink: Instance, delta=None) -> None:
-            """Batch-mode firing: slot rows in, head facts out — no dicts.
+            """Fire one rule for one round: slot rows in, head facts out.
 
             Negation is pre-filtered in bulk against the frozen lower-strata
-            snapshot inside ``trigger_row_batches`` (equivalent to the row
-            path's per-trigger check because the reference cannot change
-            between match time and fire time); head facts, provenance bodies,
-            and the trigger abstraction all come from precompiled RowOps slot
+            snapshot inside ``trigger_row_batches`` (equivalent to a
+            per-trigger check because the reference cannot change between
+            match time and fire time); head facts, provenance bodies, and the
+            trigger abstraction all come from precompiled RowOps slot
             templates.
             """
             nonlocal fired
@@ -244,9 +202,9 @@ class WardedEngine:
                         fired_existential_triggers.add(key)
                         # The dedup key stays ID-based (fast, injective), but
                         # the *public* null_types record decodes the ground
-                        # markers so the field is mode-identical and free of
-                        # process-local IDs; this runs once per fired
-                        # existential trigger, not per row.
+                        # markers so the field is free of process-local IDs;
+                        # this runs once per fired existential trigger, not
+                        # per row.
                         decoded = self._decode_abstract(abstract)
                         fresh_ids = []
                         for existential in crule.sorted_existentials:
@@ -269,20 +227,14 @@ class WardedEngine:
                                     body_instantiation = ops.body_facts_row(row)
                                 provenance[fact] = (rule, body_instantiation)
 
-        # Body matching honours the process-wide execution mode; both paths
-        # (row and batch) produce triggers in the same order and invent nulls
-        # in ``sorted_existentials`` order, so the materialisation is
-        # identical atom for atom across modes.
-        use_batch = batch_enabled()
+        # Both matchers behind ``trigger_row_batches`` produce triggers in the
+        # same order and nulls are invented in ``sorted_existentials`` order,
+        # so the materialisation is identical atom for atom across modes.
 
         # Naive first round over the full instance.
         delta = Instance()
         for rule_index, crule in enumerate(compiled):
-            if use_batch:
-                process_rows(rule_index, crule, delta)
-            else:
-                for substitution in list(crule.substitutions(instance)):
-                    process(rule_index, crule, substitution, delta)
+            process_rows(rule_index, crule, delta)
 
         # Semi-naive delta rounds: the precompiled pivot plans read the pivot
         # atom's candidates from the delta and join the rest against the full
@@ -290,68 +242,20 @@ class WardedEngine:
         while len(delta):
             new_delta = Instance()
             for rule_index, crule in enumerate(compiled):
-                if use_batch:
-                    process_rows(rule_index, crule, new_delta, delta)
-                else:
-                    for substitution in list(
-                        crule.delta_substitutions(instance, delta)
-                    ):
-                        process(rule_index, crule, substitution, new_delta)
+                process_rows(rule_index, crule, new_delta, delta)
             delta = new_delta
         return fired
 
     # -- helpers ------------------------------------------------------------------
 
     @staticmethod
-    def _abstract_trigger(
-        frontier: Sequence[Variable],
-        substitution: Dict[Variable, Term],
-        null_types: Dict[Null, Tuple],
-    ) -> Tuple:
-        """The trigger abstraction: the frontier binding with nulls anonymised.
-
-        Only the frontier matters for what the invented null will look like
-        (non-frontier body variables never reach the head).  The key records,
-        for every frontier variable, either its ground value or — when the
-        value is a labelled null — an anonymous marker that only retains the
-        *equality pattern* among the frontier nulls of this trigger.  The
-        resulting key space is finite (polynomial in the active domain for a
-        fixed program), which is what bounds the number of existential
-        firings and yields the polynomial ground semantics of Theorem 6.7.
-
-        Anonymising null identities is justified by wardedness: a null can
-        only be joined with the remainder of a rule body through harmless
-        (ground) values, so two triggers that agree on their ground frontier
-        and on the null equality pattern generate isomorphic sub-instances and
-        therefore exactly the same *ground* consequences (the argument of
-        Lemma 6.6 read constructively).
-        """
-        return WardedEngine._abstract_items(
-            (variable.name, substitution.get(variable)) for variable in frontier
-        )
-
-    @staticmethod
-    def _abstract_items(named_values) -> Tuple:
-        """The abstraction over (variable name, term value) pairs (row mode)."""
-        items = []
-        first_seen: Dict[Null, int] = {}
-        for name, value in named_values:
-            if isinstance(value, Null):
-                if value not in first_seen:
-                    first_seen[value] = len(first_seen)
-                items.append((name, ("null", first_seen[value])))
-            else:
-                items.append((name, ("ground", str(value))))
-        return tuple(items)
-
-    @staticmethod
     def _decode_abstract(abstract: Tuple) -> Tuple:
-        """Decode an ID-keyed abstraction into the row-mode (spelling) form.
+        """Decode an ID-keyed abstraction into its public (spelling) form.
 
         Null markers are already ID-free (equality-pattern indexes); ground
         markers swap the process-local term ID for ``str(term)``, which is
-        what the row path records and what external consumers of
-        ``WardedResult.null_types`` can compare across modes and runs.
+        what external consumers of ``WardedResult.null_types`` can compare
+        across modes and runs.
         """
         return tuple(
             (name, marker if marker[0] == "null" else ("ground", str(TERMS.term(marker[1]))))
@@ -360,11 +264,27 @@ class WardedEngine:
 
     @staticmethod
     def _abstract_id_items(named_ids) -> Tuple:
-        """The abstraction over (variable name, term-ID) pairs (batch mode).
+        """The trigger abstraction: the frontier binding with nulls anonymised.
 
-        Ground markers key on the dictionary ID instead of the spelling —
-        injective within a process, so the dedup classes are exactly those
-        of :meth:`_abstract_items`, with the null test reduced to a bit op.
+        Takes (variable name, term-ID) pairs.  Only the frontier matters for
+        what the invented null will look like (non-frontier body variables
+        never reach the head).  The key records, for every frontier variable,
+        either its ground value or — when the value is a labelled null — an
+        anonymous marker that only retains the *equality pattern* among the
+        frontier nulls of this trigger.  The resulting key space is finite
+        (polynomial in the active domain for a fixed program), which is what
+        bounds the number of existential firings and yields the polynomial
+        ground semantics of Theorem 6.7.
+
+        Anonymising null identities is justified by wardedness: a null can
+        only be joined with the remainder of a rule body through harmless
+        (ground) values, so two triggers that agree on their ground frontier
+        and on the null equality pattern generate isomorphic sub-instances and
+        therefore exactly the same *ground* consequences (the argument of
+        Lemma 6.6 read constructively).
+
+        Ground markers key on the dictionary ID rather than the spelling —
+        injective within a process — and the null test is a bit op.
         """
         items = []
         first_seen: Dict[int, int] = {}

@@ -23,8 +23,11 @@ Rule bodies are evaluated through the shared join-plan core
 (:mod:`repro.engine`): each rule is compiled once into a
 :class:`~repro.engine.plan.CompiledRule` (selectivity-ordered joins, plan-time
 bound/free resolution, precompiled negation probes and head-satisfaction
-plans).  :func:`match_atoms` remains as the compatibility wrapper for callers
-that match ad-hoc atom sequences (constraint checks, analysis, tests).
+plans).  Both loops (cold and resume) fire from the slot-ID rows
+:meth:`~repro.engine.plan.JoinPlan.rows` returns — one firing path, whichever
+matcher the execution mode selects behind it.  :func:`match_atoms` remains as
+the wrapper for callers that match ad-hoc atom sequences into substitution
+dicts (constraint checks, goal-directed re-derivation, analysis, tests).
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from repro.datalog.program import Program
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Constant, Null, Term, Variable
 from repro.engine.interning import TERMS
-from repro.engine.mode import batch_enabled
 from repro.engine.plan import compile_body, compile_rule
 from repro.engine.stats import STATS
 from repro.obs.trace import TRACER
@@ -83,7 +85,7 @@ class ChaseState:
     #: Invention depth of every labelled null seen so far (inputs are 0),
     #: keyed by the null's dictionary-encoded term ID
     #: (:mod:`repro.engine.interning`) — a slot value tests as a null with
-    #: one bit operation in the batch trigger loops.
+    #: one bit operation in the trigger loops.
     null_depth: Dict[int, int] = field(default_factory=dict)
     #: Cumulative restricted-chase steps fired under this state (reporting
     #: only; the per-call budget does not read it).
@@ -117,8 +119,8 @@ def _term_key(value: Term) -> str:
     identically; a prefix-free encoding cannot alias.  Deterministic-null
     keys must be **content**-addressed — never ID-addressed — because term
     IDs depend on per-process interning order while the labels must stay
-    byte-stable across pushes, re-runs, and processes; batch-mode frontier
-    IDs are therefore decoded back to terms before keying.
+    byte-stable across pushes, re-runs, and processes; a trigger row's
+    frontier IDs are therefore decoded back to terms before keying.
     """
     if isinstance(value, Constant):
         return f"c{len(value.value)}:{value.value}"
@@ -250,21 +252,19 @@ class ChaseEngine:
                 null_depth.setdefault(tid, 0)
         compiled = [compile_rule(rule) for rule in program.rules]
 
-        # Body matching honours the process-wide execution mode; all paths
-        # materialise the trigger list for this round before firing and
-        # produce it in the same order, and all invent nulls in
-        # ``sorted_existentials`` order, so every mode builds the same
-        # instance atom for atom.  The batch path works on slot rows
-        # throughout (RowOps templates).  Negation stays a per-trigger check
-        # in every mode — not a batched pre-filter — because ``reference``
-        # may be the working instance itself, which mutates as triggers fire.
-        use_batch = batch_enabled()
-        return self._chase_loop(
-            instance, reference, compiled, null_depth, use_batch, state
-        )
+        # The trigger list for a round is materialised before firing
+        # (``JoinPlan.rows`` — the matcher behind it follows the process-wide
+        # execution mode and emits the same rows in the same order either
+        # way) and nulls are invented in ``sorted_existentials`` order, so
+        # every mode builds the same instance atom for atom.  The loop works
+        # on slot rows throughout (RowOps templates).  Negation stays a
+        # per-trigger check — not a batched pre-filter — because
+        # ``reference`` may be the working instance itself, which mutates as
+        # triggers fire.
+        return self._chase_loop(instance, reference, compiled, null_depth, state)
 
     def _chase_loop(
-        self, instance, reference, compiled, null_depth, use_batch, state=None
+        self, instance, reference, compiled, null_depth, state=None
     ) -> ChaseResult:
         steps = 0
         invented = 0
@@ -285,53 +285,28 @@ class ChaseEngine:
                 steps_before = steps
             for rule_index, crule in enumerate(compiled):
                 rule = crule.rule
-                if use_batch:
-                    triggers = crule.plan.run_batch(instance)
-                    ops = crule.row_ops(crule.plan)
-                else:
-                    triggers = list(crule.substitutions(instance))
-                    ops = None
+                triggers = crule.plan.rows(instance)
+                ops = crule.row_ops(crule.plan)
                 for trigger in triggers:
-                    if use_batch:
-                        if crule.negation and ops.negation_blocked_row(
-                            trigger, reference
-                        ):
-                            continue
-                        trigger_key = (rule_index, ops.binding_key(trigger))
-                    else:
-                        if crule.negation and crule.negation_blocked(
-                            trigger, reference
-                        ):
-                            continue
-                        trigger_key = (
-                            rule_index,
-                            tuple(
-                                sorted(
-                                    trigger.items(),
-                                    key=lambda item: item[0].name,
-                                )
-                            ),
-                        )
+                    if crule.negation and ops.negation_blocked_row(
+                        trigger, reference
+                    ):
+                        continue
+                    trigger_key = (rule_index, ops.binding_key(trigger))
                     if not self.restricted:
                         if trigger_key in fired:
                             continue
                     else:
-                        if use_batch:
-                            satisfied = self._head_satisfied_row(
-                                crule, ops, trigger, instance
-                            )
-                        else:
-                            satisfied = crule.head_satisfied(trigger, instance)
+                        satisfied = self._head_satisfied_row(
+                            crule, ops, trigger, instance
+                        )
                         if satisfied:
                             continue
                     # Resource accounting.
                     if steps >= self.max_steps:
                         limit_reason = f"max_steps={self.max_steps} exceeded"
                         break
-                    if use_batch:
-                        depth = self._values_depth_ids(trigger, null_depth)
-                    else:
-                        depth = self._values_depth(trigger.values(), null_depth)
+                    depth = self._values_depth_ids(trigger, null_depth)
                     if (
                         self.max_null_depth is not None
                         and rule.has_existentials
@@ -344,49 +319,27 @@ class ChaseEngine:
                             raise ChaseNonTermination(limit_reason)
                         continue
                     added = 0
-                    if use_batch:
-                        if signatures is not None and crule.sorted_existentials:
-                            frontier = TERMS.decode(
-                                trigger[slot] for _, slot in ops.frontier_slots
-                            )
-                        else:
-                            frontier = ()
-                        fresh_ids = []
-                        for existential in crule.sorted_existentials:
-                            if signatures is None:
-                                fresh = Null.fresh(existential.name.lower())
-                            else:
-                                fresh = self._fresh_null(
-                                    signatures[rule_index], frontier, existential
-                                )
-                            nid = TERMS.intern_term(fresh)
-                            fresh_ids.append(nid)
-                            null_depth[nid] = depth + 1
-                            invented += 1
-                        for key in ops.head_keys_row(trigger + tuple(fresh_ids)):
-                            if instance.add_key(key) is not None:
-                                added += 1
+                    if signatures is not None and crule.sorted_existentials:
+                        frontier = TERMS.decode(
+                            trigger[slot] for _, slot in ops.frontier_slots
+                        )
                     else:
-                        extension = dict(trigger)
-                        if signatures is not None and crule.sorted_existentials:
-                            frontier = tuple(
-                                trigger[variable] for variable in crule.sorted_frontier
-                            )
+                        frontier = ()
+                    fresh_ids = []
+                    for existential in crule.sorted_existentials:
+                        if signatures is None:
+                            fresh = Null.fresh(existential.name.lower())
                         else:
-                            frontier = ()
-                        for existential in crule.sorted_existentials:
-                            if signatures is None:
-                                fresh = Null.fresh(existential.name.lower())
-                            else:
-                                fresh = self._fresh_null(
-                                    signatures[rule_index], frontier, existential
-                                )
-                            extension[existential] = fresh
-                            null_depth[TERMS.intern_term(fresh)] = depth + 1
-                            invented += 1
-                        for fact in crule.head_facts(extension):
-                            if instance.add_fact(fact):
-                                added += 1
+                            fresh = self._fresh_null(
+                                signatures[rule_index], frontier, existential
+                            )
+                        nid = TERMS.intern_term(fresh)
+                        fresh_ids.append(nid)
+                        null_depth[nid] = depth + 1
+                        invented += 1
+                    for key in ops.head_keys_row(trigger + tuple(fresh_ids)):
+                        if instance.add_key(key) is not None:
+                            added += 1
                     fired.add(trigger_key)
                     steps += 1
                     STATS.triggers_fired += 1
@@ -469,20 +422,19 @@ class ChaseEngine:
         signatures = (
             [_rule_signature(crule.rule) for crule in compiled] if self.deterministic_nulls else None
         )
-        use_batch = batch_enabled()
         return self._resume_loop(
-            instance, reference, compiled, signatures, state, use_batch, delta
+            instance, reference, compiled, signatures, state, delta
         )
 
     def _resume_loop(
-        self, instance, reference, compiled, signatures, state, use_batch, delta
+        self, instance, reference, compiled, signatures, state, delta
     ) -> ChaseResult:
-        # The per-trigger core below deliberately mirrors _chase_loop's (in
-        # both executor flavours) rather than sharing a helper: the cold
-        # chase is the hottest interpreted loop in the library and a
-        # per-trigger function call there is measurable.  A semantic change
-        # to negation/head-satisfaction/budget/null-invention handling must
-        # be applied to both loops — the incremental parity suite
+        # The per-trigger core below deliberately mirrors _chase_loop's
+        # rather than sharing a helper: the cold chase is the hottest
+        # interpreted loop in the library and a per-trigger function call
+        # there is measurable.  A semantic change to negation /
+        # head-satisfaction / budget / null-invention handling must be
+        # applied to both loops — the incremental parity suite
         # (tests/test_engine_incremental_parity.py) is the tripwire.
         steps = 0
         null_depth = state.null_depth
@@ -499,70 +451,20 @@ class ChaseEngine:
             new_delta = Instance()
             for rule_index, crule in enumerate(compiled):
                 rule = crule.rule
-                if use_batch:
-                    batches = crule.trigger_row_batches(instance, delta, None)
-                    for plan, rows in batches:
-                        ops = crule.row_ops(plan)
-                        for trigger in rows:
-                            if crule.negation and ops.negation_blocked_row(
-                                trigger, reference
-                            ):
-                                continue
-                            if self._head_satisfied_row(crule, ops, trigger, instance):
-                                continue
-                            if steps >= self.max_steps:
-                                limit_reason = f"max_steps={self.max_steps} exceeded"
-                                break
-                            depth = self._values_depth_ids(trigger, null_depth)
-                            if (
-                                self.max_null_depth is not None
-                                and rule.has_existentials
-                                and depth + 1 > self.max_null_depth
-                            ):
-                                limit_reason = (
-                                    f"max_null_depth={self.max_null_depth} exceeded"
-                                )
-                                if self.on_limit == "raise":
-                                    raise ChaseNonTermination(limit_reason)
-                                continue
-                            if signatures is not None and crule.sorted_existentials:
-                                frontier = TERMS.decode(
-                                    trigger[slot] for _, slot in ops.frontier_slots
-                                )
-                            else:
-                                frontier = ()
-                            fresh_ids = []
-                            for existential in crule.sorted_existentials:
-                                if signatures is None:
-                                    fresh = Null.fresh(existential.name.lower())
-                                else:
-                                    fresh = self._fresh_null(
-                                        signatures[rule_index], frontier, existential
-                                    )
-                                nid = TERMS.intern_term(fresh)
-                                fresh_ids.append(nid)
-                                null_depth[nid] = depth + 1
-                                invented += 1
-                            steps += 1
-                            STATS.triggers_fired += 1
-                            for key in ops.head_keys_row(trigger + tuple(fresh_ids)):
-                                atom = instance.add_key(key)
-                                if atom is not None:
-                                    new_delta.add_fact(atom)
-                        if limit_reason:
-                            break
-                else:
-                    for trigger in list(crule.delta_substitutions(instance, delta)):
-                        if crule.negation and crule.negation_blocked(
+                batches = crule.trigger_row_batches(instance, delta, None)
+                for plan, rows in batches:
+                    ops = crule.row_ops(plan)
+                    for trigger in rows:
+                        if crule.negation and ops.negation_blocked_row(
                             trigger, reference
                         ):
                             continue
-                        if crule.head_satisfied(trigger, instance):
+                        if self._head_satisfied_row(crule, ops, trigger, instance):
                             continue
                         if steps >= self.max_steps:
                             limit_reason = f"max_steps={self.max_steps} exceeded"
                             break
-                        depth = self._values_depth(trigger.values(), null_depth)
+                        depth = self._values_depth_ids(trigger, null_depth)
                         if (
                             self.max_null_depth is not None
                             and rule.has_existentials
@@ -574,13 +476,13 @@ class ChaseEngine:
                             if self.on_limit == "raise":
                                 raise ChaseNonTermination(limit_reason)
                             continue
-                        extension = dict(trigger)
                         if signatures is not None and crule.sorted_existentials:
-                            frontier = tuple(
-                                trigger[variable] for variable in crule.sorted_frontier
+                            frontier = TERMS.decode(
+                                trigger[slot] for _, slot in ops.frontier_slots
                             )
                         else:
                             frontier = ()
+                        fresh_ids = []
                         for existential in crule.sorted_existentials:
                             if signatures is None:
                                 fresh = Null.fresh(existential.name.lower())
@@ -588,14 +490,18 @@ class ChaseEngine:
                                 fresh = self._fresh_null(
                                     signatures[rule_index], frontier, existential
                                 )
-                            extension[existential] = fresh
-                            null_depth[TERMS.intern_term(fresh)] = depth + 1
+                            nid = TERMS.intern_term(fresh)
+                            fresh_ids.append(nid)
+                            null_depth[nid] = depth + 1
                             invented += 1
                         steps += 1
                         STATS.triggers_fired += 1
-                        for fact in crule.head_facts(extension):
-                            if instance.add_fact(fact):
-                                new_delta.add_fact(fact)
+                        for key in ops.head_keys_row(trigger + tuple(fresh_ids)):
+                            atom = instance.add_key(key)
+                            if atom is not None:
+                                new_delta.add_fact(atom)
+                    if limit_reason:
+                        break
                 if limit_reason:
                     break
             delta = new_delta
@@ -629,7 +535,7 @@ class ChaseEngine:
 
     @staticmethod
     def _head_satisfied_row(crule, ops, row, instance) -> bool:
-        """Row-level restricted-chase head check (batch mode).
+        """Row-level restricted-chase head check.
 
         Existential-free heads reduce to encoded-key membership of the
         instantiated head atoms (no Atom built); existential heads seed the
@@ -646,7 +552,8 @@ class ChaseEngine:
 
     @staticmethod
     def _values_depth(values, null_depth: Dict[int, int]) -> int:
-        """Max invention depth over term values (the row-mode trigger path)."""
+        """Max invention depth over term values (substitution-dict triggers:
+        :class:`~repro.engine.incremental.DeltaSession`'s chase re-firing)."""
         depth = 0
         for value in values:
             if isinstance(value, Null):

@@ -19,20 +19,23 @@ precompiled pivot plans against the delta's index, and the lower-strata
 negation reference is a frozen :meth:`~repro.datalog.database.Instance.snapshot`
 rather than a full copy.
 
-Two executor modes (:mod:`repro.engine.mode`) share the same plans: the
-row-at-a-time backtracker and the column-at-a-time batch executor, which
-fetches one bulk index probe per distinct probe key per step and filters
-negation in bulk against the frozen snapshot.  Matches arrive in the same
-order in both modes, so results and counters are mode-independent.  Delta
-rounds additionally skip pivots whose delta postings bucket is empty for a
-*bound* term of the pivot atom (not just pivots whose predicate is absent
-from the delta) — counted in ``STATS.pivots_skipped``.
+There is one firing path: matches arrive as slot-ID rows
+(:meth:`~repro.engine.plan.CompiledRule.trigger_row_batches`), negation is
+filtered in bulk against the frozen snapshot, and head facts are built from
+precompiled ``RowOps`` templates.  Which matcher produced the rows — the
+depth-first backtracker or the column-at-a-time batch matcher — is decided
+inside :meth:`~repro.engine.plan.JoinPlan.rows` (:mod:`repro.engine.mode`);
+both emit the same rows in the same order, so results and counters are
+mode-independent.  Delta rounds additionally skip pivots whose delta
+postings bucket is empty for a *bound* term of the pivot atom (not just
+pivots whose predicate is absent from the delta) — counted in
+``STATS.pivots_skipped``.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Iterable, Iterator, List, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 from repro.datalog.atoms import Atom
 from repro.datalog.chase import match_atoms
@@ -40,8 +43,6 @@ from repro.datalog.database import Instance
 from repro.datalog.program import Program
 from repro.datalog.rules import RuleError
 from repro.datalog.stratification import partition_by_stratum, stratify
-from repro.datalog.terms import Term, Variable
-from repro.engine.mode import batch_enabled
 from repro.engine.plan import compile_rule
 from repro.engine.stats import STATS
 from repro.obs.trace import TRACER
@@ -124,15 +125,11 @@ class SemiNaiveEvaluator:
         is sound because a stratified program never derives a negated
         predicate in the same or a higher stratum.
         """
-        use_batch = batch_enabled()
-
         # First round: plain naive pass so that rules whose bodies are fully
         # satisfied by lower strata fire at least once.
         delta = Instance()
         for crule in compiled:
-            self._fire_rule(
-                crule, instance, negation_reference, delta, None, use_batch
-            )
+            self._fire_rule(crule, instance, negation_reference, delta, None)
 
         # Delta rounds: at least one body atom must come from the last delta.
         self._delta_rounds(compiled, instance, delta, negation_reference)
@@ -145,67 +142,42 @@ class SemiNaiveEvaluator:
         negation_reference,
     ) -> int:
         """Run delta rounds until the fixpoint; returns the round count."""
-        use_batch = batch_enabled()
         rounds = 0
         while len(delta):
             rounds += 1
             new_delta = Instance()
             for crule in compiled:
                 self._fire_rule(
-                    crule,
-                    instance,
-                    negation_reference,
-                    new_delta,
-                    delta,
-                    use_batch,
+                    crule, instance, negation_reference, new_delta, delta
                 )
             delta = new_delta
         return rounds
 
     @staticmethod
-    def _fire_rule(
-        crule, instance, negation_reference, delta_sink, delta, use_batch
-    ) -> None:
+    def _fire_rule(crule, instance, negation_reference, delta_sink, delta) -> None:
         """Match and fire one rule for one round (naive when ``delta`` is None).
 
-        Trigger lists are materialised per rule before firing in every mode
-        (the batch executor inherently computes whole match lists), so each
-        evaluation point sees the same instance state regardless of mode and
-        the executors stay trigger-for-trigger identical.  The batch path
-        fires head facts directly from slot rows (precompiled RowOps
-        templates); the row path goes through substitution dicts.
+        The trigger list is materialised per rule before firing, so each
+        evaluation point sees the same instance state whichever matcher
+        produced the rows.  Head facts are fired directly from slot rows
+        (precompiled RowOps templates).
         """
         traced = TRACER.enabled
         if traced:
             trace_start = time.perf_counter_ns()
-        if use_batch:
-            batches = crule.trigger_row_batches(instance, delta, negation_reference)
-            add_key = instance.add_key
-            sink_add = delta_sink.add_fact
-            for plan, rows in batches:
-                head_keys_row = crule.row_ops(plan).head_keys_row
-                for row in rows:
-                    STATS.triggers_fired += 1
-                    for key in head_keys_row(row):
-                        # Encoded dedup first; the Atom is only decoded for
-                        # genuinely new facts (the result boundary).
-                        atom = add_key(key)
-                        if atom is not None:
-                            sink_add(atom)
-        else:
-            if delta is None:
-                found = list(crule.substitutions(instance))
-            else:
-                found = list(crule.delta_substitutions(instance, delta))
-            for substitution in found:
-                if crule.negation and crule.negation_blocked(
-                    substitution, negation_reference
-                ):
-                    continue
+        batches = crule.trigger_row_batches(instance, delta, negation_reference)
+        add_key = instance.add_key
+        sink_add = delta_sink.add_fact
+        for plan, rows in batches:
+            head_keys_row = crule.row_ops(plan).head_keys_row
+            for row in rows:
                 STATS.triggers_fired += 1
-                for fact in crule.head_facts(substitution):
-                    if instance.add_fact(fact):
-                        delta_sink.add_fact(fact)
+                for key in head_keys_row(row):
+                    # Encoded dedup first; the Atom is only decoded for
+                    # genuinely new facts (the result boundary).
+                    atom = add_key(key)
+                    if atom is not None:
+                        sink_add(atom)
         if traced:
             TRACER.record(
                 "seminaive.rule",
@@ -213,20 +185,3 @@ class SemiNaiveEvaluator:
                 head=crule.rule.head[0].predicate,
                 naive=delta is None,
             )
-
-    @staticmethod
-    def _match_with_pivot(
-        atoms: Sequence[Atom],
-        pivot: int,
-        delta: Instance,
-        instance: Instance,
-    ) -> Iterator[Dict[Variable, Term]]:
-        """Homomorphisms where the ``pivot``-th atom maps into ``delta``.
-
-        Retained for API compatibility; the evaluator itself now runs the
-        precompiled pivot plans of :class:`~repro.engine.plan.CompiledRule`.
-        """
-        from repro.engine.plan import compile_pivot
-
-        plan = compile_pivot(tuple(atoms), pivot)
-        return plan.execute(instance, None, delta_source=delta)

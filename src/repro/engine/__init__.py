@@ -25,15 +25,17 @@ package instead of re-deriving join strategy per call:
   a constant check, a bound-slot check, or a slot binding (this covers
   repeated variables), negated atoms become precompiled membership probes,
   and semi-naive pivots get one dedicated plan per body atom.
-* Each plan has **two executors** selected by :mod:`repro.engine.mode`
-  (the ``REPRO_ENGINE_MODE`` env var, or :func:`set_execution_mode`): the
-  row-at-a-time depth-first backtracker (``JoinPlan.execute``) and the
-  column-at-a-time batch executor (:mod:`repro.engine.batch`,
+* Engines fire triggers one way — from the slot-ID rows
+  ``JoinPlan.rows`` returns, through precompiled ``RowOps`` templates — and
+  each plan has **two matchers** that can produce those rows, selected
+  inside ``rows`` by :mod:`repro.engine.mode` (the ``REPRO_ENGINE_MODE`` env
+  var, or :func:`set_execution_mode`): the depth-first backtracker
+  (``JoinPlan._run``, also behind ``execute`` / ``exists`` in both modes)
+  and the column-at-a-time batch matcher (:mod:`repro.engine.batch`,
   ``JoinPlan.run_batch``, the default) that extends a whole batch of partial
-  matches per step, sharing one bulk index probe per distinct probe key and
-  filtering negation in bulk against frozen snapshot views.  Both produce the
-  same matches in the same order, so results and counters are
-  mode-independent.
+  matches per step, sharing one bulk index probe per distinct probe key.
+  Both produce the same matches in the same order, so results and counters
+  are mode-independent.
 * :mod:`repro.engine.stats` exposes the counters (facts added, triggers
   fired, nulls invented, pivots skipped, batch probe groups) that
   ``benchmarks/harness.py`` samples per scenario and per execution mode.
@@ -52,7 +54,6 @@ from repro.engine.mode import (
     set_execution_mode,
 )
 from repro.engine.plan import CompiledRule, JoinPlan, compile_body, compile_rule
-from repro.engine.plancache import load_plan_cache, save_plan_cache
 from repro.engine.stats import STATS, EngineStats
 
 # The incremental streaming subsystem builds *on top of* the datalog layer
@@ -88,7 +89,5 @@ __all__ = [
     "execution_mode",
     "get_execution_mode",
     "is_null_id",
-    "load_plan_cache",
-    "save_plan_cache",
     "set_execution_mode",
 ]

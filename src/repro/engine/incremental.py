@@ -39,8 +39,11 @@ delta discipline *across* runs:
   chase sessions agree byte-identically whenever the cold run fires the same
   triggers, and always agree on the ground fact set and on query answers
   (both results are universal models of the same database and program).
-* **Execution modes.**  Continuations run through the same row and batch
-  executors as cold runs (:mod:`repro.engine.mode`).
+* **Execution modes.**  Continuations and over-deletion fire from the same
+  slot-row path as cold runs; the execution mode (:mod:`repro.engine.mode`)
+  only selects the matcher behind :meth:`~repro.engine.plan.JoinPlan.rows`.
+  Goal-directed re-derivation matches through the seeded depth-first
+  matcher (``match_atoms``) in both modes.
 
 * **Deletions** go through :meth:`DeltaSession.retract`, a DRed
   (delete-and-rederive, Gupta–Mumick–Subrahmanian) maintenance pass:
@@ -48,7 +51,7 @@ delta discipline *across* runs:
   1. **Over-delete.**  On the pre-deletion instance, the downward closure of
      the retracted EDB facts is *marked* per stratum ascending — every fact
      some rule match derives from at least one marked fact, enumerated with
-     the same pivot plans (and the same executors) the insertion path uses.
+     the same pivot plans (and the same matchers) the insertion path uses.
      For existential rules the invented null of a candidate trigger is
      reconstructed from its content-addressed label; a label the term table
      has never seen proves the trigger never fired, so nothing downstream of
@@ -85,7 +88,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.atoms import Atom, unify_with_fact
 from repro.datalog.chase import ChaseEngine, ChaseState, _rule_signature, match_atoms
@@ -97,7 +100,6 @@ from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Term
 from repro.engine.index import _COMPACT_MIN_ROWS, compact_ratio
 from repro.engine.interning import TERMS
-from repro.engine.mode import batch_enabled
 from repro.engine.plan import compile_rule
 from repro.engine.stats import STATS
 from repro.obs.trace import TRACER
@@ -772,15 +774,13 @@ class DeltaSession:
         :meth:`_retract_degenerate`.  The abort is mode-identical because the
         marking order is.
 
-        The returned insertion-ordered dict is mode-identical: batch rows
-        arrive in row order per the executor contract, and the row path
-        enumerates the same triggers in the same depth-first order.
+        The returned insertion-ordered dict is mode-identical: both matchers
+        emit the trigger rows in the same depth-first order.
         """
         marked: Dict[Atom, None] = dict.fromkeys(seeds)
         threshold = len(self.instance) // 2
         if len(marked) > threshold:
             return None
-        use_batch = batch_enabled()
         reference = self.instance.snapshot()
         for stratum in range(first, stop):
             compiled = self.compiled_strata[stratum]
@@ -792,49 +792,33 @@ class DeltaSession:
             while len(delta):
                 sink = Instance()
                 for crule in compiled:
-                    self._overdelete_rule(
-                        crule, delta, reference, marked, sink, use_batch
-                    )
+                    self._overdelete_rule(crule, delta, reference, marked, sink)
                 if len(marked) > threshold:
                     return None
                 delta = sink
         return marked
 
-    def _overdelete_rule(
-        self, crule, delta, reference, marked, sink, use_batch
-    ) -> None:
+    def _overdelete_rule(self, crule, delta, reference, marked, sink) -> None:
         """One rule's over-deletion round: mark every currently-materialised
         head fact of a trigger that reads at least one marked fact.
 
-        Mirrors ``SemiNaiveEvaluator._fire_rule``'s mode split so the trigger
-        enumeration order (and hence the marked-dict insertion order) is
+        Enumerates triggers exactly as ``SemiNaiveEvaluator._fire_rule`` does,
+        so the trigger order (and hence the marked-dict insertion order) is
         byte-identical across row and batch sessions.
         """
-        if use_batch:
-            batches = crule.trigger_row_batches(self.instance, delta, reference)
-            for plan, rows in batches:
-                ops = crule.row_ops(plan)
-                for row in rows:
-                    extended = self._extend_row(crule, ops, row)
-                    if extended is None:
-                        continue
-                    for key in ops.head_keys_row(extended):
-                        if self.instance.has_key(key):
-                            atom = TERMS.decode_atom(key)
-                            if atom not in marked:
-                                marked[atom] = None
-                                sink.add_fact(atom)
-            return
-        for trigger in list(crule.delta_substitutions(self.instance, delta)):
-            if crule.negation and crule.negation_blocked(trigger, reference):
-                continue
-            extension = self._extend_subst(crule, trigger)
-            if extension is None:
-                continue
-            for fact in crule.head_facts(extension):
-                if fact in self.instance and fact not in marked:
-                    marked[fact] = None
-                    sink.add_fact(fact)
+        batches = crule.trigger_row_batches(self.instance, delta, reference)
+        for plan, rows in batches:
+            ops = crule.row_ops(plan)
+            for row in rows:
+                extended = self._extend_row(crule, ops, row)
+                if extended is None:
+                    continue
+                for key in ops.head_keys_row(extended):
+                    if self.instance.has_key(key):
+                        atom = TERMS.decode_atom(key)
+                        if atom not in marked:
+                            marked[atom] = None
+                            sink.add_fact(atom)
 
     def _extend_row(self, crule, ops, row):
         """Extend an over-deletion trigger row with the nulls its chase firing
@@ -858,22 +842,6 @@ class DeltaSession:
                 return None
             fresh_ids.append(tid)
         return row + tuple(fresh_ids)
-
-    def _extend_subst(self, crule, trigger):
-        """Row-mode sibling of :meth:`_extend_row`: extend a substitution with
-        the digest nulls of its hypothetical firing, or ``None`` if any label
-        was never interned (the trigger never fired)."""
-        if not crule.sorted_existentials:
-            return trigger
-        signature = _rule_signature(crule.rule)
-        frontier = tuple(trigger[v] for v in crule.sorted_frontier)
-        extension = dict(trigger)
-        for existential in crule.sorted_existentials:
-            null = self.chase_engine._fresh_null(signature, frontier, existential)
-            if TERMS.find_null(null.label) is None:
-                return None
-            extension[existential] = null
-        return extension
 
     def _rederive_stratum(self, stratum: int, marked: Dict[Atom, None]) -> int:
         """Phase 3 for one stratum: reinsert surviving EDB, goal-directedly

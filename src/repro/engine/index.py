@@ -94,19 +94,33 @@ def compact_ratio() -> float:
     global _compact_ratio
     if _compact_ratio is None:
         raw = os.environ.get("REPRO_COMPACT_RATIO")
-        try:
-            _compact_ratio = float(raw) if raw is not None else 0.5
-        except ValueError:
-            _compact_ratio = 0.5
+        _compact_ratio = (
+            checked_compact_ratio(raw, "REPRO_COMPACT_RATIO") if raw else 0.5
+        )
     return _compact_ratio
+
+
+def checked_compact_ratio(value, name: str) -> float:
+    """``value`` as a compaction ratio, or ``ValueError`` naming ``name``.
+
+    The one validator behind every way a ratio enters the process — the
+    ``REPRO_COMPACT_RATIO`` variable (at first use), :func:`set_compact_ratio`
+    and ``EngineConfig.compact_ratio``: a typo in the variable must fail
+    loudly, not silently stop the forced-compaction CI leg from compacting.
+    """
+    try:
+        ratio = float(value)
+    except (TypeError, ValueError):
+        ratio = None
+    if ratio is None or not ratio > 0:
+        raise ValueError(f"{name} must be a positive number, got {value!r}")
+    return ratio
 
 
 def set_compact_ratio(ratio: float) -> None:
     """Pin the compaction trigger ratio for this process (tests, EngineConfig)."""
-    if ratio <= 0:
-        raise ValueError(f"compact ratio must be positive, got {ratio!r}")
     global _compact_ratio
-    _compact_ratio = float(ratio)
+    _compact_ratio = checked_compact_ratio(ratio, "compact ratio")
 
 
 class PredicateIndex:

@@ -1,19 +1,23 @@
 """Process-wide execution-mode switch: row or batch.
 
-Every engine (chase, semi-naive, warded) evaluates rule bodies through the
-compiled :class:`~repro.engine.plan.JoinPlan`; this module selects *how* those
-plans are executed:
+Every engine (chase, semi-naive, warded, incremental) fires triggers one way:
+from the slot-ID rows :meth:`JoinPlan.rows <repro.engine.plan.JoinPlan.rows>`
+returns.  This module selects which **matcher** computes those rows, and
+``JoinPlan.rows`` is the only code that asks (:func:`batch_enabled`) — no
+engine module branches on the mode:
 
-* ``"row"`` — the depth-first backtracking executor (``JoinPlan._run``): one
-  candidate row id at a time, one substitution yielded per match.
-* ``"batch"`` — the column-at-a-time executor (:mod:`repro.engine.batch`):
+* ``"row"`` — the depth-first backtracking matcher (``JoinPlan._run``): one
+  candidate row id at a time, each complete match copied out as a slot
+  tuple; no intermediate join result is ever materialised.
+* ``"batch"`` — the column-at-a-time matcher (:mod:`repro.engine.batch`):
   each plan step consumes and produces a whole batch of partial slot tuples,
-  probe lookups are shared across all rows with equal probe keys, and
-  negation is checked in bulk against the frozen snapshot reference.
+  and probe lookups are shared across all rows with equal probe keys.
 
-Both executors produce the same matches **in the same order** (batch emits
-row-major, candidates ascending — exactly the depth-first order), so engine
-results, invented-null sequences, and the mode-independent
+The depth-first matcher also serves ``JoinPlan.execute`` / ``exists``
+(head-satisfaction checks, constraints, goal-directed re-derivation) in
+*both* modes.  Both matchers produce the same matches **in the same order**
+(batch emits row-major, candidates ascending — exactly the depth-first
+order), so engine results, invented-null sequences, and the mode-independent
 :mod:`~repro.engine.stats` counters are identical in either mode; the
 differential suite in ``tests/test_engine_batch_parity.py`` locks this in.
 
@@ -23,7 +27,7 @@ explicit setting has been made.  An explicit :func:`set_execution_mode` call
 (or the :class:`repro.EngineConfig` facade, which goes through it) always
 wins, regardless of import order, and ``os.environ`` changes made before
 first use are honoured.  The default mode is ``"batch"``
-(``REPRO_ENGINE_MODE=row`` selects the row-at-a-time executor).
+(``REPRO_ENGINE_MODE=row`` selects the depth-first matcher).
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ def get_execution_mode() -> str:
 
 
 def set_execution_mode(mode: str) -> None:
-    """Select the executor every engine uses from now on in this process."""
+    """Select the matcher behind every engine's rows from now on in this process."""
     global _mode
     if mode not in _VALID:
         raise ValueError(f"execution mode must be one of {_VALID}, got {mode!r}")
@@ -69,7 +73,7 @@ def set_execution_mode(mode: str) -> None:
 
 
 def batch_enabled() -> bool:
-    """True iff engines should run plans column-at-a-time."""
+    """True iff ``JoinPlan.rows`` should match column-at-a-time."""
     return get_execution_mode() != ROW
 
 

@@ -24,7 +24,7 @@ resolves it **once** at plan time:
   postings bucket among them.
 * **Negation** — each negated atom (ground under any full body match, by
   rule safety) compiles to a membership template evaluated directly against
-  the negation reference — at the encoded-key level on the batch paths.
+  the negation reference — at the encoded-key level on the firing path.
 * **Pivots** — for semi-naive delta joins, :func:`compile_rule` prepares one
   plan per body atom with that atom forced first; the executor reads the
   first step's candidates from the delta and the rest from the full
@@ -35,16 +35,23 @@ resolves it **once** at plan time:
   that probed position (the per-round bound-value summaries of
   :meth:`~repro.engine.index.PredicateIndex.distinct_values`).
 
+* **Matchers** — a plan has two: the depth-first backtracker
+  (:meth:`JoinPlan._run`, behind ``execute`` / ``exists``) and the
+  column-at-a-time batch matcher (:meth:`JoinPlan.run_batch`,
+  :mod:`repro.engine.batch`).  They produce the same matches in the same
+  order.  Engines never choose between them: they fire from the slot rows
+  :meth:`JoinPlan.rows` returns, and ``rows`` is the **one place** the
+  process-wide execution mode (:mod:`repro.engine.mode`) is consulted.
+
 Slot values are integers (term IDs) throughout execution; decoding back to
 :class:`~repro.datalog.terms.Term` objects happens only when substitution
-dicts leave the executor (:meth:`JoinPlan.execute`, the row-mode engine
-surface) or when head facts are genuinely new (the result boundary).
+dicts leave the matcher (:meth:`JoinPlan.execute` — ad-hoc matching,
+constraint checks, goal-directed re-derivation) or when head facts are
+genuinely new (the result boundary).
 
-Plans are cached (bodies and rules are hashable), so constraint checks and
-repeated engine runs over the same program compile nothing after the first
-call.  :mod:`repro.engine.plancache` can pre-stage serialised plan bundles
-for fixed programs; :func:`compile_rule` consults the staging area before
-compiling from scratch.
+Plans are cached in memory (bodies and rules are hashable), so constraint
+checks and repeated engine runs over the same program compile nothing after
+the first call.
 """
 
 from __future__ import annotations
@@ -57,6 +64,7 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Term, Variable
 from repro.engine import interning
 from repro.engine.interning import TERMS
+from repro.engine.mode import batch_enabled
 from repro.engine.stats import active_stats
 from repro.obs.profile import PROFILER
 
@@ -107,9 +115,11 @@ class JoinPlan:
 
     ``execute`` yields one substitution dict per homomorphism of the body
     into the instance, exactly as the legacy matcher did (term objects are
-    decoded at that boundary); ``run_batch`` returns the raw ID rows the
-    batch engines fire from; ``exists`` is the allocation-free boolean
-    variant used for head-satisfaction and constraint checks.
+    decoded at that boundary); ``rows`` returns the raw ID rows every engine
+    fires from, computed by whichever matcher the execution mode selects
+    (``run_batch`` is the explicit batch matcher); ``exists`` is the
+    allocation-free boolean variant used for head-satisfaction and
+    constraint checks.
     """
 
     __slots__ = (
@@ -188,6 +198,23 @@ class JoinPlan:
                         ],
                     )
                 )
+
+    def rows(
+        self,
+        source,
+        initial: Optional[Dict[Variable, Term]] = None,
+        delta_source=None,
+    ) -> List[Tuple[int, ...]]:
+        """All homomorphisms as full slot-ID tuples, by the mode's matcher.
+
+        The engine-facing entry point and the only reader of the execution
+        mode: ``row`` runs the depth-first backtracker (never materialising
+        an intermediate join result), ``batch`` the column-at-a-time matcher.
+        Same rows in the same order either way.
+        """
+        if batch_enabled():
+            return self.run_batch(source, initial, delta_source)
+        return [tuple(slots) for slots in self._run(source, initial, delta_source)]
 
     def run_batch(
         self,
@@ -421,8 +448,11 @@ class JoinPlan:
         """Profiled twin of :meth:`_run` — same matches, same order.
 
         Deliberately duplicated rather than parameterised: the backtracker
-        is the row-mode hot loop and a per-candidate counter branch would
-        cost every unprofiled run.  Change the join logic in BOTH methods —
+        runs in both modes (head-satisfaction ``exists``, constraint checks,
+        goal-directed re-derivation) and is row mode's matcher, so a
+        per-candidate counter branch would cost every unprofiled run.
+        Whether that still pays is to be measured on ``serve-mixed`` before
+        merging the two.  Change the join logic in BOTH methods —
         the parity suites fail on divergence.  Per-step counters here are
         exact (candidates entering each depth, probe lookups, survivors);
         the plan-level time is generator wall time and therefore includes
@@ -604,9 +634,11 @@ class JoinPlan:
 class _NegationProbe:
     """A negated body atom compiled to a ground membership template.
 
-    Term-level (the row-mode path): the instantiated atom is built with term
-    objects and checked with ``in``.  The batch paths use the encoded-key
-    templates of :meth:`CompiledRule._negation_slots` instead.
+    Term-level (substitution dicts — the goal-directed re-derivation of
+    :class:`~repro.engine.incremental.DeltaSession`): the instantiated atom
+    is built with term objects and checked with ``in``.  The firing paths
+    use the encoded-key templates of :meth:`CompiledRule._negation_slots`
+    instead.
     """
 
     __slots__ = ("atom", "predicate", "template")
@@ -667,9 +699,9 @@ def _negation_hit(templates, row, has_key, reference) -> bool:
 class RowOps:
     """Row-level firing helpers for one (rule, plan) pair.
 
-    The batch executor represents matches as slot-ID tuples; this object is
-    the precompiled bridge from those rows to everything an engine does with
-    a match — building encoded head-fact keys, body instantiations
+    Matches reach the engines as slot-ID tuples (:meth:`JoinPlan.rows`); this
+    object is the precompiled bridge from those rows to everything an engine
+    does with a match — building encoded head-fact keys, body instantiations
     (provenance), frontier and full binding keys, and negation membership
     probes — without ever materialising a substitution dict (or, on the
     firing fast path, an Atom).  Existential head variables map to
@@ -735,11 +767,6 @@ class RowOps:
             for _, pid, template in self.head_templates
         ]
 
-    def head_facts_row(self, extended_row) -> List[Atom]:
-        """The head atoms instantiated from an (extended) slot-ID row (decoded)."""
-        decode_atom = TERMS.decode_atom
-        return [decode_atom(key) for key in self.head_keys_row(extended_row)]
-
     def body_facts_row(self, row) -> Tuple[Atom, ...]:
         """The positive body instantiated from a row (provenance records)."""
         decode_atom = TERMS.decode_atom
@@ -792,46 +819,26 @@ class CompiledRule:
 
     def __init__(self, rule: Rule):
         self.rule = rule
-        self._finish_init(
-            rule,
-            compile_body(rule.body_positive, ()),
-            tuple(
-                compile_pivot(rule.body_positive, pivot)
-                for pivot in range(len(rule.body_positive))
-            ),
-            compile_body(rule.head, rule.frontier)
-            if rule.existential_variables
-            else None,
-        )
-
-    @classmethod
-    def _restore(
-        cls,
-        rule: Rule,
-        plan: JoinPlan,
-        pivot_plans: Tuple[JoinPlan, ...],
-        head_plan: Optional[JoinPlan],
-    ) -> "CompiledRule":
-        """Rebuild a compiled rule from persisted plans (plan-cache load)."""
-        self = cls.__new__(cls)
-        self.rule = rule
-        self._finish_init(rule, plan, pivot_plans, head_plan)
-        return self
-
-    def _finish_init(self, rule, plan, pivot_plans, head_plan) -> None:
         self.sorted_frontier = tuple(sorted(rule.frontier))
         self.sorted_existentials = tuple(sorted(rule.existential_variables))
         # (predicate, ((is_variable, payload), ...)) per head atom: building a
         # head fact is then direct dict indexing, no Atom.apply fallbacks
-        # (term-level — the row-mode firing path).
+        # (term-level — :meth:`head_facts`, the re-derivation path).
         self.head_templates = tuple(
             (atom.predicate, tuple((isinstance(t, Variable), t) for t in atom.terms))
             for atom in rule.head
         )
-        self.plan = plan
-        self.pivot_plans = pivot_plans
+        self.plan = compile_body(rule.body_positive, ())
+        self.pivot_plans = tuple(
+            compile_pivot(rule.body_positive, pivot)
+            for pivot in range(len(rule.body_positive))
+        )
         self.negation = tuple(_NegationProbe(atom) for atom in rule.body_negative)
-        self.head_plan = head_plan
+        self.head_plan = (
+            compile_body(rule.head, rule.frontier)
+            if rule.existential_variables
+            else None
+        )
         # Per-plan slot templates for batched negation and row-level firing
         # (plan id -> compiled forms); pivot plans assign different slot
         # numberings, hence the keying.
@@ -839,32 +846,6 @@ class CompiledRule:
         self._row_ops_cache: Dict[int, RowOps] = {}
 
     # -- matching -----------------------------------------------------------
-
-    def substitutions(self, instance) -> Iterator[Dict[Variable, Term]]:
-        """All matches of the positive body (negation not yet applied)."""
-        return self.plan.execute(instance)
-
-    def delta_substitutions(self, instance, delta) -> Iterator[Dict[Variable, Term]]:
-        """Semi-naive matches: at least one body atom maps into ``delta``.
-
-        One pivot plan runs per body atom whose predicate occurs in the
-        delta; as in the legacy evaluators, a match reachable through
-        several pivots is yielded once per pivot and deduplicated by the
-        caller's ``Instance.add``.
-        """
-        delta_index = delta._plan_source()[0]
-        full_index = instance._plan_source()[0]
-        delta_live = delta_index.live
-        for pivot, atom in enumerate(self.rule.body_positive):
-            if not delta_live.get(atom.predicate):
-                continue
-            plan = self.pivot_plans[pivot]
-            if not plan.pivot_viable(delta_index, full_index):
-                active_stats().pivots_skipped += 1
-                continue
-            yield from plan.execute(instance, None, delta_source=delta)
-
-    # -- batched matching ----------------------------------------------------
 
     def row_ops(self, plan: JoinPlan) -> RowOps:
         """The (cached) row-level firing helpers for ``plan``'s slot layout."""
@@ -876,28 +857,32 @@ class CompiledRule:
     def trigger_row_batches(
         self, instance, delta=None, negation_reference=None
     ) -> List[Tuple[JoinPlan, List[Tuple[int, ...]]]]:
-        """Batched body matches as (plan, slot-ID-row list) pairs.
+        """Body matches as (plan, slot-ID-row list) pairs.
 
-        The engine-facing batch entry point: one batch for the full join, or
-        one per viable pivot when ``delta`` is given (same pivot order and
-        empty-bucket skips as :meth:`delta_substitutions`).  The list is
-        computed **eagerly** — every pivot is matched against the same
-        instance state before the caller fires a single trigger — mirroring
-        the row path's ``list(...)`` materialisation; a lazy variant would
-        let earlier pivots' head facts leak into later pivots' matches.
+        The engine-facing matching entry point: one batch for the full join,
+        or one per viable pivot when ``delta`` is given — the semi-naive
+        matches where at least one body atom maps into ``delta``.  One pivot
+        plan runs per body atom whose predicate occurs in the delta (minus
+        the :meth:`JoinPlan.pivot_viable` skips); a match reachable through
+        several pivots appears once per pivot and is deduplicated by the
+        caller's ``Instance.add_key``.  The list is computed **eagerly** —
+        every pivot is matched against the same instance state before the
+        caller fires a single trigger; a lazy variant would let earlier
+        pivots' head facts leak into later pivots' matches.
 
         When a *frozen* ``negation_reference`` is supplied (an
         :class:`~repro.engine.index.InstanceSnapshot`, or an instance that is
         not mutated while triggers are processed), negated atoms are
-        pre-filtered in bulk; pre-filtering is only equivalent to the row
-        path's per-trigger check under that frozenness assumption.  Rows
-        arrive in row-at-a-time order; feed them to :meth:`row_ops` helpers
-        to fire heads without building substitution dicts.
+        pre-filtered in bulk; pre-filtering is only equivalent to a
+        per-trigger check under that frozenness assumption.  Rows arrive in
+        depth-first order whichever matcher :meth:`JoinPlan.rows` selects;
+        feed them to :meth:`row_ops` helpers to fire heads without building
+        substitution dicts.
         """
         batches: List[Tuple[JoinPlan, List[Tuple[int, ...]]]] = []
         if delta is None:
             plan = self.plan
-            rows = plan.run_batch(instance)
+            rows = plan.rows(instance)
             if self.negation and negation_reference is not None:
                 rows = self._filter_negation_rows(rows, plan, negation_reference)
             if rows:
@@ -913,7 +898,7 @@ class CompiledRule:
             if not plan.pivot_viable(delta_index, full_index):
                 active_stats().pivots_skipped += 1
                 continue
-            rows = plan.run_batch(instance, None, delta_source=delta)
+            rows = plan.rows(instance, None, delta_source=delta)
             if self.negation and negation_reference is not None:
                 rows = self._filter_negation_rows(rows, plan, negation_reference)
             if rows:
@@ -1125,11 +1110,8 @@ def _build_ordered(
 ) -> JoinPlan:
     """Build the plan for a fixed atom order (the post-selectivity half).
 
-    Split from :func:`_compile_ordered` so the plan cache
-    (:mod:`repro.engine.plancache`) can rebuild persisted plans without
-    re-running the greedy ordering.  Constant payloads are interned to term
-    IDs **here** — at plan-build time — which is what makes every runtime
-    comparison an int equality.
+    Constant payloads are interned to term IDs **here** — at plan-build
+    time — which is what makes every runtime comparison an int equality.
     """
     slot_of: Dict[Variable, int] = {}
     for variable in sorted(prebound):
@@ -1193,16 +1175,6 @@ def _drop_plan_caches() -> None:
     _PIVOT_CACHE.clear()
     _RULE_CACHE.clear()
 
-#: Hook installed by :mod:`repro.engine.plancache`: rule -> CompiledRule or
-#: None, consulted on a rule-cache miss before compiling from scratch.
-_STAGED_LOOKUP: Optional[Callable[[Rule], Optional[CompiledRule]]] = None
-
-
-def set_staged_lookup(lookup: Optional[Callable[[Rule], Optional[CompiledRule]]]) -> None:
-    """Install (or clear) the plan-cache staging hook for this process."""
-    global _STAGED_LOOKUP
-    _STAGED_LOOKUP = lookup
-
 
 def compile_body(
     atoms: Iterable[Atom], prebound: Iterable[Variable] = ()
@@ -1244,20 +1216,10 @@ def compile_pivot(atoms: Iterable[Atom], pivot: int) -> JoinPlan:
 
 
 def compile_rule(rule: Rule) -> CompiledRule:
-    """Compile (and cache) the full per-rule plan bundle.
-
-    A staged plan-cache entry (:mod:`repro.engine.plancache`) is consulted
-    first on a miss: persisted bundles rebuild the plans structurally and
-    re-intern their constants against this process's term table, skipping
-    the selectivity search and op construction.
-    """
+    """Compile (and cache) the full per-rule plan bundle."""
     compiled = _RULE_CACHE.get(rule)
     if compiled is None:
         if len(_RULE_CACHE) >= _CACHE_LIMIT:
             _RULE_CACHE.clear()
-        if _STAGED_LOOKUP is not None:
-            compiled = _STAGED_LOOKUP(rule)
-        if compiled is None:
-            compiled = CompiledRule(rule)
-        _RULE_CACHE[rule] = compiled
+        compiled = _RULE_CACHE[rule] = CompiledRule(rule)
     return compiled

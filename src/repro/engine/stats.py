@@ -12,17 +12,17 @@ Two classes of counter coexist:
 * **Mode-independent** (``facts_added``, ``triggers_fired``,
   ``nulls_invented``, ``pivots_skipped``, and the retraction trio
   ``retractions`` / ``rederived`` / ``nulls_collected``) — identical whether
-  plans run row-at-a-time or column-at-a-time, because both executors
-  produce the same matches in the same order and the pivot-skip test is
-  shared.  The retraction counters are defined on *sets* (the over-deleted
+  plans are matched row-at-a-time or column-at-a-time, because both matchers
+  produce the same rows in the same order, one firing path consumes them,
+  and the pivot-skip test is shared.  The retraction counters are defined on *sets* (the over-deleted
   closure, the restored survivors, the unreachable nulls), which makes them
   match-order-independent by construction.  These are the counters the
-  bench-smoke gate diffs against the committed baseline;
+  bench-smoke gate requires to **equal** the committed baseline's;
   ``tests/test_engine_stats_determinism.py`` pins both the repeatability and
   the cross-mode equality.
-* **Batch instrumentation** (``batch_probe_groups``) — only advances in
-  batch mode; it counts distinct probe-key groups per step and is reported
-  in the benchmark JSON but never gated.
+* **Batch instrumentation** (``batch_probe_groups``) — only advances when
+  the batch matcher runs; it counts distinct probe-key groups per step and
+  is reported in the benchmark JSON but never gated.
 
 The counters are advisory instrumentation: they are not thread-safe and must
 never influence evaluation results.

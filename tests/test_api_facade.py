@@ -7,6 +7,7 @@ the facade must be a pure re-skinning of the legacy configuration, not a
 second code path.
 """
 
+import importlib
 import json
 import os
 import re
@@ -115,6 +116,25 @@ class TestEngineConstruction:
         with pytest.raises(ValueError):
             EngineConfig(compact_ratio=0.0)
 
+    @pytest.mark.parametrize("raw", ["abc", "-1", "0"])
+    def test_bad_compact_ratio_env_raises_at_first_use(self, raw, monkeypatch):
+        """A typo must not silently become 0.5 (nor a negative ratio pass)."""
+        from repro.engine import index
+
+        monkeypatch.setattr(index, "_compact_ratio", None)
+        monkeypatch.setenv("REPRO_COMPACT_RATIO", raw)
+        with pytest.raises(ValueError, match="REPRO_COMPACT_RATIO"):
+            index.compact_ratio()
+        with pytest.raises(ValueError, match="REPRO_COMPACT_RATIO"):
+            EngineConfig.from_env({"REPRO_COMPACT_RATIO": raw})
+
+    def test_persisted_plan_cache_is_gone(self):
+        """Removed in 3.0.0: no module, no config field."""
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.engine.plancache")
+        with pytest.raises(TypeError):
+            EngineConfig(plan_cache="x")
+
     def test_with_overrides(self):
         base = EngineConfig(mode="batch")
         assert base.with_overrides(compact_ratio=0.4) == EngineConfig(
@@ -148,18 +168,6 @@ class TestFacadeMethods:
             assert len(session.query("reach")) == 3
             session.push([repro.parse_atom("edge(c, d)")])
             assert len(session.query("reach")) == 6
-
-    def test_plan_cache_round_trip(self, tmp_path):
-        path = str(tmp_path / "plans.json")
-        engine = Engine(EngineConfig(plan_cache=path))
-        engine.evaluate(self.PROGRAM, "reach", repro.Database(self.facts()))
-        assert engine.save_plan_cache() > 0
-        # A fresh engine naming the same path stages the plans without error.
-        Engine(EngineConfig(plan_cache=path))
-
-    def test_save_plan_cache_requires_a_path(self):
-        with pytest.raises(ValueError):
-            Engine().save_plan_cache()
 
     def test_serve_returns_unstarted_service(self):
         service = Engine().serve(block=False)

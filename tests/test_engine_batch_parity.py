@@ -10,7 +10,8 @@ seeds, so CI runs are reproducible) and asserts:
 * **match level** — ``JoinPlan.run_batch`` equals ``JoinPlan.execute``
   row for row *in order*, and both equal ``reference_match_atoms`` as
   multisets (the reference orders atoms differently, so only the multiset is
-  specified there);
+  specified there); ``JoinPlan.rows``, the seam the engines fire from,
+  equals ``run_batch`` in both modes;
 * **engine level** — all three engines produce atom-for-atom identical
   instances in both modes (for engines that invent nulls, the global null
   counter is pinned so labels align), and the semi-naive results also equal
@@ -33,7 +34,7 @@ from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Constant, Null, Variable
 from repro.engine.mode import execution_mode
-from repro.engine.plan import compile_body
+from repro.engine.plan import compile_body, compile_pivot
 from repro.engine.reference import reference_match_atoms, reference_satisfies_some
 from repro.reductions.clique import clique_database, clique_program
 from repro.workloads.graphs import random_rdf_graph, random_undirected_graph
@@ -195,6 +196,24 @@ class TestMatchLevelFuzz:
             for _ in range(4):
                 body = random_body(rng, constants, n_atoms)
                 assert_three_way_parity(body, instance)
+
+    def test_rows_seam_equals_batch_matcher_in_both_modes(self):
+        """``JoinPlan.rows`` — what every engine fires from — returns
+        ``run_batch``'s rows, in order, whichever matcher the mode selects."""
+        for seed in range(8):
+            rng = random.Random(seed)
+            instance, constants = random_instance(rng, n_constants=6, n_facts=80)
+            delta = Instance(list(instance)[:20])
+            for n_atoms in (1, 2, 3):
+                for _ in range(4):
+                    body = random_body(rng, constants, n_atoms)
+                    full, pivot = compile_body(body), compile_pivot(body, 0)
+                    expected = full.run_batch(instance)
+                    expected_delta = pivot.run_batch(instance, None, delta)
+                    for mode in ("row", "batch"):
+                        with execution_mode(mode):
+                            assert full.rows(instance) == expected
+                            assert pivot.rows(instance, None, delta) == expected_delta
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_rdf_graph_patterns(self, seed):

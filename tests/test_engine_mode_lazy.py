@@ -106,3 +106,23 @@ class TestLazyResolution:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "ok"
+
+
+def test_mode_decision_lives_in_the_plan_module():
+    """Engines fire one way; only ``JoinPlan.rows`` asks which matcher runs."""
+    root = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
+    )
+    readers = set()
+    for directory, _, files in os.walk(root):
+        for name in files:
+            if not name.endswith(".py"):
+                continue
+            path = os.path.join(directory, name)
+            with open(path, encoding="utf-8") as handle:
+                text = handle.read()
+            relative = os.path.relpath(path, root).replace(os.sep, "/")
+            assert "use_batch" not in text, relative
+            if "batch_enabled" in text:
+                readers.add(relative)
+    assert readers == {"engine/mode.py", "engine/plan.py", "engine/__init__.py"}

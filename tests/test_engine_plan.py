@@ -6,6 +6,7 @@ from repro.datalog.atoms import Atom
 from repro.datalog.database import Database, Instance
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant, Null, Variable
+from repro.engine.interning import TERMS
 from repro.engine.plan import compile_body, compile_rule
 from repro.engine.stats import STATS
 
@@ -119,11 +120,12 @@ class TestCompiledRule:
         crule = compile_rule(program.rules[0])
         instance = Instance([Atom("e", (a, b)), Atom("e", (b, c))])
         empty_delta = Instance([Atom("other", (a,))])
-        assert list(crule.delta_substitutions(instance, empty_delta)) == []
+        assert crule.trigger_row_batches(instance, empty_delta) == []
         delta = Instance([Atom("e", (b, c))])
         found = {
-            tuple(sorted((v.name, str(t)) for v, t in s.items()))
-            for s in crule.delta_substitutions(instance, delta)
+            tuple(sorted((v.name, str(TERMS.term(tid))) for v, tid in zip(plan.emit, row)))
+            for plan, rows in crule.trigger_row_batches(instance, delta)
+            for row in rows
         }
         # Both pivots hit the delta fact e(b, c).
         assert (("X", "a"), ("Y", "b"), ("Z", "c")) in found
