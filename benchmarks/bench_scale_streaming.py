@@ -77,9 +77,9 @@ def _stream_atoms(initial, batches):
     )
 
 
-#: (scenario key, execution mode) -> (recompute seconds, final size).  The
-#: recompute probe is identical for every warmup/repeat invocation of a
-#: scenario, so it runs once per (scenario, mode): repeats measure the
+#: scenario key -> (recompute seconds, final size).  The recompute probe is
+#: identical for every warmup/repeat invocation of a scenario, so it runs
+#: once per scenario: repeats measure the
 #: incremental section without ~seconds of unmeasured allocation churn
 #: (and its GC fallout) in front of them.
 _RECOMPUTE_MEMO = {}
@@ -95,10 +95,7 @@ def _time_recompute(key, program, initial_atoms, batch_atoms, engine):
     of two probes is a stable lower bound on the recompute cost, which
     keeps the recorded ratio conservative on both sides of the gate.
     """
-    from repro.engine.mode import get_execution_mode
-
-    memo_key = (key, get_execution_mode())
-    cached = _RECOMPUTE_MEMO.get(memo_key)
+    cached = _RECOMPUTE_MEMO.get(key)
     if cached is not None:
         return cached
     best = None
@@ -112,7 +109,7 @@ def _time_recompute(key, program, initial_atoms, batch_atoms, engine):
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best[0]:
             best = (elapsed, len(result))
-    _RECOMPUTE_MEMO[memo_key] = best
+    _RECOMPUTE_MEMO[key] = best
     return best
 
 

@@ -3,8 +3,8 @@
 The schema-v6 scenario: a single writer pushes delta batches into a
 :class:`~repro.service.MaterializedView` while reader threads answer
 entailment-regime queries against pinned snapshots.  The workload is fixed
-(N batches, M queries per reader), so the engine counters stay deterministic
-across execution modes; the measured section reports queries-per-second and
+(N batches, M queries per reader), so the engine counters stay
+deterministic; the measured section reports queries-per-second and
 p50/p99 per-query latency through ``benchmark.extra_info``, which the
 harness lifts into first-class gated columns.
 """

@@ -68,8 +68,8 @@ def _churn_atoms(initial, feed):
     )
 
 
-#: (scenario key, execution mode) -> (recompute seconds, final size); one
-#: probe per (scenario, mode), shared by every warmup/repeat invocation —
+#: scenario key -> (recompute seconds, final size); one probe per
+#: scenario, shared by every warmup/repeat invocation —
 #: see the twin memo in bench_scale_streaming.py for the rationale.
 _RECOMPUTE_MEMO = {}
 
@@ -82,10 +82,7 @@ def _time_recompute(key, program, initial_atoms, batches):
     one-shot multi-second probe on a 1-core runner is ~2x noisy — the
     minimum of two is a stable, conservative estimate.
     """
-    from repro.engine.mode import get_execution_mode
-
-    memo_key = (key, get_execution_mode())
-    cached = _RECOMPUTE_MEMO.get(memo_key)
+    cached = _RECOMPUTE_MEMO.get(key)
     if cached is not None:
         return cached
     best = None
@@ -102,7 +99,7 @@ def _time_recompute(key, program, initial_atoms, batches):
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best[0]:
             best = (elapsed, len(result))
-    _RECOMPUTE_MEMO[memo_key] = best
+    _RECOMPUTE_MEMO[key] = best
     return best
 
 
@@ -164,7 +161,7 @@ def test_churn_chain_window(benchmark, batches):
 def test_churn_compaction_bounded_lanes(benchmark, batches):
     """Forced-low compact ratio keeps tombstoned lanes bounded under churn.
 
-    The sliding-chain feed again, but with ``compact_ratio`` forced to 0.2 so
+    The sliding-chain feed again, but with ``COMPACT_RATIO`` forced to 0.2 so
     tombstone compaction actually fires mid-replay (the default 0.5 rarely
     trips on this feed).  The probe pins the bounded-lane contract of the
     maintenance surface: after the final retraction, no lane above the
@@ -174,7 +171,7 @@ def test_churn_compaction_bounded_lanes(benchmark, batches):
     extra info; result parity with the no-compaction engine is pinned
     separately in ``tests/test_engine_retract_parity.py``.
     """
-    from repro.engine.index import _COMPACT_MIN_ROWS, compact_ratio, set_compact_ratio
+    from repro.engine import index as engine_index
 
     ratio = 0.2
     initial, feed = sliding_chain_stream(
@@ -183,8 +180,8 @@ def test_churn_compaction_bounded_lanes(benchmark, batches):
     initial_atoms, batch_atoms = _churn_atoms(initial, feed)
 
     def churn():
-        previous = compact_ratio()
-        set_compact_ratio(ratio)
+        previous = engine_index.COMPACT_RATIO
+        engine_index.COMPACT_RATIO = ratio
         try:
             session = DeltaSession(REACHABILITY, initial_atoms)
             for inserts, deletes in batch_atoms:
@@ -200,14 +197,14 @@ def test_churn_compaction_bounded_lanes(benchmark, batches):
             session.close()
             return size, lanes, compactions
         finally:
-            set_compact_ratio(previous)
+            engine_index.COMPACT_RATIO = previous
 
     size, lanes, compactions = benchmark.pedantic(churn, rounds=1, iterations=1)
     # The bounded-lane invariant: retraction ends every batch, and
     # _maybe_compact runs at the end of every retraction, so any big lane
     # still above the ratio after the replay means compaction failed to fire.
     for predicate, (total, live) in sorted(lanes.items()):
-        if total >= _COMPACT_MIN_ROWS:
+        if total >= engine_index._COMPACT_MIN_ROWS:
             assert (total - live) / total <= ratio, (predicate, total, live)
     assert sum(compactions.values()) >= 1  # the forced ratio really compacts
     benchmark.extra_info["batches"] = len(batch_atoms)

@@ -6,15 +6,13 @@ engine-core counters (:mod:`repro.engine.stats`) around each measured
 section, and writes ``BENCH_engine_core.json`` in a stable schema that CI
 diffs against the committed baseline.
 
-Every scenario runs once per **execution mode** (the depth-first and the
-column-at-a-time batch matcher behind the engines' one firing path; see
-:mod:`repro.engine.mode`), producing one record per ``scenario@mode`` id.
-The harness is an **exact-counter gate**, not a wall-clock benchmark (that is
-``ledger/``): the mode-independent counters (facts added, triggers fired,
-nulls invented, pivots skipped, and the retraction trio of facts retracted /
-re-derived / nulls collected) must be *identical* across every mode of a
-scenario and *equal* to the committed baseline record, and the run fails
-otherwise.  Wall times are measured, printed and written, never gated.
+Every scenario runs once, producing one record per scenario id.  The
+harness is an **exact-counter gate**, not a wall-clock benchmark (that is
+``ledger/``): the deterministic counters (facts added, triggers fired, nulls
+invented, pivots skipped, and the retraction trio of facts retracted /
+re-derived / nulls collected) must *equal* the committed baseline record,
+and the run fails otherwise.  Wall times are measured, printed and written,
+never gated.
 
 The ``bench_*.py`` files stay plain pytest-benchmark suites; the harness
 discovers their ``test_*`` functions, expands ``pytest.mark.parametrize``
@@ -32,7 +30,6 @@ Usage::
     python benchmarks/harness.py --quick --baseline BENCH_engine_core.json
                                                       # CI counter gate: exact equality
     python benchmarks/harness.py --only theorem67     # substring filter
-    python benchmarks/harness.py --modes batch        # only one matcher
     python benchmarks/harness.py --quick --only lubm --profile profile.json
                                                       # per-plan step profiles
     python benchmarks/harness.py --list               # show scenario ids and exit
@@ -65,23 +62,21 @@ for path in (SRC, BENCH_DIR):
     if path not in sys.path:
         sys.path.insert(0, path)
 
-from repro.engine.mode import execution_mode  # noqa: E402
 from repro.engine.stats import STATS  # noqa: E402
 from repro.obs.profile import PROFILER  # noqa: E402
 
-SCHEMA_VERSION = 11
+SCHEMA_VERSION = 12
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_engine_core.json")
-MODES = ("row", "batch")
-#: Counters that must be identical between execution modes of one scenario
-#: and equal to the baseline record: deterministic and machine-independent.
-MODE_INDEPENDENT_COUNTERS = (
+#: Counters that must equal the baseline record: deterministic and
+#: machine-independent.
+GATED_COUNTERS = (
     "facts_added",
     "chase_steps",
     "nulls_invented",
     "pivots_skipped",
     # Schema v7: the DRed retraction trio.  Defined on sets (the over-deleted
-    # closure, the restored survivors, the orphaned nulls), so every executor
-    # must account the deletion path identically.
+    # closure, the restored survivors, the orphaned nulls), so the deletion
+    # path's accounting does not depend on match order.
     "retractions",
     "rederived",
     "nulls_collected",
@@ -218,42 +213,31 @@ def discover_scenarios() -> List[Dict[str, Any]]:
 
 
 def select_runs(
-    scenarios: List[Dict[str, Any]], modes: List[str], only: Optional[str]
-) -> List[Tuple[Dict[str, Any], str]]:
-    """The (scenario, mode) pairs to run.  ``--only`` matches the full
-    ``scenario@mode`` record id, so any id printed by ``--list`` (or found in
-    the baseline JSON) is a valid filter: ``--only theorem67`` selects both
-    modes of the theorem67 scenarios, ``--only @batch`` selects every
-    scenario's batch record, and a full record id selects exactly one run."""
-    return [
-        (scenario, mode)
-        for scenario in scenarios
-        for mode in modes
-        if not only or only in f"{scenario['id']}@{mode}"
-    ]
+    scenarios: List[Dict[str, Any]], only: Optional[str]
+) -> List[Dict[str, Any]]:
+    """The scenarios to run.  ``--only`` is a substring of the record id, so
+    any id printed by ``--list`` (or found in the baseline JSON) is a valid
+    filter: ``--only theorem67`` selects the theorem67 scenarios, and a full
+    record id selects exactly one run."""
+    return [scenario for scenario in scenarios if not only or only in scenario["id"]]
 
 
 def run_scenario(
-    scenario: Dict[str, Any], warmup: int, repeats: int, mode: str
+    scenario: Dict[str, Any], warmup: int, repeats: int
 ) -> Dict[str, Any]:
-    """Run one scenario ``warmup + repeats`` times under ``mode``."""
+    """Run one scenario ``warmup + repeats`` times."""
     runs: List[float] = []
-    record: Dict[str, Any] = {
-        "id": f"{scenario['id']}@{mode}",
-        "file": scenario["file"],
-        "mode": mode,
-    }
+    record: Dict[str, Any] = {"id": scenario["id"], "file": scenario["file"]}
     proxy = HarnessBenchmark()
-    with execution_mode(mode):
-        for i in range(warmup + repeats):
-            proxy = HarnessBenchmark()
-            scenario["fn"](benchmark=proxy, **scenario["kwargs"])
-            if proxy.wall_seconds is None:
-                raise RuntimeError(
-                    f"{scenario['id']} never invoked the benchmark fixture"
-                )
-            if i >= warmup:
-                runs.append(proxy.wall_seconds)
+    for i in range(warmup + repeats):
+        proxy = HarnessBenchmark()
+        scenario["fn"](benchmark=proxy, **scenario["kwargs"])
+        if proxy.wall_seconds is None:
+            raise RuntimeError(
+                f"{scenario['id']} never invoked the benchmark fixture"
+            )
+        if i >= warmup:
+            runs.append(proxy.wall_seconds)
     median = statistics.median(runs)
     last_stats = proxy.stats
     record.update(
@@ -315,36 +299,6 @@ def run_scenario(
     return record
 
 
-def cross_mode_mismatches(results: List[Dict[str, Any]]) -> List[str]:
-    """Scenarios whose mode-independent counters differ between modes.
-
-    Both matchers — row and batch — are required to produce
-    the same triggers in the same order, so any divergence here is a
-    correctness bug in a matcher (or a nondeterministic scenario), never an
-    acceptable perf trade-off.  Every mode present is compared against the
-    first (in ``MODES`` order) that ran for the scenario.
-    """
-    by_scenario: Dict[str, Dict[str, Dict[str, Any]]] = {}
-    for record in results:
-        base = record["id"].rsplit("@", 1)[0]
-        by_scenario.setdefault(base, {})[record["mode"]] = record
-    mismatches: List[str] = []
-    for base, per_mode in sorted(by_scenario.items()):
-        ran = [mode for mode in MODES if mode in per_mode]
-        if len(ran) < 2:
-            continue
-        anchor_mode, anchor = ran[0], per_mode[ran[0]]
-        for mode in ran[1:]:
-            record = per_mode[mode]
-            for counter in MODE_INDEPENDENT_COUNTERS:
-                if anchor.get(counter) != record.get(counter):
-                    mismatches.append(
-                        f"{base}: {counter} {anchor_mode}={anchor.get(counter)} "
-                        f"{mode}={record.get(counter)}"
-                    )
-    return mismatches
-
-
 def compare_to_baseline(
     results: List[Dict[str, Any]], baseline: Dict[str, Any]
 ) -> List[str]:
@@ -352,24 +306,11 @@ def compare_to_baseline(
 
     No wall time is compared across runs: the baseline may come from another
     machine, and an earlier speed-normalised wall gate failed on untouched
-    records whenever one mode's speed moved relative to the other.  Wall time
-    is the ledger's job (``ledger/run.py --compare``).  The one clock-derived
-    value gated is the within-run ``incremental_speedup`` ratio, at half its
-    baseline.
+    records.  Wall time is the ledger's job (``ledger/run.py --compare``).
+    The one clock-derived value gated is the within-run
+    ``incremental_speedup`` ratio, at half its baseline.
     """
     baseline_by_id = {s["id"]: s for s in baseline.get("scenarios", [])}
-    # One incremental_speedup reference per scenario: the smallest baseline
-    # ratio among its modes.  Both modes share the firing path, so the ratio
-    # is a property of the scenario — and the committed @row ratios still
-    # embed a recompute probe that ran the deleted dict-substitution firing
-    # path (sliding_social_window: 5.14x committed @row, 2.6–3.1x measured in
-    # either mode), so gating @row on its own record fails on noise alone.
-    weakest_speedup: Dict[str, float] = {}
-    for base in baseline_by_id.values():
-        ratio = base.get("incremental_speedup")
-        if ratio:
-            scenario = base["id"].rsplit("@", 1)[0]
-            weakest_speedup[scenario] = min(weakest_speedup.get(scenario, ratio), ratio)
     regressions: List[str] = []
     for record in results:
         base = baseline_by_id.get(record["id"])
@@ -379,7 +320,7 @@ def compare_to_baseline(
         # triggers or facts is an algorithmic regression, fewer is a change in
         # semantics or in pivot skipping — either way the baseline is re-recorded
         # deliberately or the change is wrong.
-        for counter in MODE_INDEPENDENT_COUNTERS:
+        for counter in GATED_COUNTERS:
             if counter in base and record[counter] != base[counter]:
                 regressions.append(
                     f"{record['id']}: {counter} {record[counter]} "
@@ -395,7 +336,7 @@ def compare_to_baseline(
         # and the engine's guard rebuilds cold); those get the halving gate
         # only — the scenario's own in-test ceiling owns the absolute bound.
         now = record.get("incremental_speedup")
-        then = weakest_speedup.get(record["id"].rsplit("@", 1)[0])
+        then = base.get("incremental_speedup")
         if now is not None and then:
             floor = max(1.0, then * 0.5) if then >= 1.0 else then * 0.5
             if now < floor:
@@ -411,11 +352,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--warmup", type=int, default=None, help="warmup runs per scenario")
     parser.add_argument("--repeats", type=int, default=None, help="measured runs per scenario")
     parser.add_argument("--only", default=None, help="substring filter on scenario ids")
-    parser.add_argument(
-        "--modes",
-        default=",".join(MODES),
-        help="comma-separated execution modes to run (default: row,batch)",
-    )
     parser.add_argument("--list", action="store_true", help="list scenario ids and exit")
     parser.add_argument(
         "--output",
@@ -437,16 +373,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     warmup = args.warmup if args.warmup is not None else 1
     repeats = args.repeats if args.repeats is not None else (3 if args.quick else 5)
-    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
-    for mode in modes:
-        if mode not in MODES:
-            print(f"error: unknown mode {mode!r} (choose from {MODES})", file=sys.stderr)
-            return 2
-
-    runs = select_runs(discover_scenarios(), modes, args.only)
+    runs = select_runs(discover_scenarios(), args.only)
     if args.list:
-        for scenario, mode in runs:
-            print(f"{scenario['id']}@{mode}")
+        for scenario in runs:
+            print(scenario["id"])
         return 0
     if not runs:
         print("no scenarios matched", file=sys.stderr)
@@ -457,10 +387,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     profiles: List[Dict[str, Any]] = []
     results: List[Dict[str, Any]] = []
     total_start = time.perf_counter()
-    for scenario, mode in runs:
+    for scenario in runs:
         if args.profile:
             PROFILER.reset()
-        record = run_scenario(scenario, warmup, repeats, mode)
+        record = run_scenario(scenario, warmup, repeats)
         results.append(record)
         if args.profile:
             profiles.append({"id": record["id"], "plans": PROFILER.snapshot(top=10)})
@@ -478,18 +408,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write("\n")
         print(f"wrote plan profiles to {os.path.relpath(args.profile, os.getcwd())}")
 
-    per_mode_sums = {
-        mode: sum(
-            r["wall_seconds"]["median"] for r in results if r["mode"] == mode
-        )
-        for mode in modes
-    }
     document = {
         "schema_version": SCHEMA_VERSION,
         "mode": "quick" if args.quick else "full",
         "warmup": warmup,
         "repeats": repeats,
-        "execution_modes": modes,
         "python": ".".join(map(str, sys.version_info[:3])),
         "scenario_count": len(results),
         "scenarios": results,
@@ -497,9 +420,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "wall_seconds_median_sum": round(
                 sum(r["wall_seconds"]["median"] for r in results), 6
             ),
-            "wall_seconds_by_mode": {
-                mode: round(total, 6) for mode, total in per_mode_sums.items()
-            },
             "facts_added": sum(r["facts_added"] for r in results),
             "chase_steps": sum(r["chase_steps"] for r in results),
             "nulls_invented": sum(r["nulls_invented"] for r in results),
@@ -512,33 +432,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"\n{len(results)} records, "
           f"median-sum {document['totals']['wall_seconds_median_sum']:.3f}s, "
           f"harness wall {total_wall:.1f}s")
-    if (
-        "row" in modes
-        and "batch" in modes
-        and per_mode_sums["batch"] > 0
-        and per_mode_sums["row"] > 0
-    ):
-        print(f"suite speedup batch vs row: "
-              f"{per_mode_sums['row'] / per_mode_sums['batch']:.2f}x")
 
-    if len(modes) > 1:
-        mismatches = cross_mode_mismatches(results)
-        if mismatches:
-            print(f"\nFAIL: {len(mismatches)} cross-mode counter mismatch(es):")
-            for line in mismatches:
-                print("  " + line)
-            return 1
-
-    # Only a full, unfiltered, all-modes run may implicitly overwrite the
-    # committed baseline; quick/filtered/single-mode runs write only with an
-    # explicit --output.
+    # Only a full, unfiltered run may implicitly overwrite the committed
+    # baseline; quick/filtered runs write only with an explicit --output.
     output = args.output
     if (
         output is None
         and args.baseline is None
         and not args.quick
         and not args.only
-        and set(modes) == set(MODES)
     ):
         output = DEFAULT_OUTPUT
     if output:

@@ -11,7 +11,6 @@ Quickstart::
 
     import repro
 
-    engine = repro.Engine(repro.EngineConfig(mode="batch"))
     program = '''
         triple(?X, partOf, transportService) -> ts(?X).
         triple(?X, partOf, ?Y), ts(?Y) -> ts(?X).
@@ -19,18 +18,24 @@ Quickstart::
         ts(?T), triple(?X, ?T, ?Z), connected(?Z, ?Y) -> connected(?X, ?Y).
     '''
     db = repro.Database([repro.parse_atom('triple(Oxford, A311, London)')])
-    answers = engine.evaluate(program, "connected", db)
+    answers = repro.evaluate(program, "connected", db)
 
-Configuration is programmatic (:class:`Engine` / :class:`EngineConfig`); the
-``REPRO_ENGINE_MODE`` environment variable remains supported as a lazy
-fallback, read at first use.  See ``docs/api.md`` for the facade reference
-and the deprecation table.
+    # Incremental maintenance: push and retract facts, re-query.
+    with repro.DeltaSession(program, db) as session:
+        session.push([repro.parse_atom('triple(A311, partOf, transportService)')])
+        connected = session.query("connected")
+
+    # An OWL 2 QL entailment view over RDF triples, snapshot-isolated reads.
+    with repro.MaterializedView() as view:
+        view.push([("alice", "rdf:type", "Student"),
+                   ("Student", "rdfs:subClassOf", "Person")])
+        people = view.query("SELECT ?X WHERE { ?X rdf:type Person }")
+
+The library takes no configuration.  See ``docs/api.md`` for the front
+doors and the names removed in 4.0.0.
 """
 
-__version__ = "3.0.0"
-
-# -- the facade (start here) ------------------------------------------------
-from repro.api import Engine, EngineConfig, configure
+__version__ = "4.0.0"
 
 # -- the data model ---------------------------------------------------------
 from repro.datalog import (
@@ -64,10 +69,6 @@ from repro.core import (
 from repro.engine.incremental import DeltaSession, PushResult
 
 __all__ = [
-    # The facade — the supported entry points for new code.
-    "Engine",
-    "EngineConfig",
-    "configure",
     "__version__",
     # Data model.
     "Atom",
@@ -97,19 +98,11 @@ __all__ = [
     # Service layer (lazy — see __getattr__).
     "MaterializedView",
     "QueryService",
-    # Deprecated shim (prefer Engine / EngineConfig).
-    "set_execution_mode",
 ]
 
 # The service layer pulls in asyncio plumbing nobody pays for unless they
 # serve; same lazy re-export pattern as repro.engine's incremental exports.
 _SERVICE_EXPORTS = ("MaterializedView", "QueryService")
-
-# Legacy module-level configuration entry point, kept as a thin shim over
-# the same state the facade writes.  New code should use Engine/EngineConfig
-# (or repro.configure); it delegates unchanged so existing call sites and
-# the env-var workflow keep working byte-identically.
-_DEPRECATED_SHIMS = ("set_execution_mode",)
 
 
 def __getattr__(name: str):
@@ -117,12 +110,8 @@ def __getattr__(name: str):
         from repro import service
 
         return getattr(service, name)
-    if name in _DEPRECATED_SHIMS:
-        from repro.engine import mode
-
-        return getattr(mode, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_SERVICE_EXPORTS) | set(_DEPRECATED_SHIMS))
+    return sorted(set(globals()) | set(_SERVICE_EXPORTS))

@@ -27,8 +27,7 @@ ground semantics as in Theorem 4.4.
 
 Triggers are fired from slot-ID rows
 (:meth:`~repro.engine.plan.CompiledRule.trigger_row_batches`) through
-precompiled ``RowOps`` templates — the one firing path every engine shares;
-the execution mode only selects the matcher behind those rows.
+precompiled ``RowOps`` templates — the one firing path every engine shares.
 
 The engine additionally records provenance (one justification per derived
 fact), which :mod:`repro.core.prooftree` unfolds into the proof trees of

@@ -24,10 +24,10 @@ Rule bodies are evaluated through the shared join-plan core
 :class:`~repro.engine.plan.CompiledRule` (selectivity-ordered joins, plan-time
 bound/free resolution, precompiled negation probes and head-satisfaction
 plans).  Both loops (cold and resume) fire from the slot-ID rows
-:meth:`~repro.engine.plan.JoinPlan.rows` returns — one firing path, whichever
-matcher the execution mode selects behind it.  :func:`match_atoms` remains as
-the wrapper for callers that match ad-hoc atom sequences into substitution
-dicts (constraint checks, goal-directed re-derivation, analysis, tests).
+:meth:`~repro.engine.plan.JoinPlan.rows` returns — one firing path.
+:func:`match_atoms` remains as the wrapper for callers that match ad-hoc atom
+sequences into substitution dicts (constraint checks, goal-directed
+re-derivation, analysis, tests).
 """
 
 from __future__ import annotations
@@ -253,11 +253,10 @@ class ChaseEngine:
         compiled = [compile_rule(rule) for rule in program.rules]
 
         # The trigger list for a round is materialised before firing
-        # (``JoinPlan.rows`` — the matcher behind it follows the process-wide
-        # execution mode and emits the same rows in the same order either
-        # way) and nulls are invented in ``sorted_existentials`` order, so
-        # every mode builds the same instance atom for atom.  The loop works
-        # on slot rows throughout (RowOps templates).  Negation stays a
+        # (``JoinPlan.rows``, in depth-first order) and nulls are invented in
+        # ``sorted_existentials`` order, so the instance is built atom for
+        # atom the same way on every run.  The loop works on slot rows
+        # throughout (RowOps templates).  Negation stays a
         # per-trigger check — not a batched pre-filter — because
         # ``reference`` may be the working instance itself, which mutates as
         # triggers fire.

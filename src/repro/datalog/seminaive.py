@@ -158,8 +158,7 @@ class SemiNaiveEvaluator:
         """Match and fire one rule for one round (naive when ``delta`` is None).
 
         The trigger list is materialised per rule before firing, so each
-        evaluation point sees the same instance state whichever matcher
-        produced the rows.  Head facts are fired directly from slot rows
+        evaluation point sees the same instance state.  Head facts are fired directly from slot rows
         (precompiled RowOps templates).
         """
         traced = TRACER.enabled

@@ -26,33 +26,24 @@ package instead of re-deriving join strategy per call:
   repeated variables), negated atoms become precompiled membership probes,
   and semi-naive pivots get one dedicated plan per body atom.
 * Engines fire triggers one way — from the slot-ID rows
-  ``JoinPlan.rows`` returns, through precompiled ``RowOps`` templates — and
-  each plan has **two matchers** that can produce those rows, selected
-  inside ``rows`` by :mod:`repro.engine.mode` (the ``REPRO_ENGINE_MODE`` env
-  var, or :func:`set_execution_mode`): the depth-first backtracker
-  (``JoinPlan._run``, also behind ``execute`` / ``exists`` in both modes)
-  and the column-at-a-time batch matcher (:mod:`repro.engine.batch`,
-  ``JoinPlan.run_batch``, the default) that extends a whole batch of partial
-  matches per step, sharing one bulk index probe per distinct probe key.
-  Both produce the same matches in the same order, so results and counters
-  are mode-independent.
+  ``JoinPlan.rows`` returns, through precompiled ``RowOps`` templates.
+  ``rows`` is the column-at-a-time batch matcher (:mod:`repro.engine.batch`)
+  that extends a whole batch of partial matches per step, sharing one bulk
+  index probe per distinct probe key.  The depth-first backtracker
+  (``JoinPlan._run``, behind ``execute`` / ``exists``) answers
+  head-satisfaction and constraint checks and goal-directed re-derivation;
+  both matchers produce the same matches in the same order.
 * :mod:`repro.engine.stats` exposes the counters (facts added, triggers
   fired, nulls invented, pivots skipped, batch probe groups) that
-  ``benchmarks/harness.py`` samples per scenario and per execution mode.
+  ``benchmarks/harness.py`` samples per scenario.
 * :mod:`repro.engine.reference` keeps the original interpretive backtracker
   as the executable specification that the differential tests in
   ``tests/test_engine_parity.py`` and the fuzz suite in
-  ``tests/test_engine_batch_parity.py`` compare both compiled paths against.
+  ``tests/test_engine_batch_parity.py`` compare both compiled matchers against.
 """
 
 from repro.engine.index import InstanceSnapshot, PredicateIndex
 from repro.engine.interning import TERMS, TermTable, is_null_id
-from repro.engine.mode import (
-    batch_enabled,
-    execution_mode,
-    get_execution_mode,
-    set_execution_mode,
-)
 from repro.engine.plan import CompiledRule, JoinPlan, compile_body, compile_rule
 from repro.engine.stats import STATS, EngineStats
 
@@ -83,11 +74,7 @@ __all__ = [
     "STATS",
     "TERMS",
     "TermTable",
-    "batch_enabled",
     "compile_body",
     "compile_rule",
-    "execution_mode",
-    "get_execution_mode",
     "is_null_id",
-    "set_execution_mode",
 ]

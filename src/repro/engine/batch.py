@@ -1,4 +1,6 @@
-"""Column-at-a-time execution of compiled join plans.
+"""Column-at-a-time execution of compiled join plans: the matcher behind
+:meth:`JoinPlan.rows <repro.engine.plan.JoinPlan.rows>`, which every engine
+fires from.
 
 The row-at-a-time executor (``JoinPlan._run``) walks the join depth-first,
 re-probing the index once per outer binding: for every partial match it picks
@@ -37,8 +39,9 @@ hashing anywhere in the loop, and the extension kernel itself lives in
 ascending — exactly the depth-first order of the row-at-a-time executor.
 Both executors therefore produce the *same matches in the same order*, which
 keeps engine results, invented-null sequences, and the stats counters
-bit-identical across modes (``tests/test_engine_batch_parity.py`` enforces
-this differentially against ``engine/reference.py`` as well).
+bit-identical whichever one computes the rows (the differential suites swap
+the depth-first matcher in as their oracle; ``tests/test_engine_batch_parity.py``
+also checks both against ``engine/reference.py``).
 """
 
 from __future__ import annotations
@@ -219,7 +222,7 @@ class BatchPlan:
         initial: Optional[Dict] = None,
         delta_source=None,
     ) -> List[SlotRow]:
-        """All matches as full slot tuples, in depth-first (row-mode) order."""
+        """All matches as full slot tuples, in depth-first order."""
         index, limits = source._plan_source()
         if delta_source is not None:
             delta_index, delta_limits = delta_source._plan_source()

@@ -35,15 +35,14 @@ delta discipline *across* runs:
   invents for the same triggers.  The differential suite in
   ``tests/test_engine_incremental_parity.py`` pins the resulting parity
   contract: existential-free sessions are **byte-identical** (sorted facts)
-  to a cold evaluation of the accumulated EDB in both execution modes;
+  to a cold evaluation of the accumulated EDB;
   chase sessions agree byte-identically whenever the cold run fires the same
   triggers, and always agree on the ground fact set and on query answers
   (both results are universal models of the same database and program).
-* **Execution modes.**  Continuations and over-deletion fire from the same
-  slot-row path as cold runs; the execution mode (:mod:`repro.engine.mode`)
-  only selects the matcher behind :meth:`~repro.engine.plan.JoinPlan.rows`.
+* **Matchers.**  Continuations and over-deletion fire from the same
+  slot-row path as cold runs (:meth:`~repro.engine.plan.JoinPlan.rows`).
   Goal-directed re-derivation matches through the seeded depth-first
-  matcher (``match_atoms``) in both modes.
+  matcher (``match_atoms``).
 
 * **Deletions** go through :meth:`DeltaSession.retract`, a DRed
   (delete-and-rederive, Gupta–Mumick–Subrahmanian) maintenance pass:
@@ -80,7 +79,7 @@ delta discipline *across* runs:
 
   The parity oracle is the same as for pushes: after any interleaving of
   pushes and retractions, an existential-free session is byte-identical to a
-  cold evaluation of the *surviving* EDB in both execution modes
+  cold evaluation of the *surviving* EDB
   (``tests/test_engine_retract_parity.py``).
 """
 
@@ -98,7 +97,7 @@ from repro.datalog.semantics import INCONSISTENT, SemanticsResult
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Term
-from repro.engine.index import _COMPACT_MIN_ROWS, compact_ratio
+from repro.engine import index as engine_index
 from repro.engine.interning import TERMS
 from repro.engine.plan import compile_rule
 from repro.engine.stats import STATS
@@ -484,7 +483,7 @@ class DeltaSession:
 
         The maintenance tail of :meth:`retract`: any predicate holding at
         least :data:`~repro.engine.index._COMPACT_MIN_ROWS` rows with more
-        than :func:`~repro.engine.index.compact_ratio` of them dead gets its
+        than :data:`~repro.engine.index.COMPACT_RATIO` of them dead gets its
         lanes packed and renumbered (:meth:`PredicateIndex.compact
         <repro.engine.index.PredicateIndex.compact>`), so a long churn
         stream stops carrying its whole deletion history in RAM.  Purely
@@ -493,15 +492,17 @@ class DeltaSession:
         byte-identical to a never-compacting run (pinned by the retract
         parity suite).  Any snapshot that predates a compaction was already
         flagged stale by the tombstoning that pushed the ratio over the
-        threshold.
+        threshold.  Both thresholds are read at call time, so tests can
+        patch them.
         """
         index = self.instance._index
-        ratio = compact_ratio()
+        ratio = engine_index.COMPACT_RATIO
+        min_rows = engine_index._COMPACT_MIN_ROWS
         live_counts = index.live
         compacted = 0
         for predicate in list(index.rows):
             total = index.row_count(predicate)
-            if total < _COMPACT_MIN_ROWS:
+            if total < min_rows:
                 continue
             dead = total - live_counts.get(predicate, 0)
             if dead and dead / total > ratio:

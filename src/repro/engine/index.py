@@ -19,7 +19,7 @@ structure **dictionary-encoded** on the engine's
 * ``postings`` keys are ``(predicate, position, tid)`` — int-keyed plain
   ``list`` buckets of ascending row ids, probed with IDs the plans compiled
   in at plan time.  Lists, not ``array('q')``: buckets are appended to on
-  every fact and iterated in every row-mode probe, and CPython lists beat
+  every fact and iterated in every depth-first probe, and CPython lists beat
   typed arrays ~3x on append and ~30% on iteration (no re-boxing); the
   numpy kernels convert a bucket once per bulk probe, which the vectorised
   pass still amortises.
@@ -41,7 +41,6 @@ compare :attr:`InstanceSnapshot.stale`.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -64,8 +63,8 @@ def _summary_cap(n_rows: int) -> int:
 
     A quarter of the row count, floored at :data:`_SUMMARY_CAP`: the summary
     walk stays a small fraction of the scan it might save, and the cap is a
-    pure function of the (mode-identical) row count, so every execution mode
-    materialises — and skips on — the same summaries.
+    pure function of the row count, so the summaries (and the skips they
+    decide) are deterministic.
     """
     return max(_SUMMARY_CAP, n_rows >> 2)
 
@@ -75,52 +74,14 @@ def _summary_cap(n_rows: int) -> int:
 #: small fixtures keeping their row numbering stable.
 _COMPACT_MIN_ROWS = 256
 
-# None = not resolved yet; resolved lazily at first use so test harnesses can
-# set the env var after import (matching repro.engine.mode).
-_compact_ratio: Optional[float] = None
-
-
-def compact_ratio() -> float:
-    """The tombstone ratio above which a predicate's lanes are compacted.
-
-    ``REPRO_COMPACT_RATIO`` (default 0.5): once more than this fraction of a
-    predicate's rows are tombstones — and the predicate has at least
-    :data:`_COMPACT_MIN_ROWS` rows — the DRed maintenance path packs the
-    live rows and renumbers (:meth:`PredicateIndex.compact`).  A ratio of
-    1.0 or higher effectively disables compaction (the dead fraction never
-    exceeds 1).  Resolved lazily on first use; :func:`set_compact_ratio`
-    pins it for the process.
-    """
-    global _compact_ratio
-    if _compact_ratio is None:
-        raw = os.environ.get("REPRO_COMPACT_RATIO")
-        _compact_ratio = (
-            checked_compact_ratio(raw, "REPRO_COMPACT_RATIO") if raw else 0.5
-        )
-    return _compact_ratio
-
-
-def checked_compact_ratio(value, name: str) -> float:
-    """``value`` as a compaction ratio, or ``ValueError`` naming ``name``.
-
-    The one validator behind every way a ratio enters the process — the
-    ``REPRO_COMPACT_RATIO`` variable (at first use), :func:`set_compact_ratio`
-    and ``EngineConfig.compact_ratio``: a typo in the variable must fail
-    loudly, not silently stop the forced-compaction CI leg from compacting.
-    """
-    try:
-        ratio = float(value)
-    except (TypeError, ValueError):
-        ratio = None
-    if ratio is None or not ratio > 0:
-        raise ValueError(f"{name} must be a positive number, got {value!r}")
-    return ratio
-
-
-def set_compact_ratio(ratio: float) -> None:
-    """Pin the compaction trigger ratio for this process (tests, EngineConfig)."""
-    global _compact_ratio
-    _compact_ratio = checked_compact_ratio(ratio, "compact ratio")
+#: The tombstone ratio above which a predicate's lanes are compacted: once
+#: more than this fraction of a predicate's rows are tombstones — and the
+#: predicate has at least :data:`_COMPACT_MIN_ROWS` rows — the DRed
+#: maintenance path packs the live rows and renumbers
+#: (:meth:`PredicateIndex.compact`).  Read at call time, so tests can patch
+#: it; a ratio of 1.0 or higher disables compaction (the dead fraction never
+#: exceeds 1).
+COMPACT_RATIO = 0.5
 
 
 class PredicateIndex:

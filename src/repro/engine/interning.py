@@ -23,7 +23,7 @@ probes, batch columns, incremental delta windows — on those IDs.
 
 Decoding back to terms happens only at result boundaries (``Instance``
 iteration, provenance records, SPARQL answers); the chase, semi-naive, and
-warded engines in both execution modes run ID-native in between.
+warded engines run ID-native in between.
 """
 
 from __future__ import annotations

@@ -17,11 +17,10 @@ This module is the single dispatch point:
   same values (int64 round-trips through ``tolist()`` as exact Python ints),
   same order (masking preserves the ascending candidate order), same
   tombstone/arity filtering — which
-  ``tests/test_engine_kernel_fuzz.py`` pins differentially.
-* The pure path is **always kept and always reachable**: ``REPRO_NUMPY=0``
-  forces it process-wide (the CI matrix runs a forced-pure leg), platforms
-  without numpy never notice, and :func:`set_numpy_enabled` toggles it
-  in-process for the differential tests.
+  ``tests/test_engine_kernels_fuzz.py`` pins differentially.
+* The numpy kernels run exactly when numpy imports; otherwise the pure
+  path runs (the main CI matrix installs no numpy).  The differential tests
+  reach the pure path with numpy installed by patching ``_np`` to None.
 
 Nothing here may influence *what* is computed — only how fast.  Every
 caller treats these as drop-in replacements for the loops they had inline.
@@ -29,17 +28,12 @@ caller treats these as drop-in replacements for the loops they had inline.
 
 from __future__ import annotations
 
-import os
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 try:  # pragma: no cover - exercised via both CI legs
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy-less platforms
     _np = None
-
-# None = not resolved yet; resolved lazily so the env var can be set by test
-# harnesses after import (matching repro.engine.mode).
-_enabled: Optional[bool] = None
 
 #: Candidate counts below this run the pure loop even with numpy on: the
 #: candidate list reaches numpy through an O(n) ``np.asarray`` copy
@@ -53,32 +47,6 @@ _MIN_BULK = 256
 #: per-call conversion), so its numpy path pays off much earlier than the
 #: candidate-gather kernels'.
 _MIN_BULK_SCAN = 48
-
-
-def numpy_available() -> bool:
-    """True iff the numpy module imported (regardless of the enable switch)."""
-    return _np is not None
-
-
-def numpy_enabled() -> bool:
-    """True iff the numpy fast path is active for this process."""
-    global _enabled
-    if _enabled is None:
-        raw = os.environ.get("REPRO_NUMPY")
-        _enabled = _np is not None and raw != "0"
-    return _enabled
-
-
-def set_numpy_enabled(flag: bool) -> None:
-    """Force the dispatch for this process (differential tests; idempotent).
-
-    Enabling without numpy installed raises — a test asking for the fast
-    path on a pure-python leg is a configuration error, not a silent skip.
-    """
-    global _enabled
-    if flag and _np is None:
-        raise RuntimeError("cannot enable numpy kernels: numpy is not importable")
-    _enabled = bool(flag)
 
 
 def _candidate_array(candidate_ids):
@@ -114,13 +82,10 @@ def extensions(
     For each candidate row id (ascending), keep the row iff it is live with
     the step's arity and every intra-atom repeated-variable pair agrees,
     then emit the tuple of its values at ``bind_positions``.  This is the
-    single hottest loop of batch mode; semantics are pinned against the
+    single hottest loop of the batch matcher; semantics are pinned against the
     tuple-era implementation by the parity and fuzz suites.
     """
-    if (
-        len(candidate_ids) >= _MIN_BULK
-        and numpy_enabled()
-    ):
+    if len(candidate_ids) >= _MIN_BULK and _np is not None:
         return _extensions_np(colbuf, candidate_ids, arity, bind_positions, intra_pairs)
     arities = colbuf.arities
     buffers = colbuf.buffers
@@ -201,7 +166,7 @@ def distinct_values(colbuf, position: int, cap: int) -> Optional[frozenset]:
     n_rows = colbuf.n_rows
     if position >= len(colbuf.buffers):
         return frozenset()
-    if n_rows >= _MIN_BULK_SCAN and numpy_enabled():
+    if n_rows >= _MIN_BULK_SCAN and _np is not None:
         arities = _np_view(colbuf.arities, n_rows)
         column = _np_view(colbuf.buffers[position], n_rows)
         values = _np.unique(column[arities > position])

@@ -35,13 +35,13 @@ resolves it **once** at plan time:
   that probed position (the per-round bound-value summaries of
   :meth:`~repro.engine.index.PredicateIndex.distinct_values`).
 
-* **Matchers** — a plan has two: the depth-first backtracker
-  (:meth:`JoinPlan._run`, behind ``execute`` / ``exists``) and the
-  column-at-a-time batch matcher (:meth:`JoinPlan.run_batch`,
-  :mod:`repro.engine.batch`).  They produce the same matches in the same
-  order.  Engines never choose between them: they fire from the slot rows
-  :meth:`JoinPlan.rows` returns, and ``rows`` is the **one place** the
-  process-wide execution mode (:mod:`repro.engine.mode`) is consulted.
+* **Matchers** — a plan has two, each with its own job: engines fire from
+  the slot rows of the column-at-a-time batch matcher
+  (:meth:`JoinPlan.rows`, :mod:`repro.engine.batch`), and the depth-first
+  backtracker (:meth:`JoinPlan._run`, behind ``execute`` / ``exists``)
+  answers head-satisfaction checks, constraint checks and goal-directed
+  re-derivation, which want one match at a time.  They produce the same
+  matches in the same order.
 
 Slot values are integers (term IDs) throughout execution; decoding back to
 :class:`~repro.datalog.terms.Term` objects happens only when substitution
@@ -64,7 +64,6 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Term, Variable
 from repro.engine import interning
 from repro.engine.interning import TERMS
-from repro.engine.mode import batch_enabled
 from repro.engine.stats import active_stats
 from repro.obs.profile import PROFILER
 
@@ -116,8 +115,7 @@ class JoinPlan:
     ``execute`` yields one substitution dict per homomorphism of the body
     into the instance, exactly as the legacy matcher did (term objects are
     decoded at that boundary); ``rows`` returns the raw ID rows every engine
-    fires from, computed by whichever matcher the execution mode selects
-    (``run_batch`` is the explicit batch matcher); ``exists`` is the
+    fires from, computed column-at-a-time; ``exists`` is the
     allocation-free boolean variant used for head-satisfaction and
     constraint checks.
     """
@@ -205,29 +203,13 @@ class JoinPlan:
         initial: Optional[Dict[Variable, Term]] = None,
         delta_source=None,
     ) -> List[Tuple[int, ...]]:
-        """All homomorphisms as full slot-ID tuples, by the mode's matcher.
-
-        The engine-facing entry point and the only reader of the execution
-        mode: ``row`` runs the depth-first backtracker (never materialising
-        an intermediate join result), ``batch`` the column-at-a-time matcher.
-        Same rows in the same order either way.
-        """
-        if batch_enabled():
-            return self.run_batch(source, initial, delta_source)
-        return [tuple(slots) for slots in self._run(source, initial, delta_source)]
-
-    def run_batch(
-        self,
-        source,
-        initial: Optional[Dict[Variable, Term]] = None,
-        delta_source=None,
-    ) -> List[Tuple[int, ...]]:
         """All homomorphisms as full slot-ID tuples, column-at-a-time.
 
-        Same multiset *and order* as :meth:`execute` (each tuple is
-        index-aligned with :attr:`emit`, values are term IDs), but computed
-        by the batch executor of :mod:`repro.engine.batch`: one probe per
-        distinct probe key per step instead of one probe per outer binding.
+        The engine-facing entry point every engine fires from.  Same
+        multiset *and order* as :meth:`execute` (each tuple is index-aligned
+        with :attr:`emit`, values are term IDs), but computed by the batch
+        executor of :mod:`repro.engine.batch`: one probe per distinct probe
+        key per step instead of one probe per outer binding.
         """
         batch = self.batch_plan
         if batch is None:
@@ -249,7 +231,7 @@ class JoinPlan:
             dict(
                 zip(emit, (term(tid) if type(tid) is int else tid for tid in row))
             )
-            for row in self.run_batch(source, initial, delta_source)
+            for row in self.rows(source, initial, delta_source)
         ]
 
     def _pivot_flow(self) -> Tuple[Tuple[int, str, int], ...]:
@@ -448,15 +430,17 @@ class JoinPlan:
         """Profiled twin of :meth:`_run` — same matches, same order.
 
         Deliberately duplicated rather than parameterised: the backtracker
-        runs in both modes (head-satisfaction ``exists``, constraint checks,
-        goal-directed re-derivation) and is row mode's matcher, so a
-        per-candidate counter branch would cost every unprofiled run.
-        Whether that still pays is to be measured on ``serve-mixed`` before
-        merging the two.  Change the join logic in BOTH methods —
-        the parity suites fail on divergence.  Per-step counters here are
-        exact (candidates entering each depth, probe lookups, survivors);
-        the plan-level time is generator wall time and therefore includes
-        consumer time between yields (see ``docs/observability.md``).
+        answers head-satisfaction ``exists``, constraint checks and
+        goal-directed re-derivation, so a per-candidate counter branch would
+        cost every unprofiled run.  Measured: one backtracker with an
+        ``if profile is not None`` branch at cursor start and advance made
+        the ``serve-*`` view's push p50 slower in 9 of 9 alternating pairs
+        (+2–7 %) and ``check_consistency`` slower in 8 of 9.  Change the
+        join logic in BOTH methods — the parity suites fail on divergence.
+        Per-step counters here are exact (candidates entering each depth,
+        probe lookups, survivors); the plan-level time is generator wall
+        time and therefore includes consumer time between yields (see
+        ``docs/observability.md``).
         """
         profile = PROFILER.plan_profile(self)
         step_profiles = profile.steps
@@ -875,9 +859,9 @@ class CompiledRule:
         not mutated while triggers are processed), negated atoms are
         pre-filtered in bulk; pre-filtering is only equivalent to a
         per-trigger check under that frozenness assumption.  Rows arrive in
-        depth-first order whichever matcher :meth:`JoinPlan.rows` selects;
-        feed them to :meth:`row_ops` helpers to fire heads without building
-        substitution dicts.
+        depth-first order (:meth:`JoinPlan.rows`); feed them to
+        :meth:`row_ops` helpers to fire heads without building substitution
+        dicts.
         """
         batches: List[Tuple[JoinPlan, List[Tuple[int, ...]]]] = []
         if delta is None:

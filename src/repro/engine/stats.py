@@ -9,17 +9,18 @@ measured run and snapshots it afterwards.
 
 Two classes of counter coexist:
 
-* **Mode-independent** (``facts_added``, ``triggers_fired``,
-  ``nulls_invented``, ``pivots_skipped``, and the retraction trio
-  ``retractions`` / ``rederived`` / ``nulls_collected``) — identical whether
-  plans are matched row-at-a-time or column-at-a-time, because both matchers
-  produce the same rows in the same order, one firing path consumes them,
-  and the pivot-skip test is shared.  The retraction counters are defined on *sets* (the over-deleted
-  closure, the restored survivors, the unreachable nulls), which makes them
+* **Gated** (``facts_added``, ``triggers_fired``, ``nulls_invented``,
+  ``pivots_skipped``, and the retraction trio ``retractions`` /
+  ``rederived`` / ``nulls_collected``) — deterministic, and unchanged if the
+  batch matcher behind ``JoinPlan.rows`` is swapped for the depth-first
+  one, because both produce the same rows in the same order, one firing
+  path consumes them, and the pivot-skip test is shared.  The retraction
+  counters are defined on *sets* (the over-deleted closure, the restored
+  survivors, the unreachable nulls), which makes them
   match-order-independent by construction.  These are the counters the
   bench-smoke gate requires to **equal** the committed baseline's;
   ``tests/test_engine_stats_determinism.py`` pins both the repeatability and
-  the cross-mode equality.
+  the equality against the depth-first oracle.
 * **Batch instrumentation** (``batch_probe_groups``) — only advances when
   the batch matcher runs; it counts distinct probe-key groups per step and
   is reported in the benchmark JSON but never gated.
@@ -57,11 +58,11 @@ class EngineStats:
     nulls_invented: int = 0
     #: Semi-naive pivots skipped because the delta's postings bucket for a
     #: bound (constant) term of the pivot atom was empty — the cost-based
-    #: pivot selection of the ROADMAP, identical in both execution modes.
+    #: pivot selection of the ROADMAP, identical under either matcher.
     pivots_skipped: int = 0
     #: Facts physically removed by DRed retraction: the retracted EDB seeds
     #: plus the over-deleted downward closure that was tombstoned before
-    #: re-derivation ran.  Defined on the marked *set*, so mode-independent.
+    #: re-derivation ran.  Defined on the marked *set*, so order-independent.
     retractions: int = 0
     #: Over-deleted facts restored by the re-derivation phase because they
     #: still had alternative support in the surviving instance.
@@ -69,13 +70,14 @@ class EngineStats:
     #: Invented nulls dropped by the post-retraction garbage collector
     #: because no surviving fact references them (odd-ID reachability scan).
     nulls_collected: int = 0
-    #: Distinct probe-key groups evaluated by the batch executor (0 in row
-    #: mode); the ratio to batch rows shows how much probe work was shared.
+    #: Distinct probe-key groups evaluated by the batch executor (0 under
+    #: the depth-first oracle of the differential tests); the ratio to batch
+    #: rows shows how much probe work was shared.
     batch_probe_groups: int = 0
     #: Predicate lane compactions performed by the DRed maintenance path
     #: (tombstone ratio crossed the threshold and the live rows were packed
-    #: and renumbered).  Reported, never gated — the forced-compaction CI
-    #: leg runs with a deliberately different trigger threshold.
+    #: and renumbered).  Reported, never gated — the forced-compaction
+    #: tests run with a deliberately different trigger threshold.
     compactions: int = 0
 
     def reset(self) -> None:
@@ -105,7 +107,7 @@ class EngineStats:
         }
 
     def gated(self) -> dict:
-        """The mode-independent counters the bench-smoke gate compares."""
+        """The deterministic counters the bench-smoke gate compares."""
         return {
             "facts_added": self.facts_added,
             "triggers_fired": self.triggers_fired,

@@ -13,7 +13,15 @@ Splits the long-lived-server story into two layers:
   ``/healthz``).
 
 ``python -m repro.service [--host H] [--port P] [--data FILE]`` boots a
-server; programmatically, prefer ``repro.Engine(...).serve(...)``.
+server.  Programmatically::
+
+    import repro
+
+    with repro.MaterializedView(graph) as view:       # in-process, no HTTP
+        view.push([("alice", "rdf:type", "Student")])
+        people = view.query("SELECT ?X WHERE { ?X rdf:type Person }")
+
+    repro.QueryService(graph, port=8377).run_forever()  # the HTTP server
 """
 
 from repro.service.http import QueryService

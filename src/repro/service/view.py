@@ -23,10 +23,13 @@ simply age out as readers finish.
 
 Retractions are the one writer operation append-only isolation does not
 cover: :meth:`MaterializedView.retract` tombstones rows *in place*, under
-any pinned prefix.  Every published snapshot therefore records the
-session's retraction generation, and a read from a snapshot pinned before
-a retraction raises :class:`StaleSnapshotError` — the same loud failure as
-a snapshot held across an epoch reset, instead of silently missing rows.
+any pinned prefix.  The view therefore keeps a retraction sequence (a
+seqlock): it is odd while a retraction is in flight and advances by two per
+retraction.  Every published snapshot records the (even) value it was
+published under, and a read checks it before evaluating, after evaluating
+and after decoding; any change raises :class:`StaleSnapshotError` — the
+same loud failure as a snapshot held across an epoch reset, instead of an
+answer computed over half-deleted rows.
 
 The third lifecycle concern of a long-lived server — the term table growing
 one entry per invented null forever — is handled by
@@ -142,24 +145,25 @@ class ViewSnapshot:
         "watermark",
         "consistent",
         "_active_domain",
-        "_session",
-        "_retraction_gen",
+        "_view",
+        "_retract_seq",
     )
 
-    def __init__(self, snapshot, epoch: int, consistent: bool, session=None):
+    def __init__(self, snapshot, epoch: int, consistent: bool, view=None):
         self._snapshot = snapshot
         self.epoch = epoch
         self.watermark = snapshot.cut
         self.consistent = consistent
         # The snapshot shares live storage with the writer's instance, and
         # retractions tombstone rows *in place* — append-only isolation does
-        # not cover them.  Recording the session's retraction generation at
-        # publication lets every later read detect a deletion that slid
-        # under the frozen prefix (including one hidden inside a stratum
-        # rebuild, where the instance swap leaves the old index untouched
-        # but the published answers nonetheless changed non-monotonically).
-        self._session = session
-        self._retraction_gen = session.retractions if session is not None else 0
+        # not cover them.  Recording the view's retraction sequence at
+        # publication lets every read detect a deletion that slid under the
+        # frozen prefix before or during it (including one hidden inside a
+        # stratum rebuild, where the instance swap leaves the old index
+        # untouched but the published answers nonetheless changed
+        # non-monotonically).
+        self._view = view
+        self._retract_seq = view._retract_seq if view is not None else 0
         self._active_domain: FrozenSet[int] = (
             active_domain_ids(snapshot) if consistent else frozenset()
         )
@@ -170,12 +174,15 @@ class ViewSnapshot:
                 f"snapshot from epoch {self.epoch} used in epoch {TERMS.epoch()}; "
                 "re-pin the current snapshot after a rematerialization"
             )
-        session = self._session
-        if session is not None and session.retractions != self._retraction_gen:
+        view = self._view
+        if view is not None and view._retract_seq != self._retract_seq:
+            # Odd: a retraction is tombstoning rows right now; larger even:
+            # one completed since publication.  Either way the prefix this
+            # snapshot answers from is no longer faithful.
             raise StaleSnapshotError(
-                f"snapshot at watermark {self.watermark} predates retraction "
-                f"generation {session.retractions} (pinned at generation "
-                f"{self._retraction_gen}); re-pin the current snapshot"
+                f"snapshot at watermark {self.watermark} overlaps retraction "
+                f"sequence {view._retract_seq} (pinned at {self._retract_seq}); "
+                "re-pin the current snapshot"
             )
 
     def query_ids(
@@ -183,9 +190,16 @@ class ViewSnapshot:
         pattern: Union[str, GraphPattern, SelectQuery],
         mode: str = ACTIVE_DOMAIN_MODE,
     ) -> Set[IdMapping]:
-        """``⟦P⟧^mode`` over the frozen prefix, as ID mappings."""
+        """``⟦P⟧^mode`` over the frozen prefix, as ID mappings.
+
+        Checked against the retraction sequence before and after evaluating,
+        so a retraction that overlaps the evaluation raises
+        :class:`StaleSnapshotError` instead of returning its partial view.
+        """
         self._check_epoch()
-        return evaluate_view_ids(pattern, self._snapshot, mode, self._active_domain)
+        ids = evaluate_view_ids(pattern, self._snapshot, mode, self._active_domain)
+        self._check_epoch()
+        return ids
 
     def query(
         self,
@@ -195,7 +209,9 @@ class ViewSnapshot:
         """Decoded answers (set of mappings), or ``INCONSISTENT`` (⊤)."""
         if not self.consistent:
             return INCONSISTENT
-        return decode_id_mappings(self.query_ids(pattern, mode))
+        answers = decode_id_mappings(self.query_ids(pattern, mode))
+        self._check_epoch()
+        return answers
 
     def __repr__(self) -> str:
         return (
@@ -225,6 +241,9 @@ class MaterializedView:
         self._draining = False
         self.pushes = 0
         self.retractions = 0
+        # The seqlock readers validate against (see the module docstring):
+        # odd while retract() is in flight, advanced by two per retraction.
+        self._retract_seq = 0
         self.queries_served = 0
         # Query bookkeeping shared by concurrent reader threads: the bare
         # ``queries_served += 1`` read-modify-write is a lost-update race, so
@@ -246,7 +265,7 @@ class MaterializedView:
             self._session.instance.snapshot(),
             TERMS.epoch(),
             self._session.check_consistency(),
-            self._session,
+            self,
         )
 
     @property
@@ -363,13 +382,22 @@ class MaterializedView:
         rows in place, so the frozen prefixes those snapshots answer from
         are no longer faithful.  Readers pinned *during* the retraction are
         not drained (unlike :meth:`rematerialize`): their queries fail fast
-        on the generation check rather than block the writer.
+        on the retraction-sequence check rather than block the writer.  The
+        sequence turns odd before the session tombstones anything and even
+        again in ``finally``, so the degenerate rebuild, compaction and a
+        raising retraction are all covered.  The ``finally`` also
+        republishes: the advanced sequence invalidates the old snapshot even
+        when the retraction raised, and readers must have a current one.
         """
         start = time.perf_counter()
         with self._write_lock:
-            result = self._session.retract(facts)
-            self.retractions += 1
-            self._published = self._publish()
+            self._retract_seq += 1
+            try:
+                result = self._session.retract(facts)
+                self.retractions += 1
+            finally:
+                self._retract_seq += 1
+                self._published = self._publish()
         _WRITES.labels("retract").inc()
         _WRITE_SECONDS.labels("retract").observe(time.perf_counter() - start)
         return result

@@ -18,9 +18,9 @@ from repro.datalog.database import Instance
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant, Variable
-from repro.engine.mode import execution_mode
 from repro.engine.plan import compile_body, compile_rule
 from repro.engine.reference import reference_match_atoms
+from test_engine_batch_parity import matcher
 
 V = Variable
 C = Constant
@@ -119,7 +119,7 @@ class TestNegationBuckets:
         program = parse_program(program_text)
         results = {}
         for mode in ("row", "batch"):
-            with execution_mode(mode):
+            with matcher(mode):
                 results[mode] = list(SemiNaiveEvaluator(program).evaluate(database))
         assert results["row"] == results["batch"]
         return set(results["batch"])
@@ -226,7 +226,7 @@ class TestSnapshotIsolation:
         database = [Atom("p", (C("a"),))]
         results = {}
         for mode in ("row", "batch"):
-            with execution_mode(mode):
+            with matcher(mode):
                 results[mode] = list(SemiNaiveEvaluator(program).evaluate(database))
         assert results["row"] == results["batch"]
         assert Atom("q", (C("a"),)) in set(results["batch"])

@@ -7,19 +7,22 @@ turn are locked to the seed's interpretive matcher
 random RDF graphs, chain ontologies, and k-clique instances (all with fixed
 seeds, so CI runs are reproducible) and asserts:
 
-* **match level** — ``JoinPlan.run_batch`` equals ``JoinPlan.execute``
+* **match level** — ``JoinPlan.execute_batch`` equals ``JoinPlan.execute``
   row for row *in order*, and both equal ``reference_match_atoms`` as
   multisets (the reference orders atoms differently, so only the multiset is
   specified there); ``JoinPlan.rows``, the seam the engines fire from,
-  equals ``run_batch`` in both modes;
+  equals the depth-first oracle's rows;
 * **engine level** — all three engines produce atom-for-atom identical
-  instances in both modes (for engines that invent nulls, the global null
-  counter is pinned so labels align), and the semi-naive results also equal
-  a naive fixpoint oracle built purely on the reference matcher.
+  instances with the production matcher and with the depth-first oracle
+  behind ``JoinPlan.rows`` (:func:`matcher`; for engines that invent nulls,
+  the global null counter is pinned so labels align), and the semi-naive
+  results also equal a naive fixpoint oracle built purely on the reference
+  matcher.
 """
 
 import itertools
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -33,14 +36,33 @@ from repro.datalog.program import Program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Constant, Null, Variable
-from repro.engine.mode import execution_mode
-from repro.engine.plan import compile_body, compile_pivot
+from repro.engine.plan import JoinPlan, compile_body, compile_pivot
 from repro.engine.reference import reference_match_atoms, reference_satisfies_some
 from repro.reductions.clique import clique_database, clique_program
 from repro.workloads.graphs import random_rdf_graph, random_undirected_graph
 from repro.workloads.ontologies import chain_ontology_graph
 
 V = Variable
+
+
+@contextmanager
+def matcher(mode):
+    """Run the block with ``mode``'s matcher behind ``JoinPlan.rows``.
+
+    ``"batch"`` is production; ``"row"`` swaps in the depth-first
+    backtracker, the oracle every differential suite compares against.
+    """
+    if mode == "batch":
+        yield
+        return
+    production = JoinPlan.rows
+    JoinPlan.rows = lambda self, source, initial=None, delta_source=None: [
+        tuple(s) for s in self._run(source, initial, delta_source)
+    ]
+    try:
+        yield
+    finally:
+        JoinPlan.rows = production
 
 
 def canonical(substitutions):
@@ -198,8 +220,8 @@ class TestMatchLevelFuzz:
                 assert_three_way_parity(body, instance)
 
     def test_rows_seam_equals_batch_matcher_in_both_modes(self):
-        """``JoinPlan.rows`` — what every engine fires from — returns
-        ``run_batch``'s rows, in order, whichever matcher the mode selects."""
+        """``JoinPlan.rows`` — what every engine fires from — returns the
+        depth-first oracle's rows, in order."""
         for seed in range(8):
             rng = random.Random(seed)
             instance, constants = random_instance(rng, n_constants=6, n_facts=80)
@@ -208,10 +230,10 @@ class TestMatchLevelFuzz:
                 for _ in range(4):
                     body = random_body(rng, constants, n_atoms)
                     full, pivot = compile_body(body), compile_pivot(body, 0)
-                    expected = full.run_batch(instance)
-                    expected_delta = pivot.run_batch(instance, None, delta)
+                    expected = full.rows(instance)
+                    expected_delta = pivot.rows(instance, None, delta)
                     for mode in ("row", "batch"):
-                        with execution_mode(mode):
+                        with matcher(mode):
                             assert full.rows(instance) == expected
                             assert pivot.rows(instance, None, delta) == expected_delta
 
@@ -277,10 +299,10 @@ class TestMatchLevelFuzz:
 
 
 def run_both_modes(fn):
-    """fn() per mode with the null counter pinned; returns {mode: result}."""
+    """fn() per matcher with the null counter pinned; returns {mode: result}."""
     results = {}
     for mode in ("row", "batch"):
-        with execution_mode(mode):
+        with matcher(mode):
             Null._counter = itertools.count()
             results[mode] = fn()
     return results

@@ -9,7 +9,7 @@ strength each fragment supports:
 * **Existential-free programs** (semi-naive path, with stratified negation):
   the session's facts are **byte-identical** — ``sorted_atoms()`` equality —
   to the cold run, on a fuzz corpus of random stratified Datalog¬ programs
-  under random batch schedules, in both execution modes.  Negation
+  under random batch schedules.  Negation
   exercises both incremental regimes: monotone strata are continued from the
   delta, strata whose negation references grew are re-run (facts must be
   *withdrawn* when new EDB kills their support).
@@ -20,8 +20,9 @@ strength each fragment supports:
   the trigger the incremental run already fired), both results are universal
   models, so the **ground fact set and every query answer** still agree —
   asserted on a workload built to hit exactly that case.
-* **Modes and replay**: one push schedule produces atom-for-atom identical
-  instances and identical gated counters across ``row`` and ``batch``, and
+* **Matchers and replay**: one push schedule produces atom-for-atom
+  identical instances and identical gated counters with the batch matcher
+  and with the depth-first oracle behind ``JoinPlan.rows``, and
   replaying a schedule is counter-for-counter deterministic.  (Counters are *not* compared against
   the cold run: a continuation enumerates matches through pivot plans where
   the cold run's naive round enumerates them once, so trigger counts
@@ -39,9 +40,8 @@ from repro.datalog.parser import parse_program
 from repro.datalog.semantics import INCONSISTENT, StratifiedSemantics
 from repro.datalog.terms import Constant, Null
 from repro.engine.incremental import DeltaSession, cold_equivalent
-from repro.engine.mode import execution_mode
 from repro.engine.stats import STATS
-from test_engine_batch_parity import random_datalog_program, random_instance
+from test_engine_batch_parity import matcher, random_datalog_program, random_instance
 
 TC_PROGRAM = """
     triple(?X, knows, ?Y) -> knows(?X, ?Y).
@@ -325,10 +325,10 @@ class TestChaseParity:
 
 
 def run_both_modes(fn):
-    """fn() per mode; {mode: (result, counters)}."""
+    """fn() per matcher; {mode: (result, counters)}."""
     results = {}
     for mode in ("row", "batch"):
-        with execution_mode(mode):
+        with matcher(mode):
             Null._counter = itertools.count()
             STATS.reset()
             results[mode] = (fn(), STATS.gated())

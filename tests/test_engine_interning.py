@@ -26,8 +26,8 @@ from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.semantics import StratifiedSemantics
 from repro.datalog.terms import Constant, Null, Variable
 from repro.engine.interning import TERMS, TermTable, is_null_id
-from repro.engine.mode import execution_mode
 from repro.engine.stats import STATS
+from test_engine_batch_parity import matcher
 
 
 def _nasty_spellings(rng, n):
@@ -195,7 +195,7 @@ class TestCrossModeParity:
         database = _edge_database(seed)
         outcomes = {}
         for mode in ("row", "batch"):
-            with execution_mode(mode):
+            with matcher(mode):
                 STATS.reset()
                 result = list(SemiNaiveEvaluator(parse_program(PROGRAM)).evaluate(database))
                 outcomes[mode] = (result, STATS.gated())
@@ -206,7 +206,7 @@ class TestCrossModeParity:
         database = [Atom("person", (Constant(f"p{i}"),)) for i in range(8)]
         outcomes = {}
         for mode in ("row", "batch"):
-            with execution_mode(mode):
+            with matcher(mode):
                 Null._counter = itertools.count()
                 STATS.reset()
                 from repro.datalog.chase import ChaseEngine

@@ -14,10 +14,11 @@ Two layers are pinned here, with fixed seeds so CI runs are reproducible:
 * **kernel level** — :func:`kernels.extensions` and
   :func:`kernels.distinct_values` on randomly grown-and-killed buffers,
   numpy on vs off vs an independently computed tuple-space reference;
-* **engine level** — a random stratified program evaluated in both
-  execution modes with the numpy kernels forced on and forced off: atoms,
-  invented-null labels, and the gated counters must be byte-identical across
-  the full 2×2 matrix (exactly what the CI numpy/pure legs rerun).
+* **engine level** — a random stratified program evaluated with the
+  batch matcher and with the depth-first oracle behind ``JoinPlan.rows``,
+  each with the numpy kernels on and patched away: atoms, invented-null
+  labels, and the gated counters must be byte-identical across the full 2×2
+  matrix.  Without numpy installed only the pure column runs.
 """
 
 import itertools
@@ -28,21 +29,12 @@ import pytest
 from repro.datalog.terms import Null
 from repro.engine import kernels
 from repro.engine.colbuf import ColumnBuffer
-from repro.engine.mode import execution_mode
 from repro.engine.stats import STATS
-from test_engine_batch_parity import random_datalog_program, random_instance
+from test_engine_batch_parity import matcher, random_datalog_program, random_instance
 from test_engine_incremental_parity import ANCESTOR_CHASE_PROGRAM, person
 
-requires_numpy = pytest.mark.skipif(
-    not kernels.numpy_available(), reason="numpy not importable"
-)
-
-
-@pytest.fixture(autouse=True)
-def numpy_back_on():
-    """Every test leaves the module-global dispatch flag enabled."""
-    yield
-    kernels.set_numpy_enabled(True)
+#: Kernel dispatch legs to compare: pure always, numpy when it imports.
+NUMPY_FLAGS = (False, True) if kernels._np is not None else (False,)
 
 
 @pytest.fixture(autouse=True)
@@ -106,7 +98,7 @@ def candidate_shapes(rng, n_rows):
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_extensions_three_way_differential(seed):
+def test_extensions_three_way_differential(seed, monkeypatch):
     rng = random.Random(7000 + seed)
     cols, rows = random_buffer(rng, rng.randint(0, 200))
     for arity in (1, 2, 3, 4):
@@ -126,13 +118,13 @@ def test_extensions_three_way_differential(seed):
                         rows, candidate_ids, arity, bind_positions, intra_pairs
                     )
                     got = {}
-                    for flag in (False, True):
-                        if flag and not kernels.numpy_available():
-                            continue
-                        kernels.set_numpy_enabled(flag)
-                        got[flag] = kernels.extensions(
-                            cols, candidate_ids, arity, bind_positions, intra_pairs
-                        )
+                    for flag in NUMPY_FLAGS:
+                        with monkeypatch.context() as patch:
+                            if not flag:
+                                patch.setattr(kernels, "_np", None)
+                            got[flag] = kernels.extensions(
+                                cols, candidate_ids, arity, bind_positions, intra_pairs
+                            )
                     for flag, result in got.items():
                         assert [tuple(r) for r in result] == expected, (
                             f"numpy={flag} arity={arity} bind={bind_positions} "
@@ -141,7 +133,7 @@ def test_extensions_three_way_differential(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_distinct_values_differential(seed):
+def test_distinct_values_differential(seed, monkeypatch):
     rng = random.Random(8000 + seed)
     cols, rows = random_buffer(rng, rng.randint(0, 250))
     for position in range(4):
@@ -151,11 +143,11 @@ def test_distinct_values_differential(seed):
             if ids is not None and len(ids) > position
         }
         results = {}
-        for flag in (False, True):
-            if flag and not kernels.numpy_available():
-                continue
-            kernels.set_numpy_enabled(flag)
-            results[flag] = kernels.distinct_values(cols, position, len(cols))
+        for flag in NUMPY_FLAGS:
+            with monkeypatch.context() as patch:
+                if not flag:
+                    patch.setattr(kernels, "_np", None)
+                results[flag] = kernels.distinct_values(cols, position, len(cols))
         for flag, values in results.items():
             assert values is not None
             assert set(values) == expected, f"numpy={flag} position={position}"
@@ -166,22 +158,23 @@ def test_distinct_values_differential(seed):
 # ---------------------------------------------------------------------------
 
 
-def run_mode_matrix(fn):
+def run_mode_matrix(fn, monkeypatch):
     """fn() under every (numpy, mode) pair; returns {(numpy, mode): ...}."""
     results = {}
-    flags = [False] + ([True] if kernels.numpy_available() else [])
-    for flag in flags:
-        kernels.set_numpy_enabled(flag)
-        for mode in ("row", "batch"):
-            with execution_mode(mode):
-                Null._counter = itertools.count()
-                STATS.reset()
-                results[(flag, mode)] = (fn(), STATS.gated())
+    for flag in NUMPY_FLAGS:
+        with monkeypatch.context() as patch:
+            if not flag:
+                patch.setattr(kernels, "_np", None)
+            for mode in ("row", "batch"):
+                with matcher(mode):
+                    Null._counter = itertools.count()
+                    STATS.reset()
+                    results[(flag, mode)] = (fn(), STATS.gated())
     return results
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_mode_matrix_parity_random_programs(seed):
+def test_mode_matrix_parity_random_programs(seed, monkeypatch):
     rng = random.Random(9000 + seed)
     instance, constants = random_instance(rng, n_constants=5, n_facts=70)
     program = random_datalog_program(rng, constants)
@@ -194,14 +187,14 @@ def test_mode_matrix_parity_random_programs(seed):
         session.close()
         return atoms
 
-    outcomes = run_mode_matrix(evaluate)
+    outcomes = run_mode_matrix(evaluate, monkeypatch)
     baseline = next(iter(outcomes.values()))
     for key, outcome in outcomes.items():
         assert outcome[0] == baseline[0], f"atoms diverged under {key}"
         assert outcome[1] == baseline[1], f"gated counters diverged under {key}"
 
 
-def test_mode_matrix_parity_chase_null_labels():
+def test_mode_matrix_parity_chase_null_labels(monkeypatch):
     # Invented-null spellings (content-addressed labels) are part of the
     # byte-identity contract, not just the atom sets.
     people = [person(f"p{i}") for i in range(6)]
@@ -215,7 +208,7 @@ def test_mode_matrix_parity_chase_null_labels():
         session.close()
         return atoms, labels
 
-    outcomes = run_mode_matrix(evaluate)
+    outcomes = run_mode_matrix(evaluate, monkeypatch)
     baseline = next(iter(outcomes.values()))
     for key, outcome in outcomes.items():
         assert outcome == baseline, f"diverged under {key}"

@@ -7,10 +7,13 @@ cold evaluation of the *surviving* EDB — the same differential contract
 deletion.  The suite covers:
 
 * **Fuzzed interleavings**: random stratified Datalog¬ programs under random
-  push/retract schedules (retractions sample the currently-live EDB), in
-  both execution modes, compared ``sorted_atoms()``-equal to the cold run.
-  Mode parity also compares the gated counters, so row and batch take
-  byte-identical work accounting through the deletion path.
+  push/retract schedules (retractions sample the currently-live EDB),
+  compared ``sorted_atoms()``-equal to the cold run, also with compaction
+  forced on every retraction (the negation and chase-session cases below
+  too).  Matcher parity (the batch matcher vs the
+  depth-first oracle behind ``JoinPlan.rows``) also compares the gated
+  counters, so both take byte-identical work accounting through the
+  deletion path.
 * **Negation**: a retraction that shrinks a negation reference re-runs the
   strata above it — facts whose negative support *returns* must reappear.
 * **Chase sessions**: content-addressed nulls make deletion parity
@@ -27,8 +30,11 @@ import pytest
 
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Constant
+from repro.engine import index as engine_index
+from repro.engine import kernels
 from repro.engine.incremental import DeltaSession, cold_equivalent
 from repro.engine.interning import TERMS
+from repro.engine.stats import STATS
 from test_engine_batch_parity import random_datalog_program, random_instance
 from test_engine_incremental_parity import (
     ANCESTOR_CHASE_PROGRAM,
@@ -77,16 +83,33 @@ def assert_cold_parity(session):
 
 
 class TestInterleavedParity:
-    @pytest.mark.parametrize("seed", range(8))
-    def test_fuzzed_stratified_programs(self, seed):
+    @staticmethod
+    def fuzz_case(seed):
+        """(program, push/retract schedule) of fuzz seed ``seed``."""
         rng = random.Random(4000 + seed)
         instance, constants = random_instance(rng, n_constants=5, n_facts=60)
         program = random_datalog_program(rng, constants)
         ops = interleaved_schedule(rng, instance, rng.randint(4, 9))
         assert any(op == "retract" for op, _ in ops)
-        session = replay(program, ops)
+        return program, ops
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fuzzed_stratified_programs(self, seed):
+        session = replay(*self.fuzz_case(seed))
         assert_cold_parity(session)
         session.close()
+
+    def test_fuzz_seeds_under_forced_compaction(self, monkeypatch):
+        # Every lane with a tombstone compacts at the end of every
+        # retraction; the results must still equal the cold recompute.
+        monkeypatch.setattr(engine_index, "COMPACT_RATIO", 0.05)
+        monkeypatch.setattr(engine_index, "_COMPACT_MIN_ROWS", 1)
+        STATS.reset()
+        for seed in range(8):
+            session = replay(*self.fuzz_case(seed))
+            assert_cold_parity(session)
+            session.close()
+        assert STATS.compactions >= 1
 
     def test_retract_then_reinsert_roundtrips(self):
         edges = [edge(f"n{i}", f"n{i + 1}") for i in range(10)]
@@ -268,20 +291,19 @@ class TestPackedColumnTombstones:
         assert_cold_parity(session)
         session.close()
 
-    def test_scans_and_kernels_skip_tombstones_in_both_modes(self):
-        from repro.engine import kernels
-
+    def test_scans_and_kernels_skip_tombstones_in_both_modes(self, monkeypatch):
         edges = [edge(f"n{i}", f"n{i + 1}") for i in range(60)]
         session = DeltaSession(self.SINGLE_RULE, edges)
         index = session.instance._index
         session.retract(edges[10:30])
         assert session.instance._index is index  # in-place, not rebuilt
         survivors = {TERMS.atom_key(a)[1:] for a in edges[:10] + edges[30:]}
-        modes = [False] + ([True] if kernels.numpy_available() else [])
+        flags = (False, True) if kernels._np is not None else (False,)
         results = []
-        for flag in modes:
-            kernels.set_numpy_enabled(flag)
-            try:
+        for flag in flags:
+            with monkeypatch.context() as patch:
+                if not flag:
+                    patch.setattr(kernels, "_np", None)
                 scanned = set(index.scan_ids("triple", 3, ()))
                 assert scanned == survivors
                 # The bulk-extension kernel over every row id must surface
@@ -294,8 +316,6 @@ class TestPackedColumnTombstones:
                 values = index.distinct_values("triple", 0)
                 if values is not None:
                     assert values == {ids[0] for ids in survivors}
-            finally:
-                kernels.set_numpy_enabled(True)
         assert len({tuple(map(tuple, r)) for r in results}) == 1
         assert {tuple(row) for row in results[0]} == survivors
         assert_cold_parity(session)
@@ -326,7 +346,7 @@ class TestTombstoneCompaction:
 
     :meth:`PredicateIndex.compact` rewrites a lane's physical rows (live rows
     only, original order, fresh row ids) when the tombstone fraction crosses
-    ``compact_ratio`` at the end of a retraction.  The churn below retracts
+    ``COMPACT_RATIO`` at the end of a retraction.  The churn below retracts
     and re-pushes chain segments in small bites so tombstones accumulate
     without ever tripping the degenerate-rebuild guard; the forced-low leg
     must then be byte-identical — atoms *and* gated counters — to the
@@ -345,32 +365,25 @@ class TestTombstoneCompaction:
             session.push(edges[k : k + 2])
         return session
 
-    def _run(self, ratio):
-        from repro.engine.index import compact_ratio, set_compact_ratio
-        from repro.engine.stats import STATS
+    def _run(self, ratio, monkeypatch):
+        monkeypatch.setattr(engine_index, "COMPACT_RATIO", ratio)
+        STATS.reset()
+        session = self._churn()
+        atoms = session.instance.sorted_atoms()
+        gated = STATS.gated()
+        counts = dict(session.compaction_counts)
+        index = session.instance._index
+        lanes = {
+            predicate: (index.row_count(predicate), index.live.get(predicate, 0))
+            for predicate in index.rows
+        }
+        assert_cold_parity(session)
+        session.close()
+        return atoms, gated, counts, lanes
 
-        previous = compact_ratio()
-        set_compact_ratio(ratio)
-        try:
-            STATS.reset()
-            session = self._churn()
-            atoms = session.instance.sorted_atoms()
-            gated = STATS.gated()
-            counts = dict(session.compaction_counts)
-            index = session.instance._index
-            lanes = {
-                predicate: (index.row_count(predicate), index.live.get(predicate, 0))
-                for predicate in index.rows
-            }
-            assert_cold_parity(session)
-            session.close()
-            return atoms, gated, counts, lanes
-        finally:
-            set_compact_ratio(previous)
-
-    def test_byte_parity_with_compaction_disabled(self):
-        atoms_on, gated_on, counts_on, lanes_on = self._run(self.RATIO)
-        atoms_off, gated_off, counts_off, lanes_off = self._run(2.0)
+    def test_byte_parity_with_compaction_disabled(self, monkeypatch):
+        atoms_on, gated_on, counts_on, lanes_on = self._run(self.RATIO, monkeypatch)
+        atoms_off, gated_off, counts_off, lanes_off = self._run(2.0, monkeypatch)
         assert sum(counts_on.values()) >= 1  # the forced leg really compacted
         assert not counts_off
         assert atoms_on == atoms_off
@@ -386,27 +399,38 @@ class TestTombstoneCompaction:
             assert total_on < total_off
             assert (total_on - live_on) / total_on <= self.RATIO
 
-    def test_three_mode_parity_under_forced_compaction(self):
-        from repro.engine.index import compact_ratio, set_compact_ratio
+    def test_three_mode_parity_under_forced_compaction(self, monkeypatch):
+        monkeypatch.setattr(engine_index, "COMPACT_RATIO", self.RATIO)
 
-        previous = compact_ratio()
-        set_compact_ratio(self.RATIO)
-        try:
+        def stream():
+            session = self._churn()
+            atoms = list(session.instance)
+            assert sum(session.compaction_counts.values()) >= 1
+            session.close()
+            return atoms
 
-            def stream():
-                session = self._churn()
-                atoms = list(session.instance)
-                assert sum(session.compaction_counts.values()) >= 1
-                session.close()
-                return atoms
+        outcome = run_both_modes(stream)
+        assert outcome["row"][0] == outcome["batch"][0]
+        # The gated counters too: compaction renumbers rows mid-session,
+        # which must not change the work any executor accounts for.
+        assert outcome["row"][1] == outcome["batch"][1]
 
-            outcome = run_both_modes(stream)
-            assert outcome["row"][0] == outcome["batch"][0]
-            # The gated counters too: compaction renumbers rows mid-session,
-            # which must not change the work any executor accounts for.
-            assert outcome["row"][1] == outcome["batch"][1]
-        finally:
-            set_compact_ratio(previous)
+    def test_negation_and_chase_retractions_under_forced_compaction(
+        self, monkeypatch
+    ):
+        # Lanes renumber under the stratum rebuilds negation triggers and
+        # under the chase's null collector; every parity above must hold.
+        monkeypatch.setattr(engine_index, "COMPACT_RATIO", 0.05)
+        monkeypatch.setattr(engine_index, "_COMPACT_MIN_ROWS", 1)
+        STATS.reset()
+        negation, chase = TestNegation(), TestChaseRetraction()
+        negation.test_retraction_restores_negatively_supported_facts()
+        for seed in range(4):
+            negation.test_negation_fuzz_over_interleavings(seed)
+        chase.test_null_gc_drops_exactly_the_orphans()
+        chase.test_reinsertion_reinvents_the_same_null_labels()
+        chase.test_interleaved_chase_schedule_matches_cold()
+        assert STATS.compactions >= 1
 
 
 class TestCanary:

@@ -19,9 +19,9 @@ from repro.datalog.chase import ChaseEngine
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant, Null
-from repro.engine.mode import execution_mode, get_execution_mode, set_execution_mode
 from repro.engine.stats import STATS
 from repro.workloads.graphs import random_rdf_graph
+from test_engine_batch_parity import matcher
 
 C = Constant
 
@@ -76,7 +76,7 @@ class TestCounterDeterminism:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_repeated_runs_identical_within_mode(self, scenario, mode):
-        with execution_mode(mode):
+        with matcher(mode):
             first = counters_for(scenario)
             second = counters_for(scenario)
             third = counters_for(scenario)
@@ -85,36 +85,21 @@ class TestCounterDeterminism:
 
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
     def test_modes_agree_on_gated_counters(self, scenario):
-        with execution_mode("row"):
+        with matcher("row"):
             row = counters_for(scenario)
-        with execution_mode("batch"):
+        with matcher("batch"):
             batch = counters_for(scenario)
         assert row == batch
 
     def test_batch_instrumentation_only_moves_in_batch_mode(self):
-        with execution_mode("row"):
+        with matcher("row"):
             STATS.reset()
             scenario_seminaive()
             assert STATS.batch_probe_groups == 0
-        with execution_mode("batch"):
+        with matcher("batch"):
             STATS.reset()
             scenario_seminaive()
             assert STATS.batch_probe_groups > 0
-
-
-class TestExecutionModeToggle:
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError):
-            set_execution_mode("vectorised")
-
-    def test_context_manager_restores_previous_mode(self):
-        before = get_execution_mode()
-        with execution_mode("batch"):
-            assert get_execution_mode() == "batch"
-            with execution_mode("row"):
-                assert get_execution_mode() == "row"
-            assert get_execution_mode() == "batch"
-        assert get_execution_mode() == before
 
 
 class TestPivotSkipping:
@@ -141,7 +126,7 @@ class TestPivotSkipping:
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_empty_bound_term_bucket_skips_pivot(self, mode):
         program = parse_program(self.PROGRAM)
-        with execution_mode(mode):
+        with matcher(mode):
             STATS.reset()
             result = SemiNaiveEvaluator(program).evaluate(self.database())
         assert STATS.pivots_skipped > 0
@@ -151,7 +136,7 @@ class TestPivotSkipping:
         program = parse_program(self.PROGRAM)
         counts = {}
         for mode in ("row", "batch"):
-            with execution_mode(mode):
+            with matcher(mode):
                 STATS.reset()
                 SemiNaiveEvaluator(program).evaluate(self.database())
                 counts[mode] = STATS.pivots_skipped
@@ -165,7 +150,7 @@ class TestPivotSkipping:
         database = self.database() + [Atom("e", (C("n5"), C("flag")))]
         results = {}
         for mode in ("row", "batch"):
-            with execution_mode(mode):
+            with matcher(mode):
                 STATS.reset()
                 results[mode] = SemiNaiveEvaluator(program).evaluate(database)
         assert list(results["row"]) == list(results["batch"])
@@ -205,7 +190,7 @@ class TestSlotBoundPivotSkipping:
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_dead_end_slot_probe_skips_pivot(self, mode):
         program = parse_program(self.PROGRAM)
-        with execution_mode(mode):
+        with matcher(mode):
             STATS.reset()
             result = SemiNaiveEvaluator(program).evaluate(self.database())
         assert STATS.pivots_skipped > 0
@@ -215,7 +200,7 @@ class TestSlotBoundPivotSkipping:
         program = parse_program(self.PROGRAM)
         counts = {}
         for mode in ("row", "batch"):
-            with execution_mode(mode):
+            with matcher(mode):
                 STATS.reset()
                 SemiNaiveEvaluator(program).evaluate(self.database())
                 counts[mode] = STATS.pivots_skipped
@@ -227,7 +212,7 @@ class TestSlotBoundPivotSkipping:
         program = parse_program(self.PROGRAM)
         results = {}
         for mode in ("row", "batch"):
-            with execution_mode(mode):
+            with matcher(mode):
                 STATS.reset()
                 results[mode] = SemiNaiveEvaluator(program).evaluate(
                     self.database(overlap=True)
@@ -247,7 +232,7 @@ class TestSlotBoundPivotSkipping:
         ]
         results = {}
         for mode in ("row", "batch"):
-            with execution_mode(mode):
+            with matcher(mode):
                 STATS.reset()
                 results[mode] = SemiNaiveEvaluator(program).evaluate(database)
         assert list(results["row"]) == list(results["batch"])

@@ -1,7 +1,8 @@
 """Mutation canaries: planted engine bugs must make the parity oracles fail.
 
-The engine's correctness story leans on differential testing — row vs
-batch, warm vs cold, packed vs tuple — so the one failure mode the
+The engine's correctness story leans on differential testing — batch
+matcher vs depth-first oracle, warm vs cold, packed vs tuple — so the one
+failure mode the
 test tree cannot afford is an oracle that silently stopped discriminating.
 Each canary here *plants* a seeded divergence at a load-bearing site, runs
 the same differential assertion the real parity suites pin, and requires it
@@ -14,9 +15,9 @@ Two mutations, one per batch-executor layer:
 * **perturb one probe verdict** — :func:`kernels.extensions` is the packed
   bulk-extension kernel of the batch executor; swallowing one surviving
   extension must break row/batch byte-parity;
-* **drop one head fire** — :meth:`Instance.add_key` lands batch-mode head
-  facts; pretending one genuinely-new fact was a duplicate must break the
-  same parity (the row path lands heads through ``add_fact``).
+* **drop one head fire** — :meth:`Instance.add_key` lands every engine's
+  head facts; pretending the first genuinely-new fact was a duplicate (so
+  only the first of the two runs loses it) must break the same parity.
 
 The mutations are applied through ``monkeypatch`` fixture toggles.
 """
@@ -29,8 +30,8 @@ from repro.datalog.database import Instance
 from repro.datalog.terms import Null
 from repro.engine import kernels
 from repro.engine.incremental import DeltaSession
-from repro.engine.mode import execution_mode
 from repro.engine.stats import STATS
+from test_engine_batch_parity import matcher
 from test_engine_incremental_parity import TC_PROGRAM, edge
 
 
@@ -48,7 +49,7 @@ def oracle_row_vs_batch():
     es = edges(10)
     outcomes = {}
     for mode in ("row", "batch"):
-        with execution_mode(mode):
+        with matcher(mode):
             Null._counter = itertools.count()
             STATS.reset()
             session = DeltaSession(TC_PROGRAM, es[:6])

@@ -19,11 +19,11 @@ from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant, Null
 from repro.engine.incremental import DeltaSession
-from repro.engine.mode import execution_mode
 from repro.engine.stats import STATS
 from repro.obs.profile import PROFILER
 from repro.obs.trace import TRACER
 from repro.workloads.graphs import random_rdf_graph
+from test_engine_batch_parity import matcher
 
 TC_PROGRAM = """
     triple(?X, knows, ?Y) -> knows(?X, ?Y).
@@ -100,7 +100,7 @@ class TestTracingNeutrality:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_byte_parity_tracing_on_vs_off(self, scenario, mode):
-        with execution_mode(mode):
+        with matcher(mode):
             baseline = fingerprint(scenario)
             TRACER.enable()
             traced = fingerprint(scenario)
@@ -111,14 +111,13 @@ class TestTracingNeutrality:
         assert baseline[1]["facts_added"] > 0
 
     def test_engine_sites_record_events(self):
-        with execution_mode("batch"):
-            TRACER.enable()
-            fingerprint(scenario_seminaive)
-            seminaive_names = {event["name"] for event in TRACER.events()}
-            TRACER.enable()  # restart clean for the churn scenario
-            fingerprint(scenario_churn)
-            churn_names = {event["name"] for event in TRACER.events()}
-            TRACER.disable()
+        TRACER.enable()
+        fingerprint(scenario_seminaive)
+        seminaive_names = {event["name"] for event in TRACER.events()}
+        TRACER.enable()  # restart clean for the churn scenario
+        fingerprint(scenario_churn)
+        churn_names = {event["name"] for event in TRACER.events()}
+        TRACER.disable()
         assert {"seminaive.stratum", "seminaive.rule"} <= seminaive_names
         assert {
             "delta.push",
@@ -138,13 +137,12 @@ class TestTracingNeutrality:
             "person(?X) -> exists ?Y . parent(?X, ?Y), person(?Y)."
         )
         database = [Atom("person", (Constant("alice"),))]
-        with execution_mode("batch"):
-            TRACER.enable()
-            ChaseEngine(max_null_depth=3, on_limit="stop").chase(
-                database, program
-            )
-            names = {event["name"] for event in TRACER.events()}
-            TRACER.disable()
+        TRACER.enable()
+        ChaseEngine(max_null_depth=3, on_limit="stop").chase(
+            database, program
+        )
+        names = {event["name"] for event in TRACER.events()}
+        TRACER.disable()
         assert "chase.run" in names
         assert "chase.round" in names
 
@@ -153,7 +151,7 @@ class TestProfilingNeutrality:
     @pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.__name__)
     @pytest.mark.parametrize("mode", ["row", "batch"])
     def test_byte_parity_profiling_on_vs_off(self, scenario, mode):
-        with execution_mode(mode):
+        with matcher(mode):
             baseline = fingerprint(scenario)
             PROFILER.enable()
             PROFILER.reset()
@@ -165,12 +163,11 @@ class TestProfilingNeutrality:
         assert again == baseline
 
     def test_byte_parity_tracing_and_profiling_together(self):
-        with execution_mode("batch"):
-            baseline = fingerprint(scenario_churn)
-            TRACER.enable()
-            PROFILER.enable()
-            PROFILER.reset()
-            observed = fingerprint(scenario_churn)
-            TRACER.disable()
-            PROFILER.disable()
+        baseline = fingerprint(scenario_churn)
+        TRACER.enable()
+        PROFILER.enable()
+        PROFILER.reset()
+        observed = fingerprint(scenario_churn)
+        TRACER.disable()
+        PROFILER.disable()
         assert observed == baseline

@@ -12,9 +12,9 @@ from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant
-from repro.engine.mode import execution_mode
 from repro.engine.plan import compile_rule
 from repro.obs.profile import PROFILER, PlanProfile
+from test_engine_batch_parity import matcher
 
 C = Constant
 
@@ -37,7 +37,7 @@ def profiler_off_after():
 
 
 def run(mode):
-    with execution_mode(mode):
+    with matcher(mode):
         return SemiNaiveEvaluator(parse_program(PROGRAM)).evaluate(chain())
 
 
@@ -129,9 +129,8 @@ class TestExplain:
     def test_explain_includes_profile_after_profiled_run(self):
         PROFILER.enable()
         PROFILER.reset()
-        with execution_mode("batch"):
-            evaluator = SemiNaiveEvaluator(parse_program(PROGRAM))
-            evaluator.evaluate(chain())
+        evaluator = SemiNaiveEvaluator(parse_program(PROGRAM))
+        evaluator.evaluate(chain())
         texts = [
             crule.explain()
             for stratum in evaluator.compiled_strata

@@ -20,6 +20,7 @@ import urllib.request
 
 import pytest
 
+from repro.engine import index as engine_index
 from repro.engine.stats import STATS, active_stats, local_stats
 from repro.service.view import MaterializedView
 from repro.workloads.ontologies import university_graph
@@ -153,9 +154,7 @@ class TestMaintenanceSurface:
             assert view.maintenance()["readers_pinned"] == 1
         assert view.maintenance()["readers_pinned"] == 0
 
-    def test_compactions_surface_per_predicate(self, view):
-        from repro.engine.index import compact_ratio, set_compact_ratio
-
+    def test_compactions_surface_per_predicate(self, view, monkeypatch):
         health = view.maintenance()
         assert all(
             entry["compactions"] == 0 for entry in health["predicates"].values()
@@ -167,14 +166,10 @@ class TestMaintenanceSurface:
         # trips the degeneration guard instead (cold rebuild, fresh lanes,
         # nothing to compact).
         churn = [(f"tmp_{i}", "rdf:type", "Student") for i in range(600)]
-        previous = compact_ratio()
-        set_compact_ratio(0.05)
-        try:
-            view.push(churn)
-            for k in range(0, len(churn), 40):
-                view.retract(churn[k : k + 40])
-        finally:
-            set_compact_ratio(previous)
+        monkeypatch.setattr(engine_index, "COMPACT_RATIO", 0.05)
+        view.push(churn)
+        for k in range(0, len(churn), 40):
+            view.retract(churn[k : k + 40])
         health = view.maintenance()
         compacted = {
             predicate: entry

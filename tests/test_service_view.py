@@ -11,7 +11,9 @@ import threading
 import pytest
 
 from repro.datalog.semantics import INCONSISTENT
+from repro.engine.incremental import DeltaSession
 from repro.service import MaterializedView, StaleSnapshotError
+from repro.service import view as view_module
 from repro.sparql.parser import parse_sparql
 from repro.translation.entailment_regime import evaluate_under_entailment
 from repro.workloads.ontologies import university_graph
@@ -22,6 +24,29 @@ WORKS = parse_sparql("SELECT ?X WHERE { ?X worksFor _:B }")
 
 def small_graph():
     return university_graph(n_departments=1, students_per_department=3)
+
+
+DOOMED = [("doomed", "rdf:type", "Student")]
+
+
+def query_inside_retraction(view, monkeypatch):
+    """Query a snapshot pinned before a retraction from inside its null-GC
+    phase (rows already tombstoned); the answers, or the raised error."""
+    pinned = view.current
+    seen = []
+    collect = DeltaSession._collect_nulls
+
+    def query_then_collect(session, marked, rebuilt):
+        try:
+            seen.append(pinned.query(PERSON))
+        except StaleSnapshotError as error:
+            seen.append(error)
+        return collect(session, marked, rebuilt)
+
+    monkeypatch.setattr(DeltaSession, "_collect_nulls", query_then_collect)
+    view.retract(DOOMED)
+    assert len(seen) == 1
+    return seen[0]
 
 
 class TestPublication:
@@ -119,6 +144,66 @@ class TestRetraction:
             view.retract([("doomed", "rdf:type", "Student")])
             with pytest.raises(StaleSnapshotError):
                 stale.query_ids(PERSON)
+
+    def test_snapshot_queried_during_a_retraction_raises(self, monkeypatch):
+        # Regression: the pinned retraction count only moved on the
+        # retraction's last line, so a read overlapping the tombstoning
+        # phase answered 200 from half-deleted rows.
+        with MaterializedView(small_graph()) as view:
+            view.push(DOOMED)
+            outcome = query_inside_retraction(view, monkeypatch)
+            assert isinstance(outcome, StaleSnapshotError)
+
+    def test_retraction_overlapping_an_evaluation_raises(self, monkeypatch):
+        # The pre-check passes, a whole retraction runs while the query
+        # evaluates, and the re-check after evaluating must catch it.
+        with MaterializedView(small_graph()) as view:
+            view.push(DOOMED)
+            evaluate = view_module.evaluate_view_ids
+
+            def evaluate_across_a_retraction(*args):
+                monkeypatch.setattr(view_module, "evaluate_view_ids", evaluate)
+                view.retract(DOOMED)
+                return evaluate(*args)
+
+            monkeypatch.setattr(
+                view_module, "evaluate_view_ids", evaluate_across_a_retraction
+            )
+            with view.read() as snapshot:
+                with pytest.raises(StaleSnapshotError):
+                    snapshot.query(PERSON)
+
+    def test_canary_late_entry_bump_misses_the_overlap(self, monkeypatch):
+        # With the entry bump moved after the session's retraction, the
+        # overlapping read above is answered again: the test has teeth.
+        def retract_with_late_entry_bump(self, facts):
+            with self._write_lock:
+                try:
+                    result = self._session.retract(facts)
+                    self._retract_seq += 1
+                finally:
+                    self._retract_seq += 1
+                self._published = self._publish()
+            return result
+
+        monkeypatch.setattr(
+            MaterializedView, "retract", retract_with_late_entry_bump
+        )
+        with MaterializedView(small_graph()) as view:
+            view.push(DOOMED)
+            outcome = query_inside_retraction(view, monkeypatch)
+            assert not isinstance(outcome, StaleSnapshotError)
+
+    def test_rejected_retraction_leaves_reads_working(self):
+        # A retraction the session rejects still advances the sequence; the
+        # view must republish, or every later read raises StaleSnapshotError.
+        with MaterializedView(small_graph()) as view:
+            view.push(DOOMED)
+            before = view.query(PERSON)
+            with pytest.raises(ValueError):
+                view.retract([("_:b", "rdf:type", "Student")])
+            assert view.query(PERSON) == before
+            assert view.stats()["retractions"] == 0
 
     def test_snapshot_published_after_retraction_is_valid(self):
         with MaterializedView(small_graph()) as view:
