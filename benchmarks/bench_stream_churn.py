@@ -190,7 +190,7 @@ def test_churn_compaction_bounded_lanes(benchmark, batches):
             index = session.instance._index
             lanes = {
                 predicate: (index.row_count(predicate), index.live.get(predicate, 0))
-                for predicate in index.rows
+                for predicate in index.cols
             }
             compactions = dict(session.compaction_counts)
             size = len(session)

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.analysis.guards import classify_program
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import match_atoms
+from repro.datalog.chase import embeds
 from repro.datalog.database import Instance
 from repro.datalog.program import Program, Query
 from repro.datalog.rules import Rule
@@ -132,24 +132,27 @@ class WardedEngine:
     def is_consistent(self, database: Iterable[Atom]) -> bool:
         """True iff no constraint body embeds into the materialisation."""
         result = self.materialise(database, with_provenance=False)
-        for constraint in self.program.constraints:
-            if next(match_atoms(constraint.body, result.instance), None) is not None:
-                return False
-        return True
+        return not self._violated(result.instance)
 
     def evaluate_query(self, query: Query, database: Iterable[Atom]) -> QueryResult:
         """``Q(D)`` under the paper's semantics (⊤ on constraint violation)."""
         if query.program is not self.program and query.program != self.program:
             raise ValueError("query program differs from the engine's program")
         result = self.materialise(database, with_provenance=False)
-        for constraint in self.program.constraints:
-            if next(match_atoms(constraint.body, result.instance), None) is not None:
-                return INCONSISTENT
+        if self._violated(result.instance):
+            return INCONSISTENT
         answers: Set[Tuple[Constant, ...]] = set()
         for atom in result.instance.with_predicate(query.output_predicate):
             if atom.is_ground:
                 answers.add(tuple(atom.terms))  # type: ignore[arg-type]
         return frozenset(answers)
+
+    def _violated(self, instance: Instance) -> bool:
+        """True iff some constraint body embeds into ``instance``."""
+        return any(
+            embeds(constraint.body, instance)
+            for constraint in self.program.constraints
+        )
 
     # -- fixpoint ----------------------------------------------------------------
 
@@ -179,7 +182,7 @@ class WardedEngine:
             has_existentials = bool(rule.existential_variables)
             batches = crule.trigger_row_batches(instance, delta, negation_reference)
             add_key = instance.add_key
-            sink_add = delta_sink.add_fact
+            sink_add = delta_sink.add_key
             for plan, rows in batches:
                 ops = crule.row_ops(plan)
                 frontier_slots = ops.frontier_slots
@@ -218,10 +221,12 @@ class WardedEngine:
                     STATS.triggers_fired += 1
                     body_instantiation = None
                     for fact_key in head_keys_row(extended):
-                        fact = add_key(fact_key)
-                        if fact is not None:
-                            sink_add(fact)
-                            if provenance is not None and fact not in provenance:
+                        if not add_key(fact_key):
+                            continue
+                        sink_add(fact_key)
+                        if provenance is not None:
+                            fact = TERMS.decode_atom(fact_key)
+                            if fact not in provenance:
                                 if body_instantiation is None:
                                     body_instantiation = ops.body_facts_row(row)
                                 provenance[fact] = (rule, body_instantiation)

@@ -26,8 +26,8 @@ bound/free resolution, precompiled negation probes and head-satisfaction
 plans).  Both loops (cold and resume) fire from the slot-ID rows
 :meth:`~repro.engine.plan.JoinPlan.rows` returns — one firing path.
 :func:`match_atoms` remains as the wrapper for callers that match ad-hoc atom
-sequences into substitution dicts (constraint checks, goal-directed
-re-derivation, analysis, tests).
+sequences into substitution dicts (goal-directed re-derivation, analysis,
+tests), and :func:`embeds` answers constraint checks without one.
 """
 
 from __future__ import annotations
@@ -144,6 +144,15 @@ def match_atoms(
     atoms = tuple(atoms)
     prebound = frozenset(initial) if initial else frozenset()
     return compile_body(atoms, prebound).execute(instance, initial)
+
+
+def embeds(atoms: Sequence[Atom], instance) -> bool:
+    """True iff some homomorphism maps every atom of ``atoms`` into ``instance``.
+
+    The constraint check of every engine: the depth-first matcher stops at
+    the first match and decodes no substitution dict.
+    """
+    return compile_body(atoms).exists(instance)
 
 
 def satisfies_some(
@@ -337,7 +346,7 @@ class ChaseEngine:
                         null_depth[nid] = depth + 1
                         invented += 1
                     for key in ops.head_keys_row(trigger + tuple(fresh_ids)):
-                        if instance.add_key(key) is not None:
+                        if instance.add_key(key):
                             added += 1
                     fired.add(trigger_key)
                     steps += 1
@@ -496,9 +505,8 @@ class ChaseEngine:
                         steps += 1
                         STATS.triggers_fired += 1
                         for key in ops.head_keys_row(trigger + tuple(fresh_ids)):
-                            atom = instance.add_key(key)
-                            if atom is not None:
-                                new_delta.add_fact(atom)
+                            if instance.add_key(key):
+                                new_delta.add_key(key)
                     if limit_reason:
                         break
                 if limit_reason:

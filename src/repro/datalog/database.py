@@ -2,21 +2,25 @@
 
 An *instance* is a (possibly infinite, here always finite) set of atoms over
 constants and labelled nulls; a *database* is a finite instance mentioning
-constants only (Section 3.2).  ``Instance`` is backed by the engine core's
-:class:`~repro.engine.index.PredicateIndex`: facts live in append-only
-per-predicate rows with hash postings of row ids, so homomorphism matching
-during the chase and semi-naive evaluation iterates candidate buckets under a
-captured length instead of copying them, and freezing the lower strata for
+constants only (Section 3.2).  ``Instance`` stores each fact once, in
+dictionary-encoded form: its key ``(pid, tid1, ..., tidn)`` in an
+insertion-ordered map to the fact's insertion ordinal, plus one ID row in
+the engine core's :class:`~repro.engine.index.PredicateIndex` (append-only
+per-predicate lanes with hash postings of row ids).  Homomorphism matching
+during the chase and semi-naive evaluation iterates candidate buckets under
+a captured length instead of copying them, and freezing the lower strata for
 stratified negation (:meth:`Instance.snapshot`) is O(#predicates) instead of
-a full re-index.
+a full re-index.  :class:`~repro.datalog.atoms.Atom` objects exist only
+where a fact leaves the store: iteration, :meth:`Instance.with_predicate`,
+:meth:`Instance.matching` and :meth:`Instance.sorted_atoms` decode them.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.datalog.atoms import Atom
-from repro.datalog.terms import Constant, Null, Term, Variable
+from repro.datalog.terms import Constant, Null, Term
 from repro.engine.index import InstanceSnapshot, PredicateIndex
 from repro.engine.interning import TERMS
 from repro.engine.stats import STATS
@@ -25,15 +29,12 @@ from repro.engine.stats import STATS
 class Instance:
     """A mutable, indexed set of variable-free atoms (facts)."""
 
-    __slots__ = ("_ordinals", "_keys", "_index", "_counter")
+    __slots__ = ("_keys", "_index", "_counter")
 
     def __init__(self, atoms: Iterable[Atom] = ()):
-        # atom -> global insertion ordinal; dict order is insertion order,
-        # which is what makes snapshots a prefix.
-        self._ordinals: Dict[Atom, int] = {}
-        # encoded fact key (pid, tid1, ..., tidn) -> ordinal: the
-        # dictionary-encoded membership map the executors probe (negation
-        # templates, head dedup) without building an Atom.
+        # encoded fact key (pid, tid1, ..., tidn) -> global insertion
+        # ordinal; dict order is insertion order, which is what makes
+        # snapshots a prefix.
         self._keys: Dict[Tuple[int, ...], int] = {}
         self._index = PredicateIndex()
         self._counter = 0
@@ -44,94 +45,77 @@ class Instance:
 
     def add(self, atom: Atom) -> bool:
         """Add a fact; returns True if it was new."""
-        # Membership goes through the Atom map (cached hash) so duplicate
-        # adds — the common case inside a fixpoint — pay no encoding.
-        if atom in self._ordinals:
-            return False
-        for t in atom.terms:
-            if isinstance(t, Variable):
-                raise ValueError(f"cannot add non-fact atom {atom} to an instance")
-        gid = self._counter
-        self._ordinals[atom] = gid
-        self._keys[TERMS.atom_key(atom)] = gid
-        self._counter = gid + 1
-        self._index.add(atom, gid)
-        STATS.facts_added += 1
-        return True
+        return self.add_key(self._encode(atom))
 
     def add_all(self, atoms: Iterable[Atom]) -> int:
         """Add many facts; returns the number of genuinely new ones."""
         add = self.add
         return sum(1 for atom in atoms if add(atom))
 
-    def add_fact(self, atom: Atom) -> bool:
-        """Add a trusted fact (no variable check); returns True if new.
+    def add_key(self, key: Tuple[int, ...]) -> bool:
+        """Add an encoded fact ``(pid, tid1, ..., tidn)``; True if it was new.
 
-        Engine-internal fast path for derived head facts, whose terms are by
-        construction ground values or invented nulls.
+        Every engine lands its head facts here: a duplicate costs one
+        int-tuple lookup, and a new fact becomes one key entry plus one lane
+        row — nothing is decoded.
         """
-        if atom in self._ordinals:
+        keys = self._keys
+        if key in keys:
             return False
         gid = self._counter
-        self._ordinals[atom] = gid
-        self._keys[TERMS.atom_key(atom)] = gid
+        keys[key] = gid
         self._counter = gid + 1
-        self._index.add(atom, gid)
+        self._index.append(TERMS.term(key[0]).value, key[1:], gid)
         STATS.facts_added += 1
         return True
 
     def bulk_load(self, atoms: Iterable[Atom]) -> int:
-        """Fast path for loading many facts at once; returns the number added.
+        """Load many facts at once; returns the number added.
 
-        Functionally identical to :meth:`add_all` but inlined: one local
-        binding of the hot structures, one validity check per fact, no
-        per-fact method dispatch.  Used by ``Database`` construction, the
-        RDF-graph relational views, and the benchmark harness so that setup
-        time stays out of measured sections.
+        Encodes, then lands the keys through :meth:`load_keys`; an instance
+        argument is copied key for key, without decoding.
         """
-        ordinals = self._ordinals
-        keys = self._keys
-        index = self._index
-        atom_key = TERMS.atom_key
-        counter = self._counter
-        added = 0
-        # Group per predicate and land each group through the lane-wise bulk
-        # index path: ordinals/keys are assigned in iteration order here (so
-        # duplicates and the validity error behave exactly as per-fact
-        # adds), while row ids only need to stay ordered *within* each
-        # predicate — which per-group appends preserve.
-        groups: Dict[str, list] = {}
-        try:
-            for atom in atoms:
-                if atom in ordinals:
-                    continue
-                if not self._loadable(atom):
-                    raise ValueError(self._invalid_message(atom))
-                key = atom_key(atom)
-                ordinals[atom] = counter
-                keys[key] = counter
-                group = groups.get(atom.predicate)
-                if group is None:
-                    group = groups[atom.predicate] = []
-                group.append((atom, key[1:], counter))
-                counter += 1
-                added += 1
-        finally:
-            for predicate, group in groups.items():
-                index.add_bulk(
-                    predicate,
-                    [g[0] for g in group],
-                    [g[1] for g in group],
-                    [g[2] for g in group],
-                )
-            self._counter = counter
-            STATS.facts_added += added
-        return added
+        if isinstance(atoms, Instance):
+            return self.load_keys(atoms._keys)
+        return self.load_keys(map(self._encode, atoms))
 
-    @staticmethod
-    def _loadable(atom: Atom) -> bool:
-        """The validity check ``bulk_load`` applies (facts only)."""
-        return not any(isinstance(t, Variable) for t in atom.terms)
+    def load_keys(self, keys: Iterable[Tuple[int, ...]]) -> int:
+        """Land many encoded facts in iteration order; returns the number added.
+
+        The one bulk loader (``Instance(...)``, copies, rebuilds, delta
+        windows).  Ordinals are assigned in iteration order, so duplicates
+        and errors behave exactly as per-fact :meth:`add_key` calls would;
+        each predicate's rows then land through the lane-wise bulk index
+        path, which keeps row ids ordered within each predicate.  Facts read
+        before an error are kept.
+        """
+        own = self._keys
+        first = counter = self._counter
+        groups: Dict[int, Tuple[List[Tuple[int, ...]], List[int]]] = {}
+        try:
+            for key in keys:
+                if key in own:
+                    continue
+                own[key] = counter
+                group = groups.get(key[0])
+                if group is None:
+                    group = groups[key[0]] = ([], [])
+                group[0].append(key[1:])
+                group[1].append(counter)
+                counter += 1
+        finally:
+            for pid, (id_rows, gids) in groups.items():
+                self._index.add_bulk(TERMS.term(pid).value, id_rows, gids)
+            self._counter = counter
+            STATS.facts_added += counter - first
+        return counter - first
+
+    def _encode(self, atom: Atom) -> Tuple[int, ...]:
+        """The fact key of ``atom``; ValueError for a non-fact atom."""
+        try:
+            return TERMS.atom_key(atom)
+        except TypeError:
+            raise ValueError(self._invalid_message(atom)) from None
 
     @staticmethod
     def _invalid_message(atom: Atom) -> str:
@@ -143,11 +127,10 @@ class Instance:
         Ordinals of surviving facts are never renumbered and ``_counter``
         never rewinds, so re-added facts get strictly fresh ordinals.
         """
-        if atom not in self._ordinals:
+        key = TERMS.find_key(atom)
+        if key not in self._keys:
             return False
-        del self._ordinals[atom]
-        del self._keys[TERMS.atom_key(atom)]
-        self._index.tombstone(atom)
+        self._index.tombstone(atom.predicate, key[1:], self._keys.pop(key))
         return True
 
     # -- dictionary-encoded fast paths ---------------------------------------
@@ -160,59 +143,44 @@ class Instance:
         """
         return key in self._keys
 
-    def add_key(self, key: Tuple[int, ...]) -> Optional[Atom]:
-        """Add an encoded fact; returns its (decoded) Atom if new, else None.
-
-        This is how the batch firing paths land head facts: the
-        duplicate check costs one int-tuple lookup, and the Atom is only
-        materialised for genuinely new facts (it is needed for the decoded
-        row view and the ordinal map — the result boundary).
-        """
-        if key in self._keys:
-            return None
-        atom = TERMS.decode_atom(key)
-        gid = self._counter
-        self._ordinals[atom] = gid
-        self._keys[key] = gid
-        self._counter = gid + 1
-        self._index.add(atom, gid)
-        STATS.facts_added += 1
-        return atom
-
     def null_ids(self) -> "frozenset[int]":
         """The term IDs of every labelled null occurring in the instance."""
         return frozenset(
             tid for key in self._keys for tid in key[1:] if tid & 1
         )
 
+    def _term_ids(self) -> Set[int]:
+        """The term IDs of every constant and null occurring in the instance."""
+        return {tid for key in self._keys for tid in key[1:]}
+
     # -- set protocol -----------------------------------------------------------
 
     def __contains__(self, atom: Atom) -> bool:
-        return atom in self._ordinals
+        return TERMS.find_key(atom) in self._keys
 
     def __iter__(self) -> Iterator[Atom]:
-        return iter(self._ordinals)
+        return map(TERMS.decode_atom, self._keys)
 
     def __len__(self) -> int:
-        return len(self._ordinals)
+        return len(self._keys)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Instance):
-            return self._ordinals.keys() == other._ordinals.keys()
+            return self._keys.keys() == other._keys.keys()
         if isinstance(other, (set, frozenset)):
-            return self._ordinals.keys() == other
+            return self.to_set() == other
         return NotImplemented
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({len(self._ordinals)} atoms)"
+        return f"{type(self).__name__}({len(self._keys)} atoms)"
 
     def copy(self) -> "Instance":
         """An independent instance with the same facts (fresh index)."""
-        return type(self)(self._ordinals)
+        return type(self)(self)
 
     def to_set(self) -> FrozenSet[Atom]:
         """The facts as a frozen set."""
-        return frozenset(self._ordinals)
+        return frozenset(self)
 
     def snapshot(self) -> InstanceSnapshot:
         """A frozen view of the current facts (additions stay invisible).
@@ -222,31 +190,27 @@ class Instance:
         only per-predicate row counts.
         """
         return InstanceSnapshot(
-            self._ordinals,
             self._keys,
             self._index,
             self._counter,
             self._index.row_limits(),
-            len(self._ordinals),
+            len(self._keys),
         )
 
     # -- lookup -------------------------------------------------------------------
 
     def with_predicate(self, predicate: str) -> FrozenSet[Atom]:
         """All facts over ``predicate``."""
-        rows = self._index.rows.get(predicate)
-        if not rows:
-            return frozenset()
-        return frozenset(fact for fact in rows if fact is not None)
+        return frozenset(self._index.atoms(predicate))
 
     def matching(self, pattern: Atom) -> Iterator[Atom]:
         """All facts that the (possibly non-ground) ``pattern`` can map to.
 
         Constants and nulls in the pattern must match exactly; variables match
         anything (repeated variables are checked by the caller's unifier).
-        The most selective available index is used.  Facts added while the
-        returned iterator is consumed are not seen by it — the chase and the
-        semi-naive rounds rely on this snapshot-per-call behaviour.
+        Facts added while the returned iterator is consumed are not seen by
+        it — the chase and the semi-naive rounds rely on this
+        snapshot-per-call behaviour.
         """
         return self._index.scan(pattern)
 
@@ -281,36 +245,36 @@ class Instance:
 
     def domain(self) -> FrozenSet[Term]:
         """``dom(I)``: all constants and nulls occurring in the instance."""
-        return frozenset(t for atom in self._ordinals for t in atom.terms)
+        return frozenset(TERMS.decode(self._term_ids()))
 
     def constants(self) -> FrozenSet[Constant]:
         """All constants occurring in the instance."""
-        return frozenset(
-            t for atom in self._ordinals for t in atom.terms if isinstance(t, Constant)
-        )
+        return frozenset(TERMS.decode(t for t in self._term_ids() if not t & 1))
 
     def nulls(self) -> FrozenSet[Null]:
         """All labelled nulls occurring in the instance."""
-        return frozenset(
-            t for atom in self._ordinals for t in atom.terms if isinstance(t, Null)
-        )
+        return frozenset(TERMS.decode(self.null_ids()))
 
     def ground_part(self) -> "Instance":
         """``I↓``: the atoms mentioning constants only (Section 6.3)."""
-        return Instance(a for a in self._ordinals if a.is_ground)
+        ground = Instance()
+        ground.load_keys(
+            key for key in self._keys if not any(tid & 1 for tid in key[1:])
+        )
+        return ground
 
     def arity_of(self, predicate: str) -> Optional[int]:
         """The arity of ``predicate``'s facts, or None if absent."""
-        rows = self._index.rows.get(predicate)
-        if rows:
-            for fact in rows:
-                if fact is not None:
-                    return fact.arity
+        cols = self._index.cols.get(predicate)
+        if cols:
+            for arity in cols.arities:
+                if arity >= 0:
+                    return arity
         return None
 
     def sorted_atoms(self) -> List[Atom]:
         """Deterministically ordered list of facts (useful in tests and reports)."""
-        return sorted(self._ordinals, key=lambda a: (a.predicate, tuple(map(str, a.terms))))
+        return sorted(self, key=lambda a: (a.predicate, tuple(map(str, a.terms))))
 
 
 class Database(Instance):
@@ -318,38 +282,19 @@ class Database(Instance):
 
     __slots__ = ()
 
-    def add(self, atom: Atom) -> bool:
-        """Add a ground fact over constants; rejects nulls and variables."""
-        if not atom.is_ground:
-            raise ValueError(
-                f"databases may only contain ground atoms over constants; got {atom}"
-            )
-        return super().add(atom)
+    def add_key(self, key: Tuple[int, ...]) -> bool:
+        """Encoded add, still enforcing constants-only (one bit test per term)."""
+        return super().add_key(self._ground(key))
 
-    @staticmethod
-    def _loadable(atom: Atom) -> bool:
-        return atom.is_ground
+    def load_keys(self, keys: Iterable[Tuple[int, ...]]) -> int:
+        """Bulk encoded load, still enforcing constants-only."""
+        return super().load_keys(map(self._ground, keys))
+
+    def _ground(self, key: Tuple[int, ...]) -> Tuple[int, ...]:
+        if any(tid & 1 for tid in key[1:]):
+            raise ValueError(self._invalid_message(TERMS.decode_atom(key)))
+        return key
 
     @staticmethod
     def _invalid_message(atom: Atom) -> str:
         return f"databases may only contain ground atoms over constants; got {atom}"
-
-    def add_fact(self, atom: Atom) -> bool:
-        """Trusted-path add, still enforcing the constants-only invariant."""
-        # The trusted fast path must not bypass the constants-only invariant.
-        if not atom.is_ground:
-            raise ValueError(self._invalid_message(atom))
-        return super().add_fact(atom)
-
-    def add_key(self, key: Tuple[int, ...]) -> Optional[Atom]:
-        """Encoded add, still enforcing constants-only (one bit test per term)."""
-        if any(tid & 1 for tid in key[1:]):
-            raise ValueError(
-                "databases may only contain ground atoms over constants; "
-                f"got {TERMS.decode_atom(key)}"
-            )
-        return super().add_key(key)
-
-    def copy(self) -> "Database":
-        """An independent database with the same facts."""
-        return Database(self._ordinals)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import ChaseEngine, match_atoms
+from repro.datalog.chase import ChaseEngine, embeds
 from repro.datalog.database import Instance
 from repro.datalog.program import Program, Query
 from repro.datalog.rules import Constraint
@@ -66,26 +66,8 @@ class StratifiedSemantics:
         self.strata = partition_by_stratum(program.ex(), self.stratification)
 
     def materialise(self, database: Iterable[Atom]) -> SemanticsResult:
-        """Compute ``Pi(D)`` (an instance, or ``INCONSISTENT``).
-
-        One live :class:`Instance` is threaded through all strata
-        (``reuse_instance=True``): each stratum's chase extends it in place,
-        and the stratum's negation reference is a frozen
-        :meth:`~repro.datalog.database.Instance.snapshot` — per-predicate row
-        counts, not a copy — so the per-stratum re-index the seed performed
-        is gone.
-        """
-        current = Instance(database)
-        for stratum_rules in self.strata:
-            if not stratum_rules:
-                continue
-            reference = current.snapshot()
-            self.chase_engine.chase(
-                current,
-                Program(stratum_rules),
-                negation_reference=reference,
-                reuse_instance=True,
-            )
+        """Compute ``Pi(D)`` (an instance, or ``INCONSISTENT``)."""
+        current = self._chase_strata(database)
         if self._violates_constraints(current):
             return INCONSISTENT
         return current
@@ -105,14 +87,16 @@ class StratifiedSemantics:
             self.program, database, engine="chase", chase_engine=self.chase_engine
         )
 
-    def _violates_constraints(self, instance: Instance) -> bool:
-        for constraint in self.program.constraints:
-            if next(match_atoms(constraint.body, instance), None) is not None:
-                return True
-        return False
+    def _chase_strata(self, database: Iterable[Atom]) -> Instance:
+        """``S_l``: the strata chased in order, constraints not yet checked.
 
-    def violated_constraints(self, database: Iterable[Atom]) -> List[Constraint]:
-        """The constraints violated by ``database`` under the program (diagnostics)."""
+        One live :class:`Instance` is threaded through all strata
+        (``reuse_instance=True``): each stratum's chase extends it in place,
+        and the stratum's negation reference is a frozen
+        :meth:`~repro.datalog.database.Instance.snapshot` — per-predicate row
+        counts, not a copy — so the per-stratum re-index the seed performed
+        is gone.
+        """
         current = Instance(database)
         for stratum_rules in self.strata:
             if not stratum_rules:
@@ -124,11 +108,18 @@ class StratifiedSemantics:
                 negation_reference=reference,
                 reuse_instance=True,
             )
-        return [
-            c
-            for c in self.program.constraints
-            if next(match_atoms(c.body, current), None) is not None
-        ]
+        return current
+
+    def _violates_constraints(self, instance: Instance) -> bool:
+        return any(
+            embeds(constraint.body, instance)
+            for constraint in self.program.constraints
+        )
+
+    def violated_constraints(self, database: Iterable[Atom]) -> List[Constraint]:
+        """The constraints violated by ``database`` under the program (diagnostics)."""
+        current = self._chase_strata(database)
+        return [c for c in self.program.constraints if embeds(c.body, current)]
 
 
 def evaluate_program(

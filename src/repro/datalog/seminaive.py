@@ -38,7 +38,7 @@ import time
 from typing import Iterable, List, Sequence, Set
 
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import match_atoms
+from repro.datalog.chase import embeds
 from repro.datalog.database import Instance
 from repro.datalog.program import Program
 from repro.datalog.rules import RuleError
@@ -85,11 +85,11 @@ class SemiNaiveEvaluator:
 
     def violated_constraints(self, instance: Instance) -> List[int]:
         """Indexes of constraints whose body embeds into ``instance``."""
-        violated = []
-        for i, constraint in enumerate(self.program.constraints):
-            if next(match_atoms(constraint.body, instance), None) is not None:
-                violated.append(i)
-        return violated
+        return [
+            i
+            for i, constraint in enumerate(self.program.constraints)
+            if embeds(constraint.body, instance)
+        ]
 
     def resume_stratum(
         self,
@@ -166,17 +166,14 @@ class SemiNaiveEvaluator:
             trace_start = time.perf_counter_ns()
         batches = crule.trigger_row_batches(instance, delta, negation_reference)
         add_key = instance.add_key
-        sink_add = delta_sink.add_fact
+        sink_add = delta_sink.add_key
         for plan, rows in batches:
             head_keys_row = crule.row_ops(plan).head_keys_row
             for row in rows:
                 STATS.triggers_fired += 1
                 for key in head_keys_row(row):
-                    # Encoded dedup first; the Atom is only decoded for
-                    # genuinely new facts (the result boundary).
-                    atom = add_key(key)
-                    if atom is not None:
-                        sink_add(atom)
+                    if add_key(key):
+                        sink_add(key)
         if traced:
             TRACER.record(
                 "seminaive.rule",

@@ -11,9 +11,9 @@ package instead of re-deriving join strategy per call:
   :data:`~repro.engine.interning.TERMS` table — constants even, nulls odd —
   and the whole stack below runs on those IDs; decoding happens only at
   result boundaries.
-* :class:`~repro.engine.index.PredicateIndex` stores facts in append-only
-  per-predicate rows (the decoded view) plus aligned **ID rows** with hash
-  postings of row ids per ``(predicate, position, term-ID)``, so candidate
+* :class:`~repro.engine.index.PredicateIndex` stores facts as append-only
+  per-predicate **ID rows** (no decoded atoms) with hash postings of row
+  ids per ``(predicate, position, term-ID)``, so candidate
   buckets are iterated under a captured length instead of being copied per
   lookup, and frozen prefix views
   (:class:`~repro.engine.index.InstanceSnapshot` via ``Instance.snapshot()``)

@@ -239,49 +239,35 @@ class BatchPlan:
                 if slot is not None and slot < n_prebound:
                     base[slot] = _seed_id(value)
         rows_batch: List[SlotRow] = [tuple(base)]
-        if PROFILER.enabled:
-            return self._run_profiled(
-                index, limits, delta_index, delta_limits, delta_source, rows_batch
-            )
+        # Profiling costs one branch per step, never per row: the per-step
+        # counters are batch sizes, the probe-group delta of the thread's
+        # stats blob, and one clock pair around ``apply`` — the numbers
+        # :meth:`repro.engine.plan.CompiledRule.explain` and the harness
+        # ``--profile`` artifact report.
+        profile = PROFILER.plan_profile(self.plan) if PROFILER.enabled else None
+        if profile is not None:
+            stats = active_stats()
+            run_start = time.perf_counter_ns()
         for depth, step in enumerate(self.steps):
             if depth == 0 and delta_source is not None:
-                rows_batch = step.apply(delta_index, delta_limits, rows_batch)
+                source_index, source_limits = delta_index, delta_limits
             else:
-                rows_batch = step.apply(index, limits, rows_batch)
+                source_index, source_limits = index, limits
+            if profile is None:
+                rows_batch = step.apply(source_index, source_limits, rows_batch)
+            else:
+                step_profile = profile.steps[depth]
+                step_profile.rows_in += len(rows_batch)
+                probes_before = stats.batch_probe_groups
+                step_start = time.perf_counter_ns()
+                rows_batch = step.apply(source_index, source_limits, rows_batch)
+                step_profile.time_ns += time.perf_counter_ns() - step_start
+                step_profile.probes += stats.batch_probe_groups - probes_before
+                step_profile.rows_out += len(rows_batch)
             if not rows_batch:
                 break
-        return rows_batch
-
-    def _run_profiled(
-        self, index, limits, delta_index, delta_limits, delta_source, rows_batch
-    ) -> List[SlotRow]:
-        """The :meth:`run` step loop with per-step accounting around it.
-
-        The steps themselves are untouched (``apply`` stays the single hot
-        loop); this wrapper counts the batch sizes entering and leaving
-        each step, attributes the probe-group delta of the thread's stats
-        blob to the step, and times each ``apply`` call — the numbers
-        :meth:`repro.engine.plan.CompiledRule.explain` and the harness
-        ``--profile`` artifact report.
-        """
-        profile = PROFILER.plan_profile(self.plan)
-        stats = active_stats()
-        run_start = time.perf_counter_ns()
-        for depth, step in enumerate(self.steps):
-            step_profile = profile.steps[depth]
-            step_profile.rows_in += len(rows_batch)
-            probes_before = stats.batch_probe_groups
-            step_start = time.perf_counter_ns()
-            if depth == 0 and delta_source is not None:
-                rows_batch = step.apply(delta_index, delta_limits, rows_batch)
-            else:
-                rows_batch = step.apply(index, limits, rows_batch)
-            step_profile.time_ns += time.perf_counter_ns() - step_start
-            step_profile.probes += stats.batch_probe_groups - probes_before
-            step_profile.rows_out += len(rows_batch)
-            if not rows_batch:
-                break
-        profile.executions += 1
-        profile.rows_out += len(rows_batch)
-        profile.time_ns += time.perf_counter_ns() - run_start
+        if profile is not None:
+            profile.executions += 1
+            profile.rows_out += len(rows_batch)
+            profile.time_ns += time.perf_counter_ns() - run_start
         return rows_batch

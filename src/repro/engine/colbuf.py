@@ -3,15 +3,19 @@
 :attr:`PredicateIndex.cols <repro.engine.index.PredicateIndex.cols>` holds
 one :class:`ColumnBuffer` per predicate, packing the fact ID rows into
 **flat 64-bit columns** — no ``PyObject`` header per value, no pointer chase
-per row, and ``numpy`` can view the memory without a copy:
+per row, and ``numpy`` can view the memory without a copy.  Together with
+the instance's encoded-key map these rows are the only stored form of a
+fact; no decoded atom sits beside them:
 
 * ``arities[row]`` — the row's arity, or :data:`TOMB` (``-1``) for a
   tombstoned row.  Tombstoning flips *only* the arity: the position values
   stay in place, and every scan path filters dead rows with the same single
   ``arities[row] != arity`` comparison that already rejects wrong-arity
   rows.
-* ``gids[row]`` — the fact's global insertion ordinal (``-1`` when the
-  writer has none), stored at append time: the row's birth ordinal.
+* ``gids[row]`` — the fact's global insertion ordinal, stored at append
+  time: the row's birth ordinal.  Rows are appended in ordinal order and
+  compaction keeps their order, so the lane ascends; deletion bisects it to
+  find a fact's row, and a push's delta window is sorted by it.
 * ``buffers[p][row]`` — the term ID at position ``p``; rows narrower than
   the widest arity seen pad the wider columns with ``-1`` (never read: the
   arity filter runs first).
@@ -67,7 +71,7 @@ class ColumnBuffer:
 
     # -- writes --------------------------------------------------------------
 
-    def append(self, ids, gid: int = -1) -> int:
+    def append(self, ids, gid: int) -> int:
         """Append one ID row with its global ordinal; returns its row id."""
         arity = len(ids)
         row_id = self.n_rows

@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.atoms import Atom, unify_with_fact
-from repro.datalog.chase import ChaseEngine, ChaseState, _rule_signature, match_atoms
+from repro.datalog.chase import ChaseEngine, ChaseState, _rule_signature, embeds, match_atoms
 from repro.datalog.database import Instance
 from repro.datalog.program import Program
 from repro.datalog.semantics import INCONSISTENT, SemanticsResult
@@ -256,7 +256,7 @@ class DeltaSession:
         self.instance = Instance()
         for fact in (self._as_fact(value) for value in database):
             self._edb[fact] = None
-            self.instance.add_fact(fact)
+            self.instance.add(fact)
         self._closed = False
         self.pushes = 0
         #: Retraction generation: bumped once per completed :meth:`retract`.
@@ -307,7 +307,7 @@ class DeltaSession:
         mark_limits = self.instance._index.row_limits()
         added: List[Atom] = []
         for fact in batch:
-            if self.instance.add_fact(fact):
+            if self.instance.add(fact):
                 added.append(fact)
         self.pushes += 1
         if not added:
@@ -500,7 +500,7 @@ class DeltaSession:
         min_rows = engine_index._COMPACT_MIN_ROWS
         live_counts = index.live
         compacted = 0
-        for predicate in list(index.rows):
+        for predicate in list(index.cols):
             total = index.row_count(predicate)
             if total < min_rows:
                 continue
@@ -542,9 +542,7 @@ class DeltaSession:
         """
         ok = True
         for i, constraint in enumerate(self.program.constraints):
-            verdict = (
-                next(match_atoms(constraint.body, self.instance), None) is None
-            )
+            verdict = not embeds(constraint.body, self.instance)
             self._constraint_cache[i] = verdict
             if not verdict:
                 ok = False
@@ -660,19 +658,20 @@ class DeltaSession:
         """
         with TRACER.span("delta.rebuild", first=first):
             stratum_of = self.stratification
-            kept = [
-                atom
-                for atom in self.instance
-                if stratum_of.get(atom.predicate, 0) < first
-            ]
-            extras = [
+            kept_pids = {
+                TERMS.intern_constant(predicate)
+                for predicate in self.instance._index.cols
+                if stratum_of.get(predicate, 0) < first
+            }
+            instance = Instance()
+            instance.load_keys(
+                key for key in self.instance._keys if key[0] in kept_pids
+            )
+            instance.bulk_load(
                 fact
                 for fact in self._edb
                 if stratum_of.get(fact.predicate, 0) >= first
-            ]
-            instance = Instance()
-            instance.bulk_load(kept)
-            instance.bulk_load(extras)
+            )
             self.instance = instance
             # The instance was swapped and the re-run strata re-derived: every
             # cached constraint verdict is suspect.
@@ -684,23 +683,23 @@ class DeltaSession:
 
         ``mark_limits`` holds the per-predicate row counts captured at
         ``mark``, so the window is collected from the index's row suffixes in
-        O(delta) — not by skipping ``mark`` entries of the ordinal map, which
+        O(delta) — not by skipping ``mark`` entries of the key map, which
         would make every push pay for the whole accumulated history.  The
-        session's instance is append-only, so insertion position equals
-        ordinal and the re-sorted window is a contiguous, ascending ordinal
-        range — the delta replays the appends in the order a cold run makes
-        them.
+        session's instance is append-only, so sorting the suffix rows by
+        their gid lane yields a contiguous, ascending ordinal range — the
+        delta replays the appends in the order a cold run makes them.
         """
         delta = Instance()
         if self.instance._counter > mark:
-            fresh: List[Atom] = []
-            for predicate, rows in self.instance._index.rows.items():
-                start = mark_limits.get(predicate, 0)
-                if start < len(rows):
-                    fresh.extend(fact for fact in rows[start:] if fact is not None)
-            fresh.sort(key=self.instance._ordinals.__getitem__)
-            for atom in fresh:
-                delta.add_fact(atom)
+            fresh: List[Tuple[int, Tuple[int, ...]]] = []
+            for predicate, cols in self.instance._index.cols.items():
+                pid = TERMS.intern_constant(predicate)
+                for row_id in range(mark_limits.get(predicate, 0), len(cols)):
+                    ids = cols.row(row_id)
+                    if ids is not None:
+                        fresh.append((cols.gids[row_id], (pid, *ids)))
+            fresh.sort()
+            delta.load_keys(key for _, key in fresh)
         return delta
 
     # -- retraction internals (DRed) -----------------------------------------
@@ -722,19 +721,10 @@ class DeltaSession:
         (monotone shrinkage: the surviving EDB derives a subset of the old
         instance, so everything re-materialised was indeed dropped first).
         """
-        stratum_of = self.stratification
-        dropped = sum(
-            1
-            for atom in self.instance
-            if stratum_of.get(atom.predicate, 0) >= affected
-        )
+        dropped = self._facts_from(affected)
         STATS.retractions += dropped
         self._rebuild(affected)
-        rederived = sum(
-            1
-            for atom in self.instance
-            if stratum_of.get(atom.predicate, 0) >= affected
-        )
+        rederived = self._facts_from(affected)
         STATS.rederived += rederived
         collected = self._collect_nulls({}, True)
         self.retractions += 1
@@ -750,6 +740,15 @@ class DeltaSession:
             consistent=self._check_consistent(changed),
             completed=self.completed,
             limit_reason=self.limit_reason,
+        )
+
+    def _facts_from(self, stratum: int) -> int:
+        """The number of live facts of strata ``>= stratum``."""
+        stratum_of = self.stratification
+        return sum(
+            live
+            for predicate, live in self.instance._index.live.items()
+            if stratum_of.get(predicate, 0) >= stratum
         )
 
     def _overdelete_closure(
@@ -789,7 +788,7 @@ class DeltaSession:
                 continue
             delta = Instance()
             for fact in marked:
-                delta.add_fact(fact)
+                delta.add(fact)
             while len(delta):
                 sink = Instance()
                 for crule in compiled:
@@ -819,7 +818,7 @@ class DeltaSession:
                         atom = TERMS.decode_atom(key)
                         if atom not in marked:
                             marked[atom] = None
-                            sink.add_fact(atom)
+                            sink.add_key(key)
 
     def _extend_row(self, crule, ops, row):
         """Extend an over-deletion trigger row with the nulls its chase firing
@@ -863,7 +862,7 @@ class DeltaSession:
                 stratum_of.get(fact.predicate, 0) == stratum
                 and fact in self._edb
             ):
-                self.instance.add_fact(fact)
+                self.instance.add(fact)
         reference = self.instance.snapshot()
         self._rederive_goal_directed(stratum, marked, reference)
         if self.instance._counter > mark:
@@ -928,7 +927,7 @@ class DeltaSession:
                 continue
             STATS.triggers_fired += 1
             for fact in crule.head_facts(trigger):
-                self.instance.add_fact(fact)
+                self.instance.add(fact)
             return True
         return False
 
@@ -959,7 +958,7 @@ class DeltaSession:
                     extension[existential] = fresh
             STATS.triggers_fired += 1
             for fact in crule.head_facts(extension):
-                self.instance.add_fact(fact)
+                self.instance.add(fact)
 
     def _collect_nulls(self, marked: Dict[Atom, None], rebuilt: bool) -> int:
         """Drop invented nulls no surviving fact references from the chase's
@@ -1013,9 +1012,7 @@ class DeltaSession:
                 or changed is None
                 or self._constraint_preds[i] & changed
             ):
-                verdict = (
-                    next(match_atoms(constraint.body, self.instance), None) is None
-                )
+                verdict = not embeds(constraint.body, self.instance)
                 self._constraint_cache[i] = verdict
             if not verdict:
                 ok = False

@@ -2,20 +2,20 @@
 
 Facts live in append-only per-predicate rows with row-id postings, the whole
 structure **dictionary-encoded** on the engine's
-:mod:`~repro.engine.interning` term IDs:
+:mod:`~repro.engine.interning` term IDs.  No :class:`Atom` is stored: the
+lookups that hand facts to callers (:meth:`PredicateIndex.scan`,
+:meth:`PredicateIndex.atoms`) decode them from the ID rows on the way out.
 
-* ``rows[predicate]`` holds the decoded :class:`Atom` objects — they *are*
-  the result boundary (instance iteration, provenance, snapshots), so
-  keeping them costs nothing extra and decoding is free.
 * ``cols[predicate]`` holds the **ID rows** packed into a flat
   :class:`~repro.engine.colbuf.ColumnBuffer`: one int64 buffer per
-  position plus an arity column and a gid column, aligned row-for-row with
-  ``rows``.  Both executors — the row-at-a-time backtracker and the
+  position plus an arity column and a gid column (the fact's insertion
+  ordinal).  Both executors — the row-at-a-time backtracker and the
   column-at-a-time batch steps — probe and verify on these flat buffers
   (``arities[row] != arity`` is the single check that rejects both
   tombstones and wrong-arity rows); the batch kernels
   (:mod:`repro.engine.kernels`) take zero-copy numpy views of the same
-  memory.
+  memory.  The gid lane ascends within a predicate, so deletion finds a
+  fact's row by bisecting it.
 * ``postings`` keys are ``(predicate, position, tid)`` — int-keyed plain
   ``list`` buckets of ascending row ids, probed with IDs the plans compiled
   in at plan time.  Lists, not ``array('q')``: buckets are appended to on
@@ -29,8 +29,8 @@ increasing, and a lookup is made stable under concurrent insertion simply by
 capturing the candidate count once — no copying.  The same mechanism yields
 frozen prefix views (:class:`InstanceSnapshot`).  Deletion — the DRed
 retraction path of :meth:`DeltaSession.retract
-<repro.engine.incremental.DeltaSession.retract>` — tombstones both the row
-and the ID row in place, eagerly unlinks the row id from its postings
+<repro.engine.incremental.DeltaSession.retract>` — tombstones the ID row
+in place, eagerly unlinks the row id from its postings
 buckets (buckets stay ascending; an emptied bucket is deleted so viability
 pre-checks treat the vanished value like a never-seen one), and never
 renumbers surviving rows, so postings and snapshots taken *after* the
@@ -42,6 +42,7 @@ compare :attr:`InstanceSnapshot.stale`.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datalog.atoms import Atom
@@ -85,10 +86,9 @@ COMPACT_RATIO = 0.5
 
 
 class PredicateIndex:
-    """Append-only decoded rows + aligned ID rows + int-keyed postings."""
+    """Append-only ID rows + int-keyed postings, per predicate."""
 
     __slots__ = (
-        "rows",
         "cols",
         "postings",
         "live",
@@ -97,10 +97,8 @@ class PredicateIndex:
     )
 
     def __init__(self) -> None:
-        # predicate -> list of facts in insertion order (None = tombstone).
-        self.rows: Dict[str, List[Optional[Atom]]] = {}
         # predicate -> flat column buffer (arities + gids + one int64 buffer
-        # per position), aligned row-for-row with ``rows``.
+        # per position), rows in insertion order.
         self.cols: Dict[str, ColumnBuffer] = {}
         # (predicate, position, tid) -> ascending row ids.
         self.postings: Dict[Tuple[str, int, int], List[int]] = {}
@@ -112,24 +110,23 @@ class PredicateIndex:
         # per-round bound-value summaries behind extended pivot skipping.
         self._summaries: Dict[Tuple[str, int], Tuple[int, Optional[frozenset]]] = {}
 
-    def add(self, atom: Atom, gid: int = -1) -> int:
-        """Append a (caller-deduplicated) fact; returns its row id.
+    def _lane(self, predicate: str) -> ColumnBuffer:
+        """The predicate's column buffer, created empty on first use."""
+        cols = self.cols.get(predicate)
+        if cols is None:
+            cols = self.cols[predicate] = ColumnBuffer()
+            self.live[predicate] = 0
+        return cols
+
+    def append(self, predicate: str, ids: Tuple[int, ...], gid: int) -> int:
+        """Append one (caller-deduplicated) ID row; returns its row id.
 
         ``gid`` is the fact's global insertion ordinal, stored in the
-        buffer's gid column (``-1`` = caller has none).
+        buffer's gid column.
         """
-        return self._append(atom.predicate, atom, TERMS.atom_key(atom)[1:], gid)
-
-    def _append(
-        self, predicate: str, atom: Atom, ids: Tuple[int, ...], gid: int
-    ) -> int:
-        rows = self.rows.get(predicate)
-        if rows is None:
-            rows = self.rows[predicate] = []
-            self.cols[predicate] = ColumnBuffer()
-            self.live[predicate] = 0
-        rows.append(atom)
-        cols = self.cols[predicate]
+        cols = self.cols.get(predicate)
+        if cols is None:
+            cols = self._lane(predicate)
         buffers = cols.buffers
         arity = len(ids)
         if len(buffers) == arity:
@@ -165,8 +162,8 @@ class PredicateIndex:
                 bucket.append(row_id)
         return row_id
 
-    def add_bulk(self, predicate: str, atoms, id_rows, gids) -> int:
-        """Append many (caller-deduplicated) facts of one predicate at once.
+    def add_bulk(self, predicate: str, id_rows, gids) -> int:
+        """Append many (caller-deduplicated) ID rows of one predicate at once.
 
         Returns the first row id.  The columns extend lane-wise
         (:meth:`ColumnBuffer.extend_rows`) instead of row-wise, which is
@@ -174,15 +171,9 @@ class PredicateIndex:
         cost; the postings update is necessarily per fact (one bucket per
         position value) but runs with locals hoisted.  Row ids are
         assigned sequentially, so per-bucket ascending order is preserved
-        exactly as by repeated :meth:`add`.
+        exactly as by repeated :meth:`append`.
         """
-        rows = self.rows.get(predicate)
-        if rows is None:
-            rows = self.rows[predicate] = []
-            self.cols[predicate] = ColumnBuffer()
-            self.live[predicate] = 0
-        row_id = self.cols[predicate].extend_rows(id_rows, gids)
-        rows.extend(atoms)
+        row_id = self._lane(predicate).extend_rows(id_rows, gids)
         self.live[predicate] += len(id_rows)
         postings = self.postings
         for ids in id_rows:
@@ -196,43 +187,25 @@ class PredicateIndex:
             row_id += 1
         return row_id - len(id_rows)
 
-    def tombstone(self, atom: Atom) -> Optional[int]:
-        """Mark a fact deleted and unlink its row id from every postings bucket.
+    def tombstone(self, predicate: str, ids: Tuple[int, ...], gid: int) -> None:
+        """Mark the fact with insertion ordinal ``gid`` deleted and unlink its
+        row id from every postings bucket.
 
-        Returns the tombstoned row id (None if the fact was absent).
-
-        The eager postings unlink is what keeps probe cost proportional to
-        the *live* bucket: leaving dead ids behind made every later probe of
-        a churned value wade through the predicate's whole deletion history,
+        The row is found by bisecting the gid lane, which ascends because
+        rows are appended in ordinal order and compaction keeps it.  The
+        eager postings unlink is what keeps probe cost proportional to the
+        *live* bucket: leaving dead ids behind made every later probe of a
+        churned value wade through the predicate's whole deletion history,
         which turned long push/retract streams quadratic (each removal
-        instead pays one bisect per position, against buckets that deletions
-        keep small).
+        instead pays one bisect per position, against buckets that
+        deletions keep small).
         """
-        predicate = atom.predicate
-        cols = self.cols.get(predicate)
-        if not cols:
-            return None
-        key = TERMS.atom_key(atom)
-        ids = key[1:]
-        arity = len(ids)
-        bucket = self.postings.get((predicate, 0, ids[0])) if ids else None
-        candidates = bucket if bucket is not None else range(len(cols))
-        arities = cols.arities
-        buffers = cols.buffers
-        for row_id in candidates:
-            if arities[row_id] != arity:
-                continue
-            for position in range(arity):
-                if buffers[position][row_id] != ids[position]:
-                    break
-            else:
-                cols.kill(row_id)
-                self.rows[predicate][row_id] = None
-                self.live[predicate] -= 1
-                self.tombstoned += 1
-                self._unlink(predicate, row_id, ids)
-                return row_id
-        return None
+        cols = self.cols[predicate]
+        row_id = bisect_left(cols.gids, gid)
+        cols.kill(row_id)
+        self.live[predicate] -= 1
+        self.tombstoned += 1
+        self._unlink(predicate, row_id, ids)
 
     def _unlink(self, predicate: str, row_id: int, ids: Tuple[int, ...]) -> None:
         """Drop ``row_id`` from each of its postings buckets (which stay
@@ -272,22 +245,14 @@ class PredicateIndex:
         cols = self.cols.get(predicate)
         if cols is None:
             return 0
-        rows = self.rows[predicate]
-        arities = cols.arities
-        buffers = cols.buffers
-        gid_column = cols.gids
-        atoms: List[Optional[Atom]] = []
         id_rows: List[Tuple[int, ...]] = []
         gids: List[int] = []
         for row_id in range(cols.n_rows):
-            arity = arities[row_id]
-            if arity < 0:
-                continue
-            atoms.append(rows[row_id])
-            id_rows.append(tuple(buffers[p][row_id] for p in range(arity)))
-            gids.append(gid_column[row_id])
-        reclaimed = len(rows) - len(atoms)
-        self.rows[predicate] = []
+            ids = cols.row(row_id)
+            if ids is not None:
+                id_rows.append(ids)
+                gids.append(cols.gids[row_id])
+        reclaimed = cols.n_rows - len(id_rows)
         self.cols[predicate] = ColumnBuffer()
         self.live[predicate] = 0
         postings = self.postings
@@ -296,7 +261,7 @@ class PredicateIndex:
         summaries = self._summaries
         for key in [key for key in summaries if key[0] == predicate]:
             del summaries[key]
-        self.add_bulk(predicate, atoms, id_rows, gids)
+        self.add_bulk(predicate, id_rows, gids)
         return reclaimed
 
     def probe_ids(
@@ -439,73 +404,65 @@ class PredicateIndex:
 
     def row_count(self, predicate: str) -> int:
         """The number of rows stored for ``predicate`` (tombstones included)."""
-        rows = self.rows.get(predicate)
-        return len(rows) if rows else 0
+        cols = self.cols.get(predicate)
+        return len(cols) if cols else 0
 
     def row_limits(self) -> Dict[str, int]:
         """Current per-predicate row counts (the state an InstanceSnapshot captures)."""
-        return {predicate: len(rows) for predicate, rows in self.rows.items()}
+        return {predicate: len(cols) for predicate, cols in self.cols.items()}
 
     def scan(
         self,
         pattern: Atom,
         row_limits: Optional[Dict[str, int]] = None,
     ) -> Iterator[Atom]:
-        """Candidate facts for ``pattern``, matching the legacy ``Instance.matching``.
+        """Facts agreeing with ``pattern`` on every constant and null, decoded.
 
-        The most selective available postings bucket is probed; remaining
-        constant positions and repeated variables are left to the caller's
-        unifier (exactly the seed contract).  Bound pattern terms are looked
-        up in the term table without interning, so scans over unseen
-        vocabulary allocate nothing.  ``row_limits`` restricts the scan to a
-        frozen prefix; without it the prefix is captured **now**, at call
-        time (not at first consumption), preserving the seed's
-        snapshot-per-call semantics even when the iterator is consumed after
-        later insertions.
+        The bound positions are probed together (:meth:`probe_ids`);
+        repeated variables are left to the caller's unifier.  Bound pattern
+        terms are looked up in the term table without interning, so scans
+        over unseen vocabulary allocate nothing.  ``row_limits`` restricts
+        the scan to a frozen prefix; without it the prefix is captured
+        **now**, at call time (not at first consumption), so facts added
+        while the iterator is consumed stay invisible to it.
         """
         predicate = pattern.predicate
-        rows = self.rows.get(predicate)
-        if not rows:
+        if not self.cols.get(predicate):
             return iter(())
-        best: Optional[List[int]] = None
+        pairs = []
         for position, term in enumerate(pattern.terms):
             if isinstance(term, Variable):
                 continue
             tid = TERMS.find_term(term)
-            bucket = (
-                self.postings.get((predicate, position, tid))
-                if tid is not None
-                else None
-            )
-            if bucket is None:
+            if tid is None:
                 return iter(())
-            if best is None or len(bucket) < len(best):
-                best = bucket
-        cap = len(rows) if row_limits is None else min(len(rows), row_limits.get(predicate, 0))
-        bucket_end = len(best) if best is not None else cap
-        return self._iterate(rows, best, cap, bucket_end, len(pattern.terms))
+            pairs.append((position, tid))
+        return _decode(
+            predicate, self.scan_ids(predicate, pattern.arity, pairs, row_limits)
+        )
 
-    @staticmethod
-    def _iterate(
-        rows: List[Optional[Atom]],
-        bucket: Optional[List[int]],
-        cap: int,
-        bucket_end: int,
-        arity: int,
+    def atoms(
+        self, predicate: str, row_limits: Optional[Dict[str, int]] = None
     ) -> Iterator[Atom]:
-        if bucket is None:
-            for row_id in range(cap):
-                fact = rows[row_id]
-                if fact is not None and len(fact.terms) == arity:
-                    yield fact
-        else:
-            for k in range(bucket_end):
-                row_id = bucket[k]
-                if row_id >= cap:
-                    break
-                fact = rows[row_id]
-                if fact is not None and len(fact.terms) == arity:
-                    yield fact
+        """Every live fact of ``predicate`` (any arity), decoded, in row order.
+
+        ``row_limits`` restricts the rows to a frozen prefix, as in
+        :meth:`scan_ids`.
+        """
+        cols = self.cols.get(predicate)
+        if not cols:
+            return iter(())
+        cap = len(cols) if row_limits is None else min(len(cols), row_limits.get(predicate, 0))
+        # One (arity, *lane values) tuple per row; tombstones have arity -1.
+        rows = islice(zip(cols.arities, *cols.buffers), cap)
+        return _decode(predicate, (row[1 : row[0] + 1] for row in rows if row[0] >= 0))
+
+
+def _decode(predicate: str, id_rows) -> Iterator[Atom]:
+    """Decode ID rows of a stored ``predicate`` into Atoms (the result boundary)."""
+    pid = TERMS.intern_constant(predicate)
+    decode_atom = TERMS.decode_atom
+    return (decode_atom((pid, *ids)) for ids in id_rows)
 
 
 class InstanceSnapshot:
@@ -520,23 +477,21 @@ class InstanceSnapshot:
     storage): a holder that must not observe them checks :attr:`stale`,
     which is how the service layer turns a retraction under a pinned
     :class:`~repro.service.view.ViewSnapshot` into a loud error instead of
-    silently missing rows.  Membership is answered both at the Atom level
-    (``in``) and at the encoded-key level (:meth:`has_key`), the latter
-    being the executors' hot path.
+    silently missing rows.  Membership is answered at the encoded-key level
+    (:meth:`has_key`, the executors' hot path); ``in`` encodes the atom
+    first, without interning.
     """
 
-    __slots__ = ("_ordinals", "_keys", "_index", "_cut", "_limits", "_size", "_tombstoned")
+    __slots__ = ("_keys", "_index", "_cut", "_limits", "_size", "_tombstoned")
 
     def __init__(
         self,
-        ordinals: Dict[Atom, int],
         keys: Dict[Tuple[int, ...], int],
         index: PredicateIndex,
         cut: int,
         limits: Dict[str, int],
         size: int,
     ):
-        self._ordinals = ordinals
         self._keys = keys
         self._index = index
         self._cut = cut
@@ -545,8 +500,7 @@ class InstanceSnapshot:
         self._tombstoned = index.tombstoned
 
     def __contains__(self, atom: Atom) -> bool:
-        ordinal = self._ordinals.get(atom)
-        return ordinal is not None and ordinal < self._cut
+        return self.has_key(TERMS.find_key(atom))
 
     def has_key(self, key: Tuple[int, ...]) -> bool:
         """Encoded-fact membership inside the frozen prefix."""
@@ -555,17 +509,18 @@ class InstanceSnapshot:
 
     def __iter__(self) -> Iterator[Atom]:
         cut = self._cut
-        for atom, ordinal in self._ordinals.items():
+        for key, ordinal in self._keys.items():
             if ordinal >= cut:
                 break
-            yield atom
+            yield TERMS.decode_atom(key)
 
     def __len__(self) -> int:
         # The captured size is exact unless the base instance deleted facts
         # after the snapshot; in that (rare, diagnostic-only) case, recount so
         # len() stays consistent with iteration and membership.
         if self._index.tombstoned != self._tombstoned:
-            return sum(1 for _ in self)
+            cut = self._cut
+            return sum(1 for ordinal in self._keys.values() if ordinal < cut)
         return self._size
 
     def __repr__(self) -> str:
@@ -611,19 +566,17 @@ class InstanceSnapshot:
 
     def with_predicate(self, predicate: str) -> FrozenSet[Atom]:
         """The snapshot's facts over ``predicate`` (prefix rows only)."""
-        rows = self._index.rows.get(predicate)
-        if not rows:
-            return frozenset()
-        limit = min(len(rows), self._limits.get(predicate, 0))
-        return frozenset(fact for fact in rows[:limit] if fact is not None)
+        return frozenset(self._index.atoms(predicate, self._limits))
 
     @property
     def predicates(self) -> FrozenSet[str]:
         """Predicates with at least one live fact inside the snapshot."""
+        cols = self._index.cols
         return frozenset(
             predicate
             for predicate, limit in self._limits.items()
-            if any(fact is not None for fact in self._index.rows.get(predicate, ())[:limit])
+            if predicate in cols
+            and any(arity >= 0 for arity in cols[predicate].arities[:limit])
         )
 
     def _plan_source(self) -> Tuple[PredicateIndex, Optional[Dict[str, int]]]:

@@ -18,12 +18,12 @@ probes, batch columns, incremental delta windows — on those IDs.
   a cached attribute read (terms memoise their ID in a ``_tid`` slot).
 * Predicate names are interned through the same constant space
   (:func:`TermTable.intern_constant`), which makes a whole fact a flat
-  ``(pid, tid1, ..., tidn)`` int tuple — the membership key of
+  ``(pid, tid1, ..., tidn)`` int tuple — the one stored form of a fact in
   :class:`~repro.datalog.database.Instance`.
 
 Decoding back to terms happens only at result boundaries (``Instance``
-iteration, provenance records, SPARQL answers); the chase, semi-naive, and
-warded engines run ID-native in between.
+iteration and lookups, provenance records, SPARQL answers); the chase,
+semi-naive, and warded engines run ID-native in between.
 """
 
 from __future__ import annotations
@@ -215,8 +215,11 @@ class TermTable:
     def decode_atom(self, key: Sequence[int]) -> Atom:
         """Rebuild the :class:`Atom` of an encoded fact key ``(pid, *tids)``.
 
-        The returned atom carries the key in its ``_key`` cache, so adding it
-        to further instances (delta sinks, rebuild loads) re-encodes nothing.
+        Instances store keys, not atoms, so this runs only where a fact
+        leaves the store: instance iteration and lookups, provenance
+        records, DRed's marked set, error messages.  No engine firing path
+        calls it.  The returned atom carries the key in its ``_key`` cache,
+        so adding it back to an instance re-encodes nothing.
         """
         atom = Atom(self._constants[key[0] >> 1].value, self.decode(key[1:]))
         if self._memoise:
@@ -242,6 +245,29 @@ class TermTable:
                 self.intern_constant(atom.predicate),
                 *(intern(term) for term in atom.terms),
             )
+        return key
+
+    def find_key(self, atom: Atom) -> "Tuple[int, ...] | None":
+        """The encoded key of ``atom`` if all its terms are interned, else None.
+
+        Never interns: membership tests and deletions go through this, so
+        probing for a fact over unseen vocabulary (or a non-fact atom) does
+        not grow the table.
+        """
+        if self._memoise and atom._key is not None:
+            return atom._key
+        pid = self._constant_ids.get(atom.predicate)
+        if pid is None:
+            return None
+        key = [pid]
+        for term in atom.terms:
+            tid = self.find_term(term)
+            if tid is None:
+                return None
+            key.append(tid)
+        key = tuple(key)
+        if self._memoise:
+            atom._key = key
         return key
 
     def counts(self) -> Tuple[int, int]:

@@ -45,9 +45,9 @@ resolves it **once** at plan time:
 
 Slot values are integers (term IDs) throughout execution; decoding back to
 :class:`~repro.datalog.terms.Term` objects happens only when substitution
-dicts leave the matcher (:meth:`JoinPlan.execute` — ad-hoc matching,
-constraint checks, goal-directed re-derivation) or when head facts are
-genuinely new (the result boundary).
+dicts leave the matcher (:meth:`JoinPlan.execute` — ad-hoc matching and
+goal-directed re-derivation) or when provenance records the body facts of
+a firing (:meth:`RowOps.body_facts_row`).  Head facts stay encoded keys.
 
 Plans are cached in memory (bodies and rules are hashable), so constraint
 checks and repeated engine runs over the same program compile nothing after

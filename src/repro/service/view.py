@@ -259,13 +259,18 @@ class MaterializedView:
 
     # -- publication ---------------------------------------------------------
 
-    def _publish(self) -> ViewSnapshot:
-        """Freeze the session's current instance into a new published state."""
+    def _publish(self, consistent: Optional[bool] = None) -> ViewSnapshot:
+        """Freeze the session's current instance into a new published state.
+
+        ``consistent`` is the constraint verdict of the write being
+        published: pushes and retractions pass the one their result already
+        carries, so only construction, :meth:`rematerialize` and a raising
+        retraction pay a full :meth:`DeltaSession.check_consistency`.
+        """
+        if consistent is None:
+            consistent = self._session.check_consistency()
         return ViewSnapshot(
-            self._session.instance.snapshot(),
-            TERMS.epoch(),
-            self._session.check_consistency(),
-            self,
+            self._session.instance.snapshot(), TERMS.epoch(), consistent, self
         )
 
     @property
@@ -369,7 +374,7 @@ class MaterializedView:
         with self._write_lock:
             result = self._session.push(facts)
             self.pushes += 1
-            self._published = self._publish()
+            self._published = self._publish(result.consistent)
         _WRITES.labels("push").inc()
         _WRITE_SECONDS.labels("push").observe(time.perf_counter() - start)
         return result
@@ -392,12 +397,15 @@ class MaterializedView:
         start = time.perf_counter()
         with self._write_lock:
             self._retract_seq += 1
+            result = None
             try:
                 result = self._session.retract(facts)
                 self.retractions += 1
             finally:
                 self._retract_seq += 1
-                self._published = self._publish()
+                self._published = self._publish(
+                    None if result is None else result.consistent
+                )
         _WRITES.labels("retract").inc()
         _WRITE_SECONDS.labels("retract").observe(time.perf_counter() - start)
         return result
@@ -478,8 +486,8 @@ class MaterializedView:
         index = self._session.instance._index
         compaction_counts = getattr(self._session, "compaction_counts", {})
         predicates = {}
-        for predicate in sorted(index.rows):
-            total = len(index.rows[predicate])
+        for predicate in sorted(index.cols):
+            total = len(index.cols[predicate])
             live = index.live.get(predicate, 0)
             predicates[predicate] = {
                 "rows": total,

@@ -20,7 +20,7 @@ import string
 import pytest
 
 from repro.datalog.atoms import Atom
-from repro.datalog.database import Instance
+from repro.datalog.database import Database, Instance
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.semantics import StratifiedSemantics
@@ -145,13 +145,13 @@ class TestInstanceEncoding:
             TERMS.intern_term(Null(f"_:n{i}")) for i in range(5)
         )
 
-    def test_add_key_decodes_only_new_facts(self):
+    def test_add_key_reports_only_new_facts(self):
         instance = Instance()
         key = TERMS.atom_key(Atom("p", (Constant("a"),)))
-        atom = instance.add_key(key)
-        assert atom == Atom("p", (Constant("a"),))
-        assert instance.add_key(key) is None
+        assert instance.add_key(key) is True
+        assert instance.add_key(key) is False
         assert len(instance) == 1
+        assert list(instance) == [Atom("p", (Constant("a"),))]
 
     def test_snapshot_has_key_respects_the_cut(self):
         instance = Instance([Atom("p", (Constant("a"),))])
@@ -159,6 +159,115 @@ class TestInstanceEncoding:
         instance.add(Atom("p", (Constant("b"),)))
         assert frozen.has_key(TERMS.atom_key(Atom("p", (Constant("a"),))))
         assert not frozen.has_key(TERMS.atom_key(Atom("p", (Constant("b"),))))
+
+    def test_snapshot_lookups_stay_frozen_after_appends(self):
+        a, b = Atom("p", (Constant("a"),)), Atom("p", (Constant("b"),))
+        instance = Instance([a, Atom("q", (Constant("a"),))])
+        frozen = instance.snapshot()
+        instance.add(b)
+        instance.add(Atom("r", (Null("_:late"),)))
+        assert list(frozen) == [a, Atom("q", (Constant("a"),))]
+        assert a in frozen and b not in frozen
+        assert frozen.with_predicate("p") == {a}
+        assert frozen.with_predicate("r") == frozenset()
+        assert frozen.predicates == {"p", "q"}
+        assert len(frozen) == 2
+        assert instance.with_predicate("p") == {a, b}
+
+    def test_membership_over_unseen_vocabulary_interns_nothing(self):
+        instance = Instance([Atom("p", (Constant("a"),))])
+        frozen = instance.snapshot()
+        before = TERMS.counts()
+        for atom in (
+            Atom("p", (Constant("never-interned-c"),)),
+            Atom("p", (Null("_:never-interned-n"),)),
+            Atom("never-interned-p", (Constant("a"),)),
+            Atom("p", (Variable("X"),)),
+        ):
+            assert atom not in instance
+            assert atom not in frozen
+            assert not instance.discard(atom)
+        assert TERMS.counts() == before
+
+    def test_every_database_load_path_rejects_nulls(self):
+        null_fact = Atom("p", (Null("_:in-db"),))
+        with_null = Instance([Atom("p", (Constant("a"),)), null_fact])
+        loads = [
+            lambda: Database([null_fact]),
+            lambda: Database().bulk_load([null_fact]),
+            lambda: Database(with_null),
+            lambda: Database().bulk_load(with_null),
+            lambda: Database().add(null_fact),
+            lambda: Database().add_key(TERMS.atom_key(null_fact)),
+            lambda: Database().load_keys([TERMS.atom_key(null_fact)]),
+        ]
+        for load in loads:
+            with pytest.raises(ValueError, match="ground atoms over constants"):
+                load()
+        database = Database(Instance([Atom("p", (Constant("a"),))]))
+        assert isinstance(database.copy(), Database) and len(database.copy()) == 1
+
+
+class TestNoDecodeOnFiringPaths:
+    """No engine firing path rebuilds an Atom: facts stay encoded keys."""
+
+    @pytest.fixture
+    def decodes(self, monkeypatch):
+        calls = []
+        original = TermTable.decode_atom
+
+        def spy(self, key):
+            calls.append(key)
+            return original(self, key)
+
+        monkeypatch.setattr(TermTable, "decode_atom", spy)
+        return calls
+
+    def test_seminaive_closure_fixpoint(self, decodes):
+        instance = SemiNaiveEvaluator(parse_program(PROGRAM)).evaluate(
+            _edge_database(0)
+        )
+        assert len(instance) > 60
+        assert decodes == []
+
+    def test_warded_materialise_without_provenance(self, decodes):
+        from repro.core.warded_engine import WardedEngine
+
+        program = parse_program(
+            """
+            person(?X) -> exists ?Y . parent(?X, ?Y).
+            parent(?X, ?Y) -> hasParent(?X).
+            hasParent(?X), person(?Y), not hasParent(?Y) -> other(?X, ?Y).
+            """
+        )
+        database = [Atom("person", (Constant(f"w{i}"),)) for i in range(4)]
+        result = WardedEngine(program).materialise(database, with_provenance=False)
+        assert len(result.null_types) == 4
+        assert len(result.instance) == 12  # person, parent, hasParent; no other
+        assert decodes == []
+
+    def test_chase_resume(self, decodes):
+        from repro.datalog.chase import ChaseEngine
+
+        program = parse_program(EXISTENTIAL)
+        engine = ChaseEngine(max_null_depth=2, on_limit="stop")
+        instance = engine.chase(
+            [Atom("person", (Constant("r0"),))], program
+        ).instance
+        delta = Instance([Atom("person", (Constant("r1"),))])
+        instance.add(Atom("person", (Constant("r1"),)))
+        result = engine.resume(instance, program, delta)
+        assert result.steps > 0
+        assert decodes == []
+
+    def test_delta_session_push_that_rebuilds(self, decodes):
+        from repro.engine.incremental import DeltaSession
+
+        edges = _edge_database(1, n=20)
+        session = DeltaSession(parse_program(PROGRAM), edges[:10])
+        result = session.push(edges[10:])
+        assert result.rebuilt_from is not None
+        assert decodes == []
 
 
 PROGRAM = """

@@ -375,7 +375,7 @@ class TestTombstoneCompaction:
         index = session.instance._index
         lanes = {
             predicate: (index.row_count(predicate), index.live.get(predicate, 0))
-            for predicate in index.rows
+            for predicate in index.cols
         }
         assert_cold_parity(session)
         session.close()

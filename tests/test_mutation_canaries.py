@@ -93,7 +93,7 @@ def test_dropped_head_fire_is_caught(monkeypatch):
     def mutant(self, key):
         if not state["dropped"] and key not in self._keys:
             state["dropped"] = True
-            return None  # swallow the first genuinely-new head fact
+            return False  # swallow the first genuinely-new head fact
         return original(self, key)
 
     with monkeypatch.context() as m:

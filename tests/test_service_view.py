@@ -91,6 +91,36 @@ class TestPublication:
             assert not view.consistent
             assert view.query(PERSON) is INCONSISTENT
 
+    def test_writes_publish_their_own_verdict(self, monkeypatch):
+        # Pushes and retractions publish the verdict their result carries;
+        # a full re-check runs only at construction and rematerialization.
+        graph = small_graph()
+        graph.add(("Course", "owl:disjointWith", "Person"))
+        graph.add(("clash", "rdf:type", "Course"))
+        violating = [("clash", "rdf:type", "Person")]
+        with MaterializedView(graph) as view:
+            session = view._session
+            full_checks = []
+            check = DeltaSession.check_consistency
+
+            def counted(self):
+                full_checks.append(self)
+                return check(self)
+
+            monkeypatch.setattr(DeltaSession, "check_consistency", counted)
+            assert view.consistent
+            for op, expected in (
+                (view.push, False),
+                (view.retract, True),
+                (view.push, False),
+                (view.retract, True),
+            ):
+                assert op(violating).consistent is expected
+                assert full_checks == []
+                assert view.consistent is expected
+                assert view.consistent == session.check_consistency()
+                full_checks.clear()
+
 
 class TestEpochLifecycle:
     def test_rematerialize_preserves_answers_and_reclaims_nulls(self):
