@@ -41,7 +41,7 @@ from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.analysis.guards import classify_program
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import embeds
+from repro.datalog.chase import violates
 from repro.datalog.database import Instance
 from repro.datalog.program import Program, Query
 from repro.datalog.rules import Rule
@@ -132,27 +132,20 @@ class WardedEngine:
     def is_consistent(self, database: Iterable[Atom]) -> bool:
         """True iff no constraint body embeds into the materialisation."""
         result = self.materialise(database, with_provenance=False)
-        return not self._violated(result.instance)
+        return not violates(self.program.constraints, result.instance)
 
     def evaluate_query(self, query: Query, database: Iterable[Atom]) -> QueryResult:
         """``Q(D)`` under the paper's semantics (⊤ on constraint violation)."""
         if query.program is not self.program and query.program != self.program:
             raise ValueError("query program differs from the engine's program")
         result = self.materialise(database, with_provenance=False)
-        if self._violated(result.instance):
+        if violates(self.program.constraints, result.instance):
             return INCONSISTENT
         answers: Set[Tuple[Constant, ...]] = set()
         for atom in result.instance.with_predicate(query.output_predicate):
             if atom.is_ground:
                 answers.add(tuple(atom.terms))  # type: ignore[arg-type]
         return frozenset(answers)
-
-    def _violated(self, instance: Instance) -> bool:
-        """True iff some constraint body embeds into ``instance``."""
-        return any(
-            embeds(constraint.body, instance)
-            for constraint in self.program.constraints
-        )
 
     # -- fixpoint ----------------------------------------------------------------
 

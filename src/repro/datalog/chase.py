@@ -23,11 +23,13 @@ Rule bodies are evaluated through the shared join-plan core
 (:mod:`repro.engine`): each rule is compiled once into a
 :class:`~repro.engine.plan.CompiledRule` (selectivity-ordered joins, plan-time
 bound/free resolution, precompiled negation probes and head-satisfaction
-plans).  Both loops (cold and resume) fire from the slot-ID rows
-:meth:`~repro.engine.plan.JoinPlan.rows` returns — one firing path.
-:func:`match_atoms` remains as the wrapper for callers that match ad-hoc atom
-sequences into substitution dicts (goal-directed re-derivation, analysis,
-tests), and :func:`embeds` answers constraint checks without one.
+plans).  There is one chase loop, semi-naive: a cold :meth:`ChaseEngine.chase`
+is a :meth:`ChaseEngine.resume` whose first round runs the full plans, and
+every round fires from the slot-ID rows
+:meth:`~repro.engine.plan.JoinPlan.rows` returns.  :func:`match_atoms`
+remains as the wrapper for callers that match ad-hoc atom sequences into
+substitution dicts (analysis, tests); :func:`embeds` and :func:`violates`
+answer constraint checks without one.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
-from repro.datalog.atoms import Atom, unify_with_fact
+from repro.datalog.atoms import Atom
 from repro.datalog.database import Instance
 from repro.datalog.program import Program
-from repro.datalog.rules import Rule
+from repro.datalog.rules import Constraint, Rule
 from repro.datalog.terms import Constant, Null, Term, Variable
 from repro.engine.interning import TERMS
 from repro.engine.plan import compile_body, compile_rule
@@ -155,16 +157,9 @@ def embeds(atoms: Sequence[Atom], instance) -> bool:
     return compile_body(atoms).exists(instance)
 
 
-def satisfies_some(
-    atoms: Sequence[Atom], instance: Instance, substitution: Dict[Variable, Term]
-) -> bool:
-    """True iff at least one of ``atoms`` (under ``substitution``) holds in ``instance``."""
-    for atom in atoms:
-        grounded = atom.apply(substitution)
-        for fact in instance.matching(grounded):
-            if unify_with_fact(grounded, fact) is not None:
-                return True
-    return False
+def violates(constraints: Iterable[Constraint], instance) -> bool:
+    """True iff some constraint body embeds into ``instance`` (the paper's ⊤)."""
+    return any(embeds(constraint.body, instance) for constraint in constraints)
 
 
 class ChaseEngine:
@@ -252,136 +247,15 @@ class ChaseEngine:
             instance = database
         else:
             instance = Instance(database)
-        reference = negation_reference if negation_reference is not None else instance
         if state is None:
-            null_depth: Dict[int, int] = {tid: 0 for tid in instance.null_ids()}
-        else:
-            null_depth = state.null_depth
-            for tid in instance.null_ids():
-                null_depth.setdefault(tid, 0)
-        compiled = [compile_rule(rule) for rule in program.rules]
-
-        # The trigger list for a round is materialised before firing
-        # (``JoinPlan.rows``, in depth-first order) and nulls are invented in
-        # ``sorted_existentials`` order, so the instance is built atom for
-        # atom the same way on every run.  The loop works on slot rows
-        # throughout (RowOps templates).  Negation stays a
-        # per-trigger check — not a batched pre-filter — because
-        # ``reference`` may be the working instance itself, which mutates as
-        # triggers fire.
-        return self._chase_loop(instance, reference, compiled, null_depth, state)
-
-    def _chase_loop(
-        self, instance, reference, compiled, null_depth, state=None
-    ) -> ChaseResult:
-        steps = 0
-        invented = 0
-        fired: Set[Tuple[int, Tuple[Tuple[Variable, Term], ...]]] = set()
-        limit_reason: Optional[str] = None
-        signatures = (
-            [_rule_signature(crule.rule) for crule in compiled] if self.deterministic_nulls else None
-        )
-
-        run_start = time.perf_counter_ns() if TRACER.enabled else 0
-        changed = True
-        rounds = 0
-        while changed:
-            changed = False
-            rounds += 1
-            if TRACER.enabled:
-                round_start = time.perf_counter_ns()
-                steps_before = steps
-            for rule_index, crule in enumerate(compiled):
-                rule = crule.rule
-                triggers = crule.plan.rows(instance)
-                ops = crule.row_ops(crule.plan)
-                for trigger in triggers:
-                    if crule.negation and ops.negation_blocked_row(
-                        trigger, reference
-                    ):
-                        continue
-                    trigger_key = (rule_index, ops.binding_key(trigger))
-                    if not self.restricted:
-                        if trigger_key in fired:
-                            continue
-                    else:
-                        satisfied = self._head_satisfied_row(
-                            crule, ops, trigger, instance
-                        )
-                        if satisfied:
-                            continue
-                    # Resource accounting.
-                    if steps >= self.max_steps:
-                        limit_reason = f"max_steps={self.max_steps} exceeded"
-                        break
-                    depth = self._values_depth_ids(trigger, null_depth)
-                    if (
-                        self.max_null_depth is not None
-                        and rule.has_existentials
-                        and depth + 1 > self.max_null_depth
-                    ):
-                        limit_reason = (
-                            f"max_null_depth={self.max_null_depth} exceeded"
-                        )
-                        if self.on_limit == "raise":
-                            raise ChaseNonTermination(limit_reason)
-                        continue
-                    added = 0
-                    if signatures is not None and crule.sorted_existentials:
-                        frontier = TERMS.decode(
-                            trigger[slot] for _, slot in ops.frontier_slots
-                        )
-                    else:
-                        frontier = ()
-                    fresh_ids = []
-                    for existential in crule.sorted_existentials:
-                        if signatures is None:
-                            fresh = Null.fresh(existential.name.lower())
-                        else:
-                            fresh = self._fresh_null(
-                                signatures[rule_index], frontier, existential
-                            )
-                        nid = TERMS.intern_term(fresh)
-                        fresh_ids.append(nid)
-                        null_depth[nid] = depth + 1
-                        invented += 1
-                    for key in ops.head_keys_row(trigger + tuple(fresh_ids)):
-                        if instance.add_key(key):
-                            added += 1
-                    fired.add(trigger_key)
-                    steps += 1
-                    STATS.triggers_fired += 1
-                    if added:
-                        changed = True
-                if limit_reason:
-                    break
-            if TRACER.enabled:
-                TRACER.record(
-                    "chase.round",
-                    round_start,
-                    round=rounds,
-                    steps=steps - steps_before,
-                )
-            if limit_reason:
-                break
-
-        if TRACER.enabled:
-            TRACER.record(
-                "chase.run", run_start, steps=steps, invented=invented, rounds=rounds
-            )
-        STATS.nulls_invented += invented
-        if state is not None:
-            state.steps += steps
-            state.invented += invented
-        if limit_reason and self.on_limit == "raise":
-            raise ChaseNonTermination(limit_reason)
-        return ChaseResult(
-            instance=instance,
-            steps=steps,
-            completed=limit_reason is None,
-            limit_reason=limit_reason,
-            invented_nulls=invented,
-        )
+            state = ChaseState()
+        null_depth = state.null_depth
+        for tid in instance.null_ids():
+            null_depth.setdefault(tid, 0)
+        # A cold run is a resume from "everything is new": the first round
+        # runs every rule's full plan, later rounds only the pivot plans
+        # over the facts the previous round added (see :meth:`_run`).
+        return self._run(instance, program, None, negation_reference, state)
 
     def resume(
         self,
@@ -424,34 +298,46 @@ class ChaseEngine:
             )
         if state is None:
             state = ChaseState(null_depth={tid: 0 for tid in instance.null_ids()})
-        null_depth = state.null_depth
+        return self._run(instance, program, delta, negation_reference, state)
+
+    def _run(self, instance, program, delta, negation_reference, state) -> ChaseResult:
+        """The one chase loop: semi-naive rounds until a round adds nothing.
+
+        ``delta=None`` is a cold run (:meth:`chase`): its first round matches
+        every rule's full plan.  Every other round runs the pivot plans
+        against the facts the previous round added.  A round's trigger rows
+        are materialised per rule before any fires (``JoinPlan.rows``, in
+        depth-first order) and nulls are invented in ``sorted_existentials``
+        order, so a run builds its instance atom for atom the same way every
+        time.  Negation stays a per-trigger check, not a batched pre-filter,
+        because ``reference`` may be the working instance itself, which
+        mutates as triggers fire.
+
+        The restricted chase skips a trigger whose head is already
+        satisfied; the oblivious chase skips one it has already fired
+        (``binding_key``), which is how a trigger the full plan fired in
+        round one is not fired again when a pivot plan re-finds it.  A
+        trigger that would invent a null deeper than ``max_null_depth`` is
+        skipped and recorded in ``limit_reason``; the chase still runs to
+        its fixpoint.  ``max_steps`` ends the run.
+        """
+        cold = delta is None
         reference = negation_reference if negation_reference is not None else instance
         compiled = [compile_rule(rule) for rule in program.rules]
         signatures = (
             [_rule_signature(crule.rule) for crule in compiled] if self.deterministic_nulls else None
         )
-        return self._resume_loop(
-            instance, reference, compiled, signatures, state, delta
-        )
-
-    def _resume_loop(
-        self, instance, reference, compiled, signatures, state, delta
-    ) -> ChaseResult:
-        # The per-trigger core below deliberately mirrors _chase_loop's
-        # rather than sharing a helper: the cold chase is the hottest
-        # interpreted loop in the library and a per-trigger function call
-        # there is measurable.  A semantic change to negation /
-        # head-satisfaction / budget / null-invention handling must be
-        # applied to both loops — the incremental parity suite
-        # (tests/test_engine_incremental_parity.py) is the tripwire.
-        steps = 0
+        fired: Optional[Set[Tuple[int, Tuple]]] = None if self.restricted else set()
+        max_depth = self.max_null_depth
         null_depth = state.null_depth
+        steps = 0
         invented = 0
         rounds = 0
         limit_reason: Optional[str] = None
+        depth_cut: Optional[str] = None
 
         run_start = time.perf_counter_ns() if TRACER.enabled else 0
-        while len(delta) and not limit_reason:
+        while delta is None or len(delta):
             rounds += 1
             if TRACER.enabled:
                 round_start = time.perf_counter_ns()
@@ -459,30 +345,29 @@ class ChaseEngine:
             new_delta = Instance()
             for rule_index, crule in enumerate(compiled):
                 rule = crule.rule
-                batches = crule.trigger_row_batches(instance, delta, None)
-                for plan, rows in batches:
+                bounded = max_depth is not None and rule.has_existentials
+                for plan, rows in crule.trigger_row_batches(instance, delta, None):
                     ops = crule.row_ops(plan)
                     for trigger in rows:
-                        if crule.negation and ops.negation_blocked_row(
+                        if rule.body_negative and ops.negation_blocked_row(
                             trigger, reference
                         ):
                             continue
-                        if self._head_satisfied_row(crule, ops, trigger, instance):
-                            continue
+                        if fired is None:
+                            if self._head_satisfied_row(crule, ops, trigger, instance):
+                                continue
+                        else:
+                            trigger_key = (rule_index, ops.binding_key(trigger))
+                            if trigger_key in fired:
+                                continue
                         if steps >= self.max_steps:
                             limit_reason = f"max_steps={self.max_steps} exceeded"
                             break
                         depth = self._values_depth_ids(trigger, null_depth)
-                        if (
-                            self.max_null_depth is not None
-                            and rule.has_existentials
-                            and depth + 1 > self.max_null_depth
-                        ):
-                            limit_reason = (
-                                f"max_null_depth={self.max_null_depth} exceeded"
-                            )
+                        if bounded and depth + 1 > max_depth:
+                            depth_cut = f"max_null_depth={max_depth} exceeded"
                             if self.on_limit == "raise":
-                                raise ChaseNonTermination(limit_reason)
+                                raise ChaseNonTermination(depth_cut)
                             continue
                         if signatures is not None and crule.sorted_existentials:
                             frontier = TERMS.decode(
@@ -502,6 +387,8 @@ class ChaseEngine:
                             fresh_ids.append(nid)
                             null_depth[nid] = depth + 1
                             invented += 1
+                        if fired is not None:
+                            fired.add(trigger_key)
                         steps += 1
                         STATS.triggers_fired += 1
                         for key in ops.head_keys_row(trigger + tuple(fresh_ids)):
@@ -519,23 +406,30 @@ class ChaseEngine:
                     round=rounds,
                     steps=steps - steps_before,
                 )
+            if limit_reason:
+                break
 
         if TRACER.enabled:
             TRACER.record(
-                "chase.resume", run_start, steps=steps, invented=invented, rounds=rounds
+                "chase.run" if cold else "chase.resume",
+                run_start,
+                steps=steps,
+                invented=invented,
+                rounds=rounds,
             )
         STATS.nulls_invented += invented
         state.steps += steps
         state.invented += invented
         if limit_reason and self.on_limit == "raise":
             raise ChaseNonTermination(limit_reason)
+        limit_reason = limit_reason or depth_cut
         return ChaseResult(
             instance=instance,
             steps=steps,
             completed=limit_reason is None,
             limit_reason=limit_reason,
             invented_nulls=invented,
-            delta_rounds=rounds,
+            delta_rounds=0 if cold else rounds,
         )
 
     # -- helpers ------------------------------------------------------------------
@@ -556,16 +450,6 @@ class ChaseEngine:
             return True
         initial = {variable: row[slot] for variable, slot in ops.frontier_slots}
         return crule.head_plan.exists(instance, initial)
-
-    @staticmethod
-    def _values_depth(values, null_depth: Dict[int, int]) -> int:
-        """Max invention depth over term values (substitution-dict triggers:
-        :class:`~repro.engine.incremental.DeltaSession`'s chase re-firing)."""
-        depth = 0
-        for value in values:
-            if isinstance(value, Null):
-                depth = max(depth, null_depth.get(TERMS.intern_term(value), 0))
-        return depth
 
     @staticmethod
     def _values_depth_ids(ids, null_depth: Dict[int, int]) -> int:

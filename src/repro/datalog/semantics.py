@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import ChaseEngine, embeds
+from repro.datalog.chase import ChaseEngine, embeds, violates
 from repro.datalog.database import Instance
 from repro.datalog.program import Program, Query
 from repro.datalog.rules import Constraint
@@ -68,7 +68,7 @@ class StratifiedSemantics:
     def materialise(self, database: Iterable[Atom]) -> SemanticsResult:
         """Compute ``Pi(D)`` (an instance, or ``INCONSISTENT``)."""
         current = self._chase_strata(database)
-        if self._violates_constraints(current):
+        if violates(self.program.constraints, current):
             return INCONSISTENT
         return current
 
@@ -109,12 +109,6 @@ class StratifiedSemantics:
                 reuse_instance=True,
             )
         return current
-
-    def _violates_constraints(self, instance: Instance) -> bool:
-        return any(
-            embeds(constraint.body, instance)
-            for constraint in self.program.constraints
-        )
 
     def violated_constraints(self, database: Iterable[Atom]) -> List[Constraint]:
         """The constraints violated by ``database`` under the program (diagnostics)."""

@@ -35,10 +35,9 @@ pivots whose predicate is absent from the delta) — counted in
 from __future__ import annotations
 
 import time
-from typing import Iterable, List, Sequence, Set
+from typing import Iterable, Sequence, Set
 
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import embeds
 from repro.datalog.database import Instance
 from repro.datalog.program import Program
 from repro.datalog.rules import RuleError
@@ -82,14 +81,6 @@ class SemiNaiveEvaluator:
     def facts_of(self, database: Iterable[Atom], predicate: str) -> Set[Atom]:
         """All derived facts over ``predicate``."""
         return set(self.evaluate(database).with_predicate(predicate))
-
-    def violated_constraints(self, instance: Instance) -> List[int]:
-        """Indexes of constraints whose body embeds into ``instance``."""
-        return [
-            i
-            for i, constraint in enumerate(self.program.constraints)
-            if embeds(constraint.body, instance)
-        ]
 
     def resume_stratum(
         self,

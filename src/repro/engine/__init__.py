@@ -30,8 +30,9 @@ package instead of re-deriving join strategy per call:
   ``rows`` is the column-at-a-time batch matcher (:mod:`repro.engine.batch`)
   that extends a whole batch of partial matches per step, sharing one bulk
   index probe per distinct probe key.  The depth-first backtracker
-  (``JoinPlan._run``, behind ``execute`` / ``exists``) answers
-  head-satisfaction and constraint checks and goal-directed re-derivation;
+  (``JoinPlan._run``, behind ``execute`` / ``exists`` / ``lazy_rows``)
+  answers head-satisfaction and constraint checks and goal-directed
+  re-derivation;
   both matchers produce the same matches in the same order.
 * :mod:`repro.engine.stats` exposes the counters (facts added, triggers
   fired, nulls invented, pivots skipped, batch probe groups) that

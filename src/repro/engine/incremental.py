@@ -41,8 +41,9 @@ delta discipline *across* runs:
   (both results are universal models of the same database and program).
 * **Matchers.**  Continuations and over-deletion fire from the same
   slot-row path as cold runs (:meth:`~repro.engine.plan.JoinPlan.rows`).
-  Goal-directed re-derivation matches through the seeded depth-first
-  matcher (``match_atoms``).
+  Goal-directed re-derivation fires from slot rows too, through the seeded
+  depth-first matcher (:meth:`~repro.engine.plan.JoinPlan.lazy_rows`), which
+  stops at the first usable match.
 
 * **Deletions** go through :meth:`DeltaSession.retract`, a DRed
   (delete-and-rederive, Gupta–Mumick–Subrahmanian) maintenance pass:
@@ -90,7 +91,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.atoms import Atom, unify_with_fact
-from repro.datalog.chase import ChaseEngine, ChaseState, _rule_signature, embeds, match_atoms
+from repro.datalog.chase import ChaseEngine, ChaseState, _rule_signature, embeds, violates
 from repro.datalog.database import Instance
 from repro.datalog.program import Program
 from repro.datalog.semantics import INCONSISTENT, SemanticsResult
@@ -99,7 +100,7 @@ from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Term
 from repro.engine import index as engine_index
 from repro.engine.interning import TERMS
-from repro.engine.plan import compile_rule
+from repro.engine.plan import compile_body, compile_rule
 from repro.engine.stats import STATS
 from repro.obs.trace import TRACER
 
@@ -908,57 +909,55 @@ class DeltaSession:
                     initial = {
                         v: t for v, t in binding.items() if v in frontier_set
                     }
+                    plan = compile_body(crule.rule.body_positive, initial)
                     if self._uses_chase:
-                        self._refire_chase_triggers(crule, initial, reference)
-                    else:
-                        if self._restore_seminaive(crule, initial, reference):
-                            break
+                        self._refire_chase_triggers(crule, plan, initial, reference)
+                    elif self._restore_seminaive(crule, plan, initial, reference):
+                        break
                 else:
                     continue
                 break
 
-    def _restore_seminaive(self, crule, initial, reference) -> bool:
+    def _restore_seminaive(self, crule, plan, initial, reference) -> bool:
         """Fire the first surviving trigger of ``crule`` under ``initial``;
         returns True if one fired (the fact is restored)."""
-        for trigger in match_atoms(
-            crule.rule.body_positive, self.instance, initial
-        ):
-            if crule.negation and crule.negation_blocked(trigger, reference):
+        ops = crule.row_ops(plan)
+        negated = crule.rule.body_negative
+        for row in plan.lazy_rows(self.instance, initial):
+            if negated and ops.negation_blocked_row(row, reference):
                 continue
             STATS.triggers_fired += 1
-            for fact in crule.head_facts(trigger):
-                self.instance.add(fact)
+            for key in ops.head_keys_row(row):
+                self.instance.add_key(key)
             return True
         return False
 
-    def _refire_chase_triggers(self, crule, initial, reference) -> None:
+    def _refire_chase_triggers(self, crule, plan, initial, reference) -> None:
         """Re-fire every surviving trigger of ``crule`` under ``initial``
         whose head is no longer satisfied (restricted-chase repair)."""
+        ops = crule.row_ops(plan)
+        negated = crule.rule.body_negative
         null_depth = self._chase_state.null_depth
-        signature = None
-        for trigger in match_atoms(
-            crule.rule.body_positive, self.instance, initial
-        ):
-            if crule.negation and crule.negation_blocked(trigger, reference):
+        signature = _rule_signature(crule.rule)
+        for row in plan.lazy_rows(self.instance, initial):
+            if negated and ops.negation_blocked_row(row, reference):
                 continue
-            if crule.head_satisfied(trigger, self.instance):
+            if ChaseEngine._head_satisfied_row(crule, ops, row, self.instance):
                 continue
-            extension = dict(trigger)
             if crule.sorted_existentials:
-                if signature is None:
-                    signature = _rule_signature(crule.rule)
-                frontier = tuple(trigger[v] for v in crule.sorted_frontier)
-                depth = ChaseEngine._values_depth(trigger.values(), null_depth)
+                frontier = TERMS.decode(row[slot] for _, slot in ops.frontier_slots)
+                depth = ChaseEngine._values_depth_ids(row, null_depth)
+                fresh_ids = []
                 for existential in crule.sorted_existentials:
-                    fresh = self.chase_engine._fresh_null(
-                        signature, frontier, existential
-                    )
-                    null_depth[TERMS.intern_term(fresh)] = depth + 1
-                    STATS.nulls_invented += 1
-                    extension[existential] = fresh
+                    fresh = self.chase_engine._fresh_null(signature, frontier, existential)
+                    nid = TERMS.intern_term(fresh)
+                    null_depth[nid] = depth + 1
+                    fresh_ids.append(nid)
+                STATS.nulls_invented += len(fresh_ids)
+                row += tuple(fresh_ids)
             STATS.triggers_fired += 1
-            for fact in crule.head_facts(extension):
-                self.instance.add(fact)
+            for key in ops.head_keys_row(row):
+                self.instance.add_key(key)
 
     def _collect_nulls(self, marked: Dict[Atom, None], rebuilt: bool) -> int:
         """Drop invented nulls no surviving fact references from the chase's
@@ -1081,6 +1080,6 @@ def cold_equivalent(
         return StratifiedSemantics(program, chase).materialise(database)
     evaluator = SemiNaiveEvaluator(program)
     instance = evaluator.evaluate(database)
-    if evaluator.violated_constraints(instance):
+    if violates(program.constraints, instance):
         return INCONSISTENT
     return instance

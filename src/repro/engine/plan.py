@@ -24,7 +24,7 @@ resolves it **once** at plan time:
   postings bucket among them.
 * **Negation** — each negated atom (ground under any full body match, by
   rule safety) compiles to a membership template evaluated directly against
-  the negation reference — at the encoded-key level on the firing path.
+  the negation reference at the encoded-key level.
 * **Pivots** — for semi-naive delta joins, :func:`compile_rule` prepares one
   plan per body atom with that atom forced first; the executor reads the
   first step's candidates from the delta and the rest from the full
@@ -38,16 +38,15 @@ resolves it **once** at plan time:
 * **Matchers** — a plan has two, each with its own job: engines fire from
   the slot rows of the column-at-a-time batch matcher
   (:meth:`JoinPlan.rows`, :mod:`repro.engine.batch`), and the depth-first
-  backtracker (:meth:`JoinPlan._run`, behind ``execute`` / ``exists``)
-  answers head-satisfaction checks, constraint checks and goal-directed
-  re-derivation, which want one match at a time.  They produce the same
+  backtracker (:meth:`JoinPlan._run`, behind ``execute`` / ``exists`` /
+  ``lazy_rows``) answers head-satisfaction checks, constraint checks and
+  goal-directed re-derivation, which want one match at a time.  They produce the same
   matches in the same order.
 
 Slot values are integers (term IDs) throughout execution; decoding back to
 :class:`~repro.datalog.terms.Term` objects happens only when substitution
-dicts leave the matcher (:meth:`JoinPlan.execute` — ad-hoc matching and
-goal-directed re-derivation) or when provenance records the body facts of
-a firing (:meth:`RowOps.body_facts_row`).  Head facts stay encoded keys.
+dicts leave the matcher (:meth:`JoinPlan.execute` — ad-hoc matching) or
+when provenance records the body facts of a firing (:meth:`RowOps.body_facts_row`).  Head facts stay encoded keys.
 
 Plans are cached in memory (bodies and rules are hashable), so constraint
 checks and repeated engine runs over the same program compile nothing after
@@ -312,6 +311,19 @@ class JoinPlan:
         for _ in self._run(source, initial, None):
             return True
         return False
+
+    def lazy_rows(
+        self,
+        source,
+        initial: Optional[Dict[Variable, Term]] = None,
+    ) -> Iterator[Tuple[int, ...]]:
+        """The slot-ID rows of :meth:`rows`, one at a time, depth-first.
+
+        For callers that stop at the first usable match (goal-directed
+        re-derivation): the backtracker behind :meth:`exists`, not the
+        batch matcher, so no match past the one consumed is computed.
+        """
+        return map(tuple, self._run(source, initial, None))
 
     def _run(self, source, initial, delta_source) -> Iterator[List[int]]:
         if PROFILER.enabled:
@@ -615,40 +627,6 @@ class JoinPlan:
         return lines
 
 
-class _NegationProbe:
-    """A negated body atom compiled to a ground membership template.
-
-    Term-level (substitution dicts — the goal-directed re-derivation of
-    :class:`~repro.engine.incremental.DeltaSession`): the instantiated atom
-    is built with term objects and checked with ``in``.  The firing paths
-    use the encoded-key templates of :meth:`CompiledRule._negation_slots`
-    instead.
-    """
-
-    __slots__ = ("atom", "predicate", "template")
-
-    def __init__(self, atom: Atom):
-        self.atom = atom
-        self.predicate = atom.predicate
-        # (is_variable, payload) per position; rule safety guarantees every
-        # variable is bound by any full positive-body match, so the built
-        # atom is a fact and satisfaction is plain membership.
-        self.template = tuple(
-            (isinstance(term, Variable), term) for term in atom.terms
-        )
-
-    def satisfied(self, substitution: Dict[Variable, Term], reference) -> bool:
-        """True iff the instantiated negated atom is a fact of ``reference``."""
-        fact = Atom(
-            self.predicate,
-            tuple(
-                substitution[payload] if is_var else payload
-                for is_var, payload in self.template
-            ),
-        )
-        return fact in reference
-
-
 def _reference_has_key(reference) -> Optional[Callable]:
     """The encoded-membership probe of ``reference``, or None.
 
@@ -781,7 +759,6 @@ class CompiledRule:
     * ``plan`` — the full positive-body join.
     * ``pivot_plans[i]`` — the same join with body atom ``i`` first, for
       semi-naive rounds where atom ``i`` ranges over the delta.
-    * ``negation`` — membership probes for the negated atoms.
     * ``head_plan`` — join over the head atoms with the frontier prebound,
       used by the restricted chase to test whether a trigger's head is
       already satisfiable (the existential case); ``None`` for rules without
@@ -792,11 +769,9 @@ class CompiledRule:
         "rule",
         "plan",
         "pivot_plans",
-        "negation",
         "head_plan",
         "sorted_frontier",
         "sorted_existentials",
-        "head_templates",
         "_neg_slot_cache",
         "_row_ops_cache",
     )
@@ -805,19 +780,11 @@ class CompiledRule:
         self.rule = rule
         self.sorted_frontier = tuple(sorted(rule.frontier))
         self.sorted_existentials = tuple(sorted(rule.existential_variables))
-        # (predicate, ((is_variable, payload), ...)) per head atom: building a
-        # head fact is then direct dict indexing, no Atom.apply fallbacks
-        # (term-level — :meth:`head_facts`, the re-derivation path).
-        self.head_templates = tuple(
-            (atom.predicate, tuple((isinstance(t, Variable), t) for t in atom.terms))
-            for atom in rule.head
-        )
         self.plan = compile_body(rule.body_positive, ())
         self.pivot_plans = tuple(
             compile_pivot(rule.body_positive, pivot)
             for pivot in range(len(rule.body_positive))
         )
-        self.negation = tuple(_NegationProbe(atom) for atom in rule.body_negative)
         self.head_plan = (
             compile_body(rule.head, rule.frontier)
             if rule.existential_variables
@@ -867,7 +834,7 @@ class CompiledRule:
         if delta is None:
             plan = self.plan
             rows = plan.rows(instance)
-            if self.negation and negation_reference is not None:
+            if self.rule.body_negative and negation_reference is not None:
                 rows = self._filter_negation_rows(rows, plan, negation_reference)
             if rows:
                 batches.append((plan, rows))
@@ -883,7 +850,7 @@ class CompiledRule:
                 active_stats().pivots_skipped += 1
                 continue
             rows = plan.rows(instance, None, delta_source=delta)
-            if self.negation and negation_reference is not None:
+            if self.rule.body_negative and negation_reference is not None:
                 rows = self._filter_negation_rows(rows, plan, negation_reference)
             if rows:
                 batches.append((plan, rows))
@@ -899,18 +866,20 @@ class CompiledRule:
         cached = self._neg_slot_cache.get(id(plan))
         if cached is None:
             slot_of = plan.slot_of
+            # Rule safety binds every variable of a negated atom in any full
+            # positive-body match, so each probe instantiates to a fact key.
             templates = tuple(
                 (
-                    probe.predicate,
-                    TERMS.intern_constant(probe.predicate),
+                    atom.predicate,
+                    TERMS.intern_constant(atom.predicate),
                     tuple(
-                        (True, slot_of[payload])
-                        if is_var
-                        else (False, TERMS.intern_term(payload))
-                        for is_var, payload in probe.template
+                        (True, slot_of[term])
+                        if isinstance(term, Variable)
+                        else (False, TERMS.intern_term(term))
+                        for term in atom.terms
                     ),
                 )
-                for probe in self.negation
+                for atom in self.rule.body_negative
             )
             slots = tuple(
                 sorted(
@@ -956,39 +925,6 @@ class CompiledRule:
             profile.neg_blocked += len(rows) - len(kept)
         return kept
 
-    def negation_blocked(self, substitution: Dict[Variable, Term], reference) -> bool:
-        """True iff some negated atom holds in ``reference`` under ``substitution``."""
-        for probe in self.negation:
-            if probe.satisfied(substitution, reference):
-                return True
-        return False
-
-    def head_facts(self, substitution: Dict[Variable, Term]) -> List[Atom]:
-        """The head atoms instantiated under ``substitution``.
-
-        ``substitution`` must bind every head variable (frontier plus, for
-        existential rules, the freshly invented nulls), which every engine
-        guarantees at fire time.
-        """
-        return [
-            Atom(
-                predicate,
-                tuple(
-                    substitution[payload] if is_var else payload
-                    for is_var, payload in template
-                ),
-            )
-            for predicate, template in self.head_templates
-        ]
-
-    def head_satisfied(self, substitution: Dict[Variable, Term], instance) -> bool:
-        """Restricted-chase check: does an extension satisfying the head exist?"""
-        if self.head_plan is None:
-            return all(
-                atom.apply(substitution) in instance for atom in self.rule.head
-            )
-        return self.head_plan.exists(instance, substitution)
-
     # -- introspection -------------------------------------------------------
 
     def explain(self) -> str:
@@ -1006,10 +942,10 @@ class CompiledRule:
         lines.append("plan:")
         for line in self.plan.describe():
             lines.append(f"  {line}")
-        if self.negation:
+        if self.rule.body_negative:
             lines.append(
                 "negation: "
-                + ", ".join(f"not {probe.atom}" for probe in self.negation)
+                + ", ".join(f"not {atom}" for atom in self.rule.body_negative)
             )
         lines.extend(_profile_lines(self.plan.profile, indent="  "))
         for pivot, plan in enumerate(self.pivot_plans):

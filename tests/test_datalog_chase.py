@@ -3,7 +3,7 @@
 import pytest
 
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import ChaseEngine, ChaseNonTermination, match_atoms, satisfies_some
+from repro.datalog.chase import ChaseEngine, ChaseNonTermination, ChaseState, match_atoms
 from repro.datalog.database import Database, Instance
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.terms import Constant, Null, Variable
@@ -32,13 +32,6 @@ class TestMatchAtoms:
     def test_no_match(self):
         instance = Instance([parse_atom("e(a,b)")])
         assert list(match_atoms([parse_atom("f(?X, ?Y)")], instance)) == []
-
-    def test_satisfies_some(self):
-        instance = Instance([parse_atom("p(a)")])
-        assert satisfies_some([Atom("p", (Variable("X"),))], instance, {Variable("X"): Constant("a")})
-        assert not satisfies_some(
-            [Atom("p", (Variable("X"),))], instance, {Variable("X"): Constant("b")}
-        )
 
 
 class TestChaseDatalog:
@@ -110,6 +103,36 @@ class TestChaseExistential:
         result = ChaseEngine(max_null_depth=5, on_limit="stop").chase(db("p(a)"), program)
         assert not result.completed
         assert result.limit_reason is not None
+
+    # An unbounded null chain beside a finite transitive closure.
+    GROW_AND_REACH = """
+        grow(?X) -> exists ?Y . next(?X, ?Y), grow(?Y).
+        e(?X, ?Y) -> reach(?X, ?Y).
+        reach(?X, ?Y), e(?Y, ?Z) -> reach(?X, ?Z).
+    """
+    CHAIN = [f"e(v{i}, v{i + 1})" for i in range(8)]
+
+    def test_depth_bound_cuts_only_too_deep_triggers(self):
+        program = parse_program(self.GROW_AND_REACH)
+        result = ChaseEngine(max_null_depth=2, on_limit="stop").chase(
+            db("grow(v0)", *self.CHAIN), program
+        )
+        assert not result.completed
+        assert result.limit_reason == "max_null_depth=2 exceeded"
+        assert len(result.instance.with_predicate("reach")) == 36
+        assert result.invented_nulls == 2
+
+    def test_depth_bound_cuts_only_too_deep_triggers_on_resume(self):
+        program = parse_program(self.GROW_AND_REACH)
+        engine = ChaseEngine(max_null_depth=2, on_limit="stop")
+        state = ChaseState()
+        instance = engine.chase(db("grow(v0)"), program, state=state).instance
+        delta = Instance(db("grow(w0)", *self.CHAIN))
+        instance.bulk_load(delta)
+        result = engine.resume(instance, program, delta, state=state)
+        assert not result.completed
+        assert len(instance.with_predicate("reach")) == 36
+        assert result.invented_nulls == 2
 
     def test_infinite_chase_raises_when_asked(self):
         program = parse_program("p(?X) -> exists ?Y . q(?X, ?Y). q(?X, ?Y) -> p(?Y).")

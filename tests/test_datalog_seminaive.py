@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.datalog.chase import violates
 from repro.datalog.database import Database
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.rules import RuleError
@@ -78,9 +79,9 @@ class TestSemiNaive:
         )
         evaluator = SemiNaiveEvaluator(program)
         instance = evaluator.evaluate(db("p(a)", "bad(a)"))
-        assert evaluator.violated_constraints(instance) == [0]
+        assert violates(program.constraints, instance)
         instance_ok = evaluator.evaluate(db("p(a)"))
-        assert evaluator.violated_constraints(instance_ok) == []
+        assert not violates(program.constraints, instance_ok)
 
     def test_multi_head_rules(self):
         program = parse_program("triple(?X, ?Y, ?Z) -> dom(?X), dom(?Z).")

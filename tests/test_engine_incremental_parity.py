@@ -24,8 +24,8 @@ strength each fragment supports:
   identical instances and identical gated counters with the batch matcher
   and with the depth-first oracle behind ``JoinPlan.rows``, and
   replaying a schedule is counter-for-counter deterministic.  (Counters are *not* compared against
-  the cold run: a continuation enumerates matches through pivot plans where
-  the cold run's naive round enumerates them once, so trigger counts
+  the cold run: a continuation finds matches through pivot plans across
+  rounds where the cold run finds them in its full-plan first round, so trigger counts
   legitimately differ while results may not — see ``docs/architecture.md``.)
 """
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datalog.atoms import Atom
+from repro.datalog.chase import ChaseEngine
 from repro.datalog.database import Database, Instance
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant, Null, Variable
@@ -19,6 +20,14 @@ def subs(plan, instance, initial=None):
         tuple(sorted((v.name, str(t)) for v, t in s.items()))
         for s in plan.execute(instance, initial)
     )
+
+
+def row_of(plan, binding):
+    """The slot-ID row of ``plan`` that binds each variable to its term."""
+    row = [None] * plan.n_slots
+    for variable, term in binding.items():
+        row[plan.slot_of[variable]] = TERMS.intern_term(term)
+    return tuple(row)
 
 
 class TestJoinPlan:
@@ -102,18 +111,20 @@ class TestCompiledRule:
     def test_negation_probe_blocks(self):
         program = parse_program("p(?X), not q(?X) -> r(?X).")
         crule = compile_rule(program.rules[0])
+        ops = crule.row_ops(crule.plan)
         reference = Instance([Atom("q", (a,))])
-        assert crule.negation_blocked({X: a}, reference)
-        assert not crule.negation_blocked({X: b}, reference)
+        assert ops.negation_blocked_row(row_of(crule.plan, {X: a}), reference)
+        assert not ops.negation_blocked_row(row_of(crule.plan, {X: b}), reference)
 
     def test_negation_probe_against_snapshot(self):
         program = parse_program("p(?X), not q(?X) -> r(?X).")
         crule = compile_rule(program.rules[0])
+        ops = crule.row_ops(crule.plan)
         instance = Instance([Atom("q", (a,))])
         frozen = instance.snapshot()
         instance.add(Atom("q", (b,)))
-        assert crule.negation_blocked({X: a}, frozen)
-        assert not crule.negation_blocked({X: b}, frozen)
+        assert ops.negation_blocked_row(row_of(crule.plan, {X: a}), frozen)
+        assert not ops.negation_blocked_row(row_of(crule.plan, {X: b}), frozen)
 
     def test_delta_substitutions_require_delta_overlap(self):
         program = parse_program("e(?X, ?Y), e(?Y, ?Z) -> t(?X, ?Z).")
@@ -133,17 +144,20 @@ class TestCompiledRule:
     def test_head_facts_ground_and_existential(self):
         program = parse_program("p(?X) -> exists ?Y . q(?X, ?Y).")
         crule = compile_rule(program.rules[0])
+        ops = crule.row_ops(crule.plan)
         fresh = Null.fresh("w")
-        ev = next(iter(program.rules[0].existential_variables))
-        facts = crule.head_facts({X: a, ev: fresh})
+        extended = row_of(crule.plan, {X: a}) + (TERMS.intern_term(fresh),)
+        facts = [TERMS.decode_atom(key) for key in ops.head_keys_row(extended)]
         assert facts == [Atom("q", (a, fresh))]
 
     def test_head_satisfied_existential(self):
         program = parse_program("p(?X) -> exists ?Y . q(?X, ?Y).")
         crule = compile_rule(program.rules[0])
+        ops = crule.row_ops(crule.plan)
         instance = Instance([Atom("p", (a,)), Atom("q", (a, Null("_:w0")))])
-        assert crule.head_satisfied({X: a}, instance)
-        assert not crule.head_satisfied({X: b}, instance)
+        satisfied = ChaseEngine._head_satisfied_row
+        assert satisfied(crule, ops, row_of(crule.plan, {X: a}), instance)
+        assert not satisfied(crule, ops, row_of(crule.plan, {X: b}), instance)
 
 
 class TestInstanceSnapshot:
