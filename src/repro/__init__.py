@@ -32,10 +32,10 @@ Quickstart::
         people = view.query("SELECT ?X WHERE { ?X rdf:type Person }")
 
 The library takes no configuration.  See ``docs/api.md`` for the front
-doors and the names removed in 4.0.0.
+doors and the names removed in each breaking release.
 """
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 # -- the data model ---------------------------------------------------------
 from repro.datalog import (

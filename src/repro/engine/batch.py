@@ -17,8 +17,9 @@ probe-key grouping, and intra-atom equality checks are all flat int
 operations over the index's packed column buffers
 (:attr:`~repro.engine.index.PredicateIndex.cols`, one
 :class:`~repro.engine.colbuf.ColumnBuffer` per predicate) — no term-object
-hashing anywhere in the loop, and the extension kernel itself lives in
-:mod:`repro.engine.kernels` (numpy fast path + pure fallback).
+hashing anywhere in the loop.  The extension loop
+(:meth:`_BatchStep._extensions`) gathers straight from lane slices while a
+lane is clean (no tombstone, no padded row) and checks every row otherwise.
 
 * **Bulk probes** — the batch is grouped by the tuple of probed slot values;
   one :meth:`~repro.engine.index.PredicateIndex.probe_ids` call (a capped
@@ -47,9 +48,9 @@ also checks both against ``engine/reference.py``).
 from __future__ import annotations
 
 import time
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine import kernels
 from repro.engine.stats import active_stats
 from repro.obs.profile import PROFILER
 
@@ -178,13 +179,69 @@ class _BatchStep:
     def _extensions(self, cols, candidate_ids) -> List[SlotRow]:
         """The verified extension tuples for one probe key, ids ascending.
 
-        Delegates to :func:`repro.engine.kernels.extensions`, which scans the
-        predicate's flat :class:`~repro.engine.colbuf.ColumnBuffer` columns —
-        via numpy when available and worthwhile, via the pure loop otherwise.
+        For each candidate row id (ascending), keep the row iff it is live
+        with the step's arity and every intra-atom repeated-variable pair
+        agrees, then emit the tuple of its values at ``bind_positions``.
+        This is the single hottest loop of the batch matcher.
+
+        On a clean lane (:attr:`ColumnBuffer.mixed
+        <repro.engine.colbuf.ColumnBuffer.mixed>` False) of a step without
+        intra-atom pairs the arity test cannot reject a row, so the bound
+        values are gathered by C loops instead: lane slices for a ``range``
+        scan, one ``itemgetter`` per bound lane for a postings bucket.
+        Everything else runs the checked loop.
         """
-        return kernels.extensions(
-            cols, candidate_ids, self.arity, self.bind_positions, self.intra_pairs
-        )
+        arity = self.arity
+        bind_positions = self.bind_positions
+        intra_pairs = self.intra_pairs
+        buffers = cols.buffers
+        width = len(buffers)
+        if arity > width or (arity != width and not cols.mixed):
+            # No row has the step's arity: none is wider than the lanes, and
+            # on a clean lane every row spans exactly the lane width.
+            return []
+        if not cols.mixed and not intra_pairs:
+            if not bind_positions:
+                return [()] * len(candidate_ids)
+            if isinstance(candidate_ids, range):
+                lo, hi = candidate_ids.start, candidate_ids.stop
+                return list(zip(*[buffers[p][lo:hi] for p in bind_positions]))
+            if len(candidate_ids) > 1:
+                gather = itemgetter(*candidate_ids)
+                return list(zip(*[gather(buffers[p]) for p in bind_positions]))
+        arities = cols.arities
+        exts: List[SlotRow] = []
+        append = exts.append
+        n_bind = len(bind_positions)
+        if not intra_pairs and n_bind <= 2:
+            # The dominant shapes (0-2 fresh variables, no repeated variable
+            # inside the atom) get allocation-minimal loops over the flat
+            # columns.
+            if n_bind == 0:
+                for row_id in candidate_ids:
+                    if arities[row_id] == arity:
+                        append(())
+            elif n_bind == 1:
+                column = buffers[bind_positions[0]]
+                for row_id in candidate_ids:
+                    if arities[row_id] == arity:
+                        append((column[row_id],))
+            else:
+                first = buffers[bind_positions[0]]
+                second = buffers[bind_positions[1]]
+                for row_id in candidate_ids:
+                    if arities[row_id] == arity:
+                        append((first[row_id], second[row_id]))
+            return exts
+        for row_id in candidate_ids:
+            if arities[row_id] != arity:
+                continue
+            for position, bound_position in intra_pairs:
+                if buffers[position][row_id] != buffers[bound_position][row_id]:
+                    break
+            else:
+                append(tuple(buffers[position][row_id] for position in bind_positions))
+        return exts
 
 
 class BatchPlan:

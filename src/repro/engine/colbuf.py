@@ -2,10 +2,9 @@
 
 :attr:`PredicateIndex.cols <repro.engine.index.PredicateIndex.cols>` holds
 one :class:`ColumnBuffer` per predicate, packing the fact ID rows into
-**flat 64-bit columns** — no ``PyObject`` header per value, no pointer chase
-per row, and ``numpy`` can view the memory without a copy.  Together with
-the instance's encoded-key map these rows are the only stored form of a
-fact; no decoded atom sits beside them:
+**flat 64-bit columns** — no ``PyObject`` header per value and no pointer
+chase per row.  Together with the instance's encoded-key map these rows are
+the only stored form of a fact; no decoded atom sits beside them:
 
 * ``arities[row]`` — the row's arity, or :data:`TOMB` (``-1``) for a
   tombstoned row.  Tombstoning flips *only* the arity: the position values
@@ -20,9 +19,16 @@ fact; no decoded atom sits beside them:
   the widest arity seen pad the wider columns with ``-1`` (never read: the
   arity filter runs first).
 
-All lanes are heap ``array('q')``, so a transient ``numpy.frombuffer`` view
-is zero-copy — the batch kernels of :mod:`repro.engine.kernels` rely on
-this.
+* ``mixed`` — False while every row is live with the lane width as its
+  arity, so the per-row arity filter cannot reject anything.  It is derived,
+  one-way state: a tombstone sets it, and so does a row after row 0 whose
+  arity differs from the lane width (it pads that row or widens the lanes
+  under the earlier ones).  Only a rebuild (compaction) clears it.
+  While it is False the batch matcher gathers extension tuples straight
+  from lane slices (:meth:`repro.engine.batch._BatchStep._extensions`).
+
+All lanes are heap ``array('q')`` for compactness: 8 bytes per value, where
+a list of ints pays a pointer plus a boxed int.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from typing import List, Optional, Tuple
 TOMB = -1
 
 #: Padding value for positions beyond a row's arity.  Never read by scans
-#: (the arity filter runs first); distinct-value kernels mask it out.
+#: (the arity filter runs first); distinct-value scans skip it.
 PAD = -1
 
 
@@ -43,13 +49,16 @@ class ColumnBuffer:
     """Flat int64 columns (arities, gids, one buffer per position) for one
     predicate's rows."""
 
-    __slots__ = ("n_rows", "arities", "gids", "buffers")
+    __slots__ = ("n_rows", "arities", "gids", "buffers", "mixed")
 
     def __init__(self) -> None:
         self.n_rows = 0
         self.arities = array("q")
         self.gids = array("q")
         self.buffers: List = []
+        # True once some row is dead or padded (see module docstring);
+        # never cleared in place.
+        self.mixed = False
 
     # -- introspection -------------------------------------------------------
 
@@ -83,6 +92,9 @@ class ColumnBuffer:
             for buffer, value in zip(buffers, ids):
                 buffer.append(value)
         else:
+            if row_id:
+                # Widening pads the earlier rows; a narrower row pads itself.
+                self.mixed = True
             while len(buffers) < arity:
                 buffers.append(array("q", [PAD]) * row_id)
             for p in range(arity):
@@ -103,9 +115,13 @@ class ColumnBuffer:
         """
         first = self.n_rows
         n = len(id_rows)
+        if not n:
+            return first
         buffers = self.buffers
         arities = [len(ids) for ids in id_rows]
-        width = max(arities, default=0)
+        width = max(arities)
+        if first and width > len(buffers):
+            self.mixed = True
         while len(buffers) < width:
             buffers.append(array("q", [PAD]) * first)
         self.arities.extend(arities)
@@ -115,6 +131,7 @@ class ColumnBuffer:
             for p, buffer in enumerate(buffers):
                 buffer.extend([ids[p] for ids in id_rows])
         else:
+            self.mixed = True
             for p, buffer in enumerate(buffers):
                 buffer.extend(
                     [ids[p] if p < len(ids) else PAD for ids in id_rows]
@@ -128,6 +145,7 @@ class ColumnBuffer:
         Only the arity flips to :data:`TOMB` — position values stay in place.
         """
         self.arities[row_id] = TOMB
+        self.mixed = True
 
     def __repr__(self) -> str:
         return f"ColumnBuffer({self.n_rows} rows, {len(self.buffers)} positions)"

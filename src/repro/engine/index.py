@@ -12,17 +12,18 @@ lookups that hand facts to callers (:meth:`PredicateIndex.scan`,
   ordinal).  Both executors — the row-at-a-time backtracker and the
   column-at-a-time batch steps — probe and verify on these flat buffers
   (``arities[row] != arity`` is the single check that rejects both
-  tombstones and wrong-arity rows); the batch kernels
-  (:mod:`repro.engine.kernels`) take zero-copy numpy views of the same
-  memory.  The gid lane ascends within a predicate, so deletion finds a
-  fact's row by bisecting it.
+  tombstones and wrong-arity rows).  While a lane is clean
+  (:attr:`ColumnBuffer.mixed <repro.engine.colbuf.ColumnBuffer.mixed>`
+  False) that check cannot reject anything, so the batch gather and
+  :meth:`PredicateIndex.distinct_values` skip it and read the lanes with
+  C loops.
+  The gid lane ascends within a predicate, so deletion finds a fact's row
+  by bisecting it.
 * ``postings`` keys are ``(predicate, position, tid)`` — int-keyed plain
   ``list`` buckets of ascending row ids, probed with IDs the plans compiled
   in at plan time.  Lists, not ``array('q')``: buckets are appended to on
   every fact and iterated in every depth-first probe, and CPython lists beat
-  typed arrays ~3x on append and ~30% on iteration (no re-boxing); the
-  numpy kernels convert a bucket once per bulk probe, which the vectorised
-  pass still amortises.
+  typed arrays ~3x on append and ~30% on iteration (no re-boxing).
 
 Because rows are append-only, row ids within a postings list are strictly
 increasing, and a lookup is made stable under concurrent insertion simply by
@@ -47,7 +48,6 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Variable
-from repro.engine import kernels
 from repro.engine.colbuf import ColumnBuffer
 from repro.engine.interning import TERMS
 
@@ -132,7 +132,8 @@ class PredicateIndex:
         if len(buffers) == arity:
             # Inlined ColumnBuffer.append fast path (fixed-arity row):
             # this is the per-derived-fact hot spot of every fixpoint, so
-            # the dominant arities unpack the lanes instead of zipping.
+            # the dominant arities unpack the lanes instead of zipping.  A
+            # row at the lane width leaves ``cols.mixed`` as it was.
             row_id = cols.n_rows
             if arity == 2:
                 first, second = buffers
@@ -395,11 +396,33 @@ class PredicateIndex:
         if not cols:
             return frozenset()
         key = (predicate, position)
+        n_rows = len(cols)
         cached = self._summaries.get(key)
-        if cached is not None and cached[0] == len(cols):
+        if cached is not None and cached[0] == n_rows:
             return cached[1]
-        summary = kernels.distinct_values(cols, position, _summary_cap(len(cols)))
-        self._summaries[key] = (len(cols), summary)
+        cap = _summary_cap(n_rows)
+        summary: Optional[frozenset]
+        if position >= len(cols.buffers):
+            summary = frozenset()
+        elif not cols.mixed:
+            # Every row is live at the lane width: the whole lane is the
+            # value set, collected by one C loop.
+            summary = frozenset(cols.buffers[position])
+            if len(summary) > cap:
+                summary = None
+        else:
+            # Skip tombstones and rows too narrow to reach ``position``.
+            arities = cols.arities
+            column = cols.buffers[position]
+            values = set()
+            add = values.add
+            for row_id in range(n_rows):
+                if arities[row_id] > position:
+                    add(column[row_id])
+                    if len(values) > cap:
+                        break
+            summary = frozenset(values) if len(values) <= cap else None
+        self._summaries[key] = (n_rows, summary)
         return summary
 
     def row_count(self, predicate: str) -> int:

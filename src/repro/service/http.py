@@ -138,7 +138,16 @@ class QueryService:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except HTTPError as exc:
+                    # The stream position is unknown after a malformed
+                    # request: answer it, then drop the connection.
+                    self._write_response(
+                        writer, exc.status, {"error": exc.message}, keep_alive=False
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -164,7 +173,12 @@ class QueryService:
                 pass
 
     async def _read_request(self, reader):
-        """Parse one HTTP/1.1 request; ``None`` on clean EOF between requests."""
+        """Parse one HTTP/1.1 request; ``None`` on clean EOF between requests.
+
+        A malformed request raises :class:`HTTPError`: 400 for a bad request
+        line or ``Content-Length``, 413 for a body over ``_MAX_BODY``, 431
+        for a header section over ``_MAX_HEADER``.
+        """
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
@@ -186,7 +200,10 @@ class QueryService:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise HTTPError(400, f"malformed Content-Length {raw_length!r}")
+        length = int(raw_length)
         if length > _MAX_BODY:
             raise HTTPError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""

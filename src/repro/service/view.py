@@ -71,6 +71,28 @@ from repro.translation.entailment_regime import (
 #: per process via the ``REPRO_SLOW_QUERY_MS`` environment variable.
 DEFAULT_SLOW_QUERY_MS = 100.0
 
+
+def _slow_query_ms() -> float:
+    """The slow-query threshold from ``REPRO_SLOW_QUERY_MS``, else the default.
+
+    Empty means unset, and ``inf`` disables the log.  Anything but a number
+    ≥ 0 raises a ``ValueError`` naming the variable: ``nan`` would disable
+    the log silently (every ``>=`` against it is false).
+    """
+    raw = os.environ.get("REPRO_SLOW_QUERY_MS", "")
+    if not raw:
+        return DEFAULT_SLOW_QUERY_MS
+    try:
+        value = float(raw)
+    except ValueError:
+        value = float("nan")
+    if not value >= 0:
+        raise ValueError(
+            f"REPRO_SLOW_QUERY_MS must be a number of milliseconds >= 0, got {raw!r}"
+        )
+    return value
+
+
 # Service-level instruments.  The registry is idempotent, so re-importing the
 # module (or constructing several views) reuses the same instruments.
 _QUERIES = REGISTRY.counter(
@@ -250,9 +272,7 @@ class MaterializedView:
         # every reader-side counter mutation goes through this lock
         # (:meth:`record_query`).
         self._stats_lock = threading.Lock()
-        self.slow_query_ms = float(
-            os.environ.get("REPRO_SLOW_QUERY_MS", "") or DEFAULT_SLOW_QUERY_MS
-        )
+        self.slow_query_ms = _slow_query_ms()
         self._slow_queries: deque = deque(maxlen=32)
         self._session = DeltaSession(self._program, initial)
         self._published = self._publish()

@@ -17,25 +17,25 @@ term IDs (:mod:`repro.engine.interning`): an *ID mapping* is a frozenset of
 whole algebra (join/union/minus/left-outer-join, built-in conditions)
 compares ints.  Terms are decoded back into boxed
 :class:`~repro.sparql.mappings.Mapping` objects only at the result boundary
-(:func:`decode_id_mappings`).  Two interchangeable triple sources feed the
-core:
+(:func:`decode_id_mappings`).  The BGP case takes its triple source as a
+``scan(pairs)`` callable, and two kinds of store supply one:
 
 * :class:`GraphIdView` — an interned postings view of an
   :class:`~repro.rdf.graph.RDFGraph`, built once per graph version and
   cached on the graph (the classic ``⟦P⟧_G`` entry points
-  :func:`evaluate_pattern` / :func:`evaluate_bgp` use this);
-* :class:`InstanceTripleSource` — ID rows of a materialized
-  :class:`~repro.datalog.database.Instance` or frozen
-  :class:`~repro.engine.index.InstanceSnapshot`, which is how the
-  entailment-regime view (:mod:`repro.translation.entailment_regime`) and
-  the query service read without ever decoding.
+  :func:`evaluate_pattern` / :func:`evaluate_bgp` pass its ``scan``);
+* a materialized :class:`~repro.datalog.database.Instance` or frozen
+  :class:`~repro.engine.index.InstanceSnapshot` — the entailment-regime
+  view (:func:`repro.translation.entailment_regime.evaluate_view_ids`, and
+  through it the query service) passes ``store.matching_ids`` over the
+  ``triple1`` rows in a lambda, so it reads without ever decoding.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union as TypingUnion
 
-from repro.datalog.terms import Constant, Null, Variable
+from repro.datalog.terms import Null, Variable
 from repro.engine.interning import TERMS
 from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import (
@@ -139,26 +139,6 @@ def graph_id_view(graph: RDFGraph) -> GraphIdView:
     view = GraphIdView(graph)
     graph._id_view = (key, view)
     return view
-
-
-class InstanceTripleSource:
-    """BGP triple source over one predicate of a materialized instance.
-
-    ``store`` is anything with ``matching_ids(predicate, arity, pairs)`` — a
-    live :class:`~repro.datalog.database.Instance` or a frozen
-    :class:`~repro.engine.index.InstanceSnapshot` (the query service always
-    passes the latter, which is what makes its reads snapshot-isolated).
-    """
-
-    __slots__ = ("_store", "predicate")
-
-    def __init__(self, store, predicate: str):
-        self._store = store
-        self.predicate = predicate
-
-    def scan(self, pairs: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, ...]]:
-        """Triple ID rows of the configured predicate matching ``pairs``."""
-        return self._store.matching_ids(self.predicate, 3, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -411,43 +391,3 @@ def evaluate_pattern(pattern: GraphPattern, graph: RDFGraph) -> Set[Mapping]:
     return decode_id_mappings(
         evaluate_pattern_ids(pattern, lambda bgp: evaluate_bgp_ids(bgp, scan))
     )
-
-
-# Kept for any external callers of the pre-PR-6 decoded matcher.
-def _match_triple_pattern(
-    pattern: TriplePattern,
-    graph: RDFGraph,
-    binding: Dict[TypingUnion[Variable, Null], Constant],
-) -> Iterator[Dict[TypingUnion[Variable, Null], Constant]]:
-    """Extend ``binding`` in all ways that map the triple pattern into the graph.
-
-    Variables and blank nodes are treated uniformly here; the caller later
-    projects blank-node bindings away (they play the role of existential
-    variables in basic graph patterns).
-    """
-
-    def resolve(term):
-        """The bound value of a variable/blank node, or the term itself."""
-        if isinstance(term, (Variable, Null)):
-            return binding.get(term)
-        return term
-
-    subject = resolve(pattern.subject)
-    predicate = resolve(pattern.predicate)
-    object_ = resolve(pattern.object)
-    for triple in graph.triples(subject, predicate, object_):
-        extension = dict(binding)
-        consistent = True
-        for pattern_term, value in zip(pattern, triple):
-            if isinstance(pattern_term, (Variable, Null)):
-                bound = extension.get(pattern_term)
-                if bound is None:
-                    extension[pattern_term] = value
-                elif bound != value:
-                    consistent = False
-                    break
-            elif pattern_term != value:
-                consistent = False
-                break
-        if consistent:
-            yield extension

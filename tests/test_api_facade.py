@@ -18,15 +18,20 @@ import repro
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_script(script, env_overrides):
-    """Last stdout line of ``script`` in a fresh process with only these REPRO_* set."""
+def run_script(script, env_overrides, first_on_path=None):
+    """Last stdout line of ``script`` in a fresh process with only these REPRO_* set.
+
+    ``first_on_path`` is a directory put ahead of ``src`` on ``PYTHONPATH``.
+    """
     env = {
         key: value
         for key, value in os.environ.items()
         if not key.startswith("REPRO_")
     }
     env.update(env_overrides)
-    env["PYTHONPATH"] = "src"
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (first_on_path, "src") if path is not None
+    )
     result = subprocess.run(
         [sys.executable, "-c", script],
         capture_output=True,
@@ -131,3 +136,56 @@ def test_engine_is_one_process_and_never_reads_the_removed_knobs():
         "REPRO_COMPACT_RATIO": "abc",
     }
     assert run_script(ONE_PROCESS_WORKLOAD, removed) == "ok"
+
+
+NO_NUMPY_WORKLOAD = """
+import sys
+try:
+    import numpy
+except RuntimeError:
+    pass
+else:
+    raise SystemExit("the unimportable numpy is not first on the path")
+import repro
+from repro.core.warded_engine import WardedEngine
+from repro.datalog.seminaive import SemiNaiveEvaluator
+from repro.engine.incremental import DeltaSession
+from repro.translation.entailment_regime import EntailmentView
+from repro.workloads.ontologies import university_graph
+
+edges = [repro.parse_atom(f"edge(n{i}, n{i + 1})") for i in range(80)]
+closure = repro.parse_program(
+    "edge(?X, ?Y) -> path(?X, ?Y). edge(?X, ?Z), path(?Z, ?Y) -> path(?X, ?Y)."
+)
+assert len(SemiNaiveEvaluator(closure).evaluate(edges[:40])) == 40 + 40 * 41 // 2
+warded = WardedEngine(repro.parse_program(
+    "triple(?X, knows, ?Y) -> knows(?X, ?Y). "
+    "knows(?X, ?Y) -> exists ?Z . contact(?Y, ?Z). "
+    "contact(?X, ?Z), knows(?W, ?X) -> reachable(?W, ?X)."
+)).materialise(
+    [repro.parse_atom(f"triple(p{i}, knows, p{i + 1})") for i in range(20)]
+)
+assert len(warded.instance.with_predicate("reachable")) == 20
+session = DeltaSession(closure, edges[:60])
+session.push(edges[60:])
+session.retract(edges[:10])
+assert len(session.instance.with_predicate("path")) == 70 * 71 // 2
+session.close()
+query = "SELECT ?X WHERE { ?X rdf:type Person }"
+graph = university_graph(n_departments=1, students_per_department=3)
+answers = EntailmentView(graph).evaluate(query)
+assert answers
+with repro.MaterializedView(graph) as view:
+    assert view.query(query) == answers
+assert "numpy" not in sys.modules
+print("ok")
+"""
+
+
+def test_engine_runs_where_numpy_cannot_be_imported(tmp_path):
+    # The engine imports only the standard library: with a numpy package
+    # first on the path whose import raises, every front door still works.
+    fake = tmp_path / "numpy"
+    fake.mkdir()
+    (fake / "__init__.py").write_text('raise RuntimeError("numpy must not be imported")\n')
+    assert run_script(NO_NUMPY_WORKLOAD, {}, first_on_path=str(tmp_path)) == "ok"

@@ -336,7 +336,7 @@ def run_both_modes(fn):
 
 
 class TestModesAndDeterminism:
-    def test_three_mode_parity_seminaive_stream(self):
+    def test_batch_vs_depth_first_seminaive_stream(self):
         edges = [edge(f"n{i % 7}", f"n{(i * 3 + 1) % 7}") for i in range(20)]
 
         def stream():
@@ -351,7 +351,7 @@ class TestModesAndDeterminism:
         assert outcome["row"][0] == outcome["batch"][0]
         assert outcome["row"][1] == outcome["batch"][1]
 
-    def test_three_mode_parity_chase_stream(self):
+    def test_batch_vs_depth_first_chase_stream(self):
         people = [person(f"p{i}") for i in range(9)]
 
         def stream():

@@ -300,7 +300,7 @@ class TestCrossModeParity:
     """Byte-identical results and gated counters across both executors."""
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_seminaive_three_modes(self, seed):
+    def test_seminaive_batch_vs_depth_first(self, seed):
         database = _edge_database(seed)
         outcomes = {}
         for mode in ("row", "batch"):
@@ -310,7 +310,7 @@ class TestCrossModeParity:
                 outcomes[mode] = (result, STATS.gated())
         assert outcomes["row"] == outcomes["batch"]
 
-    def test_chase_null_labels_three_modes(self):
+    def test_chase_null_labels_batch_vs_depth_first(self):
         program = parse_program(EXISTENTIAL)
         database = [Atom("person", (Constant(f"p{i}"),)) for i in range(8)]
         outcomes = {}

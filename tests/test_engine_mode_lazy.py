@@ -31,8 +31,9 @@ def test_mode_decision_lives_in_the_plan_module():
             # finds only its history.
             for removed in ("batch_" "enabled", "set_execution_" "mode", "use_" "batch"):
                 assert removed not in text, (relative, removed)
-    # The facade (removed in 4.0.0) and the persisted plan cache (3.0.0).
-    for module in ("repro.api", "repro.engine.plancache"):
+    # The numpy kernels (removed in 5.0.0), the facade (4.0.0) and the
+    # persisted plan cache (3.0.0).
+    for module in ("repro.engine.kernels", "repro.api", "repro.engine.plancache"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(module)
     with pytest.raises(AttributeError):

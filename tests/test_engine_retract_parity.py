@@ -31,11 +31,11 @@ import pytest
 from repro.datalog.atoms import Atom
 from repro.datalog.terms import Constant
 from repro.engine import index as engine_index
-from repro.engine import kernels
 from repro.engine.incremental import DeltaSession, cold_equivalent
 from repro.engine.interning import TERMS
 from repro.engine.stats import STATS
 from test_engine_batch_parity import random_datalog_program, random_instance
+from test_engine_kernels_fuzz import make_step
 from test_engine_incremental_parity import (
     ANCESTOR_CHASE_PROGRAM,
     TC_NEGATION_PROGRAM,
@@ -213,7 +213,7 @@ class TestChaseRetraction:
 
 
 class TestModeParity:
-    def test_three_mode_interleaved_parity(self):
+    def test_batch_vs_depth_first_interleaved(self):
         rng = random.Random(77)
         edges = [
             edge(f"u{rng.randrange(12)}", f"u{rng.randrange(12)}")
@@ -234,7 +234,7 @@ class TestModeParity:
         # null GC) does identical accounted work in every executor.
         assert outcome["row"][1] == outcome["batch"][1]
 
-    def test_three_mode_chase_retraction_parity(self):
+    def test_batch_vs_depth_first_chase_retraction(self):
         people = [person(f"p{i}") for i in range(9)]
 
         def stream():
@@ -257,8 +257,9 @@ class TestPackedColumnTombstones:
     The packed representation never deletes rows — :meth:`ColumnBuffer.kill`
     flips the arity lane to the tombstone marker and leaves the position
     lanes intact — so every consumer of the buffers (scans, probe
-    verification, the numpy and pure-Python kernels) has to treat
-    ``arities[row] != arity`` as the single liveness test.  This regression
+    verification, the batch extension loop) has to treat
+    ``arities[row] != arity`` as the single liveness test, or, in the batch
+    gather, trust it only while the lane is clean.  This regression
     pins that contract against :meth:`DeltaSession.retract`.  A single-rule
     program keeps the over-deleted closure small, so retraction takes the
     in-place DRed path (tombstones) rather than the degenerate instance
@@ -291,33 +292,33 @@ class TestPackedColumnTombstones:
         assert_cold_parity(session)
         session.close()
 
-    def test_scans_and_kernels_skip_tombstones_in_both_modes(self, monkeypatch):
+    def test_scans_and_kernels_skip_tombstones_in_both_modes(self):
+        # The two modes are the two packed paths of the batch extension loop
+        # and of the distinct-value summary: the checked loop on the
+        # tombstoned lane, and the clean-lane gather once compaction has
+        # packed the survivors into a fresh lane.
         edges = [edge(f"n{i}", f"n{i + 1}") for i in range(60)]
         session = DeltaSession(self.SINGLE_RULE, edges)
         index = session.instance._index
         session.retract(edges[10:30])
         assert session.instance._index is index  # in-place, not rebuilt
         survivors = {TERMS.atom_key(a)[1:] for a in edges[:10] + edges[30:]}
-        flags = (False, True) if kernels._np is not None else (False,)
+        step = make_step(3, (0, 1, 2), ())
         results = []
-        for flag in flags:
-            with monkeypatch.context() as patch:
-                if not flag:
-                    patch.setattr(kernels, "_np", None)
-                scanned = set(index.scan_ids("triple", 3, ()))
-                assert scanned == survivors
-                # The bulk-extension kernel over every row id must surface
-                # exactly the live rows regardless of dispatch mode.
-                cols = index.cols["triple"]
-                ext = kernels.extensions(
-                    cols, range(len(cols)), 3, (0, 1, 2), ()
-                )
-                results.append(ext)
-                values = index.distinct_values("triple", 0)
-                if values is not None:
-                    assert values == {ids[0] for ids in survivors}
-        assert len({tuple(map(tuple, r)) for r in results}) == 1
-        assert {tuple(row) for row in results[0]} == survivors
+        for compacted in (False, True):
+            if compacted:
+                index.compact("triple")
+            cols = index.cols["triple"]
+            assert cols.mixed != compacted
+            assert set(index.scan_ids("triple", 3, ())) == survivors
+            # The bulk extension over every row id must surface exactly
+            # the live rows on either path.
+            results.append(step._extensions(cols, range(len(cols))))
+            values = index.distinct_values("triple", 0)
+            if values is not None:
+                assert values == {ids[0] for ids in survivors}
+        assert results[0] == results[1]
+        assert set(results[0]) == survivors
         assert_cold_parity(session)
         session.close()
 
@@ -399,7 +400,7 @@ class TestTombstoneCompaction:
             assert total_on < total_off
             assert (total_on - live_on) / total_on <= self.RATIO
 
-    def test_three_mode_parity_under_forced_compaction(self, monkeypatch):
+    def test_batch_vs_depth_first_under_forced_compaction(self, monkeypatch):
         monkeypatch.setattr(engine_index, "COMPACT_RATIO", self.RATIO)
 
         def stream():

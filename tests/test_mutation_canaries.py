@@ -12,8 +12,8 @@ engine broke".
 
 Two mutations, one per batch-executor layer:
 
-* **perturb one probe verdict** — :func:`kernels.extensions` is the packed
-  bulk-extension kernel of the batch executor; swallowing one surviving
+* **perturb one probe verdict** — :meth:`_BatchStep._extensions` is the
+  packed bulk-extension loop of the batch executor; swallowing one surviving
   extension must break row/batch byte-parity;
 * **drop one head fire** — :meth:`Instance.add_key` lands every engine's
   head facts; pretending the first genuinely-new fact was a duplicate (so
@@ -28,7 +28,7 @@ import pytest
 
 from repro.datalog.database import Instance
 from repro.datalog.terms import Null
-from repro.engine import kernels
+from repro.engine.batch import _BatchStep
 from repro.engine.incremental import DeltaSession
 from repro.engine.stats import STATS
 from test_engine_batch_parity import matcher
@@ -66,19 +66,18 @@ def oracle_row_vs_batch():
 
 def test_perturbed_probe_verdict_is_caught(monkeypatch):
     oracle_row_vs_batch()  # clean: must pass
-    original = kernels.extensions
+    original = _BatchStep._extensions
     state = {"perturbed": False}
 
-    def mutant(cols, candidate_ids, arity, bind_positions, intra_pairs):
-        result = original(cols, candidate_ids, arity, bind_positions, intra_pairs)
+    def mutant(self, cols, candidate_ids):
+        result = original(self, cols, candidate_ids)
         if not state["perturbed"] and result:
             state["perturbed"] = True
             return result[1:]  # flip exactly one probe verdict: drop a survivor
         return result
 
     with monkeypatch.context() as m:
-        m.setattr(kernels, "extensions", mutant)
-        m.setattr("repro.engine.batch.kernels.extensions", mutant, raising=False)
+        m.setattr(_BatchStep, "_extensions", mutant)
         with pytest.raises(AssertionError):
             oracle_row_vs_batch()
     assert state["perturbed"], "the mutant kernel was never exercised"

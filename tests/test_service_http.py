@@ -229,3 +229,40 @@ class TestErrorPaths:
 
         body = self._expect(client, 400, call)
         assert "JSON" in body["error"]
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"POST /push HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+            (b"POST /push HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+            (b"POST /push HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n", 413),
+            (b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        ],
+        ids=["request-line", "length-abc", "length-negative", "length-1tb", "header-70kb"],
+    )
+    def test_malformed_request_gets_its_status_then_close(
+        self, client, request_bytes, status
+    ):
+        # Raw sockets: urllib cannot send these.  The server answers with
+        # the documented status and closes; the service keeps serving.
+        import socket
+
+        watermark = client.get("/healthz")["watermark"]
+        with socket.create_connection(
+            ("127.0.0.1", client.service.port), timeout=30
+        ) as sock:
+            sock.sendall(request_bytes)
+            data = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"connection: close" in head.lower()
+        assert "error" in json.loads(body)
+        health = client.get("/healthz")
+        assert health["status"] == "ok"
+        assert health["watermark"] == watermark

@@ -122,6 +122,29 @@ class TestPublication:
                 full_checks.clear()
 
 
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ("", view_module.DEFAULT_SLOW_QUERY_MS),
+        ("0", 0.0),
+        ("250.5", 250.5),
+        ("inf", float("inf")),
+        ("abc", None),
+        ("nan", None),
+        ("-1", None),
+        ("-inf", None),
+    ],
+)
+def test_slow_query_threshold_env_is_validated(monkeypatch, raw, expected):
+    monkeypatch.setenv("REPRO_SLOW_QUERY_MS", raw)
+    if expected is None:
+        with pytest.raises(ValueError, match="REPRO_SLOW_QUERY_MS"):
+            MaterializedView()
+    else:
+        with MaterializedView() as view:
+            assert view.slow_query_ms == expected
+
+
 class TestEpochLifecycle:
     def test_rematerialize_preserves_answers_and_reclaims_nulls(self):
         from repro.engine.interning import TERMS
