@@ -85,7 +85,7 @@ def _stream_atoms(initial, batches):
 _RECOMPUTE_MEMO = {}
 
 
-def _time_recompute(key, program, initial_atoms, batch_atoms, engine):
+def _time_recompute(key, program, initial_atoms, batch_atoms):
     """Wall time of cold-evaluating after the load and after every arrival.
 
     Best of two probes: the ``incremental_speedup`` this feeds is gated
@@ -102,10 +102,10 @@ def _time_recompute(key, program, initial_atoms, batch_atoms, engine):
     for _ in range(2):
         start = time.perf_counter()
         edb = list(initial_atoms)
-        result = cold_equivalent(program, edb, engine=engine)
+        result = cold_equivalent(program, edb)
         for batch in batch_atoms:
             edb.extend(batch)
-            result = cold_equivalent(program, edb, engine=engine)
+            result = cold_equivalent(program, edb)
         elapsed = time.perf_counter() - start
         if best is None or elapsed < best[0]:
             best = (elapsed, len(result))
@@ -113,15 +113,15 @@ def _time_recompute(key, program, initial_atoms, batch_atoms, engine):
     return best
 
 
-def _run_stream(benchmark, key, program, initial, batches, engine="seminaive"):
+def _run_stream(benchmark, key, program, initial, batches):
     """Benchmark the incremental replay; report recompute extras."""
     initial_atoms, batch_atoms = _stream_atoms(initial, batches)
     recompute_seconds, cold_size = _time_recompute(
-        key, program, initial_atoms, batch_atoms, engine
+        key, program, initial_atoms, batch_atoms
     )
 
     def incremental():
-        session = DeltaSession(program, initial_atoms, engine=engine)
+        session = DeltaSession(program, initial_atoms)
         rounds = 0
         for batch in batch_atoms:
             rounds += session.push(batch).rounds
@@ -183,6 +183,4 @@ def test_trickle_chase_registrations(benchmark, members):
     initial, feed = trickle_insert_chain(
         members, batches=10, edges_per_batch=4, predicate="memberOf"
     )
-    _run_stream(
-        benchmark, ("chase", members), REGISTRATION_CHASE, initial, feed, engine="chase"
-    )
+    _run_stream(benchmark, ("chase", members), REGISTRATION_CHASE, initial, feed)

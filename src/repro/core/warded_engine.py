@@ -55,6 +55,10 @@ from repro.engine.stats import STATS
 # A justification: the rule plus the instantiated body atoms used to derive a fact.
 Justification = Tuple[Rule, Tuple[Atom, ...]]
 
+#: Triggers one stratum's fixpoint may fire before the engine gives up: a
+#: guard against a program/database pair far larger than expected.
+MAX_TRIGGERS = 2_000_000
+
 
 @dataclass
 class WardedResult:
@@ -63,7 +67,6 @@ class WardedResult:
     instance: Instance
     provenance: Dict[Atom, Justification]
     null_types: Dict[Null, Tuple]
-    fired_triggers: int
 
     def ground(self) -> Instance:
         """``Pi(D)↓``: the atoms over constants only."""
@@ -73,14 +76,8 @@ class WardedResult:
 class WardedEngine:
     """Semi-naive materialisation for warded Datalog∃ with grounded negation."""
 
-    def __init__(
-        self,
-        program: Program,
-        check_warded: bool = True,
-        max_triggers: int = 2_000_000,
-    ):
+    def __init__(self, program: Program, check_warded: bool = True):
         self.program = program
-        self.max_triggers = max_triggers
         if check_warded:
             report = classify_program(program)
             if not report.warded:
@@ -110,19 +107,15 @@ class WardedEngine:
             {} if with_provenance else None
         )
         null_types: Dict[Null, Tuple] = {}
-        fired = 0
         for stratum in self.compiled_strata:
             if not stratum:
                 continue
             reference = instance.snapshot()
-            fired += self._fixpoint(
-                stratum, instance, reference, provenance, null_types
-            )
+            self._fixpoint(stratum, instance, reference, provenance, null_types)
         return WardedResult(
             instance=instance,
             provenance=provenance if provenance is not None else {},
             null_types=null_types,
-            fired_triggers=fired,
         )
 
     def ground_semantics(self, database: Iterable[Atom]) -> Instance:
@@ -156,7 +149,7 @@ class WardedEngine:
         negation_reference,
         provenance: Optional[Dict[Atom, Justification]],
         null_types: Dict[Null, Tuple],
-    ) -> int:
+    ) -> None:
         fired = 0
         fired_existential_triggers: Set[Tuple[int, Tuple]] = set()
 
@@ -181,9 +174,9 @@ class WardedEngine:
                 frontier_slots = ops.frontier_slots
                 head_keys_row = ops.head_keys_row
                 for row in rows:
-                    if fired >= self.max_triggers:
+                    if fired >= MAX_TRIGGERS:
                         raise RuntimeError(
-                            f"warded engine exceeded max_triggers={self.max_triggers}; "
+                            f"warded engine exceeded MAX_TRIGGERS={MAX_TRIGGERS}; "
                             "the program/database pair is larger than expected"
                         )
                     if has_existentials:
@@ -241,7 +234,6 @@ class WardedEngine:
             for rule_index, crule in enumerate(compiled):
                 process_rows(rule_index, crule, new_delta, delta)
             delta = new_delta
-        return fired
 
     # -- helpers ------------------------------------------------------------------
 

@@ -78,10 +78,10 @@ class ChaseState:
     object to the initial :meth:`ChaseEngine.chase` and every later
     :meth:`ChaseEngine.resume`, so the null-depth map survives between
     batches (depth bounds keep applying to continuation rounds) and the
-    session can report lifetime totals.  The ``max_steps`` budget stays
+    session can report its lifetime step total.  The ``max_steps`` budget stays
     *per call*: each push gets a fresh allowance — bounding a runaway
     program without an ever-growing total eventually bricking a long-lived
-    stream — while ``steps``/``invented`` accumulate for reporting.
+    stream — while ``steps`` accumulates for reporting.
     """
 
     #: Invention depth of every labelled null seen so far (inputs are 0),
@@ -92,8 +92,6 @@ class ChaseState:
     #: Cumulative restricted-chase steps fired under this state (reporting
     #: only; the per-call budget does not read it).
     steps: int = 0
-    #: Cumulative nulls invented under this state.
-    invented: int = 0
 
 
 #: Rule -> stable textual signature, the deterministic-null key component.
@@ -235,7 +233,7 @@ class ChaseEngine:
 
         ``state`` carries resumable bookkeeping (:class:`ChaseState`): when
         supplied, the null-depth map is read from and written back to it and
-        the lifetime step/null totals accumulate onto it — this is how
+        the lifetime step total accumulates onto it — this is how
         :class:`~repro.engine.incremental.DeltaSession` threads an initial
         chase and its later :meth:`resume` continuations together.  The
         ``max_steps`` budget stays per call.
@@ -283,8 +281,8 @@ class ChaseEngine:
         Negated body atoms are checked per trigger against
         ``negation_reference`` exactly as in :meth:`chase`.  ``state``
         (:class:`ChaseState`) carries the null-depth map and the lifetime
-        step/null totals from the initial run (the ``max_steps`` budget is
-        per call).
+        step total from the initial run (the ``max_steps`` budget is per
+        call).
 
         Returns a :class:`ChaseResult` whose ``steps`` / ``invented_nulls``
         count this continuation and whose ``delta_rounds`` reports the
@@ -345,7 +343,6 @@ class ChaseEngine:
             new_delta = Instance()
             for rule_index, crule in enumerate(compiled):
                 rule = crule.rule
-                bounded = max_depth is not None and rule.has_existentials
                 for plan, rows in crule.trigger_row_batches(instance, delta, None):
                     ops = crule.row_ops(plan)
                     for trigger in rows:
@@ -363,35 +360,37 @@ class ChaseEngine:
                         if steps >= self.max_steps:
                             limit_reason = f"max_steps={self.max_steps} exceeded"
                             break
-                        depth = self._values_depth_ids(trigger, null_depth)
-                        if bounded and depth + 1 > max_depth:
-                            depth_cut = f"max_null_depth={max_depth} exceeded"
-                            if self.on_limit == "raise":
-                                raise ChaseNonTermination(depth_cut)
-                            continue
-                        if signatures is not None and crule.sorted_existentials:
-                            frontier = TERMS.decode(
-                                trigger[slot] for _, slot in ops.frontier_slots
-                            )
-                        else:
-                            frontier = ()
-                        fresh_ids = []
-                        for existential in crule.sorted_existentials:
-                            if signatures is None:
-                                fresh = Null.fresh(existential.name.lower())
-                            else:
-                                fresh = self._fresh_null(
-                                    signatures[rule_index], frontier, existential
+                        extended = trigger
+                        if crule.sorted_existentials:
+                            # Only a trigger that invents nulls has a depth.
+                            depth = self._values_depth_ids(trigger, null_depth)
+                            if max_depth is not None and depth + 1 > max_depth:
+                                depth_cut = f"max_null_depth={max_depth} exceeded"
+                                if self.on_limit == "raise":
+                                    raise ChaseNonTermination(depth_cut)
+                                continue
+                            if signatures is not None:
+                                frontier = TERMS.decode(
+                                    trigger[slot] for _, slot in ops.frontier_slots
                                 )
-                            nid = TERMS.intern_term(fresh)
-                            fresh_ids.append(nid)
-                            null_depth[nid] = depth + 1
-                            invented += 1
+                            fresh_ids = []
+                            for existential in crule.sorted_existentials:
+                                if signatures is None:
+                                    fresh = Null.fresh(existential.name.lower())
+                                else:
+                                    fresh = self._fresh_null(
+                                        signatures[rule_index], frontier, existential
+                                    )
+                                nid = TERMS.intern_term(fresh)
+                                fresh_ids.append(nid)
+                                null_depth[nid] = depth + 1
+                            invented += len(fresh_ids)
+                            extended = trigger + tuple(fresh_ids)
                         if fired is not None:
                             fired.add(trigger_key)
                         steps += 1
                         STATS.triggers_fired += 1
-                        for key in ops.head_keys_row(trigger + tuple(fresh_ids)):
+                        for key in ops.head_keys_row(extended):
                             if instance.add_key(key):
                                 new_delta.add_key(key)
                     if limit_reason:
@@ -419,7 +418,6 @@ class ChaseEngine:
             )
         STATS.nulls_invented += invented
         state.steps += steps
-        state.invented += invented
         if limit_reason and self.on_limit == "raise":
             raise ChaseNonTermination(limit_reason)
         limit_reason = limit_reason or depth_cut

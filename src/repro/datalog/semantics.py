@@ -83,9 +83,7 @@ class StratifiedSemantics:
         """
         from repro.engine.incremental import DeltaSession
 
-        return DeltaSession(
-            self.program, database, engine="chase", chase_engine=self.chase_engine
-        )
+        return DeltaSession(self.program, database, chase_engine=self.chase_engine)
 
     def _chase_strata(self, database: Iterable[Atom]) -> Instance:
         """``S_l``: the strata chased in order, constraints not yet checked.

@@ -51,7 +51,7 @@ import time
 from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
-from repro.engine.stats import active_stats
+from repro.engine.stats import STATS
 from repro.obs.profile import PROFILER
 
 #: A (partial) match: one term ID per bound slot, in slot order.
@@ -134,7 +134,7 @@ class _BatchStep:
             exts = self._extensions(
                 rows, index.probe_ids(predicate, self.const_pairs, cap)
             )
-            active_stats().batch_probe_groups += 1
+            STATS.batch_probe_groups += 1
             if exts:
                 for row in rows_in:
                     extend([row + ext for ext in exts])
@@ -173,7 +173,7 @@ class _BatchStep:
                         append(row + exts[0])
                     else:
                         extend([row + ext for ext in exts])
-        active_stats().batch_probe_groups += len(cache)
+        STATS.batch_probe_groups += len(cache)
         return out
 
     def _extensions(self, cols, candidate_ids) -> List[SlotRow]:
@@ -297,13 +297,12 @@ class BatchPlan:
                     base[slot] = _seed_id(value)
         rows_batch: List[SlotRow] = [tuple(base)]
         # Profiling costs one branch per step, never per row: the per-step
-        # counters are batch sizes, the probe-group delta of the thread's
-        # stats blob, and one clock pair around ``apply`` — the numbers
+        # counters are batch sizes, the ``STATS.batch_probe_groups`` delta,
+        # and one clock pair around ``apply`` — the numbers
         # :meth:`repro.engine.plan.CompiledRule.explain` and the harness
         # ``--profile`` artifact report.
         profile = PROFILER.plan_profile(self.plan) if PROFILER.enabled else None
         if profile is not None:
-            stats = active_stats()
             run_start = time.perf_counter_ns()
         for depth, step in enumerate(self.steps):
             if depth == 0 and delta_source is not None:
@@ -315,11 +314,11 @@ class BatchPlan:
             else:
                 step_profile = profile.steps[depth]
                 step_profile.rows_in += len(rows_batch)
-                probes_before = stats.batch_probe_groups
+                probes_before = STATS.batch_probe_groups
                 step_start = time.perf_counter_ns()
                 rows_batch = step.apply(source_index, source_limits, rows_batch)
                 step_profile.time_ns += time.perf_counter_ns() - step_start
-                step_profile.probes += stats.batch_probe_groups - probes_before
+                step_profile.probes += STATS.batch_probe_groups - probes_before
                 step_profile.rows_out += len(rows_batch)
             if not rows_batch:
                 break

@@ -179,11 +179,10 @@ class DeltaSession:
     parsed with :func:`~repro.datalog.parser.parse_program`); facts may be
     :class:`~repro.datalog.atoms.Atom` objects, RDF
     :class:`~repro.rdf.graph.Triple` objects, or plain ``(s, p, o)`` string
-    triples.  ``engine`` selects the evaluator: ``"seminaive"`` (plain
-    Datalog¬s), ``"chase"`` (existential rules via the restricted chase), or
-    ``"auto"`` (chase iff the program has existentials).  A custom
-    ``chase_engine`` may supply resource bounds; it must be a *restricted*
-    chase.  Step budgets apply per push (each batch gets a fresh
+    triples.  The evaluator is the restricted chase when the program has
+    existentials or a ``chase_engine`` is passed (which may supply resource
+    bounds; it must be a *restricted* chase), and semi-naive evaluation of
+    Datalog¬s otherwise.  Step budgets apply per push (each batch gets a fresh
     ``max_steps`` allowance — a long-lived stream is never starved by its
     own history), while ``ChaseState.steps`` reports the lifetime total.
 
@@ -196,7 +195,6 @@ class DeltaSession:
         program,
         database: Iterable = (),
         *,
-        engine: str = "auto",
         chase_engine: Optional[ChaseEngine] = None,
     ):
         """Materialise ``database`` under ``program`` and arm the session."""
@@ -204,15 +202,8 @@ class DeltaSession:
             from repro.datalog.parser import parse_program
 
             program = parse_program(program)
-        if engine not in ("auto", "seminaive", "chase"):
-            raise ValueError(
-                f"engine must be 'auto', 'seminaive' or 'chase', got {engine!r}"
-            )
         self.program: Program = program
-        self._uses_chase = engine == "chase" or (
-            engine == "auto"
-            and (program.has_existentials or chase_engine is not None)
-        )
+        self._uses_chase = program.has_existentials or chase_engine is not None
         if self._uses_chase:
             self.chase_engine = chase_engine or ChaseEngine(deterministic_nulls=True)
             if not self.chase_engine.restricted:
@@ -228,8 +219,6 @@ class DeltaSession:
             ]
             self._chase_state = ChaseState()
         else:
-            if chase_engine is not None:
-                raise ValueError("chase_engine is only meaningful with engine='chase'")
             self.chase_engine = None
             self._evaluator = SemiNaiveEvaluator(program)
             self.stratification = self._evaluator.stratification
@@ -1044,7 +1033,6 @@ def cold_equivalent(
     session_or_program,
     database: Iterable = (),
     *,
-    engine: str = "auto",
     chase_engine: Optional[ChaseEngine] = None,
 ) -> SemanticsResult:
     """The cold (from-scratch) evaluation a :class:`DeltaSession` must match.
@@ -1054,26 +1042,20 @@ def cold_equivalent(
     incremental parity contract, used by the differential suite and by the
     streaming benchmarks' recompute baseline.  Given a program (plus a
     database), behaves like :func:`~repro.datalog.semantics.evaluate_program`
-    / :meth:`~repro.datalog.seminaive.SemiNaiveEvaluator.evaluate` under the
-    same selection rules as :class:`DeltaSession`.
+    / :meth:`~repro.datalog.seminaive.SemiNaiveEvaluator.evaluate`, picking
+    the evaluator by the same rule as :class:`DeltaSession`.
     """
     if isinstance(session_or_program, DeltaSession):
         session = session_or_program
         return cold_equivalent(
-            session.program,
-            list(session._edb),
-            engine="chase" if session._uses_chase else "seminaive",
-            chase_engine=session.chase_engine,
+            session.program, list(session._edb), chase_engine=session.chase_engine
         )
     program = session_or_program
     if isinstance(program, str):
         from repro.datalog.parser import parse_program
 
         program = parse_program(program)
-    uses_chase = engine == "chase" or (
-        engine == "auto" and (program.has_existentials or chase_engine is not None)
-    )
-    if uses_chase:
+    if program.has_existentials or chase_engine is not None:
         from repro.datalog.semantics import StratifiedSemantics
 
         chase = chase_engine or ChaseEngine(deterministic_nulls=True)

@@ -36,8 +36,8 @@ buckets (buckets stay ascending; an emptied bucket is deleted so viability
 pre-checks treat the vanished value like a never-seen one), and never
 renumbers surviving rows, so postings and snapshots taken *after* the
 deletion stay valid.  Snapshots taken *before* a deletion observe it (the
-prefix view shares the live storage); holders that need to detect this
-compare :attr:`InstanceSnapshot.stale`.
+prefix view shares the live storage); the query service detects this with
+its own retraction sequence (:class:`~repro.service.view.ViewSnapshot`).
 """
 
 from __future__ import annotations
@@ -240,8 +240,8 @@ class PredicateIndex:
           longer a superset once new appends land on the shrunken count).
 
         :attr:`tombstoned` stays monotone — snapshots taken before the
-        triggering retraction are already flagged stale by the tombstoning
-        that preceded this call.
+        triggering retraction already recount their length after the
+        tombstoning that preceded this call.
         """
         cols = self.cols.get(predicate)
         if cols is None:
@@ -497,10 +497,9 @@ class InstanceSnapshot:
     reference the stratified engines need — "the facts of the strictly lower
     strata" — without the full re-index that ``Instance.copy()`` performed
     per stratum.  Deletions *do* propagate (the view shares the live
-    storage): a holder that must not observe them checks :attr:`stale`,
-    which is how the service layer turns a retraction under a pinned
-    :class:`~repro.service.view.ViewSnapshot` into a loud error instead of
-    silently missing rows.  Membership is answered at the encoded-key level
+    storage); the service layer turns a retraction under a pinned
+    :class:`~repro.service.view.ViewSnapshot` into a loud error with its own
+    retraction sequence.  Membership is answered at the encoded-key level
     (:meth:`has_key`, the executors' hot path); ``in`` encodes the atom
     first, without interning.
     """
@@ -548,17 +547,6 @@ class InstanceSnapshot:
 
     def __repr__(self) -> str:
         return f"InstanceSnapshot({self._size} atoms)"
-
-    @property
-    def stale(self) -> bool:
-        """True once the base instance has deleted facts since the snapshot.
-
-        The prefix view shares the live storage, so a deletion silently
-        removes rows from under the snapshot; holders that promised their
-        readers an immutable state (the service's published snapshots) check
-        this and fail loudly instead.
-        """
-        return self._index.tombstoned != self._tombstoned
 
     @property
     def cut(self) -> int:

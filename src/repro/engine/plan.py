@@ -63,7 +63,7 @@ from repro.datalog.rules import Rule
 from repro.datalog.terms import Term, Variable
 from repro.engine import interning
 from repro.engine.interning import TERMS
-from repro.engine.stats import active_stats
+from repro.engine.stats import STATS
 from repro.obs.profile import PROFILER
 
 CHECK_CONST = 0
@@ -847,7 +847,7 @@ class CompiledRule:
                 continue
             plan = self.pivot_plans[pivot]
             if not plan.pivot_viable(delta_index, full_index):
-                active_stats().pivots_skipped += 1
+                STATS.pivots_skipped += 1
                 continue
             rows = plan.rows(instance, None, delta_source=delta)
             if self.rule.body_negative and negation_reference is not None:

@@ -26,27 +26,29 @@ Two classes of counter coexist:
   is reported in the benchmark JSON but never gated.
 
 The counters are advisory instrumentation: they are not thread-safe and must
-never influence evaluation results.
-
-**Thread scoping.**  The blob's single-writer assumption holds for the
-harness and the service's writer thread, but the query service also runs
-engine code on concurrent *reader* threads.  Those threads must not mutate
-the global blob (lost updates would silently corrupt the writer's gated
-counters), so the shared counter sites consult :func:`active_stats` — the
-thread's scratch :class:`EngineStats` bound by :func:`local_stats`, or
-:data:`STATS` when none is bound.  The service's read path binds a scratch
-blob around every query (:meth:`repro.service.view.MaterializedView.read`);
-single-threaded callers never bind one and keep the exact historical
-behaviour.  Only the sites reachable from reader threads pay the lookup —
-the per-trigger hot counters of the chase and semi-naive loops run on the
-writer thread and keep writing :data:`STATS` directly.
+never influence evaluation results.  Only engine code increments them, and in
+the query service engine code runs only on the writer thread: a reader's
+evaluation goes ``evaluate_view_ids`` → ``matching_ids`` → the index's
+``scan_ids`` / ``probe_ids`` and never reaches a counter site
+(``tests/test_service_metrics.py`` patches the matcher entry points to raise
+off the main thread and pins this).  The service reads :data:`STATS` at
+request time for ``/stats`` and ``/metrics``; nothing copies it.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+#: The deterministic counters the bench-smoke gate compares, in harness order.
+GATED = (
+    "facts_added",
+    "triggers_fired",
+    "nulls_invented",
+    "pivots_skipped",
+    "retractions",
+    "rederived",
+    "nulls_collected",
+)
 
 
 @dataclass
@@ -82,69 +84,16 @@ class EngineStats:
 
     def reset(self) -> None:
         """Zero every counter (the harness calls this before a measured run)."""
-        self.facts_added = 0
-        self.triggers_fired = 0
-        self.nulls_invented = 0
-        self.pivots_skipped = 0
-        self.retractions = 0
-        self.rederived = 0
-        self.nulls_collected = 0
-        self.batch_probe_groups = 0
-        self.compactions = 0
+        for counter in fields(self):
+            setattr(self, counter.name, 0)
 
     def snapshot(self) -> dict:
-        """A plain-dict copy, in the key order the harness JSON uses."""
-        return {
-            "facts_added": self.facts_added,
-            "triggers_fired": self.triggers_fired,
-            "nulls_invented": self.nulls_invented,
-            "pivots_skipped": self.pivots_skipped,
-            "retractions": self.retractions,
-            "rederived": self.rederived,
-            "nulls_collected": self.nulls_collected,
-            "batch_probe_groups": self.batch_probe_groups,
-            "compactions": self.compactions,
-        }
+        """A plain-dict copy, in field order (the key order the harness JSON uses)."""
+        return {counter.name: getattr(self, counter.name) for counter in fields(self)}
 
     def gated(self) -> dict:
         """The deterministic counters the bench-smoke gate compares."""
-        return {
-            "facts_added": self.facts_added,
-            "triggers_fired": self.triggers_fired,
-            "nulls_invented": self.nulls_invented,
-            "pivots_skipped": self.pivots_skipped,
-            "retractions": self.retractions,
-            "rederived": self.rederived,
-            "nulls_collected": self.nulls_collected,
-        }
+        return {name: getattr(self, name) for name in GATED}
 
 
 STATS = EngineStats()
-
-_LOCAL = threading.local()
-
-
-def active_stats() -> EngineStats:
-    """The stats blob for this thread: the bound scratch one, else :data:`STATS`."""
-    local = getattr(_LOCAL, "stats", None)
-    return STATS if local is None else local
-
-
-@contextmanager
-def local_stats(stats: EngineStats = None):
-    """Bind a scratch :class:`EngineStats` for this thread's counter sites.
-
-    While bound, every counter site that goes through :func:`active_stats`
-    lands in the scratch blob instead of the process-global one — the
-    isolation the service's concurrent readers rely on.  Bindings nest;
-    the previous binding (or none) is restored on exit.  Yields the bound
-    blob so callers can inspect what their scope accumulated.
-    """
-    if stats is None:
-        stats = EngineStats()
-    previous = getattr(_LOCAL, "stats", None)
-    _LOCAL.stats = stats
-    try:
-        yield stats
-    finally:
-        _LOCAL.stats = previous

@@ -11,11 +11,11 @@ contract):
   counters feeding ``CompiledRule.explain()`` and the harness
   ``--profile`` artifact.
 * :data:`REGISTRY` (:mod:`repro.obs.metrics`) — thread-safe labeled
-  counters/gauges/histograms with Prometheus text exposition, served by
-  the query service at ``GET /metrics``.
+  counters/histograms with Prometheus text exposition, served by the query
+  service at ``GET /metrics`` beside the families it reads at scrape time.
 """
 
-from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Gauge, Histogram, MetricsRegistry, REGISTRY
+from repro.obs.metrics import DEFAULT_BUCKETS, Counter, Histogram, MetricsRegistry, REGISTRY
 from repro.obs.profile import PlanProfile, Profiler, StepProfile, PROFILER
 from repro.obs.trace import Tracer, TRACER
 
@@ -29,7 +29,6 @@ __all__ = [
     "REGISTRY",
     "MetricsRegistry",
     "Counter",
-    "Gauge",
     "Histogram",
     "DEFAULT_BUCKETS",
 ]

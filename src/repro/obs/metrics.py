@@ -2,24 +2,24 @@
 
 The engine's :data:`~repro.engine.stats.STATS` blob is deliberately not
 thread-safe (single measured run, one writer); a long-lived service needs
-the opposite: counters, gauges, and histograms that many reader threads
-bump concurrently, scraped over HTTP.  This module is that layer —
-stdlib-only, one lock per registry, deterministic rendering in the
-Prometheus text exposition format (version 0.0.4).
+the opposite: counters and histograms that many reader threads bump
+concurrently, scraped over HTTP.  This module is that layer — stdlib-only,
+one lock per registry, deterministic rendering in the Prometheus text
+exposition format (version 0.0.4).
 
-Three instrument kinds:
+Two instrument kinds hold values the service produces itself:
 
-* :class:`Counter` — monotonically increasing; ``inc(n)``, plus
-  ``set_total(v)`` for mirroring an externally-maintained monotonic value
-  (the engine counters are mirrored into ``repro_engine_*_total`` this way
-  at scrape time).
-* :class:`Gauge` — a value that goes up and down; ``set(v)`` / ``inc`` /
-  ``dec``.  Scrape-time gauges (per-predicate tombstone ratios, readers
-  pinned) are recomputed on every render.
+* :class:`Counter` — monotonically increasing; ``inc(n)``.
 * :class:`Histogram` — cumulative fixed buckets plus ``_sum``/``_count``;
   ``observe(v)``.  Buckets are fixed at creation, so two runs over the same
   workload land observations in identical buckets
   (``tests/test_obs_metrics.py`` pins this determinism).
+
+Values that already live elsewhere — the view's state, index health, the
+term table, the engine's ``STATS`` — are never copied into an instrument.
+The caller reads them at scrape time and passes them to
+:meth:`MetricsRegistry.render` as :class:`Family` tuples, which go through
+the same formatter as the instruments.
 
 Instruments are created idempotently through the registry
 (:meth:`MetricsRegistry.counter` etc. return the existing instrument on a
@@ -32,7 +32,7 @@ repeated name) and support label dimensions via :meth:`_Instrument.labels`.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 #: Latency buckets (seconds) shared by the service histograms — wide enough
 #: for a cold LUBM query, fine enough near the p50 of an indexed lookup.
@@ -69,8 +69,44 @@ def _label_str(labelnames: Sequence[str], labelvalues: Sequence[str]) -> str:
     return "{" + pairs + "}"
 
 
+class Family(NamedTuple):
+    """One metric family read at scrape time: no instrument stores it.
+
+    ``samples`` pairs label values with a number (or, for
+    ``kind="histogram"``, with a histogram child), in rendering order.
+    """
+
+    name: str
+    help: str
+    kind: str
+    labelnames: Tuple[str, ...]
+    samples: Sequence[Tuple[Tuple[str, ...], object]]
+
+
+def _family_lines(family: Family) -> List[str]:
+    """The exposition lines of one family (nothing for a family without samples)."""
+    if not family.samples:
+        return []
+    name = family.name
+    lines = [f"# HELP {name} {family.help}", f"# TYPE {name} {family.kind}"]
+    for labelvalues, value in family.samples:
+        labels = _label_str(family.labelnames, labelvalues)
+        if family.kind == "histogram":
+            prefix = labels[1:-1] + "," if labels else ""
+            for bound, count in zip(value.buckets, value.counts):
+                lines.append(
+                    f'{name}_bucket{{{prefix}le="{_format_value(bound)}"}} {count}'
+                )
+            lines.append(f'{name}_bucket{{{prefix}le="+Inf"}} {value.count}')
+            lines.append(f"{name}_sum{labels} {_format_value(value.total)}")
+            lines.append(f"{name}_count{labels} {value.count}")
+        else:
+            lines.append(f"{name}{labels} {_format_value(value)}")
+    return lines
+
+
 class _Instrument:
-    """Shared child bookkeeping for the three instrument kinds."""
+    """Shared child bookkeeping for the two instrument kinds."""
 
     kind = "untyped"
 
@@ -102,7 +138,7 @@ class _Instrument:
         raise NotImplementedError
 
     def clear(self) -> None:
-        """Drop every child (scrape-time gauges rebuild their label sets)."""
+        """Drop every child (:meth:`MetricsRegistry.reset`)."""
         with self._lock:
             self._children.clear()
 
@@ -127,11 +163,6 @@ class _CounterChild:
         with self._lock:
             self.value += amount
 
-    def set_total(self, value) -> None:
-        """Overwrite the running total (mirroring an external monotonic value)."""
-        with self._lock:
-            self.value = value
-
 
 class Counter(_Instrument):
     """A monotonically increasing metric, optionally labeled."""
@@ -144,48 +175,6 @@ class Counter(_Instrument):
     def inc(self, amount=1) -> None:
         """Increment the unlabeled series."""
         self._default_child().inc(amount)
-
-    def set_total(self, value) -> None:
-        """Overwrite the unlabeled series' total (external mirror)."""
-        self._default_child().set_total(value)
-
-
-class _GaugeChild:
-    """One labeled gauge series (updates hold the registry lock)."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self, lock):
-        self.value = 0
-        self._lock = lock
-
-    def set(self, value) -> None:
-        """Set the series to ``value``."""
-        with self._lock:
-            self.value = value
-
-    def inc(self, amount=1) -> None:
-        """Add ``amount`` (may be negative)."""
-        with self._lock:
-            self.value += amount
-
-    def dec(self, amount=1) -> None:
-        """Subtract ``amount``."""
-        with self._lock:
-            self.value -= amount
-
-
-class Gauge(_Instrument):
-    """A metric that can go up and down, optionally labeled."""
-
-    kind = "gauge"
-
-    def _new_child(self, lock) -> _GaugeChild:
-        return _GaugeChild(lock)
-
-    def set(self, value) -> None:
-        """Set the unlabeled series."""
-        self._default_child().set(value)
 
 
 class _HistogramChild:
@@ -268,10 +257,6 @@ class MetricsRegistry:
         """Create (or fetch) a :class:`Counter`."""
         return self._register(Counter, name, help_text, labelnames)
 
-    def gauge(self, name: str, help_text: str, labelnames: Sequence[str] = ()) -> Gauge:
-        """Create (or fetch) a :class:`Gauge`."""
-        return self._register(Gauge, name, help_text, labelnames)
-
     def histogram(
         self,
         name: str,
@@ -297,62 +282,51 @@ class MetricsRegistry:
 
     # -- exposition ----------------------------------------------------------
 
-    def render(self) -> str:
-        """The registry in Prometheus text exposition format (0.0.4).
-
-        Deterministic: instruments sorted by name, children by label
-        values, histogram buckets ascending with a trailing ``+Inf``.
-        """
-        lines: List[str] = []
+    def _families(self) -> List[Family]:
+        """Every instrument that has a series, as a :class:`Family`."""
         with self._lock:
             instruments = sorted(self._instruments.items())
+        families = []
         for name, instrument in instruments:
-            children = instrument._sorted_children()
-            if not children:
-                continue
-            lines.append(f"# HELP {name} {instrument.help}")
-            lines.append(f"# TYPE {name} {instrument.kind}")
-            labelnames = instrument.labelnames
-            for labelvalues, child in children:
-                labels = _label_str(labelnames, labelvalues)
-                if instrument.kind == "histogram":
-                    prefix = labels[1:-1] + "," if labels else ""
-                    cumulative = 0
-                    for i, bound in enumerate(child.buckets):
-                        cumulative = child.counts[i]
-                        lines.append(
-                            f'{name}_bucket{{{prefix}le="{_format_value(bound)}"}}'
-                            f" {cumulative}"
-                        )
-                    lines.append(f'{name}_bucket{{{prefix}le="+Inf"}} {child.count}')
-                    lines.append(f"{name}_sum{labels} {_format_value(child.total)}")
-                    lines.append(f"{name}_count{labels} {child.count}")
-                else:
-                    lines.append(f"{name}{labels} {_format_value(child.value)}")
+            samples = [
+                (labelvalues, child if instrument.kind == "histogram" else child.value)
+                for labelvalues, child in instrument._sorted_children()
+            ]
+            families.append(
+                Family(name, instrument.help, instrument.kind, instrument.labelnames, samples)
+            )
+        return families
+
+    def render(self, scraped: Sequence[Family] = ()) -> str:
+        """The registry plus the ``scraped`` families, in exposition format (0.0.4).
+
+        Deterministic: families sorted by name, an instrument's samples by
+        label values (a scraped family keeps its own order), histogram
+        buckets ascending with a trailing ``+Inf``.
+        """
+        families = sorted([*self._families(), *scraped], key=lambda family: family.name)
+        lines = [line for family in families for line in _family_lines(family)]
         return "\n".join(lines) + "\n" if lines else ""
 
     def collect(self) -> dict:
         """A JSON-able snapshot of every instrument (folded into ``/stats``).
 
-        Counters and gauges map label strings (or ``""`` when unlabeled) to
-        values; histograms to ``{"buckets": ..., "sum": ..., "count": ...}``.
+        Counters map label strings (or ``""`` when unlabeled) to values;
+        histograms to ``{"buckets": ..., "sum": ..., "count": ...}``.
         """
-        document: Dict[str, dict] = {}
-        with self._lock:
-            instruments = sorted(self._instruments.items())
-        for name, instrument in instruments:
-            children = instrument._sorted_children()
-            if not children:
-                continue
-            values = {}
-            for labelvalues, child in children:
-                key = _label_str(instrument.labelnames, labelvalues)
-                if instrument.kind == "histogram":
-                    values[key] = child.snapshot()
-                else:
-                    values[key] = child.value
-            document[name] = {"type": instrument.kind, "values": values}
-        return document
+        return {
+            family.name: {
+                "type": family.kind,
+                "values": {
+                    _label_str(family.labelnames, labelvalues): (
+                        value.snapshot() if family.kind == "histogram" else value
+                    )
+                    for labelvalues, value in family.samples
+                },
+            }
+            for family in self._families()
+            if family.samples
+        }
 
 
 #: The process-global registry the service exposes at ``GET /metrics``.

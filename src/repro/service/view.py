@@ -38,12 +38,19 @@ one entry per invented null forever — is handled by
 (reclaiming every null ID and dropping the plan caches), and re-materializes
 from the accumulated EDB.  Readers admitted after the reset see the fresh
 epoch; snapshots from before it are invalidated (their epoch number no
-longer matches) and refuse to decode.
+longer matches) and refuse to decode.  Until the new state is published the
+old session and snapshot stay in place, so ``/healthz``, ``/stats`` and
+``/metrics`` keep answering from them while reads wait at the gate.
+
+Telemetry is read, never copied: :meth:`MaterializedView.stats` and
+:meth:`MaterializedView.metrics_text` take the view's state, the index
+health of :meth:`MaterializedView.maintenance` and the engine's
+:data:`~repro.engine.stats.STATS` at request time.  The registry holds only
+what the view produces itself — query and write counts and latencies.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import deque
@@ -53,8 +60,8 @@ from typing import FrozenSet, Iterator, Optional, Set, Union
 from repro.datalog.semantics import INCONSISTENT
 from repro.engine.incremental import DeltaSession, PushResult, RetractResult
 from repro.engine.interning import TERMS
-from repro.engine.stats import STATS, local_stats
-from repro.obs.metrics import REGISTRY
+from repro.engine.stats import STATS
+from repro.obs.metrics import REGISTRY, Family
 from repro.owl.entailment_rules import owl2ql_core_program
 from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import GraphPattern
@@ -67,30 +74,9 @@ from repro.translation.entailment_regime import (
 )
 
 
-#: Milliseconds above which a query lands in the slow-query log; overridable
-#: per process via the ``REPRO_SLOW_QUERY_MS`` environment variable.
+#: Milliseconds above which a query lands in the slow-query log (the
+#: ``slow_query_ms`` attribute of a view; ``inf`` disables the log).
 DEFAULT_SLOW_QUERY_MS = 100.0
-
-
-def _slow_query_ms() -> float:
-    """The slow-query threshold from ``REPRO_SLOW_QUERY_MS``, else the default.
-
-    Empty means unset, and ``inf`` disables the log.  Anything but a number
-    ≥ 0 raises a ``ValueError`` naming the variable: ``nan`` would disable
-    the log silently (every ``>=`` against it is false).
-    """
-    raw = os.environ.get("REPRO_SLOW_QUERY_MS", "")
-    if not raw:
-        return DEFAULT_SLOW_QUERY_MS
-    try:
-        value = float(raw)
-    except ValueError:
-        value = float("nan")
-    if not value >= 0:
-        raise ValueError(
-            f"REPRO_SLOW_QUERY_MS must be a number of milliseconds >= 0, got {raw!r}"
-        )
-    return value
 
 
 # Service-level instruments.  The registry is idempotent, so re-importing the
@@ -110,40 +96,24 @@ _WRITES = REGISTRY.counter(
 _WRITE_SECONDS = REGISTRY.histogram(
     "repro_write_seconds", "Writer operation latency in seconds.", ("op",)
 )
-_VIEW_FACTS = REGISTRY.gauge(
-    "repro_view_facts", "Materialized facts in the writer's instance."
-)
-_VIEW_WATERMARK = REGISTRY.gauge(
-    "repro_view_watermark", "Published insertion-ordinal high-water mark."
-)
-_VIEW_EPOCH = REGISTRY.gauge(
-    "repro_view_epoch", "Term-table epoch of the published snapshot."
-)
-_VIEW_CONSISTENT = REGISTRY.gauge(
-    "repro_view_consistent", "1 when the published materialization is consistent."
-)
-_READERS_PINNED = REGISTRY.gauge(
-    "repro_snapshot_readers_pinned", "Readers currently pinning a snapshot."
-)
-_TERM_CONSTANTS = REGISTRY.gauge(
-    "repro_term_table_constants", "Interned constants in the term table."
-)
-_TERM_NULLS = REGISTRY.gauge(
-    "repro_term_table_nulls", "Interned invented nulls in the term table."
-)
-_TERM_ORPHANED = REGISTRY.gauge(
-    "repro_term_table_orphaned_nulls",
-    "Null dictionary entries no materialized fact references.",
-)
-_PRED_LIVE = REGISTRY.gauge(
-    "repro_predicate_live_rows", "Live (non-tombstoned) rows per predicate.",
-    ("predicate",),
-)
-_PRED_TOMBSTONE = REGISTRY.gauge(
-    "repro_predicate_tombstone_ratio",
-    "Fraction of a predicate's index rows that are tombstones.",
-    ("predicate",),
-)
+#: Help text of the gauges :meth:`MaterializedView.metrics_text` reads at
+#: scrape time.
+_GAUGE_HELP = {
+    "repro_view_facts": "Materialized facts in the writer's instance.",
+    "repro_view_watermark": "Published insertion-ordinal high-water mark.",
+    "repro_view_epoch": "Term-table epoch of the published snapshot.",
+    "repro_view_consistent": "1 when the published materialization is consistent.",
+    "repro_snapshot_readers_pinned": "Readers currently pinning a snapshot.",
+    "repro_term_table_constants": "Interned constants in the term table.",
+    "repro_term_table_nulls": "Interned invented nulls in the term table.",
+    "repro_term_table_orphaned_nulls": (
+        "Null dictionary entries no materialized fact references."
+    ),
+    "repro_predicate_live_rows": "Live (non-tombstoned) rows per predicate.",
+    "repro_predicate_tombstone_ratio": (
+        "Fraction of a predicate's index rows that are tombstones."
+    ),
+}
 
 
 class StaleSnapshotError(RuntimeError):
@@ -272,7 +242,7 @@ class MaterializedView:
         # every reader-side counter mutation goes through this lock
         # (:meth:`record_query`).
         self._stats_lock = threading.Lock()
-        self.slow_query_ms = _slow_query_ms()
+        self.slow_query_ms = DEFAULT_SLOW_QUERY_MS
         self._slow_queries: deque = deque(maxlen=32)
         self._session = DeltaSession(self._program, initial)
         self._published = self._publish()
@@ -325,11 +295,6 @@ class MaterializedView:
         Pushes never wait for readers — only :meth:`rematerialize` drains
         them, because an epoch reset is the one writer operation that
         invalidates already-published state.
-
-        The read runs under a thread-local scratch
-        :class:`~repro.engine.stats.EngineStats` binding: any advisory
-        counter a reader-thread evaluation bumps lands in a throwaway blob
-        instead of racing the writer's global one.
         """
         with self._gate:
             while self._draining:
@@ -337,8 +302,7 @@ class MaterializedView:
             self._active_readers += 1
             snapshot = self._published
         try:
-            with local_stats():
-                yield snapshot
+            yield snapshot
         finally:
             with self._gate:
                 self._active_readers -= 1
@@ -448,11 +412,10 @@ class MaterializedView:
                     self._gate.wait()
                 self._draining = True
             try:
-                # The old instance (and every published snapshot of it) is
-                # dropped before the reset: after begin_epoch() its null IDs
-                # are meaningless.
-                self._session = None
-                self._published = None
+                # The old session and snapshot stay in place until the new
+                # ones replace them: /healthz, /stats and /metrics read only
+                # their counts, and reads wait at the gate, so nothing
+                # decodes the old null IDs after begin_epoch().
                 epoch = TERMS.begin_epoch()
                 self._session = DeltaSession(self._program, edb)
                 self._published = self._publish()
@@ -477,34 +440,37 @@ class MaterializedView:
         self.close()
 
     def stats(self) -> dict:
-        """Counters for the service's ``/stats`` endpoint."""
+        """Counters for the service's ``/stats`` endpoint, read at request time.
+
+        ``engine`` is :meth:`STATS.snapshot()
+        <repro.engine.stats.EngineStats.snapshot>`; ``metrics`` holds the
+        registry's own counters and histograms.
+        """
         published = self._published
+        session = self._session
         with self._stats_lock:
             queries_served = self.queries_served
             slow_queries = list(self._slow_queries)
         return {
-            "facts": len(self._session.instance),
-            "edb_facts": len(self._session._edb),
+            "facts": len(session.instance),
+            "edb_facts": len(session._edb),
             "pushes": self.pushes,
             "retractions": self.retractions,
             "queries_served": queries_served,
             "watermark": published.watermark,
             "epoch": published.epoch,
             "consistent": published.consistent,
-            "term_table": {
-                "constants": TERMS.counts()[0],
-                "nulls": TERMS.counts()[1],
-                "orphaned_nulls": TERMS.orphaned_nulls,
-            },
             "maintenance": self.maintenance(),
             "slow_queries": slow_queries,
+            "engine": STATS.snapshot(),
             "metrics": REGISTRY.collect(),
         }
 
     def maintenance(self) -> dict:
         """Index and dictionary health: tombstones, term table, pinned readers."""
-        index = self._session.instance._index
-        compaction_counts = getattr(self._session, "compaction_counts", {})
+        session = self._session
+        index = session.instance._index
+        compaction_counts = session.compaction_counts
         predicates = {}
         for predicate in sorted(index.cols):
             total = len(index.cols[predicate])
@@ -534,27 +500,42 @@ class MaterializedView:
     def metrics_text(self) -> str:
         """The Prometheus exposition body for ``GET /metrics``.
 
-        Scrape-time gauges (view state, index health, term table) are
-        refreshed first, and the engine's advisory counter blob is mirrored
-        as ``repro_engine_<counter>_total`` series.
+        The view state, index health and term table families and the
+        ``repro_engine_<counter>_total`` families are read at scrape time
+        and rendered beside the registry's own instruments.
         """
         published = self._published
-        _VIEW_FACTS.set(len(self._session.instance))
-        _VIEW_WATERMARK.set(published.watermark)
-        _VIEW_EPOCH.set(published.epoch)
-        _VIEW_CONSISTENT.set(1 if published.consistent else 0)
         health = self.maintenance()
-        _READERS_PINNED.set(health["readers_pinned"])
         term_table = health["term_table"]
-        _TERM_CONSTANTS.set(term_table["constants"])
-        _TERM_NULLS.set(term_table["nulls"])
-        _TERM_ORPHANED.set(term_table["orphaned_nulls"])
-        for predicate, entry in health["predicates"].items():
-            _PRED_LIVE.labels(predicate).set(entry["live"])
-            _PRED_TOMBSTONE.labels(predicate).set(entry["tombstone_ratio"])
-        for name, value in STATS.snapshot().items():
-            REGISTRY.counter(
+        gauges = {
+            "repro_view_facts": len(self),
+            "repro_view_watermark": published.watermark,
+            "repro_view_epoch": published.epoch,
+            "repro_view_consistent": 1 if published.consistent else 0,
+            "repro_snapshot_readers_pinned": health["readers_pinned"],
+            "repro_term_table_constants": term_table["constants"],
+            "repro_term_table_nulls": term_table["nulls"],
+            "repro_term_table_orphaned_nulls": term_table["orphaned_nulls"],
+        }
+        scraped = [
+            Family(name, _GAUGE_HELP[name], "gauge", (), [((), value)])
+            for name, value in gauges.items()
+        ]
+        for name, field in (
+            ("repro_predicate_live_rows", "live"),
+            ("repro_predicate_tombstone_ratio", "tombstone_ratio"),
+        ):
+            samples = [
+                ((predicate,), entry[field])
+                for predicate, entry in health["predicates"].items()
+            ]
+            scraped.append(Family(name, _GAUGE_HELP[name], "gauge", ("predicate",), samples))
+        scraped.extend(
+            Family(
                 f"repro_engine_{name}_total",
                 f"Engine advisory counter {name} (process-global).",
-            ).set_total(value)
-        return REGISTRY.render()
+                "counter", (), [((), value)],
+            )
+            for name, value in STATS.snapshot().items()
+        )
+        return REGISTRY.render(scraped)

@@ -136,7 +136,7 @@ class TestSemiNaiveParity:
         rng = random.Random(2000 + seed)
         instance, constants = random_instance(rng, n_constants=4, n_facts=50)
         program = random_datalog_program(rng, constants)
-        cold = cold_equivalent(program, list(instance), engine="seminaive")
+        cold = cold_equivalent(program, list(instance))
         for _ in range(3):
             initial, batches = split_schedule(rng, instance, rng.randint(2, 5))
             session = run_session(program, initial, batches)
@@ -277,7 +277,7 @@ class TestChaseParity:
     def test_step_budget_is_per_push_and_totals_accumulate(self):
         engine = ChaseEngine(max_steps=4, on_limit="stop", deterministic_nulls=True)
         session = DeltaSession(
-            ANCESTOR_CHASE_PROGRAM, [person("p0")], engine="chase", chase_engine=engine
+            ANCESTOR_CHASE_PROGRAM, [person("p0")], chase_engine=engine
         )
         after_initial = session._chase_state.steps
         # One oversized push is capped at the per-push budget (4 of its 7
@@ -303,7 +303,6 @@ class TestChaseParity:
             DeltaSession(
                 ANCESTOR_CHASE_PROGRAM,
                 [person("p0")],
-                engine="chase",
                 chase_engine=ChaseEngine(restricted=False),
             )
 

@@ -1,15 +1,15 @@
 """Unit tests for the metrics registry and Prometheus text exposition.
 
-Counter/gauge/histogram semantics, label children, idempotent registration,
-deterministic rendering (instrument and label ordering, histogram bucket
-lines), and the JSON ``collect()`` view folded into ``/stats``.  Thread
-safety of the increment paths is exercised by the hammer test in
-``tests/test_service_metrics.py``.
+Counter/histogram semantics, label children, idempotent registration,
+deterministic rendering (family and label ordering, histogram bucket lines,
+scrape-time families), and the JSON ``collect()`` view folded into
+``/stats``.  Thread safety of the increment paths is exercised by the
+hammer test in ``tests/test_service_metrics.py``.
 """
 
 import pytest
 
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, Family, MetricsRegistry
 
 
 @pytest.fixture
@@ -29,11 +29,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             counter.inc(-1)
 
-    def test_set_total_mirrors_external_value(self, registry):
-        counter = registry.counter("mirror_total", "Mirrored.")
-        counter.set_total(42)
-        assert counter.labels().value == 42
-
     def test_labeled_children_are_independent(self, registry):
         counter = registry.counter("queries_total", "Queries.", ("mode",))
         counter.labels("U").inc()
@@ -46,16 +41,6 @@ class TestCounter:
         counter = registry.counter("queries_total", "Queries.", ("mode",))
         with pytest.raises(ValueError):
             counter.labels("U", "extra")
-
-
-class TestGauge:
-    def test_set_inc_dec(self, registry):
-        gauge = registry.gauge("readers", "Readers.")
-        gauge.set(3)
-        child = gauge.labels()
-        child.inc(2)
-        child.dec()
-        assert child.value == 4
 
 
 class TestHistogram:
@@ -97,7 +82,7 @@ class TestRegistry:
     def test_kind_mismatch_raises(self, registry):
         registry.counter("x_total", "X.")
         with pytest.raises(ValueError):
-            registry.gauge("x_total", "X.")
+            registry.histogram("x_total", "X.")
 
     def test_label_mismatch_raises(self, registry):
         registry.counter("x_total", "X.", ("a",))
@@ -122,13 +107,26 @@ class TestRender:
 
     def test_counter_and_gauge_lines(self, registry):
         registry.counter("b_total", "B.").inc(2)
-        registry.gauge("a_value", "A.").set(1.5)
-        text = registry.render()
+        gauge = Family("a_value", "A.", "gauge", (), [((), 1.5)])
+        text = registry.render([gauge])
         assert text.endswith("\n")
         assert "# HELP a_value A.\n# TYPE a_value gauge\na_value 1.5\n" in text
         assert "# HELP b_total B.\n# TYPE b_total counter\nb_total 2\n" in text
-        # Deterministic ordering: instruments sorted by name.
+        # Deterministic ordering: instruments and scraped families sorted
+        # by name together.
         assert text.index("a_value") < text.index("b_total")
+        # A scraped family is read at render time, never stored.
+        assert "a_value" not in registry.render()
+
+    def test_scraped_family_keeps_its_labels_and_order(self, registry):
+        family = Family(
+            "rows", "Rows.", "gauge", ("predicate",), [(("b",), 2), (("a",), 1)]
+        )
+        assert registry.render([family]) == (
+            '# HELP rows Rows.\n# TYPE rows gauge\nrows{predicate="b"} 2\n'
+            'rows{predicate="a"} 1\n'
+        )
+        assert registry.render([family._replace(samples=[])]) == ""
 
     def test_labeled_samples_sorted_and_escaped(self, registry):
         counter = registry.counter("q_total", "Q.", ("mode",))
@@ -162,8 +160,8 @@ class TestRender:
         assert "h_seconds_sum 0.5" in text
 
     def test_integer_values_render_integral(self, registry):
-        registry.gauge("g_value", "G.").set(3.0)
-        assert "g_value 3\n" in registry.render()
+        gauge = Family("g_value", "G.", "gauge", (), [((), 3.0)])
+        assert "g_value 3\n" in registry.render([gauge])
 
 
 class TestCollect:

@@ -71,6 +71,7 @@ class ServiceClient:
         asyncio.run_coroutine_threadsafe(self.service.stop(), self._loop).result(30)
         self._loop.call_soon_threadsafe(self._loop.stop)
         self._thread.join(timeout=30)
+        self._loop.close()
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +163,8 @@ class TestEndToEnd:
         assert stats["pushes"] == len(PUSHES) + 1
         assert stats["retractions"] == 1
         assert stats["queries_served"] > 0
-        assert stats["term_table"]["constants"] > 0
+        assert stats["maintenance"]["term_table"]["constants"] > 0
+        assert stats["engine"]["facts_added"] > 0
 
     def test_keep_alive_reuses_connection(self, client):
         # urllib opens a fresh connection per call; exercise keep-alive

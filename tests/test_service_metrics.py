@@ -1,18 +1,22 @@
-"""Service observability: /metrics e2e, stats fold-in, and the STATS race.
+"""Service observability: /metrics e2e, /stats read at request time, readers.
 
-Three concerns:
+Four concerns:
 
-* the reader-path regression — concurrent queries must neither corrupt the
-  process-global engine counter blob (reader threads bind a thread-local
-  scratch blob) nor lose ``queries_served`` increments (serialized in
+* the reader path — concurrent queries never reach an engine counter site
+  (the matcher entry points raise off the main thread here, and ``STATS``
+  stays put) and lose no ``queries_served`` increments (serialized in
   :meth:`MaterializedView.record_query`);
+* one counter store — ``stats()`` and ``metrics_text()`` read the view,
+  :meth:`MaterializedView.maintenance` and ``STATS`` when asked, with no
+  scrape needed first;
 * the maintenance surface — tombstone ratios, term-table size, pinned
   readers — in ``stats()`` and the Prometheus gauges;
-* the exposition itself, fetched over a real socket from a live
-  :class:`QueryService`.
+* the exposition itself, its pinned family list, and the endpoint fetched
+  over a real socket from a live :class:`QueryService`.
 """
 
 import json
+import re
 import sys
 import threading
 import urllib.error
@@ -21,13 +25,20 @@ import urllib.request
 import pytest
 
 from repro.engine import index as engine_index
-from repro.engine.stats import STATS, active_stats, local_stats
+from repro.engine.batch import BatchPlan
+from repro.engine.plan import CompiledRule, JoinPlan
+from repro.engine.stats import STATS
 from repro.service.view import MaterializedView
 from repro.workloads.ontologies import university_graph
 
 from test_service_http import ServiceClient
 
 QUERY = "SELECT ?X WHERE { ?X rdf:type Student }"
+READER_QUERIES = (
+    QUERY,
+    "SELECT ?X WHERE { ?X worksFor _:B }",
+    "SELECT ?X ?Y WHERE { ?X rdf:type Student OPTIONAL { ?X takesCourse ?Y } }",
+)
 
 
 @pytest.fixture
@@ -39,33 +50,184 @@ def view():
     materialized.close()
 
 
-class TestLocalStats:
-    def test_active_stats_defaults_to_global(self):
-        assert active_stats() is STATS
+@pytest.fixture
+def matchers_raise_off_main_thread(monkeypatch):
+    """Make every engine matcher entry point raise on any thread but main.
 
-    def test_local_stats_binds_and_restores(self):
-        with local_stats() as scratch:
-            assert active_stats() is scratch
-            with local_stats() as nested:
-                assert active_stats() is nested
-            assert active_stats() is scratch
-        assert active_stats() is STATS
+    Those are the only roads to a counter site, so a reader that reaches
+    one fails loudly instead of racing the writer's ``STATS``.
+    """
+    main = threading.main_thread()
+    for owner, name in (
+        (JoinPlan, "rows"),
+        (JoinPlan, "_run"),
+        (BatchPlan, "run"),
+        (CompiledRule, "trigger_row_batches"),
+    ):
+        original = getattr(owner, name)
 
-    def test_read_scope_shields_global_blob(self, view):
-        before = STATS.snapshot()
-        with view.read():
-            active_stats().pivots_skipped += 100
-        assert STATS.snapshot() == before
+        def guarded(*args, _original=original, _name=f"{owner.__name__}.{name}", **kwargs):
+            if threading.current_thread() is not main:
+                raise AssertionError(f"{_name} ran on a reader thread")
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, guarded)
+
+
+class TestReadersReachNoCounterSite:
+    def test_concurrent_view_and_http_reads(self, matchers_raise_off_main_thread):
+        graph = university_graph(n_departments=1, students_per_department=4)
+        client = ServiceClient(graph)
+        view = MaterializedView(graph)
+        stats_before = STATS.snapshot()
+        errors = []
+
+        def read_view():
+            try:
+                for text in READER_QUERIES:
+                    for mode in ("U", "All"):
+                        assert view.query(text, mode)
+                view.stats()
+                view.metrics_text()
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        def read_http():
+            try:
+                for text in READER_QUERIES:
+                    for mode in ("U", "All"):
+                        answer = client.query(text, mode)
+                        assert answer["cardinality"] > 0
+                client.get("/stats")
+                with urllib.request.urlopen(client.base + "/metrics", timeout=60):
+                    pass
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        try:
+            threads = [threading.Thread(target=read_view) for _ in range(2)]
+            threads += [threading.Thread(target=read_http) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            client.close()
+            view.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert STATS.snapshot() == stats_before
+
+    def test_canary_engine_work_off_the_main_thread_is_caught(
+        self, view, matchers_raise_off_main_thread
+    ):
+        errors = []
+
+        def match_on_a_reader():
+            try:
+                view.push([("canary", "rdf:type", "Student")])
+            except AssertionError as exc:
+                errors.append(exc)
+
+        thread = threading.Thread(target=match_on_a_reader)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert errors, "the guard must catch engine matching off the main thread"
+
+
+def scrape(text):
+    """The sample lines of an exposition as ``{series: value}``."""
+    return {
+        line.rsplit(" ", 1)[0]: float(line.rsplit(" ", 1)[1])
+        for line in text.splitlines()
+        if line and not line.startswith("#")
+    }
+
+
+#: Every family ``/metrics`` emits after a query, a push and a retract:
+#: name -> (``# TYPE`` kind, label names; ``le`` is the histogram bucket's).
+EXPOSITION_FAMILIES = {
+    **{
+        f"repro_engine_{name}_total": ("counter", ())
+        for name in (
+            "batch_probe_groups", "compactions", "facts_added", "nulls_collected",
+            "nulls_invented", "pivots_skipped", "rederived", "retractions",
+            "triggers_fired",
+        )
+    },
+    "repro_predicate_live_rows": ("gauge", ("predicate",)),
+    "repro_predicate_tombstone_ratio": ("gauge", ("predicate",)),
+    "repro_queries_total": ("counter", ("mode",)),
+    "repro_query_seconds": ("histogram", ("mode",)),
+    "repro_snapshot_readers_pinned": ("gauge", ()),
+    "repro_term_table_constants": ("gauge", ()),
+    "repro_term_table_nulls": ("gauge", ()),
+    "repro_term_table_orphaned_nulls": ("gauge", ()),
+    "repro_view_consistent": ("gauge", ()),
+    "repro_view_epoch": ("gauge", ()),
+    "repro_view_facts": ("gauge", ()),
+    "repro_view_watermark": ("gauge", ()),
+    "repro_write_seconds": ("histogram", ("op",)),
+    "repro_writes_total": ("counter", ("op",)),
+}
+
+
+class TestOneCounterStore:
+    """``/stats`` and ``/metrics`` read their numbers when asked."""
+
+    def test_stats_reads_the_view_and_stats_without_a_scrape(self, view):
+        view.push([("extra", "rdf:type", "Student")])
+        document = view.stats()
+        assert document["facts"] == len(view)
+        assert document["engine"] == STATS.snapshot()
+        assert document["maintenance"]["term_table"]["epoch"] == view.epoch
+        assert "term_table" not in document
+        assert not any(
+            name.startswith(("repro_view_", "repro_engine_"))
+            for name in document["metrics"]
+        )
+
+    def test_metrics_text_reports_the_same_numbers(self, view):
+        view.push([("extra", "rdf:type", "Student")])
+        series = scrape(view.metrics_text())
+        document = view.stats()
+        assert series["repro_view_facts"] == document["facts"] == len(view)
+        assert series["repro_view_watermark"] == document["watermark"]
+        for name, value in document["engine"].items():
+            assert series[f"repro_engine_{name}_total"] == value
+        view.push([("another", "rdf:type", "Student")])
+        assert scrape(view.metrics_text())["repro_view_facts"] == len(view)
+
+    def test_exposition_keeps_every_family(self, view):
+        view.query(QUERY)
+        fact = ("extra", "rdf:type", "Student")
+        view.push([fact])
+        view.retract([fact])
+        text = view.metrics_text()
+        kinds = dict(re.findall(r"^# TYPE (\S+) (\S+)$", text, re.M))
+        labels = {}
+        for series in scrape(text):
+            name, _, rest = series.partition("{")
+            if name not in kinds:
+                name = re.sub(r"_(bucket|sum|count)$", "", name)
+            names = tuple(
+                label for label in re.findall(r'(\w+)="', rest) if label != "le"
+            )
+            labels.setdefault(name, set()).add(names)
+        assert {
+            name: (kind, *labels[name]) for name, kind in kinds.items()
+        } == {name: (kind, names) for name, (kind, names) in EXPOSITION_FAMILIES.items()}
 
 
 class TestQueryAccountingRace:
     def test_hammering_readers_lose_no_counts_and_leave_stats_alone(self, view):
-        """Regression: racing readers must not corrupt counters.
+        """Regression: racing readers must not lose ``queries_served`` counts.
 
         Before the fix, ``queries_served += 1`` ran unserialized on every
-        reader thread (a lost-update race) and reader-side engine work hit
-        the process-global STATS blob.  Shrinking the switch interval makes
-        the preemption window easy to hit.
+        reader thread (a lost-update race).  Shrinking the switch interval
+        makes the preemption window easy to hit.  Reads never touch
+        ``STATS``.
         """
         n_threads, per_thread = 8, 40
         view.slow_query_ms = float("inf")
@@ -232,6 +394,7 @@ class TestMetricsEndpoint:
         )
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=60)
+        excinfo.value.close()
         assert excinfo.value.code == 405
 
     def test_http_queries_count_into_stats_and_metrics(self, client):

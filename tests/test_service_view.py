@@ -123,7 +123,7 @@ class TestPublication:
 
 
 @pytest.mark.parametrize(
-    "raw, expected",
+    "raw, parsed_before_6_0",
     [
         ("", view_module.DEFAULT_SLOW_QUERY_MS),
         ("0", 0.0),
@@ -135,14 +135,14 @@ class TestPublication:
         ("-inf", None),
     ],
 )
-def test_slow_query_threshold_env_is_validated(monkeypatch, raw, expected):
+def test_slow_query_threshold_env_is_validated(monkeypatch, raw, parsed_before_6_0):
+    # Until 6.0.0 the view read REPRO_SLOW_QUERY_MS (the second column is
+    # what it parsed to; None raised ValueError). The view now reads no
+    # environment variable: every value, valid or not, leaves the default
+    # threshold, which is set per view on the attribute.
     monkeypatch.setenv("REPRO_SLOW_QUERY_MS", raw)
-    if expected is None:
-        with pytest.raises(ValueError, match="REPRO_SLOW_QUERY_MS"):
-            MaterializedView()
-    else:
-        with MaterializedView() as view:
-            assert view.slow_query_ms == expected
+    with MaterializedView() as view:
+        assert view.slow_query_ms == view_module.DEFAULT_SLOW_QUERY_MS == 100.0
 
 
 class TestEpochLifecycle:
@@ -167,6 +167,29 @@ class TestEpochLifecycle:
             view.rematerialize()
             with pytest.raises(StaleSnapshotError):
                 stale.query_ids(PERSON)
+
+    def test_surfaces_answer_during_the_rebuild(self, monkeypatch):
+        # /healthz, /stats and /metrics read these while POST /rematerialize
+        # rebuilds; none may find the session or the snapshot missing.
+        with MaterializedView(small_graph()) as view:
+            seen = []
+
+            def session_spy(*args, **kwargs):
+                seen.append(
+                    (
+                        view.stats()["facts"],
+                        view.maintenance()["readers_pinned"],
+                        "repro_view_facts " in view.metrics_text(),
+                        view.current.watermark,
+                    )
+                )
+                return DeltaSession(*args, **kwargs)
+
+            facts, watermark = len(view), view.watermark
+            monkeypatch.setattr(view_module, "DeltaSession", session_spy)
+            view.rematerialize()
+            assert seen == [(facts, 0, True, watermark)]
+            assert view.query(PERSON)
 
     def test_push_after_rematerialize_continues(self):
         with MaterializedView(small_graph()) as view:
