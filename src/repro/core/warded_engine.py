@@ -18,6 +18,10 @@ fully determined by
 We call this pair the null's **type**.  The engine is a semi-naive chase that
 fires each existential rule at most once per *abstracted trigger*, where an
 abstracted trigger replaces every null of the frontier binding by its type.
+It is literally the semi-naive evaluator
+(:class:`~repro.datalog.seminaive.SemiNaiveEvaluator`: the same stratum loop,
+fixpoint and ``seminaive.*`` trace events) with one thing added — the
+firing function that keys existential triggers on their abstraction.
 For a fixed program the number of types is polynomial in the active domain of
 the database, so the materialisation (and therefore the extracted ground
 semantics ``Pi(D)↓``) is computed in polynomial time — matching Theorem 6.7.
@@ -37,7 +41,7 @@ Definition 6.11 / Figure 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.analysis.guards import classify_program
 from repro.datalog.atoms import Atom
@@ -45,11 +49,10 @@ from repro.datalog.chase import violates
 from repro.datalog.database import Instance
 from repro.datalog.program import Program, Query
 from repro.datalog.rules import Rule
-from repro.datalog.semantics import INCONSISTENT, QueryResult
-from repro.datalog.stratification import partition_by_stratum, stratify
-from repro.datalog.terms import Constant, Null
+from repro.datalog.semantics import INCONSISTENT, QueryResult, ground_answers
+from repro.datalog.seminaive import SemiNaiveEvaluator
+from repro.datalog.terms import Null
 from repro.engine.interning import TERMS
-from repro.engine.plan import compile_rule
 from repro.engine.stats import STATS
 
 # A justification: the rule plus the instantiated body atoms used to derive a fact.
@@ -73,11 +76,15 @@ class WardedResult:
         return self.instance.ground_part()
 
 
-class WardedEngine:
-    """Semi-naive materialisation for warded Datalog∃ with grounded negation."""
+class WardedEngine(SemiNaiveEvaluator):
+    """Semi-naive materialisation for warded Datalog∃ with grounded negation.
+
+    :class:`~repro.datalog.seminaive.SemiNaiveEvaluator`'s stratum and round
+    loops, plus one thing: an existential rule fires at most once per
+    abstracted trigger (and a run may record provenance).
+    """
 
     def __init__(self, program: Program, check_warded: bool = True):
-        self.program = program
         if check_warded:
             report = classify_program(program)
             if not report.warded:
@@ -85,11 +92,11 @@ class WardedEngine:
                     "program is not warded: "
                     + report.violations.get("warded", "unknown violation")
                 )
-        self.stratification = stratify(program.ex())
-        self.strata = partition_by_stratum(program.ex(), self.stratification)
-        self.compiled_strata = [
-            [compile_rule(rule) for rule in stratum] for stratum in self.strata
-        ]
+        super().__init__(program)
+        #: A rule's position in ``program.rules``: the rule half of a null's type.
+        self._positions: Dict[Rule, int] = {
+            rule: position for position, rule in enumerate(program.rules)
+        }
 
     # -- public API ------------------------------------------------------------
 
@@ -107,11 +114,7 @@ class WardedEngine:
             {} if with_provenance else None
         )
         null_types: Dict[Null, Tuple] = {}
-        for stratum in self.compiled_strata:
-            if not stratum:
-                continue
-            reference = instance.snapshot()
-            self._fixpoint(stratum, instance, reference, provenance, null_types)
+        self._run_strata(instance, lambda: self._firing(provenance, null_types))
         return WardedResult(
             instance=instance,
             provenance=provenance if provenance is not None else {},
@@ -134,26 +137,32 @@ class WardedEngine:
         result = self.materialise(database, with_provenance=False)
         if violates(self.program.constraints, result.instance):
             return INCONSISTENT
-        answers: Set[Tuple[Constant, ...]] = set()
-        for atom in result.instance.with_predicate(query.output_predicate):
-            if atom.is_ground:
-                answers.add(tuple(atom.terms))  # type: ignore[arg-type]
-        return frozenset(answers)
+        return ground_answers(result.instance, query.output_predicate)
 
-    # -- fixpoint ----------------------------------------------------------------
+    # -- the trigger abstraction -------------------------------------------------
 
-    def _fixpoint(
+    @staticmethod
+    def _admit(program: Program) -> None:
+        """Every rule is admitted: existential rules fire once per abstracted trigger."""
+
+    def _firing(
         self,
-        compiled: Sequence,
-        instance: Instance,
-        negation_reference,
-        provenance: Optional[Dict[Atom, Justification]],
-        null_types: Dict[Null, Tuple],
-    ) -> None:
+        provenance: Optional[Dict[Atom, Justification]] = None,
+        null_types: Optional[Dict[Null, Tuple]] = None,
+    ):
+        """A fresh firing function for one stratum's fixpoint.
+
+        It carries the stratum's trigger budget (:data:`MAX_TRIGGERS`) and
+        its set of fired abstracted triggers, and writes the run's
+        ``provenance`` (when not None) and ``null_types``.
+        """
+        positions = self._positions
+        if null_types is None:
+            null_types = {}
         fired = 0
         fired_existential_triggers: Set[Tuple[int, Tuple]] = set()
 
-        def process_rows(rule_index: int, crule, delta_sink: Instance, delta=None) -> None:
+        def process_rows(crule, instance, negation_reference, delta_sink, delta) -> None:
             """Fire one rule for one round: slot rows in, head facts out.
 
             Negation is pre-filtered in bulk against the frozen lower-strata
@@ -165,6 +174,7 @@ class WardedEngine:
             """
             nonlocal fired
             rule = crule.rule
+            rule_index = positions[rule]
             has_existentials = bool(rule.existential_variables)
             batches = crule.trigger_row_batches(instance, delta, negation_reference)
             add_key = instance.add_key
@@ -220,20 +230,7 @@ class WardedEngine:
         # Both matchers behind ``trigger_row_batches`` produce triggers in the
         # same order and nulls are invented in ``sorted_existentials`` order,
         # so the materialisation is identical atom for atom across modes.
-
-        # Naive first round over the full instance.
-        delta = Instance()
-        for rule_index, crule in enumerate(compiled):
-            process_rows(rule_index, crule, delta)
-
-        # Semi-naive delta rounds: the precompiled pivot plans read the pivot
-        # atom's candidates from the delta and join the rest against the full
-        # instance.
-        while len(delta):
-            new_delta = Instance()
-            for rule_index, crule in enumerate(compiled):
-                process_rows(rule_index, crule, new_delta, delta)
-            delta = new_delta
+        return process_rows
 
     # -- helpers ------------------------------------------------------------------
 

@@ -22,7 +22,7 @@ implements exactly that convention.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.datalog.atoms import Atom
 from repro.datalog.chase import ChaseEngine, embeds, violates
@@ -132,11 +132,16 @@ def evaluate_query(
     materialised = evaluate_program(query.program, database, chase_engine)
     if materialised is INCONSISTENT:
         return INCONSISTENT
-    answers: Set[Tuple[Constant, ...]] = set()
-    for atom in materialised.with_predicate(query.output_predicate):
-        if atom.is_ground:
-            answers.add(tuple(atom.terms))  # type: ignore[arg-type]
-    return frozenset(answers)
+    return ground_answers(materialised, query.output_predicate)
+
+
+def ground_answers(instance: Instance, predicate: str) -> FrozenSet[Tuple[Constant, ...]]:
+    """``{ t in U^n | p(t) in I }``: the null-free tuples of ``predicate``."""
+    return frozenset(
+        tuple(atom.terms)  # type: ignore[misc]
+        for atom in instance.with_predicate(predicate)
+        if atom.is_ground
+    )
 
 
 def eval_decision(

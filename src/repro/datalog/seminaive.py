@@ -13,6 +13,11 @@ warded engine for those.  Negated body atoms are evaluated against the result
 of the lower strata, which is exactly the stratified semantics of Section 3.2
 restricted to Datalog¬s.
 
+Cold strata and :class:`~repro.engine.incremental.DeltaSession`
+continuations run the same per-stratum fixpoint.  The warded engine
+(:class:`~repro.core.warded_engine.WardedEngine`) is this evaluator with
+another per-stratum firing function: the trigger abstraction.
+
 Each rule is compiled once (per process, the plan cache is keyed by rule)
 into a :class:`~repro.engine.plan.CompiledRule`; the delta rounds run the
 precompiled pivot plans against the delta's index, and the lower-strata
@@ -35,7 +40,7 @@ pivots whose predicate is absent from the delta) — counted in
 from __future__ import annotations
 
 import time
-from typing import Iterable, Sequence, Set
+from typing import Iterable, Optional, Set
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Instance
@@ -51,11 +56,7 @@ class SemiNaiveEvaluator:
     """Bottom-up evaluation with delta (semi-naive) iteration per stratum."""
 
     def __init__(self, program: Program):
-        for rule in program.rules:
-            if rule.has_existentials:
-                raise RuleError(
-                    f"semi-naive evaluation handles existential-free rules only; got {rule}"
-                )
+        self._admit(program)
         self.program = program
         self.stratification = stratify(program.ex())
         self.strata = partition_by_stratum(program.ex(), self.stratification)
@@ -68,6 +69,30 @@ class SemiNaiveEvaluator:
     def evaluate(self, database: Iterable[Atom]) -> Instance:
         """Materialise all derivable facts (ignores constraints)."""
         instance = Instance(database)
+        self._run_strata(instance, self._firing)
+        return instance
+
+    def facts_of(self, database: Iterable[Atom], predicate: str) -> Set[Atom]:
+        """All derived facts over ``predicate``."""
+        return set(self.evaluate(database).with_predicate(predicate))
+
+    # -- internals --------------------------------------------------------------------
+
+    @staticmethod
+    def _admit(program: Program) -> None:
+        """Reject the rules :meth:`_fire_rule` cannot fire: existential ones."""
+        for rule in program.rules:
+            if rule.has_existentials:
+                raise RuleError(
+                    f"semi-naive evaluation handles existential-free rules only; got {rule}"
+                )
+
+    def _firing(self):
+        """A fresh firing function for one stratum's fixpoint."""
+        return self._fire_rule
+
+    def _run_strata(self, instance: Instance, new_firing) -> None:
+        """Run each non-empty stratum's fixpoint cold, firing through ``new_firing()``."""
         for number, stratum in enumerate(self.compiled_strata):
             if not stratum:
                 continue
@@ -75,86 +100,54 @@ class SemiNaiveEvaluator:
             with TRACER.span(
                 "seminaive.stratum", stratum=number, rules=len(stratum)
             ):
-                self._evaluate_stratum(stratum, instance, reference)
-        return instance
+                self._fixpoint(number, instance, None, reference, new_firing())
 
-    def facts_of(self, database: Iterable[Atom], predicate: str) -> Set[Atom]:
-        """All derived facts over ``predicate``."""
-        return set(self.evaluate(database).with_predicate(predicate))
-
-    def resume_stratum(
+    def _fixpoint(
         self,
         stratum: int,
         instance: Instance,
-        delta: Instance,
+        delta: Optional[Instance],
         negation_reference,
+        fire=None,
     ) -> int:
-        """Continue one stratum's fixpoint from an externally supplied delta.
+        """One stratum's fixpoint: rounds until one adds nothing; returns the count.
 
-        ``instance`` must already contain the facts of ``delta`` (they are
-        the facts appended since the stratum last reached its fixpoint) and
-        ``negation_reference`` must reflect the lower strata's *current*
-        state.  This is the semi-naive entry point of the incremental
-        streaming subsystem (:class:`~repro.engine.incremental.DeltaSession`):
-        only the delta rounds run — the naive first pass already happened
-        when the stratum was first evaluated.  Returns the number of delta
-        rounds executed.
+        ``delta=None`` is a cold run, whose first round runs every rule's full
+        plan; every other round runs the pivot plans over ``delta``, the facts
+        the previous round (or, for a continuation, the caller) added.
+        Negation reads ``negation_reference``, a frozen snapshot of the lower
+        strata.  ``fire`` (default: a fresh :meth:`_firing`) fires one rule
+        for one round.
         """
-        return self._delta_rounds(
-            self.compiled_strata[stratum], instance, delta, negation_reference
-        )
-
-    # -- internals --------------------------------------------------------------------
-
-    def _evaluate_stratum(
-        self, compiled: Sequence, instance: Instance, negation_reference
-    ) -> None:
-        """Fixpoint of one stratum using delta iteration.
-
-        ``negation_reference`` holds the facts of the strictly lower strata
-        (a frozen snapshot); negated atoms are checked against it only, which
-        is sound because a stratified program never derives a negated
-        predicate in the same or a higher stratum.
-        """
-        # First round: plain naive pass so that rules whose bodies are fully
-        # satisfied by lower strata fire at least once.
-        delta = Instance()
-        for crule in compiled:
-            self._fire_rule(crule, instance, negation_reference, delta, None)
-
-        # Delta rounds: at least one body atom must come from the last delta.
-        self._delta_rounds(compiled, instance, delta, negation_reference)
-
-    def _delta_rounds(
-        self,
-        compiled: Sequence,
-        instance: Instance,
-        delta: Instance,
-        negation_reference,
-    ) -> int:
-        """Run delta rounds until the fixpoint; returns the round count."""
+        fire = fire or self._firing()
+        compiled = self.compiled_strata[stratum]
         rounds = 0
-        while len(delta):
+        while delta is None or len(delta):
             rounds += 1
             new_delta = Instance()
             for crule in compiled:
-                self._fire_rule(
-                    crule, instance, negation_reference, new_delta, delta
-                )
+                traced = TRACER.enabled
+                if traced:
+                    trace_start = time.perf_counter_ns()
+                fire(crule, instance, negation_reference, new_delta, delta)
+                if traced:
+                    TRACER.record(
+                        "seminaive.rule",
+                        trace_start,
+                        head=crule.rule.head[0].predicate,
+                        naive=delta is None,
+                    )
             delta = new_delta
         return rounds
 
     @staticmethod
     def _fire_rule(crule, instance, negation_reference, delta_sink, delta) -> None:
-        """Match and fire one rule for one round (naive when ``delta`` is None).
+        """Match and fire one rule for one round (full plan when ``delta`` is None).
 
         The trigger list is materialised per rule before firing, so each
         evaluation point sees the same instance state.  Head facts are fired directly from slot rows
         (precompiled RowOps templates).
         """
-        traced = TRACER.enabled
-        if traced:
-            trace_start = time.perf_counter_ns()
         batches = crule.trigger_row_batches(instance, delta, negation_reference)
         add_key = instance.add_key
         sink_add = delta_sink.add_key
@@ -165,10 +158,3 @@ class SemiNaiveEvaluator:
                 for key in head_keys_row(row):
                     if add_key(key):
                         sink_add(key)
-        if traced:
-            TRACER.record(
-                "seminaive.rule",
-                trace_start,
-                head=crule.rule.head[0].predicate,
-                naive=delta is None,
-            )

@@ -1,10 +1,11 @@
 """The shared join-plan evaluation core.
 
-Every engine in the library — the restricted/oblivious chase
-(:mod:`repro.datalog.chase`), the semi-naive Datalog¬s evaluator
-(:mod:`repro.datalog.seminaive`), and the warded materialisation engine
-(:mod:`repro.core.warded_engine`) — evaluates rule bodies through this
-package instead of re-deriving join strategy per call:
+Both engines in the library — the restricted/oblivious chase
+(:mod:`repro.datalog.chase`) and the semi-naive Datalog¬s evaluator
+(:mod:`repro.datalog.seminaive`), which the warded materialisation engine
+(:mod:`repro.core.warded_engine`) extends with the trigger abstraction —
+evaluate rule bodies through this package instead of re-deriving join
+strategy per call:
 
 * :mod:`repro.engine.interning` dictionary-encodes every ground term (and
   predicate name) into a dense int ID via the process-global

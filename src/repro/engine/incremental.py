@@ -94,7 +94,7 @@ from repro.datalog.atoms import Atom, unify_with_fact
 from repro.datalog.chase import ChaseEngine, ChaseState, _rule_signature, embeds, violates
 from repro.datalog.database import Instance
 from repro.datalog.program import Program
-from repro.datalog.semantics import INCONSISTENT, SemanticsResult
+from repro.datalog.semantics import INCONSISTENT, SemanticsResult, ground_answers
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Term
@@ -506,11 +506,7 @@ class DeltaSession:
 
     def query(self, predicate: str) -> FrozenSet[Tuple[Term, ...]]:
         """The ground answer tuples over ``predicate`` — the paper's ``Q(D)``."""
-        return frozenset(
-            tuple(atom.terms)
-            for atom in self.instance.with_predicate(predicate)
-            if atom.is_ground
-        )
+        return ground_answers(self.instance, predicate)
 
     def facts(self, predicate: str) -> FrozenSet[Atom]:
         """All materialised facts over ``predicate`` (including nulls)."""
@@ -563,8 +559,7 @@ class DeltaSession:
     def _materialise_from(self, first: int) -> None:
         """Evaluate strata ``first..top`` cold on the current instance."""
         for stratum in range(first, self.n_strata):
-            compiled = self.compiled_strata[stratum]
-            if not compiled:
+            if not self.compiled_strata[stratum]:
                 continue
             reference = self.instance.snapshot()
             if self._uses_chase:
@@ -577,9 +572,7 @@ class DeltaSession:
                 )
                 self._note_chase_outcome(result)
             else:
-                self._evaluator._evaluate_stratum(
-                    compiled, self.instance, reference
-                )
+                self._evaluator._fixpoint(stratum, self.instance, None, reference)
 
     def _continue_stratum(self, stratum: int, delta: Instance, reference) -> int:
         """Resume one stratum's fixpoint from ``delta``; returns round count."""
@@ -593,9 +586,7 @@ class DeltaSession:
             )
             self._note_chase_outcome(result)
             return result.delta_rounds
-        return self._evaluator.resume_stratum(
-            stratum, self.instance, delta, reference
-        )
+        return self._evaluator._fixpoint(stratum, self.instance, delta, reference)
 
     def _note_chase_outcome(self, result) -> None:
         """Record a stop-mode resource truncation (raise mode raised already)."""

@@ -147,3 +147,30 @@ class TestWardedEngineQueries:
         fact = parse_atom("t(a,b)")
         rule, body = result.provenance[fact]
         assert body == (parse_atom("e(a,b)"),)
+
+    def test_null_types_record_the_rules_position_in_the_program(self):
+        """Two existential rules in different strata invent nulls of different types.
+
+        The rule half of a null's type is the rule's position in
+        ``program.rules``, not its index inside its stratum: with the latter,
+        both rules below would record ``0``, and with a shared existential
+        variable name the two null types would be equal.
+        """
+        program = parse_program(
+            """
+            a(?X) -> exists ?Y . r(?X, ?Y).
+            b(?X) -> q(?X).
+            a(?X), not q(?X) -> exists ?Y . s(?X, ?Y).
+            """
+        )
+        result = WardedEngine(program).materialise(db("a(c)"))
+        by_predicate = {
+            atom.predicate: result.null_types[atom.terms[1]]
+            for atom in result.instance
+            if atom.predicate in ("r", "s")
+        }
+        assert by_predicate["r"][0] == 0
+        assert by_predicate["s"][0] == 2
+        assert by_predicate["r"] != by_predicate["s"]
+        for position, _, _ in by_predicate.values():
+            assert program.rules[position].has_existentials

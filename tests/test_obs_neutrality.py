@@ -114,11 +114,15 @@ class TestTracingNeutrality:
         TRACER.enable()
         fingerprint(scenario_seminaive)
         seminaive_names = {event["name"] for event in TRACER.events()}
+        TRACER.enable()  # restart clean for the warded scenario
+        fingerprint(scenario_warded)
+        warded_names = {event["name"] for event in TRACER.events()}
         TRACER.enable()  # restart clean for the churn scenario
         fingerprint(scenario_churn)
         churn_names = {event["name"] for event in TRACER.events()}
         TRACER.disable()
         assert {"seminaive.stratum", "seminaive.rule"} <= seminaive_names
+        assert {"seminaive.stratum", "seminaive.rule"} <= warded_names
         assert {
             "delta.push",
             "push.stratum",
@@ -145,6 +149,26 @@ class TestTracingNeutrality:
         TRACER.disable()
         assert "chase.run" in names
         assert "chase.round" in names
+
+
+class TestOneSemiNaiveEngine:
+    def test_warded_engine_equals_seminaive_on_existential_free_programs(self):
+        """Without existential rules the warded engine is the semi-naive evaluator.
+
+        Same atoms in the same insertion order, and the same gated counters.
+        """
+        database = random_rdf_graph(n_triples=100, n_nodes=16, seed=11).to_database()
+        program = parse_program(TC_PROGRAM)
+
+        def warded():
+            return WardedEngine(program).materialise(
+                database, with_provenance=False
+            ).instance
+
+        def seminaive():
+            return SemiNaiveEvaluator(program).evaluate(database)
+
+        assert fingerprint(warded) == fingerprint(seminaive)
 
 
 class TestProfilingNeutrality:

@@ -6,6 +6,7 @@ answers no matter how the single writer interleaves with them, and every
 pinned state must equal a cold recompute of the corresponding push prefix.
 """
 
+import sys
 import threading
 
 import pytest
@@ -392,3 +393,93 @@ class TestConcurrentSnapshotIsolation:
         assert cold.query(PERSON) == final
         view.close()
         cold.close()
+
+    VISITS = [
+        [(f"visitor_{i}", "rdf:type", "Student"), (f"visitor_{i}", "worksFor", f"dept_{i % 2}")]
+        for i in range(10)
+    ]
+
+    def test_retract_under_readers_sees_base_or_the_batch_in_flight(self):
+        """Readers racing a push/retract writer get a cold answer or a stale error.
+
+        The writer pushes each batch and retracts it again.  Every read
+        equals the cold answer of the base graph or of the base plus a batch
+        that was in flight while the read ran, or raises
+        :class:`StaleSnapshotError`; any other exception fails the test.
+        """
+        graph = small_graph()
+        reads = [(query, mode) for query in (PERSON, WORKS) for mode in ("U", "All")]
+
+        def answers(view):
+            return [view.query(query, mode) for query, mode in reads]
+
+        with MaterializedView(graph) as cold:
+            base = answers(cold)
+        in_flight = []
+        for batch in self.VISITS:
+            with MaterializedView(graph) as cold:
+                cold.push(batch)
+                in_flight.append(answers(cold))
+
+        view = MaterializedView(graph)
+        started = [-1]  # index of the last batch the writer began to push
+        done = threading.Event()
+        errors, stale, checked = [], [], []
+
+        def writer():
+            try:
+                for index, batch in enumerate(self.VISITS):
+                    started[0] = index
+                    view.push(batch)
+                    view.retract(batch)
+            except Exception as exc:  # pragma: no cover - surfaced via errors
+                errors.append(exc)
+            finally:
+                done.set()
+
+        def reader(offset):
+            try:
+                turn = offset
+                while not done.is_set():
+                    slot = turn % len(reads)
+                    turn += 1
+                    first = started[0]
+                    try:
+                        got = view.query(*reads[slot])
+                    except StaleSnapshotError:
+                        stale.append(slot)
+                        continue
+                    last = started[0]
+                    allowed = [base[slot]] + [
+                        in_flight[index][slot] for index in range(max(first, 0), last + 1)
+                    ]
+                    assert got in allowed, (slot, first, last)
+                    checked.append(slot)
+            except Exception as exc:  # pragma: no cover - surfaced via errors
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer)] + [
+            threading.Thread(target=reader, args=(offset,)) for offset in (0, 1)
+        ]
+        # Switch threads every microsecond so reads land inside the
+        # retraction's tombstoning phase, not only between writes.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert checked
+
+        with MaterializedView(graph) as cold:
+            assert answers(view) == answers(cold) == base
+            assert (
+                view._session.instance.ground_part().to_set()
+                == cold._session.instance.ground_part().to_set()
+            )
+        view.close()
