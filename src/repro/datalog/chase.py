@@ -1,14 +1,12 @@
 """The chase procedure for Datalog with existential quantification.
 
 The chase (Section 3.2) exhaustively applies rules to a database, inventing
-fresh labelled nulls for existential head variables.  We implement:
-
-* the **restricted** chase (a rule application is skipped when the head is
-  already satisfied by extending the triggering homomorphism), which is the
-  variant that terminates on all the programs built in this library's
-  translations, and
-* the **oblivious** chase (every trigger fires exactly once), useful for the
-  theoretical constructions of Section 4.
+labelled nulls for existential head variables.  There is one chase: the
+**restricted** chase (a rule application is skipped when the head is already
+satisfied by extending the triggering homomorphism), whose nulls are named
+by a digest of (rule, frontier binding, existential variable)
+(:func:`null_labels`), so the same trigger invents the same null in every
+run, incremental or cold.
 
 The chase of a Datalog∃ program may in general be infinite, so the engine
 takes explicit resource bounds (``max_steps`` and ``max_null_depth``) and
@@ -17,7 +15,8 @@ either stops gracefully or raises :class:`ChaseNonTermination`, as requested.
 Negation is handled the way the stratified semantics needs it: the engine can
 be given a fixed *negation reference* instance; a trigger is discarded when
 one of its negative body atoms is satisfied in that reference (this realises
-the indefinite grounding ``Pi^I`` of Section 3.2).
+the indefinite grounding ``Pi^I`` of Section 3.2).  The stratum loop lives in
+:class:`~repro.datalog.semantics.StratifiedSemantics`.
 
 Rule bodies are evaluated through the shared join-plan core
 (:mod:`repro.engine`): each rule is compiled once into a
@@ -37,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Instance
@@ -72,29 +71,32 @@ class ChaseResult:
 
 @dataclass
 class ChaseState:
-    """Resumable bookkeeping carried across incremental chase rounds.
+    """Bookkeeping one materialisation threads through all its chase calls.
 
-    A :class:`~repro.engine.incremental.DeltaSession` hands the same state
-    object to the initial :meth:`ChaseEngine.chase` and every later
-    :meth:`ChaseEngine.resume`, so the null-depth map survives between
-    batches (depth bounds keep applying to continuation rounds) and the
-    session can report its lifetime step total.  The ``max_steps`` budget stays
-    *per call*: each push gets a fresh allowance — bounding a runaway
-    program without an ever-growing total eventually bricking a long-lived
-    stream — while ``steps`` accumulates for reporting.
+    :class:`~repro.datalog.semantics.StratifiedSemantics` hands one state to
+    every stratum, and a :class:`~repro.engine.incremental.DeltaSession` to
+    every cold stratum, continuation and re-derivation, so null depths count
+    from the database across strata and batches, and the session can report
+    its lifetime step total and first resource limit.  The ``max_steps``
+    budget stays *per call*: each push gets a fresh allowance — bounding a
+    runaway program without an ever-growing total eventually bricking a
+    long-lived stream — while ``steps`` accumulates for reporting.
     """
 
-    #: Invention depth of every labelled null seen so far (inputs are 0),
-    #: keyed by the null's dictionary-encoded term ID
-    #: (:mod:`repro.engine.interning`) — a slot value tests as a null with
-    #: one bit operation in the trigger loops.
+    #: Invention depth of every null invented so far (any other null, such
+    #: as an input's, has depth 0), keyed by the null's dictionary-encoded
+    #: term ID (:mod:`repro.engine.interning`) — a slot value tests as a
+    #: null with one bit operation in the trigger loops.
     null_depth: Dict[int, int] = field(default_factory=dict)
     #: Cumulative restricted-chase steps fired under this state (reporting
     #: only; the per-call budget does not read it).
     steps: int = 0
+    #: The first resource limit a stop-mode run under this state hit; None
+    #: while every run completed.
+    limit_reason: Optional[str] = None
 
 
-#: Rule -> stable textual signature, the deterministic-null key component.
+#: Rule -> stable textual signature, the null-label key component.
 #: Cached because resumable sessions re-enter the chase once per push per
 #: stratum, and re-serialising every rule each time is pure waste (rules are
 #: immutable and hash by content, like the plan caches' keys).
@@ -102,7 +104,7 @@ _SIGNATURE_CACHE: Dict[Rule, str] = {}
 
 
 def _rule_signature(rule: Rule) -> str:
-    """The cached ``str(rule)`` used in deterministic-null keys."""
+    """The cached ``str(rule)`` used in null-label keys."""
     signature = _SIGNATURE_CACHE.get(rule)
     if signature is None:
         if len(_SIGNATURE_CACHE) >= 4096:
@@ -111,16 +113,38 @@ def _rule_signature(rule: Rule) -> str:
     return signature
 
 
+def null_labels(crule, ops, row) -> List[str]:
+    """The labels of the nulls a firing of ``crule`` on trigger ``row`` invents.
+
+    One per existential, in ``sorted_existentials`` order: ``_:d`` plus a
+    digest of (rule, existential, frontier binding) — a pure function of the
+    trigger, so DRed's over-deletion can look a label up without interning.
+    """
+    signature = _rule_signature(crule.rule)
+    frontier = "".join(
+        f"{len(part)}:{part}"
+        for part in map(
+            _term_key, TERMS.decode(row[slot] for _, slot in ops.frontier_slots)
+        )
+    )
+    labels = []
+    for existential in crule.sorted_existentials:
+        name = existential.name
+        key = f"{len(signature)}:{signature}{len(name)}:{name}{frontier}"
+        labels.append("_:d" + hashlib.sha1(key.encode("utf-8")).hexdigest()[:16])
+    return labels
+
+
 def _term_key(value: Term) -> str:
     """A stable, collision-free serialisation of a ground term (nulls allowed).
 
     Length-prefixed (netstring style): term values are arbitrary strings, so
     separator characters alone could let two distinct frontiers serialise
-    identically; a prefix-free encoding cannot alias.  Deterministic-null
-    keys must be **content**-addressed — never ID-addressed — because term
-    IDs depend on per-process interning order while the labels must stay
-    byte-stable across pushes, re-runs, and processes; a trigger row's
-    frontier IDs are therefore decoded back to terms before keying.
+    identically; a prefix-free encoding cannot alias.  Null-label keys must be
+    **content**-addressed — never ID-addressed — because term IDs depend on
+    per-process interning order while the labels must stay byte-stable
+    across pushes, re-runs, and processes; a trigger row's frontier IDs are
+    therefore decoded back to terms before keying.
     """
     if isinstance(value, Constant):
         return f"c{len(value.value)}:{value.value}"
@@ -161,48 +185,22 @@ def violates(constraints: Iterable[Constraint], instance) -> bool:
 
 
 class ChaseEngine:
-    """Configurable chase engine for Datalog∃ programs (optionally with negation)."""
+    """The restricted chase for Datalog∃ programs (optionally with negation)."""
 
     def __init__(
         self,
         max_steps: int = 200_000,
         max_null_depth: Optional[int] = None,
         on_limit: str = "raise",
-        restricted: bool = True,
-        deterministic_nulls: bool = False,
     ):
-        """Configure resource bounds and chase variant.
-
-        ``deterministic_nulls=True`` replaces the global ``Null.fresh``
-        counter with content-addressed labels: each invented null is named by
-        a digest of (rule, frontier binding, existential variable), so the
-        *same* trigger invents the *same* null in every run — a cold run, an
-        incremental :class:`~repro.engine.incremental.DeltaSession`
-        continuation, or a stratum re-run all agree label for label.  Under
-        the restricted chase this is purely a naming change (a trigger never
-        fires twice: the second time its head is already satisfied); under
-        the oblivious chase two triggers that agree on the frontier share
-        nulls, which collapses their head facts — leave it off there unless
-        that identification is wanted.
-        """
+        """``max_steps`` caps the triggers one call fires, ``max_null_depth``
+        a null's invention depth (inputs have 0); ``on_limit`` is ``'raise'``
+        (:class:`ChaseNonTermination`) or ``'stop'`` (``completed=False``)."""
         if on_limit not in ("raise", "stop"):
             raise ValueError("on_limit must be 'raise' or 'stop'")
         self.max_steps = max_steps
         self.max_null_depth = max_null_depth
         self.on_limit = on_limit
-        self.restricted = restricted
-        self.deterministic_nulls = deterministic_nulls
-
-    def _fresh_null(
-        self, signature: str, frontier_values, existential: Variable
-    ) -> Null:
-        """Invent one null: globally fresh, or content-addressed (stable)."""
-        if not self.deterministic_nulls:
-            return Null.fresh(existential.name.lower())
-        parts = (signature, existential.name, *map(_term_key, frontier_values))
-        key = "".join(f"{len(part)}:{part}" for part in parts)
-        digest = hashlib.sha1(key.encode("utf-8")).hexdigest()[:16]
-        return Null(f"_:d{digest}")
 
     # -- public API ------------------------------------------------------------
 
@@ -212,48 +210,31 @@ class ChaseEngine:
         program: Program,
         negation_reference: Optional[Instance] = None,
         *,
-        reuse_instance: bool = False,
         state: Optional[ChaseState] = None,
     ) -> ChaseResult:
-        """Run the chase of ``program`` over ``database``.
+        """Run the chase of ``program`` over a copy of ``database``.
 
         ``negation_reference`` is the instance against which negated body
         atoms are evaluated (the previous stratum's result under the
         stratified semantics).  When omitted, negated atoms are evaluated
-        against the *initial* instance, which is only correct for programs
-        whose negated predicates are never derived within the same run.
+        against the live working instance as the chase extends it, which is
+        only correct for programs whose negated predicates are never derived
+        within the same run.
 
-        ``reuse_instance=True`` chases **in place** when ``database`` is
-        already a plain :class:`Instance`: no copy, no re-index — the caller
-        gets the same (mutated) object back in the result.  This is how
-        :class:`~repro.datalog.semantics.StratifiedSemantics` threads one
-        live instance through all strata, taking a frozen
-        :meth:`~repro.datalog.database.Instance.snapshot` per stratum as the
-        negation reference instead of rebuilding the index each time.
-
-        ``state`` carries resumable bookkeeping (:class:`ChaseState`): when
-        supplied, the null-depth map is read from and written back to it and
-        the lifetime step total accumulates onto it — this is how
-        :class:`~repro.engine.incremental.DeltaSession` threads an initial
-        chase and its later :meth:`resume` continuations together.  The
-        ``max_steps`` budget stays per call.
+        ``state`` carries bookkeeping across calls (:class:`ChaseState`):
+        when supplied, the null-depth map is read from and written back to it
+        and the lifetime step total accumulates onto it.  The ``max_steps``
+        budget stays per call.
         """
-        # Otherwise copy into a plain Instance: the working set may receive
-        # nulls even when the input is a (constants-only) Database, and the
-        # caller's input must stay untouched.
-        if reuse_instance and type(database) is Instance:
-            instance = database
-        else:
-            instance = Instance(database)
-        if state is None:
-            state = ChaseState()
-        null_depth = state.null_depth
-        for tid in instance.null_ids():
-            null_depth.setdefault(tid, 0)
+        # Copy into a plain Instance: the working set may receive nulls even
+        # when the input is a (constants-only) Database, and the caller's
+        # input must stay untouched.
+        instance = Instance(database)
         # A cold run is a resume from "everything is new": the first round
         # runs every rule's full plan, later rounds only the pivot plans
         # over the facts the previous round added (see :meth:`_run`).
-        return self._run(instance, program, None, negation_reference, state)
+        compiled = [compile_rule(rule) for rule in program.rules]
+        return self._run(instance, compiled, None, negation_reference, state or ChaseState())
 
     def resume(
         self,
@@ -267,16 +248,14 @@ class ChaseEngine:
         """Continue a completed chase after new facts were appended.
 
         ``instance`` is the live result of an earlier chase of ``program``
-        (typically run with ``reuse_instance=True``) that has since received
-        new facts; ``delta`` holds exactly those new facts (they must already
-        be present in ``instance``).  Instead of re-enumerating every rule
-        body, each round runs only the semi-naive pivot plans against the
-        current delta — sound for the restricted chase because a trigger not
-        seen before must read at least one new fact, previously skipped
-        triggers stay skipped (their heads remain satisfied: facts are never
-        deleted), and previously fired triggers would be skipped again for
-        the same reason.  The oblivious chase re-fires old triggers by
-        definition, so resuming it is refused.
+        that has since received new facts; ``delta`` holds exactly those new
+        facts (they must already be present in ``instance``).  Instead of
+        re-enumerating every rule body, each round runs only the semi-naive
+        pivot plans against the current delta — sound for the restricted
+        chase because a trigger not seen before must read at least one new
+        fact, previously skipped triggers stay skipped (their heads remain
+        satisfied: facts are never deleted), and previously fired triggers
+        would be skipped again for the same reason.
 
         Negated body atoms are checked per trigger against
         ``negation_reference`` exactly as in :meth:`chase`.  ``state``
@@ -288,45 +267,34 @@ class ChaseEngine:
         count this continuation and whose ``delta_rounds`` reports the
         rounds executed.
         """
-        if not self.restricted:
-            raise ValueError(
-                "incremental continuation requires the restricted chase: the "
-                "oblivious chase fires every trigger exactly once and cannot "
-                "skip the old ones on resumption"
-            )
-        if state is None:
-            state = ChaseState(null_depth={tid: 0 for tid in instance.null_ids()})
-        return self._run(instance, program, delta, negation_reference, state)
+        compiled = [compile_rule(rule) for rule in program.rules]
+        return self._run(instance, compiled, delta, negation_reference, state or ChaseState())
 
-    def _run(self, instance, program, delta, negation_reference, state) -> ChaseResult:
+    def _run(self, instance, compiled, delta, negation_reference, state) -> ChaseResult:
         """The one chase loop: semi-naive rounds until a round adds nothing.
 
-        ``delta=None`` is a cold run (:meth:`chase`): its first round matches
-        every rule's full plan.  Every other round runs the pivot plans
-        against the facts the previous round added.  A round's trigger rows
-        are materialised per rule before any fires (``JoinPlan.rows``, in
-        depth-first order) and nulls are invented in ``sorted_existentials``
-        order, so a run builds its instance atom for atom the same way every
-        time.  Negation stays a per-trigger check, not a batched pre-filter,
-        because ``reference`` may be the working instance itself, which
-        mutates as triggers fire.
+        ``compiled`` holds the rules as
+        :class:`~repro.engine.plan.CompiledRule` objects; the chase extends
+        ``instance`` in place.  ``delta=None`` is a cold run (:meth:`chase`):
+        its first round matches every rule's full plan.  Every other round
+        runs the pivot plans against the facts the previous round added.  A
+        round's trigger rows are materialised per rule before any fires
+        (``JoinPlan.rows``, in depth-first order) and nulls are invented in
+        ``sorted_existentials`` order, so a run builds its instance atom for
+        atom the same way every time.  Negation stays a per-trigger check,
+        not a batched pre-filter, because ``reference`` may be the working
+        instance itself, which mutates as triggers fire.
 
-        The restricted chase skips a trigger whose head is already
-        satisfied; the oblivious chase skips one it has already fired
-        (``binding_key``), which is how a trigger the full plan fired in
-        round one is not fired again when a pivot plan re-finds it.  A
-        trigger that would invent a null deeper than ``max_null_depth`` is
-        skipped and recorded in ``limit_reason``; the chase still runs to
-        its fixpoint.  ``max_steps`` ends the run.
+        A trigger whose head is already satisfied is skipped; that is also
+        how a trigger the full plan fired in round one is not fired again
+        when a pivot plan re-finds it.  A trigger that would invent a null
+        deeper than ``max_null_depth`` is skipped and recorded in
+        ``limit_reason``; the chase still runs to its fixpoint.
+        ``max_steps`` ends the run.  A stop-mode limit is also recorded on
+        ``state`` unless an earlier one is.
         """
         cold = delta is None
         reference = negation_reference if negation_reference is not None else instance
-        compiled = [compile_rule(rule) for rule in program.rules]
-        signatures = (
-            [_rule_signature(crule.rule) for crule in compiled] if self.deterministic_nulls else None
-        )
-        fired: Optional[Set[Tuple[int, Tuple]]] = None if self.restricted else set()
-        max_depth = self.max_null_depth
         null_depth = state.null_depth
         steps = 0
         invented = 0
@@ -341,7 +309,7 @@ class ChaseEngine:
                 round_start = time.perf_counter_ns()
                 steps_before = steps
             new_delta = Instance()
-            for rule_index, crule in enumerate(compiled):
+            for crule in compiled:
                 rule = crule.rule
                 for plan, rows in crule.trigger_row_batches(instance, delta, None):
                     ops = crule.row_ops(plan)
@@ -350,44 +318,19 @@ class ChaseEngine:
                             trigger, reference
                         ):
                             continue
-                        if fired is None:
-                            if self._head_satisfied_row(crule, ops, trigger, instance):
-                                continue
-                        else:
-                            trigger_key = (rule_index, ops.binding_key(trigger))
-                            if trigger_key in fired:
-                                continue
+                        if self._head_satisfied_row(crule, ops, trigger, instance):
+                            continue
                         if steps >= self.max_steps:
                             limit_reason = f"max_steps={self.max_steps} exceeded"
                             break
                         extended = trigger
                         if crule.sorted_existentials:
                             # Only a trigger that invents nulls has a depth.
-                            depth = self._values_depth_ids(trigger, null_depth)
-                            if max_depth is not None and depth + 1 > max_depth:
-                                depth_cut = f"max_null_depth={max_depth} exceeded"
-                                if self.on_limit == "raise":
-                                    raise ChaseNonTermination(depth_cut)
+                            extended = self._invent(crule, ops, trigger, null_depth)
+                            if extended is None:
+                                depth_cut = self._depth_cut()
                                 continue
-                            if signatures is not None:
-                                frontier = TERMS.decode(
-                                    trigger[slot] for _, slot in ops.frontier_slots
-                                )
-                            fresh_ids = []
-                            for existential in crule.sorted_existentials:
-                                if signatures is None:
-                                    fresh = Null.fresh(existential.name.lower())
-                                else:
-                                    fresh = self._fresh_null(
-                                        signatures[rule_index], frontier, existential
-                                    )
-                                nid = TERMS.intern_term(fresh)
-                                fresh_ids.append(nid)
-                                null_depth[nid] = depth + 1
-                            invented += len(fresh_ids)
-                            extended = trigger + tuple(fresh_ids)
-                        if fired is not None:
-                            fired.add(trigger_key)
+                            invented += len(crule.sorted_existentials)
                         steps += 1
                         STATS.triggers_fired += 1
                         for key in ops.head_keys_row(extended):
@@ -421,6 +364,8 @@ class ChaseEngine:
         if limit_reason and self.on_limit == "raise":
             raise ChaseNonTermination(limit_reason)
         limit_reason = limit_reason or depth_cut
+        if state.limit_reason is None:
+            state.limit_reason = limit_reason
         return ChaseResult(
             instance=instance,
             steps=steps,
@@ -431,6 +376,23 @@ class ChaseEngine:
         )
 
     # -- helpers ------------------------------------------------------------------
+
+    def _invent(self, crule, ops, row, null_depth: Dict[int, int]):
+        """``row`` plus the IDs of the nulls its firing invents (depths noted
+        in ``null_depth``), or None past ``max_null_depth`` (raise mode raises)."""
+        depth = self._values_depth_ids(row, null_depth) + 1
+        if self.max_null_depth is not None and depth > self.max_null_depth:
+            if self.on_limit == "raise":
+                raise ChaseNonTermination(self._depth_cut())
+            return None
+        fresh_ids = tuple(TERMS.intern_null(label) for label in null_labels(crule, ops, row))
+        for nid in fresh_ids:
+            null_depth[nid] = depth
+        return row + fresh_ids
+
+    def _depth_cut(self) -> str:
+        """The limit reason a skipped too-deep trigger records."""
+        return f"max_null_depth={self.max_null_depth} exceeded"
 
     @staticmethod
     def _head_satisfied_row(crule, ops, row, instance) -> bool:

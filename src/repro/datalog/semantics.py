@@ -18,6 +18,12 @@ For a query ``Q = (Pi, p)``::
 The associated decision problem Eval asks, given ``D``, ``Q`` and a tuple
 ``t``, whether ``Q(D) != ⊤`` implies ``t in Q(D)``; :func:`eval_decision`
 implements exactly that convention.
+
+:class:`StratifiedSemantics` is the one stratified chase loop, shaped like
+:class:`~repro.datalog.seminaive.SemiNaiveEvaluator`: a per-stratum
+``_fixpoint`` over one live instance and one
+:class:`~repro.datalog.chase.ChaseState` per materialisation, which a
+:class:`~repro.engine.incremental.DeltaSession` also calls.
 """
 
 from __future__ import annotations
@@ -25,12 +31,13 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import ChaseEngine, embeds, violates
+from repro.datalog.chase import ChaseEngine, ChaseState, embeds, violates
 from repro.datalog.database import Instance
 from repro.datalog.program import Program, Query
 from repro.datalog.rules import Constraint
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Constant
+from repro.engine.plan import compile_rule
 
 
 class _Inconsistent:
@@ -64,6 +71,9 @@ class StratifiedSemantics:
         self.chase_engine = chase_engine or ChaseEngine()
         self.stratification = stratify(program.ex())
         self.strata = partition_by_stratum(program.ex(), self.stratification)
+        self.compiled_strata = [
+            [compile_rule(rule) for rule in stratum] for stratum in self.strata
+        ]
 
     def materialise(self, database: Iterable[Atom]) -> SemanticsResult:
         """Compute ``Pi(D)`` (an instance, or ``INCONSISTENT``)."""
@@ -88,25 +98,30 @@ class StratifiedSemantics:
     def _chase_strata(self, database: Iterable[Atom]) -> Instance:
         """``S_l``: the strata chased in order, constraints not yet checked.
 
-        One live :class:`Instance` is threaded through all strata
-        (``reuse_instance=True``): each stratum's chase extends it in place,
-        and the stratum's negation reference is a frozen
-        :meth:`~repro.datalog.database.Instance.snapshot` — per-predicate row
-        counts, not a copy — so the per-stratum re-index the seed performed
-        is gone.
+        One live :class:`Instance` and one :class:`ChaseState` go through all
+        strata, so ``max_null_depth`` counts from ``D``; each stratum's
+        negation reference is a frozen snapshot of the instance.
         """
-        current = Instance(database)
-        for stratum_rules in self.strata:
-            if not stratum_rules:
-                continue
-            reference = current.snapshot()
-            self.chase_engine.chase(
-                current,
-                Program(stratum_rules),
-                negation_reference=reference,
-                reuse_instance=True,
-            )
-        return current
+        instance = Instance(database)
+        state = ChaseState()
+        for number, stratum in enumerate(self.compiled_strata):
+            if stratum:
+                self._fixpoint(number, instance, None, instance.snapshot(), state)
+        return instance
+
+    def _fixpoint(
+        self,
+        stratum: int,
+        instance: Instance,
+        delta: Optional[Instance],
+        negation_reference,
+        state: ChaseState,
+    ) -> int:
+        """One stratum's chase on ``instance``: cold for ``delta=None``, else
+        resumed from ``delta``; returns the resumed rounds (0 when cold)."""
+        return self.chase_engine._run(
+            instance, self.compiled_strata[stratum], delta, negation_reference, state
+        ).delta_rounds
 
     def violated_constraints(self, database: Iterable[Atom]) -> List[Constraint]:
         """The constraints violated by ``database`` under the program (diagnostics)."""

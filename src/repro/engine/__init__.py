@@ -1,6 +1,6 @@
 """The shared join-plan evaluation core.
 
-Both engines in the library — the restricted/oblivious chase
+Both engines in the library — the restricted chase
 (:mod:`repro.datalog.chase`) and the semi-naive Datalog¬s evaluator
 (:mod:`repro.datalog.seminaive`), which the warded materialisation engine
 (:mod:`repro.core.warded_engine`) extends with the trigger abstraction —

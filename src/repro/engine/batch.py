@@ -132,7 +132,7 @@ class _BatchStep:
             # Every row shares one probe key: compute the extensions once and
             # take the cross product.
             exts = self._extensions(
-                rows, index.probe_ids(predicate, self.const_pairs, cap)
+                rows, index.probe_ids(predicate, self.const_pairs, cap, rows)
             )
             STATS.batch_probe_groups += 1
             if exts:
@@ -150,7 +150,7 @@ class _BatchStep:
                 exts = cache_get(key)
                 if exts is None:
                     pairs = const_pairs + ((position, key),)
-                    exts = self._extensions(rows, probe_ids(predicate, pairs, cap))
+                    exts = self._extensions(rows, probe_ids(predicate, pairs, cap, rows))
                     cache[key] = exts
                 if exts:
                     if len(exts) == 1:
@@ -166,7 +166,7 @@ class _BatchStep:
                         (position, value)
                         for (position, _), value in zip(slot_probes, key)
                     )
-                    exts = self._extensions(rows, probe_ids(predicate, pairs, cap))
+                    exts = self._extensions(rows, probe_ids(predicate, pairs, cap, rows))
                     cache[key] = exts
                 if exts:
                     if len(exts) == 1:

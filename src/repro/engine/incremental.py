@@ -10,8 +10,7 @@ delta discipline *across* runs:
 * A :class:`DeltaSession` materialises an initial database once (the cold
   fixpoint the engines already compute), then accepts batches of new EDB
   facts via :meth:`DeltaSession.push`.  Each push appends the batch to the
-  live :class:`~repro.datalog.database.Instance` (the in-place machinery
-  behind ``ChaseEngine.chase(..., reuse_instance=True)``) and resumes
+  live :class:`~repro.datalog.database.Instance` and resumes
   evaluation **from the delta only**: the precompiled semi-naive pivot plans
   of :class:`~repro.engine.plan.CompiledRule` enumerate exactly the matches
   that read at least one new fact, so unchanged derivations are never
@@ -26,10 +25,16 @@ delta discipline *across* runs:
   facts are dropped, the kept lower prefix plus the accumulated EDB is
   reloaded, and the strata are evaluated cold, exactly as
   :class:`~repro.datalog.semantics.StratifiedSemantics` would.
-* **Null stability.**  For programs with existential rules the session runs
-  the restricted chase with *content-addressed* null labels
-  (``ChaseEngine(deterministic_nulls=True)``): an invented null is named by
-  a digest of (rule, frontier binding, existential variable), so a stratum
+* **One evaluator, one per-stratum fixpoint.**  The session builds a
+  :class:`~repro.datalog.seminaive.SemiNaiveEvaluator` or, for programs
+  with existential rules (or when a chase engine is passed), a
+  :class:`~repro.datalog.semantics.StratifiedSemantics`, and runs that
+  evaluator's ``_fixpoint`` for cold strata and continuations alike.  A
+  chase session threads one :class:`~repro.datalog.chase.ChaseState` through
+  every call, so null depths and the first resource limit span strata and
+  pushes exactly as in one cold materialisation.
+* **Null stability.**  The chase names an invented null by a digest of
+  (rule, frontier binding, existential variable), so a stratum
   re-run re-derives byte-identical facts for every unchanged derivation and
   a continuation invents the same nulls a cold run over the grown database
   invents for the same triggers.  The differential suite in
@@ -88,19 +93,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.atoms import Atom, unify_with_fact
-from repro.datalog.chase import ChaseEngine, ChaseState, _rule_signature, embeds, violates
+from repro.datalog.chase import ChaseEngine, ChaseState, embeds, null_labels, violates
 from repro.datalog.database import Instance
 from repro.datalog.program import Program
-from repro.datalog.semantics import INCONSISTENT, SemanticsResult, ground_answers
+from repro.datalog.semantics import (
+    INCONSISTENT,
+    SemanticsResult,
+    StratifiedSemantics,
+    ground_answers,
+)
 from repro.datalog.seminaive import SemiNaiveEvaluator
-from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Term
 from repro.engine import index as engine_index
 from repro.engine.interning import TERMS
-from repro.engine.plan import compile_body, compile_rule
+from repro.engine.plan import compile_body
 from repro.engine.stats import STATS
 from repro.obs.trace import TRACER
 
@@ -179,10 +189,11 @@ class DeltaSession:
     parsed with :func:`~repro.datalog.parser.parse_program`); facts may be
     :class:`~repro.datalog.atoms.Atom` objects, RDF
     :class:`~repro.rdf.graph.Triple` objects, or plain ``(s, p, o)`` string
-    triples.  The evaluator is the restricted chase when the program has
-    existentials or a ``chase_engine`` is passed (which may supply resource
-    bounds; it must be a *restricted* chase), and semi-naive evaluation of
-    Datalog¬s otherwise.  Step budgets apply per push (each batch gets a fresh
+    triples.  The evaluator is the chase
+    (:class:`~repro.datalog.semantics.StratifiedSemantics`) when the program
+    has existentials or a ``chase_engine`` is passed (which may supply
+    resource bounds), and semi-naive evaluation of Datalog¬s otherwise.
+    Step budgets apply per push (each batch gets a fresh
     ``max_steps`` allowance — a long-lived stream is never starved by its
     own history), while ``ChaseState.steps`` reports the lifetime total.
 
@@ -203,30 +214,20 @@ class DeltaSession:
 
             program = parse_program(program)
         self.program: Program = program
-        self._uses_chase = program.has_existentials or chase_engine is not None
-        if self._uses_chase:
-            self.chase_engine = chase_engine or ChaseEngine(deterministic_nulls=True)
-            if not self.chase_engine.restricted:
-                raise ValueError(
-                    "DeltaSession requires the restricted chase (the oblivious "
-                    "chase cannot skip already-fired triggers on resumption)"
-                )
-            self._evaluator = None
-            self.stratification = stratify(program.ex())
-            self.strata = partition_by_stratum(program.ex(), self.stratification)
-            self.compiled_strata = [
-                [compile_rule(rule) for rule in stratum] for stratum in self.strata
-            ]
-            self._chase_state = ChaseState()
+        #: Null depths, step total and first limit of every chase call.
+        self._chase_state = ChaseState()
+        if program.has_existentials or chase_engine is not None:
+            self._evaluator = StratifiedSemantics(program, chase_engine)
+            self.chase_engine: Optional[ChaseEngine] = self._evaluator.chase_engine
+            self._fixpoint = partial(self._evaluator._fixpoint, state=self._chase_state)
         else:
-            self.chase_engine = None
             self._evaluator = SemiNaiveEvaluator(program)
-            self.stratification = self._evaluator.stratification
-            self.strata = self._evaluator.strata
-            self.compiled_strata = self._evaluator.compiled_strata
-            self._chase_state = None
+            self.chase_engine = None
+            self._fixpoint = self._evaluator._fixpoint
+        self.stratification = self._evaluator.stratification
+        self.strata = self._evaluator.strata
+        self.compiled_strata = self._evaluator.compiled_strata
         self.n_strata = len(self.strata)
-        self._stratum_programs = [Program(rules) for rules in self.strata]
         #: Negated predicates per stratum — the stratum-re-run trigger.
         self._neg_preds: List[Set[str]] = [
             {atom.predicate for rule in stratum for atom in rule.body_negative}
@@ -268,11 +269,18 @@ class DeltaSession:
         self._constraint_cache: List[Optional[bool]] = [None] * len(
             self._constraint_preds
         )
-        #: False once a stop-mode chase engine hit a resource limit: the
-        #: materialisation is an under-approximation from then on.
-        self.completed = True
-        self.limit_reason: Optional[str] = None
         self._materialise_from(0)
+
+    @property
+    def completed(self) -> bool:
+        """False once a stop-mode chase engine hit a resource limit: the
+        materialisation is an under-approximation from then on."""
+        return self._chase_state.limit_reason is None
+
+    @property
+    def limit_reason(self) -> Optional[str]:
+        """The first resource limit this session's chase hit, or None."""
+        return self._chase_state.limit_reason
 
     # -- streaming API -------------------------------------------------------
 
@@ -367,20 +375,12 @@ class DeltaSession:
         same answer for less than per-fact restoration would cost.
         The result is exactly the stratified semantics of the
         surviving EDB — the same parity contract as :meth:`push`, pinned by
-        ``tests/test_engine_retract_parity.py``.
-
-        Chase sessions must run with content-addressed nulls (the session
-        default): over-deletion reconstructs invented-null labels from
-        (rule, frontier) digests, which counter-named nulls cannot provide.
+        ``tests/test_engine_retract_parity.py``.  For chase sessions,
+        over-deletion reconstructs invented-null labels from their
+        content-addressed (rule, frontier) digests.
         """
         if self._closed:
             raise RuntimeError("DeltaSession is closed")
-        if self._uses_chase and not self.chase_engine.deterministic_nulls:
-            raise ValueError(
-                "retract() on a chase session requires deterministic nulls: "
-                "over-deletion reconstructs invented-null labels from their "
-                "content-addressed digests"
-            )
         batch = [self._as_fact(value) for value in facts]
         retract_start = time.perf_counter_ns() if TRACER.enabled else 0
         removed_edb = 0
@@ -432,10 +432,8 @@ class DeltaSession:
                 discard(fact)
             STATS.retractions += len(marked)
         # Phase 3: restore survivors, strata ascending.
-        rounds = 0
         with TRACER.span("retract.rederive", strata=max(0, stop - affected)):
-            for stratum in range(affected, stop):
-                rounds += self._rederive_stratum(stratum, marked)
+            rounds = self._rederive(affected, stop, marked)
         # Phase 4: strata whose negation references shrank re-run cold.
         if rebuild_from is not None:
             self._rebuild(rebuild_from)
@@ -559,41 +557,12 @@ class DeltaSession:
     def _materialise_from(self, first: int) -> None:
         """Evaluate strata ``first..top`` cold on the current instance."""
         for stratum in range(first, self.n_strata):
-            if not self.compiled_strata[stratum]:
-                continue
-            reference = self.instance.snapshot()
-            if self._uses_chase:
-                result = self.chase_engine.chase(
-                    self.instance,
-                    self._stratum_programs[stratum],
-                    negation_reference=reference,
-                    reuse_instance=True,
-                    state=self._chase_state,
-                )
-                self._note_chase_outcome(result)
-            else:
-                self._evaluator._fixpoint(stratum, self.instance, None, reference)
+            if self.compiled_strata[stratum]:
+                self._fixpoint(stratum, self.instance, None, self.instance.snapshot())
 
     def _continue_stratum(self, stratum: int, delta: Instance, reference) -> int:
         """Resume one stratum's fixpoint from ``delta``; returns round count."""
-        if self._uses_chase:
-            result = self.chase_engine.resume(
-                self.instance,
-                self._stratum_programs[stratum],
-                delta,
-                reference,
-                state=self._chase_state,
-            )
-            self._note_chase_outcome(result)
-            return result.delta_rounds
-        return self._evaluator._fixpoint(stratum, self.instance, delta, reference)
-
-    def _note_chase_outcome(self, result) -> None:
-        """Record a stop-mode resource truncation (raise mode raised already)."""
-        if not result.completed:
-            self.completed = False
-            if self.limit_reason is None:
-                self.limit_reason = result.limit_reason
+        return self._fixpoint(stratum, self.instance, delta, reference)
 
     def _changed_closure(self, predicates: Iterable[str]) -> Set[str]:
         """The static upward closure of ``predicates`` in the dependency graph.
@@ -634,8 +603,8 @@ class DeltaSession:
         their original insertion order — ordinals of surviving facts are
         stable relative to each other) plus the accumulated EDB facts of the
         re-run strata, then the strata are materialised exactly as an
-        initial run would.  With deterministic nulls the unchanged
-        derivations of the re-run strata come back byte-identical.
+        initial run would.  Content-addressed nulls bring the unchanged
+        derivations of the re-run strata back byte-identical.
         """
         with TRACER.span("delta.rebuild", first=first):
             stratum_of = self.stratification
@@ -660,7 +629,13 @@ class DeltaSession:
             self._materialise_from(first)
 
     def _window_delta(self, mark: int, mark_limits: Dict[str, int]) -> Instance:
-        """The facts appended since ordinal ``mark``, as a delta instance.
+        """The facts appended since ordinal ``mark``, as a delta instance."""
+        delta = Instance()
+        delta.load_keys(self._window_keys(mark, mark_limits))
+        return delta
+
+    def _window_keys(self, mark: int, mark_limits: Dict[str, int]) -> Iterable[Tuple[int, ...]]:
+        """The keys of the facts appended since ordinal ``mark``, in order.
 
         ``mark_limits`` holds the per-predicate row counts captured at
         ``mark``, so the window is collected from the index's row suffixes in
@@ -670,18 +645,17 @@ class DeltaSession:
         their gid lane yields a contiguous, ascending ordinal range — the
         delta replays the appends in the order a cold run makes them.
         """
-        delta = Instance()
-        if self.instance._counter > mark:
-            fresh: List[Tuple[int, Tuple[int, ...]]] = []
-            for predicate, cols in self.instance._index.cols.items():
-                pid = TERMS.intern_constant(predicate)
-                for row_id in range(mark_limits.get(predicate, 0), len(cols)):
-                    ids = cols.row(row_id)
-                    if ids is not None:
-                        fresh.append((cols.gids[row_id], (pid, *ids)))
-            fresh.sort()
-            delta.load_keys(key for _, key in fresh)
-        return delta
+        if self.instance._counter <= mark:
+            return ()
+        appended: List[Tuple[int, Tuple[int, ...]]] = []
+        for predicate, cols in self.instance._index.cols.items():
+            pid = TERMS.intern_constant(predicate)
+            for row_id in range(mark_limits.get(predicate, 0), len(cols)):
+                ids = cols.row(row_id)
+                if ids is not None:
+                    appended.append((cols.gids[row_id], (pid, *ids)))
+        appended.sort()
+        return (key for _, key in appended)
 
     # -- retraction internals (DRed) -----------------------------------------
 
@@ -693,7 +667,7 @@ class DeltaSession:
         strata ``>= affected`` and rebuild them cold from the surviving EDB.
 
         :meth:`_rebuild` already owns the machinery (fresh instance,
-        constraint-cache reset, deterministic nulls), and cold
+        constraint-cache reset, content-addressed nulls), and cold
         evaluation of the surviving EDB *is* the parity oracle — the rebuilt
         instance is byte-identical to what per-fact restoration would have
         produced, minus the 2×-or-worse cost of restoring each survivor
@@ -813,16 +787,39 @@ class DeltaSession:
         """
         if not crule.sorted_existentials:
             return row
-        signature = _rule_signature(crule.rule)
-        frontier = TERMS.decode(row[slot] for _, slot in ops.frontier_slots)
         fresh_ids = []
-        for existential in crule.sorted_existentials:
-            null = self.chase_engine._fresh_null(signature, frontier, existential)
-            tid = TERMS.find_null(null.label)
+        for label in null_labels(crule, ops, row):
+            tid = TERMS.find_null(label)
             if tid is None:
                 return None
             fresh_ids.append(tid)
         return row + tuple(fresh_ids)
+
+    def _rederive(self, first: int, stop: int, marked: Dict[Atom, None]) -> int:
+        """Phase 3 for strata ``first..stop-1``; returns the round count.
+
+        The chase's witness repair (:meth:`_refire_chase_triggers`) can add
+        facts that are not restorations — a trigger whose head only a deleted
+        witness satisfied fires under its own null labels — so no marked
+        fact stands for their consequences: each higher stratum continues
+        from these ``fresh`` facts after its own restorations.
+        """
+        rounds = 0
+        fresh = Instance()
+        for stratum in range(first, stop):
+            mark = self.instance._counter
+            mark_limits = self.instance._index.row_limits()
+            rounds += self._rederive_stratum(stratum, marked)
+            if len(fresh) and self.compiled_strata[stratum]:
+                reference = self.instance.snapshot()
+                rounds += self._continue_stratum(stratum, fresh, reference)
+            if self.chase_engine is not None:
+                fresh.load_keys(
+                    key
+                    for key in self._window_keys(mark, mark_limits)
+                    if TERMS.decode_atom(key) not in marked
+                )
+        return rounds
 
     def _rederive_stratum(self, stratum: int, marked: Dict[Atom, None]) -> int:
         """Phase 3 for one stratum: reinsert surviving EDB, goal-directedly
@@ -890,7 +887,7 @@ class DeltaSession:
                         v: t for v, t in binding.items() if v in frontier_set
                     }
                     plan = compile_body(crule.rule.body_positive, initial)
-                    if self._uses_chase:
+                    if self.chase_engine is not None:
                         self._refire_chase_triggers(crule, plan, initial, reference)
                     elif self._restore_seminaive(crule, plan, initial, reference):
                         break
@@ -917,24 +914,21 @@ class DeltaSession:
         whose head is no longer satisfied (restricted-chase repair)."""
         ops = crule.row_ops(plan)
         negated = crule.rule.body_negative
-        null_depth = self._chase_state.null_depth
-        signature = _rule_signature(crule.rule)
+        state = self._chase_state
         for row in plan.lazy_rows(self.instance, initial):
             if negated and ops.negation_blocked_row(row, reference):
                 continue
             if ChaseEngine._head_satisfied_row(crule, ops, row, self.instance):
                 continue
             if crule.sorted_existentials:
-                frontier = TERMS.decode(row[slot] for _, slot in ops.frontier_slots)
-                depth = ChaseEngine._values_depth_ids(row, null_depth)
-                fresh_ids = []
-                for existential in crule.sorted_existentials:
-                    fresh = self.chase_engine._fresh_null(signature, frontier, existential)
-                    nid = TERMS.intern_term(fresh)
-                    null_depth[nid] = depth + 1
-                    fresh_ids.append(nid)
-                STATS.nulls_invented += len(fresh_ids)
-                row += tuple(fresh_ids)
+                extended = self.chase_engine._invent(crule, ops, row, state.null_depth)
+                if extended is None:
+                    # Too deep: a cold chase skips this trigger too.
+                    if state.limit_reason is None:
+                        state.limit_reason = self.chase_engine._depth_cut()
+                    continue
+                STATS.nulls_invented += len(crule.sorted_existentials)
+                row = extended
             STATS.triggers_fired += 1
             for key in ops.head_keys_row(row):
                 self.instance.add_key(key)
@@ -950,7 +944,7 @@ class DeltaSession:
         themselves are retired logically here and reclaimed physically at
         the next term-table epoch (:meth:`TermTable.begin_epoch`).
         """
-        if not self._uses_chase:
+        if self.chase_engine is None:
             return 0
         null_depth = self._chase_state.null_depth
         candidates = {
@@ -1047,10 +1041,7 @@ def cold_equivalent(
 
         program = parse_program(program)
     if program.has_existentials or chase_engine is not None:
-        from repro.datalog.semantics import StratifiedSemantics
-
-        chase = chase_engine or ChaseEngine(deterministic_nulls=True)
-        return StratifiedSemantics(program, chase).materialise(database)
+        return StratifiedSemantics(program, chase_engine).materialise(database)
     evaluator = SemiNaiveEvaluator(program)
     instance = evaluator.evaluate(database)
     if violates(program.constraints, instance):

@@ -270,6 +270,7 @@ class PredicateIndex:
         predicate: str,
         pairs: Sequence[Tuple[int, int]],
         cap: int,
+        cols: ColumnBuffer,
     ) -> Sequence[int]:
         """Row ids (< ``cap``, ascending) whose ID row equals every
         ``(position, tid)`` pair — the bulk probe of the column-at-a-time
@@ -285,6 +286,12 @@ class PredicateIndex:
         of the ``cap`` prefix.  Ids of tombstoned or wrong-arity rows may be
         included; callers skip them exactly as the row-at-a-time executor
         does.
+
+        ``cols`` is the buffer the caller captured with ``cap``.  A read
+        overlapping a retraction must reach its stale check, so the anchor is
+        walked by iterator (a concurrent ``del bucket[i]`` cannot push it out
+        of range) and rows are verified on ``cols``, not on a buffer a
+        compaction swapped in since.
         """
         if not pairs:
             return range(cap)
@@ -303,18 +310,17 @@ class PredicateIndex:
                 return ()
             buckets.append((len(bucket), bucket, position, value))
         buckets.sort(key=lambda item: item[0])
-        smallest = buckets[0][1]
-        end = bisect_left(smallest, cap)
+        anchor_length, anchor = buckets[0][:2]
         rest = buckets[1:]
         out: List[int] = []
-        if end * len(rest) <= sum(item[0] for item in rest):
+        if anchor_length * len(rest) <= sum(item[0] for item in rest):
             # Short anchor: verifying the remaining positions on the flat
             # columns is cheaper than hashing the other postings lists.
-            cols = self.cols[predicate]
             arities = cols.arities
             buffers = cols.buffers
-            for k in range(end):
-                row_id = smallest[k]
+            for row_id in anchor:
+                if row_id >= cap:
+                    break
                 row_arity = arities[row_id]
                 if row_arity < 0:
                     continue
@@ -325,8 +331,9 @@ class PredicateIndex:
                     out.append(row_id)
         else:
             others = [set(item[1]) for item in rest]
-            for k in range(end):
-                row_id = smallest[k]
+            for row_id in anchor:
+                if row_id >= cap:
+                    break
                 for other in others:
                     if row_id not in other:
                         break
@@ -357,7 +364,7 @@ class PredicateIndex:
         cap = len(cols) if row_limits is None else min(len(cols), row_limits.get(predicate, 0))
         if cap <= 0:
             return iter(())
-        return self._iterate_ids(cols, self.probe_ids(predicate, pairs, cap), cap, arity)
+        return self._iterate_ids(cols, self.probe_ids(predicate, pairs, cap, cols), cap, arity)
 
     @staticmethod
     def _iterate_ids(

@@ -664,8 +664,8 @@ class RowOps:
     Matches reach the engines as slot-ID tuples (:meth:`JoinPlan.rows`); this
     object is the precompiled bridge from those rows to everything an engine
     does with a match — building encoded head-fact keys, body instantiations
-    (provenance), frontier and full binding keys, and negation membership
-    probes — without ever materialising a substitution dict (or, on the
+    (provenance), frontier bindings, and negation membership probes —
+    without ever materialising a substitution dict (or, on the
     firing fast path, an Atom).  Existential head variables map to
     *extended* slot ids ``n_slots + j`` (``j`` over the rule's sorted
     existentials): engines append the invented nulls' IDs to the row and
@@ -678,7 +678,6 @@ class RowOps:
         "head_templates",
         "body_templates",
         "frontier_slots",
-        "binding_order",
         "neg_templates",
     )
 
@@ -711,12 +710,6 @@ class RowOps:
         self.frontier_slots = tuple(
             (variable, slot_of[variable]) for variable in crule.sorted_frontier
         )
-        # All (variable, slot) pairs ordered by variable name — the chase's
-        # canonical trigger-identity key, equal in content to sorting the
-        # substitution dict's items.
-        self.binding_order = tuple(
-            sorted(slot_of.items(), key=lambda item: item[0].name)
-        )
         self.neg_templates = crule._negation_slots(plan)[1]
 
     def head_keys_row(self, extended_row) -> List[Tuple[int, ...]]:
@@ -741,10 +734,6 @@ class RowOps:
             )
             for _, pid, template in self.body_templates
         )
-
-    def binding_key(self, row) -> Tuple:
-        """The name-sorted (variable, value-ID) tuple identifying this trigger."""
-        return tuple((variable, row[slot]) for variable, slot in self.binding_order)
 
     def negation_blocked_row(self, row, reference) -> bool:
         """Unmemoised per-row negation check (for mutable references)."""

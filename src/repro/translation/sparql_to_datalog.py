@@ -86,6 +86,11 @@ class _NodeTranslation:
     variables: FrozenSet[Variable]
     domains: Set[Domain] = field(default_factory=set)
 
+    def sorted_domains(self) -> List[Domain]:
+        """The domains by sorted variable names: set order follows the
+        variables' per-process hashes, and the rule order must not."""
+        return sorted(self.domains, key=lambda domain: sorted(v.name for v in domain))
+
     def predicate(self, domain: Domain) -> str:
         ordered = "_".join(v.name for v in sorted(domain)) or "empty"
         return f"query_{self.identifier}_{ordered}"
@@ -234,8 +239,8 @@ class SPARQLToDatalogTranslator:
         left = self._translate_node(pattern.left)
         right = self._translate_node(pattern.right)
         node = self._new_node(left.variables | right.variables)
-        for left_domain in left.domains:
-            for right_domain in right.domains:
+        for left_domain in left.sorted_domains():
+            for right_domain in right.sorted_domains():
                 joined = frozenset(left_domain | right_domain)
                 node.domains.add(joined)
                 body = (
@@ -253,7 +258,7 @@ class SPARQLToDatalogTranslator:
         right = self._translate_node(pattern.right)
         node = self._new_node(left.variables | right.variables)
         for child in (left, right):
-            for domain in child.domains:
+            for domain in child.sorted_domains():
                 node.domains.add(domain)
                 body = (Atom(child.predicate(domain), tuple(sorted(domain))),)
                 head = Atom(node.predicate(domain), tuple(sorted(domain)))
@@ -268,8 +273,8 @@ class SPARQLToDatalogTranslator:
         node = self._new_node(left.variables | right.variables)
 
         # Join part (as in AND).
-        for left_domain in left.domains:
-            for right_domain in right.domains:
+        for left_domain in left.sorted_domains():
+            for right_domain in right.sorted_domains():
                 joined = frozenset(left_domain | right_domain)
                 node.domains.add(joined)
                 body = (
@@ -280,12 +285,12 @@ class SPARQLToDatalogTranslator:
                 self._rules.append(Rule(body, (head,)))
 
         # Difference part: left mappings compatible with no right mapping.
-        for left_domain in left.domains:
+        for left_domain in left.sorted_domains():
             node.domains.add(left_domain)
             compatible_predicate = f"compatible_{node.identifier}_" + (
                 "_".join(v.name for v in sorted(left_domain)) or "empty"
             )
-            for right_domain in right.domains:
+            for right_domain in right.sorted_domains():
                 body = (
                     Atom(left.predicate(left_domain), tuple(sorted(left_domain))),
                     Atom(right.predicate(right_domain), tuple(sorted(right_domain))),
@@ -303,7 +308,7 @@ class SPARQLToDatalogTranslator:
     def _translate_filter(self, pattern: Filter) -> _NodeTranslation:
         child = self._translate_node(pattern.pattern)
         node = self._new_node(child.variables)
-        for domain in child.domains:
+        for domain in child.sorted_domains():
             disjuncts = _condition_to_dnf(pattern.condition, domain)
             for positive_literals, negative_literals in disjuncts:
                 node.domains.add(domain)
@@ -326,7 +331,7 @@ class SPARQLToDatalogTranslator:
     def _translate_select(self, pattern: Select) -> _NodeTranslation:
         child = self._translate_node(pattern.pattern)
         node = self._new_node(pattern.projection)
-        for domain in child.domains:
+        for domain in child.sorted_domains():
             projected = frozenset(domain & pattern.projection)
             node.domains.add(projected)
             body = (Atom(child.predicate(domain), tuple(sorted(domain))),)
@@ -342,7 +347,7 @@ class SPARQLToDatalogTranslator:
         answer_predicate: str,
         answer_variables: Tuple[Variable, ...],
     ) -> None:
-        for domain in root.domains:
+        for domain in root.sorted_domains():
             body = (Atom(root.predicate(domain), tuple(sorted(domain))),)
             head_terms: List[Term] = [
                 variable if variable in domain else STAR for variable in answer_variables

@@ -70,17 +70,6 @@ class TestChaseExistential:
         # alice already has a parent, so no null should be invented for her
         assert result.invented_nulls == 0
 
-    def test_oblivious_chase_fires_every_trigger_once(self):
-        program = parse_program("person(?X) -> exists ?Y . parent(?X, ?Y).")
-        restricted = ChaseEngine(restricted=True).chase(
-            db("person(alice)", "parent(alice, bob)"), program
-        )
-        oblivious = ChaseEngine(restricted=False).chase(
-            db("person(alice)", "parent(alice, bob)"), program
-        )
-        assert restricted.invented_nulls == 0
-        assert oblivious.invented_nulls == 1
-
     def test_shared_nulls_across_head_atoms(self):
         program = parse_program(
             "coauthor(?X, ?Y) -> exists ?Z . author_of(?X, ?Z), author_of(?Y, ?Z)."

@@ -373,23 +373,6 @@ class TestEngineLevelFuzz:
         )
         assert outcome["row"] == outcome["batch"]
 
-    def test_oblivious_chase_atom_for_atom(self):
-        program = parse_program(
-            """
-            e(?X, ?Y) -> exists ?Z . e(?Y, ?Z).
-            e(?X, ?Y) -> r(?X, ?Y).
-            """
-        )
-        database = [Atom("e", (Constant("a"), Constant("b")))]
-        outcome = run_both_modes(
-            lambda: list(
-                ChaseEngine(restricted=False, max_null_depth=2, on_limit="stop")
-                .chase(database, program)
-                .instance
-            )
-        )
-        assert outcome["row"] == outcome["batch"]
-
     def test_chase_negation_parity_against_reference_instance(self):
         program = parse_program("p(?X), not q(?X) -> r(?X).")
         database = [Atom("p", (Constant("a"),)), Atom("p", (Constant("b"),))]

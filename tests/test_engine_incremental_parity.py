@@ -14,7 +14,7 @@ strength each fragment supports:
   delta, strata whose negation references grew are re-run (facts must be
   *withdrawn* when new EDB kills their support).
 * **Existential programs** (restricted chase path): with the session's
-  content-addressed deterministic nulls, runs that fire the same triggers
+  content-addressed nulls, runs that fire the same triggers
   agree byte-identically, null labels included; where the restricted chase
   is genuinely order-dependent (a cold run satisfies a head early and skips
   the trigger the incremental run already fired), both results are universal
@@ -275,7 +275,7 @@ class TestChaseParity:
         session.close()
 
     def test_step_budget_is_per_push_and_totals_accumulate(self):
-        engine = ChaseEngine(max_steps=4, on_limit="stop", deterministic_nulls=True)
+        engine = ChaseEngine(max_steps=4, on_limit="stop")
         session = DeltaSession(
             ANCESTOR_CHASE_PROGRAM, [person("p0")], chase_engine=engine
         )
@@ -298,19 +298,86 @@ class TestChaseParity:
         assert session._chase_state.steps > after_capped
         session.close()
 
-    def test_oblivious_chase_is_refused(self):
-        with pytest.raises(ValueError, match="restricted"):
-            DeltaSession(
-                ANCESTOR_CHASE_PROGRAM,
-                [person("p0")],
-                chase_engine=ChaseEngine(restricted=False),
-            )
+    def test_null_depth_counts_from_the_database_across_strata(self):
+        # The second stratum's trigger reads a depth-1 null, so its null
+        # would have depth 2: every evaluation must skip it, not only the
+        # session (a fresh depth map per stratum used to let it through).
+        program = """
+            p(?X) -> exists ?Y . r(?X, ?Y).
+            r(?X, ?Y), not q(?X) -> exists ?Z . s(?Y, ?Z).
+        """
+        database = [Atom("p", (Constant("a"),))]
+        engine = ChaseEngine(max_null_depth=1, on_limit="stop")
+        semantics = StratifiedSemantics(parse_program(program), engine)
+        materialised = semantics.materialise(database)
+        session = DeltaSession(program, database, chase_engine=engine)
+        cold = cold_equivalent(session)
+        assert (
+            materialised.sorted_atoms()
+            == session.instance.sorted_atoms()
+            == cold.sorted_atoms()
+        )
+        assert not session.facts("s")
+        assert session.limit_reason == "max_null_depth=1 exceeded"
+        session.close()
+
+    def test_bounded_session_retracts_and_matches_cold_after_every_step(self):
+        # Two strata with existentials under a depth bound.  Retracting
+        # parent(a, b) deletes the witness that satisfied person(a)'s
+        # trigger, so DRed's repair invents a new null for it, whose
+        # consequences in the upper stratum must appear as well.
+        program = """
+            person(?X) -> exists ?Y . parent(?X, ?Y).
+            parent(?X, ?Y) -> exists ?Z . parent(?Y, ?Z).
+            parent(?X, ?Y), not person(?Y) -> exists ?W . tag(?Y, ?W).
+        """
+
+        def parent(a, b):
+            return Atom("parent", (Constant(a), Constant(b)))
+
+        session = DeltaSession(
+            program,
+            [person("a"), parent("a", "b")],
+            chase_engine=ChaseEngine(max_null_depth=2, on_limit="stop"),
+        )
+        steps = [
+            ("push", [person("c")]),
+            ("retract", [parent("a", "b")]),
+            ("push", [parent("e", "f")]),
+            ("retract", [person("c")]),
+        ]
+        assert session.instance.sorted_atoms() == cold_equivalent(session).sorted_atoms()
+        for operation, facts in steps:
+            result = getattr(session, operation)(facts)
+            assert not result.completed and "max_null_depth" in result.limit_reason
+            cold = cold_equivalent(session)
+            assert session.instance.sorted_atoms() == cold.sorted_atoms(), operation
+        session.close()
+
+    def test_retract_repair_respects_the_depth_bound(self):
+        # After a(k, c) goes, the only trigger left for b(k, _) reads the
+        # depth-1 null of a(k, w): its null would have depth 2, so the repair
+        # must skip it, as a cold chase of the surviving EDB does.
+        program = """
+            s(?X) -> exists ?W . t(?X, ?W).
+            t(?X, ?W) -> a(?X, ?W).
+            a(?X, ?Y) -> exists ?Z . b(?X, ?Z).
+        """
+        a_kc = Atom("a", (Constant("k"), Constant("c")))
+        session = DeltaSession(
+            program,
+            [a_kc, Atom("s", (Constant("k"),))],
+            chase_engine=ChaseEngine(max_null_depth=1, on_limit="stop"),
+        )
+        assert len(session.facts("b")) == 1
+        session.retract([a_kc])
+        assert not session.facts("b")
+        assert session.instance.sorted_atoms() == cold_equivalent(session).sorted_atoms()
+        session.close()
 
     def test_delta_session_factory_on_stratified_semantics(self):
         program = parse_program(ANCESTOR_CHASE_PROGRAM)
-        semantics = StratifiedSemantics(
-            program, ChaseEngine(deterministic_nulls=True)
-        )
+        semantics = StratifiedSemantics(program, ChaseEngine())
         session = semantics.delta_session([person("p0")])
         session.push([person("p1")])
         cold = semantics.materialise([person("p0"), person("p1")])

@@ -1,5 +1,9 @@
 """Tests for the OWL 2 QL core entailment regimes (Sections 5.2-5.3)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.datalog.semantics import INCONSISTENT
@@ -133,3 +137,43 @@ class TestAgainstOracle:
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError):
             translate_under_entailment(parse_sparql("SELECT ?X WHERE { ?X p ?Y }"), "bogus")
+
+
+#: The ``lubm-mix6`` queries of the layer ledger (``ledger/inputs.py``).
+LUBM_MIX6_QUERIES = (
+    "SELECT ?X WHERE { ?X rdf:type Person }",
+    "SELECT ?X WHERE { ?X rdf:type Professor }",
+    "SELECT ?X ?Y WHERE { ?X rdf:type Student . ?X takesCourse ?Y }",
+    "SELECT ?X WHERE { ?X worksFor _:B }",
+    "SELECT ?X ?Z WHERE { { ?X rdf:type GraduateStudent } OPTIONAL { ?X advisor ?Z } }",
+    "SELECT ?X WHERE { { ?X rdf:type Lecturer } UNION { ?X headOf ?D } }",
+)
+
+
+def test_translated_rule_order_is_the_same_in_every_process():
+    # Variables hash by their class object, whose hash varies per process,
+    # so a translation that walked a set of variable sets emitted its rules
+    # in a different order from run to run.
+    script = (
+        "import sys\n"
+        "from repro.sparql.parser import parse_sparql\n"
+        "from repro.translation.entailment_regime import translate_under_entailment\n"
+        "for query in sys.argv[1:]:\n"
+        "    program = translate_under_entailment(parse_sparql(query)).program\n"
+        "    print(' | '.join(map(str, program.rules)))\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    outputs = set()
+    for hash_seed in range(6):
+        env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=str(hash_seed))
+        result = subprocess.run(
+            [sys.executable, "-c", script, *LUBM_MIX6_QUERIES],
+            capture_output=True,
+            text=True,
+            env=env,
+            cwd=root,
+            timeout=240,
+        )
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1
