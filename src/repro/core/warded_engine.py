@@ -21,7 +21,11 @@ abstracted trigger replaces every null of the frontier binding by its type.
 It is literally the semi-naive evaluator
 (:class:`~repro.datalog.seminaive.SemiNaiveEvaluator`: the same stratum loop,
 fixpoint and ``seminaive.*`` trace events) with one thing added — the
-firing function that keys existential triggers on their abstraction.
+firing function that keys existential triggers on their abstraction.  Its
+nulls are named the way the chase names them
+(:func:`~repro.datalog.chase.null_labels`: a digest of rule, existential
+and frontier binding), so a trigger that fires under both policies invents
+the same null in both routes, and a re-run interns no new term.
 For a fixed program the number of types is polynomial in the active domain of
 the database, so the materialisation (and therefore the extracted ground
 semantics ``Pi(D)↓``) is computed in polynomial time — matching Theorem 6.7.
@@ -45,7 +49,7 @@ from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.analysis.guards import classify_program
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import violates
+from repro.datalog.chase import null_labels, violates
 from repro.datalog.database import Instance
 from repro.datalog.program import Program, Query
 from repro.datalog.rules import Rule
@@ -114,7 +118,7 @@ class WardedEngine(SemiNaiveEvaluator):
             {} if with_provenance else None
         )
         null_types: Dict[Null, Tuple] = {}
-        self._run_strata(instance, lambda: self._firing(provenance, null_types))
+        self._run_strata(instance, (provenance, null_types))
         return WardedResult(
             instance=instance,
             provenance=provenance if provenance is not None else {},
@@ -145,20 +149,15 @@ class WardedEngine(SemiNaiveEvaluator):
     def _admit(program: Program) -> None:
         """Every rule is admitted: existential rules fire once per abstracted trigger."""
 
-    def _firing(
-        self,
-        provenance: Optional[Dict[Atom, Justification]] = None,
-        null_types: Optional[Dict[Null, Tuple]] = None,
-    ):
+    def _firing(self, state=None):
         """A fresh firing function for one stratum's fixpoint.
 
         It carries the stratum's trigger budget (:data:`MAX_TRIGGERS`) and
         its set of fired abstracted triggers, and writes the run's
-        ``provenance`` (when not None) and ``null_types``.
+        ``state = (provenance, null_types)``: provenance only when not None.
         """
+        provenance, null_types = state or (None, {})
         positions = self._positions
-        if null_types is None:
-            null_types = {}
         fired = 0
         fired_existential_triggers: Set[Tuple[int, Tuple]] = set()
 
@@ -202,15 +201,17 @@ class WardedEngine(SemiNaiveEvaluator):
                         # the *public* null_types record decodes the ground
                         # markers so the field is free of process-local IDs;
                         # this runs once per fired existential trigger, not
-                        # per row.
+                        # per row.  Nulls are named by their trigger, as in
+                        # the chase, so a re-run interns no new term.
                         decoded = self._decode_abstract(abstract)
-                        fresh_ids = []
-                        for existential in crule.sorted_existentials:
-                            fresh = Null.fresh(existential.name.lower())
-                            fresh_ids.append(TERMS.intern_term(fresh))
-                            null_types[fresh] = (rule_index, existential.name, decoded)
-                            STATS.nulls_invented += 1
-                        extended = row + tuple(fresh_ids)
+                        fresh_ids = tuple(
+                            TERMS.intern_null(label)
+                            for label in null_labels(crule, ops, row)
+                        )
+                        for existential, nid in zip(crule.sorted_existentials, fresh_ids):
+                            null_types[TERMS.term(nid)] = (rule_index, existential.name, decoded)
+                        STATS.nulls_invented += len(fresh_ids)
+                        extended = row + fresh_ids
                     else:
                         extended = row
                     fired += 1
@@ -227,9 +228,6 @@ class WardedEngine(SemiNaiveEvaluator):
                                     body_instantiation = ops.body_facts_row(row)
                                 provenance[fact] = (rule, body_instantiation)
 
-        # Both matchers behind ``trigger_row_batches`` produce triggers in the
-        # same order and nulls are invented in ``sorted_existentials`` order,
-        # so the materialisation is identical atom for atom across modes.
         return process_rows
 
     # -- helpers ------------------------------------------------------------------
@@ -241,7 +239,7 @@ class WardedEngine(SemiNaiveEvaluator):
         Null markers are already ID-free (equality-pattern indexes); ground
         markers swap the process-local term ID for ``str(term)``, which is
         what external consumers of ``WardedResult.null_types`` can compare
-        across modes and runs.
+        across runs and processes.
         """
         return tuple(
             (name, marker if marker[0] == "null" else ("ground", str(TERMS.term(marker[1]))))

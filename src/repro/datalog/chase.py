@@ -6,29 +6,28 @@ labelled nulls for existential head variables.  There is one chase: the
 satisfied by extending the triggering homomorphism), whose nulls are named
 by a digest of (rule, frontier binding, existential variable)
 (:func:`null_labels`), so the same trigger invents the same null in every
-run, incremental or cold.
+run, incremental or cold, and in the warded engine too.
 
 The chase of a Datalog∃ program may in general be infinite, so the engine
 takes explicit resource bounds (``max_steps`` and ``max_null_depth``) and
 either stops gracefully or raises :class:`ChaseNonTermination`, as requested.
 
-Negation is handled the way the stratified semantics needs it: the engine can
-be given a fixed *negation reference* instance; a trigger is discarded when
-one of its negative body atoms is satisfied in that reference (this realises
-the indefinite grounding ``Pi^I`` of Section 3.2).  The stratum loop lives in
+Negation is handled the way the stratified semantics needs it: a trigger is
+discarded when one of its negative body atoms is satisfied in a frozen
+*negation reference* (this realises the indefinite grounding ``Pi^I`` of
+Section 3.2).  The stratum loop lives in
 :class:`~repro.datalog.semantics.StratifiedSemantics`.
 
-Rule bodies are evaluated through the shared join-plan core
-(:mod:`repro.engine`): each rule is compiled once into a
-:class:`~repro.engine.plan.CompiledRule` (selectivity-ordered joins, plan-time
-bound/free resolution, precompiled negation probes and head-satisfaction
-plans).  There is one chase loop, semi-naive: a cold :meth:`ChaseEngine.chase`
-is a :meth:`ChaseEngine.resume` whose first round runs the full plans, and
-every round fires from the slot-ID rows
-:meth:`~repro.engine.plan.JoinPlan.rows` returns.  :func:`match_atoms`
-remains as the wrapper for callers that match ad-hoc atom sequences into
-substitution dicts (analysis, tests); :func:`embeds` and :func:`violates`
-answer constraint checks without one.
+The chase is not a loop of its own: it is a firing function of the shared
+semi-naive round loop (:func:`~repro.datalog.seminaive.fixpoint`).  A cold
+:meth:`ChaseEngine.chase` is a :meth:`ChaseEngine.resume` whose first round
+runs the full plans; every round fires from the slot-ID rows
+:meth:`~repro.engine.plan.CompiledRule.trigger_row_batches` returns, with
+negation pre-filtered in bulk.  The firing adds the restricted chase's head
+check, the step budget, null invention and the depth cut.
+:func:`match_atoms` remains as the wrapper for callers that match ad-hoc
+atom sequences into substitution dicts (analysis, tests); :func:`embeds` and
+:func:`violates` answer constraint checks without one.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from repro.datalog.atoms import Atom
 from repro.datalog.database import Instance
 from repro.datalog.program import Program
 from repro.datalog.rules import Constraint, Rule
+from repro.datalog.seminaive import fixpoint
 from repro.datalog.terms import Constant, Null, Term, Variable
 from repro.engine.interning import TERMS
 from repro.engine.plan import compile_body, compile_rule
@@ -216,10 +216,9 @@ class ChaseEngine:
 
         ``negation_reference`` is the instance against which negated body
         atoms are evaluated (the previous stratum's result under the
-        stratified semantics).  When omitted, negated atoms are evaluated
-        against the live working instance as the chase extends it, which is
-        only correct for programs whose negated predicates are never derived
-        within the same run.
+        stratified semantics).  When omitted, it is a snapshot of
+        ``database``, which is correct for programs whose negated predicates
+        are never derived within the same run.
 
         ``state`` carries bookkeeping across calls (:class:`ChaseState`):
         when supplied, the null-depth map is read from and written back to it
@@ -228,19 +227,15 @@ class ChaseEngine:
         """
         # Copy into a plain Instance: the working set may receive nulls even
         # when the input is a (constants-only) Database, and the caller's
-        # input must stay untouched.
-        instance = Instance(database)
-        # A cold run is a resume from "everything is new": the first round
-        # runs every rule's full plan, later rounds only the pivot plans
-        # over the facts the previous round added (see :meth:`_run`).
-        compiled = [compile_rule(rule) for rule in program.rules]
-        return self._run(instance, compiled, None, negation_reference, state or ChaseState())
+        # input must stay untouched.  A cold run is a resume from "everything
+        # is new": its first round runs every rule's full plan.
+        return self.resume(Instance(database), program, None, negation_reference, state=state)
 
     def resume(
         self,
         instance: Instance,
         program: Program,
-        delta: Instance,
+        delta: Optional[Instance],
         negation_reference: Optional[Instance] = None,
         *,
         state: Optional[ChaseState] = None,
@@ -249,16 +244,17 @@ class ChaseEngine:
 
         ``instance`` is the live result of an earlier chase of ``program``
         that has since received new facts; ``delta`` holds exactly those new
-        facts (they must already be present in ``instance``).  Instead of
-        re-enumerating every rule body, each round runs only the semi-naive
-        pivot plans against the current delta — sound for the restricted
-        chase because a trigger not seen before must read at least one new
-        fact, previously skipped triggers stay skipped (their heads remain
-        satisfied: facts are never deleted), and previously fired triggers
-        would be skipped again for the same reason.
+        facts (they must already be present in ``instance``; ``None`` runs
+        a cold chase of ``instance``).  Instead of re-enumerating every rule
+        body, each round runs only the semi-naive pivot plans against the
+        current delta — sound for the restricted chase because a trigger not
+        seen before must read at least one new fact, previously skipped
+        triggers stay skipped (their heads remain satisfied: facts are never
+        deleted), and previously fired triggers would be skipped again for
+        the same reason.
 
-        Negated body atoms are checked per trigger against
-        ``negation_reference`` exactly as in :meth:`chase`.  ``state``
+        Negated body atoms are read from ``negation_reference`` (default: a
+        snapshot of ``instance``) exactly as in :meth:`chase`.  ``state``
         (:class:`ChaseState`) carries the null-depth map and the lifetime
         step total from the initial run (the ``max_steps`` budget is per
         call).
@@ -267,112 +263,46 @@ class ChaseEngine:
         count this continuation and whose ``delta_rounds`` reports the
         rounds executed.
         """
+        if negation_reference is None:
+            negation_reference = instance.snapshot()
         compiled = [compile_rule(rule) for rule in program.rules]
-        return self._run(instance, compiled, delta, negation_reference, state or ChaseState())
+        return self._run(compiled, instance, delta, negation_reference, state or ChaseState())
 
-    def _run(self, instance, compiled, delta, negation_reference, state) -> ChaseResult:
-        """The one chase loop: semi-naive rounds until a round adds nothing.
-
-        ``compiled`` holds the rules as
-        :class:`~repro.engine.plan.CompiledRule` objects; the chase extends
-        ``instance`` in place.  ``delta=None`` is a cold run (:meth:`chase`):
-        its first round matches every rule's full plan.  Every other round
-        runs the pivot plans against the facts the previous round added.  A
-        round's trigger rows are materialised per rule before any fires
-        (``JoinPlan.rows``, in depth-first order) and nulls are invented in
-        ``sorted_existentials`` order, so a run builds its instance atom for
-        atom the same way every time.  Negation stays a per-trigger check,
-        not a batched pre-filter, because ``reference`` may be the working
-        instance itself, which mutates as triggers fire.
-
-        A trigger whose head is already satisfied is skipped; that is also
-        how a trigger the full plan fired in round one is not fired again
-        when a pivot plan re-finds it.  A trigger that would invent a null
-        deeper than ``max_null_depth`` is skipped and recorded in
-        ``limit_reason``; the chase still runs to its fixpoint.
-        ``max_steps`` ends the run.  A stop-mode limit is also recorded on
-        ``state`` unless an earlier one is.
+    def _run(self, compiled, instance, delta, negation_reference, state) -> ChaseResult:
+        """One chase fixpoint of ``compiled`` on ``instance`` (cold for
+        ``delta=None``): the shared :func:`~repro.datalog.seminaive.fixpoint`
+        firing through :class:`_ChaseFiring`, which ``max_steps`` leaves mid-round.
+        A stop-mode limit is also recorded on ``state`` unless an earlier one is.
         """
-        cold = delta is None
-        reference = negation_reference if negation_reference is not None else instance
-        null_depth = state.null_depth
-        steps = 0
-        invented = 0
-        rounds = 0
-        limit_reason: Optional[str] = None
-        depth_cut: Optional[str] = None
-
+        fire = _ChaseFiring(self, state)
         run_start = time.perf_counter_ns() if TRACER.enabled else 0
-        while delta is None or len(delta):
-            rounds += 1
-            if TRACER.enabled:
-                round_start = time.perf_counter_ns()
-                steps_before = steps
-            new_delta = Instance()
-            for crule in compiled:
-                rule = crule.rule
-                for plan, rows in crule.trigger_row_batches(instance, delta, None):
-                    ops = crule.row_ops(plan)
-                    for trigger in rows:
-                        if rule.body_negative and ops.negation_blocked_row(
-                            trigger, reference
-                        ):
-                            continue
-                        if self._head_satisfied_row(crule, ops, trigger, instance):
-                            continue
-                        if steps >= self.max_steps:
-                            limit_reason = f"max_steps={self.max_steps} exceeded"
-                            break
-                        extended = trigger
-                        if crule.sorted_existentials:
-                            # Only a trigger that invents nulls has a depth.
-                            extended = self._invent(crule, ops, trigger, null_depth)
-                            if extended is None:
-                                depth_cut = self._depth_cut()
-                                continue
-                            invented += len(crule.sorted_existentials)
-                        steps += 1
-                        STATS.triggers_fired += 1
-                        for key in ops.head_keys_row(extended):
-                            if instance.add_key(key):
-                                new_delta.add_key(key)
-                    if limit_reason:
-                        break
-                if limit_reason:
-                    break
-            delta = new_delta
-            if TRACER.enabled:
-                TRACER.record(
-                    "chase.round",
-                    round_start,
-                    round=rounds,
-                    steps=steps - steps_before,
-                )
-            if limit_reason:
-                break
-
+        try:
+            rounds = fixpoint(compiled, instance, delta, negation_reference, fire)
+        except _StepBudgetSpent:
+            rounds = fire.rounds
+        fire.end_round()
         if TRACER.enabled:
             TRACER.record(
-                "chase.run" if cold else "chase.resume",
+                "chase.run" if delta is None else "chase.resume",
                 run_start,
-                steps=steps,
-                invented=invented,
+                steps=fire.steps,
+                invented=fire.invented,
                 rounds=rounds,
             )
-        STATS.nulls_invented += invented
-        state.steps += steps
-        if limit_reason and self.on_limit == "raise":
-            raise ChaseNonTermination(limit_reason)
-        limit_reason = limit_reason or depth_cut
+        STATS.nulls_invented += fire.invented
+        state.steps += fire.steps
+        if fire.limit_reason and self.on_limit == "raise":
+            raise ChaseNonTermination(fire.limit_reason)
+        limit_reason = fire.limit_reason or fire.depth_cut
         if state.limit_reason is None:
             state.limit_reason = limit_reason
         return ChaseResult(
             instance=instance,
-            steps=steps,
+            steps=fire.steps,
             completed=limit_reason is None,
             limit_reason=limit_reason,
-            invented_nulls=invented,
-            delta_rounds=0 if cold else rounds,
+            invented_nulls=fire.invented,
+            delta_rounds=0 if delta is None else rounds,
         )
 
     # -- helpers ------------------------------------------------------------------
@@ -419,3 +349,71 @@ class ChaseEngine:
             if tid & 1:
                 depth = max(depth, null_depth.get(tid, 0))
         return depth
+
+
+class _StepBudgetSpent(Exception):
+    """``max_steps`` reached: ends the shared loop mid-round; the chase catches it."""
+
+
+class _ChaseFiring:
+    """The restricted chase as a firing function: one per fixpoint call.
+
+    Per trigger row (negation already filtered against the frozen
+    reference): a trigger whose head is satisfied is skipped — which also
+    stops a pivot plan re-firing a first-round trigger; past the step budget
+    the loop ends (:class:`_StepBudgetSpent`); a trigger that would invent a
+    too-deep null is skipped and noted in ``depth_cut``.  A new delta sink
+    starts a new round, and the previous round's ``chase.round`` event.
+    """
+
+    def __init__(self, engine: ChaseEngine, state: ChaseState):
+        self.engine = engine
+        self.null_depth = state.null_depth
+        self.steps = self.invented = self.rounds = 0
+        self.limit_reason: Optional[str] = None
+        self.depth_cut: Optional[str] = None
+        self._sink = None
+        self._round_start = self._round_steps = 0
+
+    def __call__(self, crule, instance, negation_reference, delta_sink, delta) -> None:
+        if delta_sink is not self._sink:
+            self.end_round()
+            self._sink = delta_sink
+            self.rounds += 1
+            if TRACER.enabled:
+                self._round_start = time.perf_counter_ns()
+                self._round_steps = self.steps
+        engine = self.engine
+        add_key = instance.add_key
+        sink_add = delta_sink.add_key
+        for plan, rows in crule.trigger_row_batches(instance, delta, negation_reference):
+            ops = crule.row_ops(plan)
+            for trigger in rows:
+                if engine._head_satisfied_row(crule, ops, trigger, instance):
+                    continue
+                if self.steps >= engine.max_steps:
+                    self.limit_reason = f"max_steps={engine.max_steps} exceeded"
+                    raise _StepBudgetSpent
+                extended = trigger
+                if crule.sorted_existentials:
+                    # Only a trigger that invents nulls has a depth.
+                    extended = engine._invent(crule, ops, trigger, self.null_depth)
+                    if extended is None:
+                        self.depth_cut = engine._depth_cut()
+                        continue
+                    self.invented += len(crule.sorted_existentials)
+                self.steps += 1
+                STATS.triggers_fired += 1
+                for key in ops.head_keys_row(extended):
+                    if add_key(key):
+                        sink_add(key)
+
+    def end_round(self) -> None:
+        """Record the round in progress as a ``chase.round`` event (when traced)."""
+        if self._sink is not None and TRACER.enabled:
+            TRACER.record(
+                "chase.round",
+                self._round_start,
+                round=self.rounds,
+                steps=self.steps - self._round_steps,
+            )

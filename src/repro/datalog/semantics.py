@@ -19,11 +19,14 @@ The associated decision problem Eval asks, given ``D``, ``Q`` and a tuple
 ``t``, whether ``Q(D) != ⊤`` implies ``t in Q(D)``; :func:`eval_decision`
 implements exactly that convention.
 
-:class:`StratifiedSemantics` is the one stratified chase loop, shaped like
-:class:`~repro.datalog.seminaive.SemiNaiveEvaluator`: a per-stratum
-``_fixpoint`` over one live instance and one
+:class:`StratifiedSemantics` is a
+:class:`~repro.datalog.seminaive.SemiNaiveEvaluator` whose per-stratum
+fixpoint fires through the restricted chase
+(:class:`~repro.datalog.chase.ChaseEngine`): the same stratum and round
+loops over one live instance, with one
 :class:`~repro.datalog.chase.ChaseState` per materialisation, which a
-:class:`~repro.engine.incremental.DeltaSession` also calls.
+:class:`~repro.engine.incremental.DeltaSession` also threads through its
+calls.
 """
 
 from __future__ import annotations
@@ -35,9 +38,8 @@ from repro.datalog.chase import ChaseEngine, ChaseState, embeds, violates
 from repro.datalog.database import Instance
 from repro.datalog.program import Program, Query
 from repro.datalog.rules import Constraint
-from repro.datalog.stratification import partition_by_stratum, stratify
+from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant
-from repro.engine.plan import compile_rule
 
 
 class _Inconsistent:
@@ -63,24 +65,29 @@ SemanticsResult = Union[Instance, _Inconsistent]
 QueryResult = Union[FrozenSet[Tuple[Constant, ...]], _Inconsistent]
 
 
-class StratifiedSemantics:
+class StratifiedSemantics(SemiNaiveEvaluator):
     """Computes ``Pi(D)`` for stratified programs with existentials and ⊥."""
 
     def __init__(self, program: Program, chase_engine: Optional[ChaseEngine] = None):
-        self.program = program
+        super().__init__(program)
         self.chase_engine = chase_engine or ChaseEngine()
-        self.stratification = stratify(program.ex())
-        self.strata = partition_by_stratum(program.ex(), self.stratification)
-        self.compiled_strata = [
-            [compile_rule(rule) for rule in stratum] for stratum in self.strata
-        ]
 
     def materialise(self, database: Iterable[Atom]) -> SemanticsResult:
         """Compute ``Pi(D)`` (an instance, or ``INCONSISTENT``)."""
-        current = self._chase_strata(database)
+        current = self.evaluate(database)
         if violates(self.program.constraints, current):
             return INCONSISTENT
         return current
+
+    def evaluate(self, database: Iterable[Atom]) -> Instance:
+        """``S_l``: the strata chased in order, constraints not yet checked.
+
+        One :class:`ChaseState` goes through all strata, so
+        ``max_null_depth`` counts from ``D``.
+        """
+        instance = Instance(database)
+        self._run_strata(instance, ChaseState())
+        return instance
 
     def delta_session(self, database: Iterable[Atom] = ()):
         """An incremental session computing ``Pi(D)`` over a growing ``D``.
@@ -95,38 +102,22 @@ class StratifiedSemantics:
 
         return DeltaSession(self.program, database, chase_engine=self.chase_engine)
 
-    def _chase_strata(self, database: Iterable[Atom]) -> Instance:
-        """``S_l``: the strata chased in order, constraints not yet checked.
-
-        One live :class:`Instance` and one :class:`ChaseState` go through all
-        strata, so ``max_null_depth`` counts from ``D``; each stratum's
-        negation reference is a frozen snapshot of the instance.
-        """
-        instance = Instance(database)
-        state = ChaseState()
-        for number, stratum in enumerate(self.compiled_strata):
-            if stratum:
-                self._fixpoint(number, instance, None, instance.snapshot(), state)
-        return instance
-
-    def _fixpoint(
-        self,
-        stratum: int,
-        instance: Instance,
-        delta: Optional[Instance],
-        negation_reference,
-        state: ChaseState,
-    ) -> int:
-        """One stratum's chase on ``instance``: cold for ``delta=None``, else
-        resumed from ``delta``; returns the resumed rounds (0 when cold)."""
-        return self.chase_engine._run(
-            instance, self.compiled_strata[stratum], delta, negation_reference, state
-        ).delta_rounds
-
     def violated_constraints(self, database: Iterable[Atom]) -> List[Constraint]:
         """The constraints violated by ``database`` under the program (diagnostics)."""
-        current = self._chase_strata(database)
+        current = self.evaluate(database)
         return [c for c in self.program.constraints if embeds(c.body, current)]
+
+    @staticmethod
+    def _admit(program: Program) -> None:
+        """Every rule is admitted: the chase invents nulls for existentials."""
+
+    def _fixpoint(self, stratum, instance, delta, negation_reference, state) -> int:
+        """One stratum's chase under ``state``: cold for ``delta=None``, else
+        resumed from ``delta``; returns the resumed rounds (0 when cold)."""
+        compiled = self.compiled_strata[stratum]
+        return self.chase_engine._run(
+            compiled, instance, delta, negation_reference, state
+        ).delta_rounds
 
 
 def evaluate_program(

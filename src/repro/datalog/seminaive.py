@@ -1,4 +1,4 @@
-"""Semi-naive evaluation of plain (existential-free) Datalog with stratified negation.
+"""Semi-naive evaluation with stratified negation: the one fixpoint loop.
 
 This is the workhorse used for:
 
@@ -8,15 +8,14 @@ This is the workhorse used for:
   (Step 1 of the proof of Theorem 6.7), which needs the ground semantics of
   Datalog programs computed stratum by stratum.
 
-Rules must not contain existential head variables; use the chase or the
-warded engine for those.  Negated body atoms are evaluated against the result
-of the lower strata, which is exactly the stratified semantics of Section 3.2
-restricted to Datalog¬s.
+:class:`SemiNaiveEvaluator` fires existential-free rules only.  Negated body
+atoms are evaluated against the result of the lower strata, which is exactly
+the stratified semantics of Section 3.2 restricted to Datalog¬s.
 
-Cold strata and :class:`~repro.engine.incremental.DeltaSession`
-continuations run the same per-stratum fixpoint.  The warded engine
-(:class:`~repro.core.warded_engine.WardedEngine`) is this evaluator with
-another per-stratum firing function: the trigger abstraction.
+:func:`fixpoint` is the library's one round loop, run by cold strata and
+:class:`~repro.engine.incremental.DeltaSession` continuations alike.  Each
+engine is a firing function over it: this evaluator's, the warded engine's
+trigger abstraction and the restricted chase.
 
 Each rule is compiled once (per process, the plan cache is keyed by rule)
 into a :class:`~repro.engine.plan.CompiledRule`; the delta rounds run the
@@ -27,13 +26,9 @@ rather than a full copy.
 There is one firing path: matches arrive as slot-ID rows
 (:meth:`~repro.engine.plan.CompiledRule.trigger_row_batches`), negation is
 filtered in bulk against the frozen snapshot, and head facts are built from
-precompiled ``RowOps`` templates.  Which matcher produced the rows — the
-depth-first backtracker or the column-at-a-time batch matcher — is decided
-inside :meth:`~repro.engine.plan.JoinPlan.rows` (:mod:`repro.engine.mode`);
-both emit the same rows in the same order, so results and counters are
-mode-independent.  Delta rounds additionally skip pivots whose delta
-postings bucket is empty for a *bound* term of the pivot atom (not just
-pivots whose predicate is absent from the delta) — counted in
+precompiled ``RowOps`` templates.  Delta rounds additionally skip pivots
+whose delta postings bucket is empty for a *bound* term of the pivot atom
+(not just pivots whose predicate is absent from the delta) — counted in
 ``STATS.pivots_skipped``.
 """
 
@@ -69,7 +64,7 @@ class SemiNaiveEvaluator:
     def evaluate(self, database: Iterable[Atom]) -> Instance:
         """Materialise all derivable facts (ignores constraints)."""
         instance = Instance(database)
-        self._run_strata(instance, self._firing)
+        self._run_strata(instance)
         return instance
 
     def facts_of(self, database: Iterable[Atom], predicate: str) -> Set[Atom]:
@@ -87,12 +82,16 @@ class SemiNaiveEvaluator:
                     f"semi-naive evaluation handles existential-free rules only; got {rule}"
                 )
 
-    def _firing(self):
-        """A fresh firing function for one stratum's fixpoint."""
+    def _firing(self, state=None):
+        """A fresh firing function for one stratum's fixpoint.
+
+        ``state`` is what one materialisation threads through its strata;
+        plain firing keeps none.
+        """
         return self._fire_rule
 
-    def _run_strata(self, instance: Instance, new_firing) -> None:
-        """Run each non-empty stratum's fixpoint cold, firing through ``new_firing()``."""
+    def _run_strata(self, instance: Instance, state=None) -> None:
+        """Run each non-empty stratum's fixpoint cold under one ``state``."""
         for number, stratum in enumerate(self.compiled_strata):
             if not stratum:
                 continue
@@ -100,45 +99,12 @@ class SemiNaiveEvaluator:
             with TRACER.span(
                 "seminaive.stratum", stratum=number, rules=len(stratum)
             ):
-                self._fixpoint(number, instance, None, reference, new_firing())
+                self._fixpoint(number, instance, None, reference, state)
 
-    def _fixpoint(
-        self,
-        stratum: int,
-        instance: Instance,
-        delta: Optional[Instance],
-        negation_reference,
-        fire=None,
-    ) -> int:
-        """One stratum's fixpoint: rounds until one adds nothing; returns the count.
-
-        ``delta=None`` is a cold run, whose first round runs every rule's full
-        plan; every other round runs the pivot plans over ``delta``, the facts
-        the previous round (or, for a continuation, the caller) added.
-        Negation reads ``negation_reference``, a frozen snapshot of the lower
-        strata.  ``fire`` (default: a fresh :meth:`_firing`) fires one rule
-        for one round.
-        """
-        fire = fire or self._firing()
+    def _fixpoint(self, stratum, instance, delta, negation_reference, state=None) -> int:
+        """One stratum's :func:`fixpoint`, firing through a fresh :meth:`_firing`."""
         compiled = self.compiled_strata[stratum]
-        rounds = 0
-        while delta is None or len(delta):
-            rounds += 1
-            new_delta = Instance()
-            for crule in compiled:
-                traced = TRACER.enabled
-                if traced:
-                    trace_start = time.perf_counter_ns()
-                fire(crule, instance, negation_reference, new_delta, delta)
-                if traced:
-                    TRACER.record(
-                        "seminaive.rule",
-                        trace_start,
-                        head=crule.rule.head[0].predicate,
-                        naive=delta is None,
-                    )
-            delta = new_delta
-        return rounds
+        return fixpoint(compiled, instance, delta, negation_reference, self._firing(state))
 
     @staticmethod
     def _fire_rule(crule, instance, negation_reference, delta_sink, delta) -> None:
@@ -158,3 +124,33 @@ class SemiNaiveEvaluator:
                 for key in head_keys_row(row):
                     if add_key(key):
                         sink_add(key)
+
+
+def fixpoint(compiled, instance: Instance, delta, negation_reference, fire) -> int:
+    """Rounds of ``compiled`` until one adds nothing; returns the count.
+
+    ``delta=None`` is a cold run, whose first round runs every rule's full
+    plan; every other round runs the pivot plans over ``delta``, the facts
+    the previous round (or, for a continuation, the caller) added.
+    Negation reads ``negation_reference``, a frozen snapshot.
+    ``fire(crule, instance, negation_reference, delta_sink, delta)`` fires
+    one rule for one round; it may end the loop mid-round by raising.
+    """
+    rounds = 0
+    while delta is None or len(delta):
+        rounds += 1
+        new_delta = Instance()
+        for crule in compiled:
+            traced = TRACER.enabled
+            if traced:
+                trace_start = time.perf_counter_ns()
+            fire(crule, instance, negation_reference, new_delta, delta)
+            if traced:
+                TRACER.record(
+                    "seminaive.rule",
+                    trace_start,
+                    head=crule.rule.head[0].predicate,
+                    naive=delta is None,
+                )
+        delta = new_delta
+    return rounds

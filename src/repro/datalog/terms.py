@@ -13,7 +13,6 @@ as Datalog constants.
 
 from __future__ import annotations
 
-import itertools
 from typing import Union
 
 
@@ -72,12 +71,11 @@ class Null:
     """An element of ``B``: a labelled null (blank node).
 
     Nulls are the values invented by existential quantifiers during the chase.
-    They compare by label.  ``Null.fresh()`` hands out globally fresh labels.
+    They compare by label.  The engines name the nulls they invent by their
+    trigger (:func:`~repro.datalog.chase.null_labels`).
     """
 
     __slots__ = ("label", "_tid")
-
-    _counter = itertools.count()
 
     def __init__(self, label: str):
         if not isinstance(label, str):
@@ -93,11 +91,6 @@ class Null:
         """Restore from the pickled label with a cold ID cache."""
         self.label = state
         self._tid = None
-
-    @classmethod
-    def fresh(cls, hint: str = "z") -> "Null":
-        """Return a null with a label never handed out before by this factory."""
-        return cls(f"_:{hint}{next(cls._counter)}")
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Null) and self.label == other.label

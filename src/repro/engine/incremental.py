@@ -93,7 +93,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import partial
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.datalog.atoms import Atom, unify_with_fact
@@ -219,11 +218,9 @@ class DeltaSession:
         if program.has_existentials or chase_engine is not None:
             self._evaluator = StratifiedSemantics(program, chase_engine)
             self.chase_engine: Optional[ChaseEngine] = self._evaluator.chase_engine
-            self._fixpoint = partial(self._evaluator._fixpoint, state=self._chase_state)
         else:
             self._evaluator = SemiNaiveEvaluator(program)
             self.chase_engine = None
-            self._fixpoint = self._evaluator._fixpoint
         self.stratification = self._evaluator.stratification
         self.strata = self._evaluator.strata
         self.compiled_strata = self._evaluator.compiled_strata
@@ -333,7 +330,7 @@ class DeltaSession:
             delta = self._window_delta(mark, mark_limits)
             reference = self.instance.snapshot()
             with TRACER.span("push.stratum", stratum=stratum):
-                rounds += self._continue_stratum(stratum, delta, reference)
+                rounds += self._fixpoint(stratum, delta, reference)
         if rebuild_from is not None:
             self._rebuild(rebuild_from)
         if TRACER.enabled:
@@ -558,11 +555,15 @@ class DeltaSession:
         """Evaluate strata ``first..top`` cold on the current instance."""
         for stratum in range(first, self.n_strata):
             if self.compiled_strata[stratum]:
-                self._fixpoint(stratum, self.instance, None, self.instance.snapshot())
+                self._fixpoint(stratum, None, self.instance.snapshot())
 
-    def _continue_stratum(self, stratum: int, delta: Instance, reference) -> int:
-        """Resume one stratum's fixpoint from ``delta``; returns round count."""
-        return self._fixpoint(stratum, self.instance, delta, reference)
+    def _fixpoint(self, stratum: int, delta: Optional[Instance], reference) -> int:
+        """One stratum's fixpoint on the live instance, cold for ``delta=None``
+        and otherwise resumed from ``delta``, under the session's
+        :class:`~repro.datalog.chase.ChaseState`; returns the resumed rounds."""
+        return self._evaluator._fixpoint(
+            stratum, self.instance, delta, reference, self._chase_state
+        )
 
     def _changed_closure(self, predicates: Iterable[str]) -> Set[str]:
         """The static upward closure of ``predicates`` in the dependency graph.
@@ -726,11 +727,7 @@ class DeltaSession:
         routed through a deleted edge, over-deletion approaches the whole
         instance, and per-fact restoration costs strictly more than
         re-evaluating the survivors cold; the caller falls back to
-        :meth:`_retract_degenerate`.  The abort is mode-identical because the
-        marking order is.
-
-        The returned insertion-ordered dict is mode-identical: both matchers
-        emit the trigger rows in the same depth-first order.
+        :meth:`_retract_degenerate`.
         """
         marked: Dict[Atom, None] = dict.fromkeys(seeds)
         threshold = len(self.instance) // 2
@@ -758,8 +755,7 @@ class DeltaSession:
         head fact of a trigger that reads at least one marked fact.
 
         Enumerates triggers exactly as ``SemiNaiveEvaluator._fire_rule`` does,
-        so the trigger order (and hence the marked-dict insertion order) is
-        byte-identical across row and batch sessions.
+        so the marked dict's insertion order is the trigger order.
         """
         batches = crule.trigger_row_batches(self.instance, delta, reference)
         for plan, rows in batches:
@@ -812,7 +808,7 @@ class DeltaSession:
             rounds += self._rederive_stratum(stratum, marked)
             if len(fresh) and self.compiled_strata[stratum]:
                 reference = self.instance.snapshot()
-                rounds += self._continue_stratum(stratum, fresh, reference)
+                rounds += self._fixpoint(stratum, fresh, reference)
             if self.chase_engine is not None:
                 fresh.load_keys(
                     key
@@ -830,7 +826,7 @@ class DeltaSession:
         The delta window is contiguous (all deletions happened before
         ``mark``; re-derived facts get strictly fresh ordinals because
         ``Instance._counter`` never rewinds), so the propagation reuses
-        :meth:`_window_delta` / :meth:`_continue_stratum` unchanged.
+        :meth:`_window_delta` / :meth:`_fixpoint` unchanged.
         """
         stratum_of = self.stratification
         mark = self.instance._counter
@@ -846,7 +842,7 @@ class DeltaSession:
         if self.instance._counter > mark:
             delta = self._window_delta(mark, mark_limits)
             reference = self.instance.snapshot()
-            return self._continue_stratum(stratum, delta, reference)
+            return self._fixpoint(stratum, delta, reference)
         return 0
 
     def _rederive_goal_directed(

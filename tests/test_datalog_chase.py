@@ -133,6 +133,12 @@ class TestChaseExistential:
         facts = [f"e(v{i}, v{i + 1})" for i in range(30)]
         result = ChaseEngine(max_steps=10, on_limit="stop").chase(db(*facts), program)
         assert not result.completed
+        assert result.steps == 10 and result.invented_nulls == 0
+        assert result.limit_reason == "max_steps=10 exceeded"
+        # The budget ends the first round mid-way: 30 e facts plus 10 of t.
+        assert len(result.instance) == 40
+        with pytest.raises(ChaseNonTermination, match="max_steps=10 exceeded"):
+            ChaseEngine(max_steps=10, on_limit="raise").chase(db(*facts), program)
 
 
 class TestChaseNegation:

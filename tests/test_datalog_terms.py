@@ -44,12 +44,6 @@ class TestNull:
         assert Null("_:b1") == Null("_:b1")
         assert Null("_:b1") != Null("_:b2")
 
-    def test_fresh_nulls_are_distinct(self):
-        assert Null.fresh() != Null.fresh()
-
-    def test_fresh_uses_hint(self):
-        assert Null.fresh("w").label.startswith("_:w")
-
     def test_not_ground(self):
         assert not Null("_:b").is_ground
 

@@ -20,7 +20,6 @@ seeds, so CI runs are reproducible) and asserts:
   matcher.
 """
 
-import itertools
 import random
 from contextlib import contextmanager
 
@@ -35,7 +34,7 @@ from repro.datalog.rules import Rule
 from repro.datalog.program import Program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
-from repro.datalog.terms import Constant, Null, Variable
+from repro.datalog.terms import Constant, Variable
 from repro.engine.plan import JoinPlan, compile_body, compile_pivot
 from repro.engine.reference import reference_match_atoms, reference_satisfies_some
 from repro.reductions.clique import clique_database, clique_program
@@ -299,11 +298,10 @@ class TestMatchLevelFuzz:
 
 
 def run_both_modes(fn):
-    """fn() per matcher with the null counter pinned; returns {mode: result}."""
+    """fn() per matcher; returns {mode: result}."""
     results = {}
     for mode in ("row", "batch"):
         with matcher(mode):
-            Null._counter = itertools.count()
             results[mode] = fn()
     return results
 

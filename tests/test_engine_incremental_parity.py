@@ -29,7 +29,6 @@ strength each fragment supports:
   legitimately differ while results may not — see ``docs/architecture.md``.)
 """
 
-import itertools
 import random
 
 import pytest
@@ -395,7 +394,6 @@ def run_both_modes(fn):
     results = {}
     for mode in ("row", "batch"):
         with matcher(mode):
-            Null._counter = itertools.count()
             STATS.reset()
             results[mode] = (fn(), STATS.gated())
     return results

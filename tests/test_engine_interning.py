@@ -13,7 +13,6 @@ Two layers of guarantee:
   (encode → key → decode) reproduce the original atoms object-for-object.
 """
 
-import itertools
 import random
 import string
 
@@ -316,7 +315,6 @@ class TestCrossModeParity:
         outcomes = {}
         for mode in ("row", "batch"):
             with matcher(mode):
-                Null._counter = itertools.count()
                 STATS.reset()
                 from repro.datalog.chase import ChaseEngine
 

@@ -21,12 +21,10 @@ Two layers are pinned here, with fixed seeds so CI runs are reproducible:
   invented-null labels, and the gated counters must be byte-identical.
 """
 
-import itertools
 import random
 
 import pytest
 
-from repro.datalog.terms import Null
 from repro.engine.batch import _BatchStep
 from repro.engine.colbuf import ColumnBuffer
 from repro.engine.index import PredicateIndex
@@ -291,7 +289,6 @@ def run_mode_matrix(fn):
     results = {}
     for mode in ("row", "batch"):
         with matcher(mode):
-            Null._counter = itertools.count()
             STATS.reset()
             results[mode] = (fn(), STATS.gated())
     return results

@@ -145,10 +145,10 @@ class TestCompiledRule:
         program = parse_program("p(?X) -> exists ?Y . q(?X, ?Y).")
         crule = compile_rule(program.rules[0])
         ops = crule.row_ops(crule.plan)
-        fresh = Null.fresh("w")
-        extended = row_of(crule.plan, {X: a}) + (TERMS.intern_term(fresh),)
+        null = Null("_:w0")
+        extended = row_of(crule.plan, {X: a}) + (TERMS.intern_term(null),)
         facts = [TERMS.decode_atom(key) for key in ops.head_keys_row(extended)]
-        assert facts == [Atom("q", (a, fresh))]
+        assert facts == [Atom("q", (a, null))]
 
     def test_head_satisfied_existential(self):
         program = parse_program("p(?X) -> exists ?Y . q(?X, ?Y).")

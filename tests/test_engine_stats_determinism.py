@@ -9,8 +9,6 @@ rounds must skip pivots whose delta postings bucket is empty for a *bound*
 term of the pivot atom, and count each skip in ``STATS.pivots_skipped``.
 """
 
-import itertools
-
 import pytest
 
 from repro.core.warded_engine import WardedEngine
@@ -18,7 +16,7 @@ from repro.datalog.atoms import Atom
 from repro.datalog.chase import ChaseEngine
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
-from repro.datalog.terms import Constant, Null
+from repro.datalog.terms import Constant
 from repro.engine.stats import STATS
 from repro.workloads.graphs import random_rdf_graph
 from test_engine_batch_parity import matcher
@@ -41,7 +39,6 @@ WARDED_PROGRAM = """
 
 def counters_for(fn):
     """Gated (mode-independent) counters after a fresh run of ``fn``."""
-    Null._counter = itertools.count()
     STATS.reset()
     fn()
     return STATS.gated()

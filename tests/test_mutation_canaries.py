@@ -22,12 +22,9 @@ Two mutations, one per batch-executor layer:
 The mutations are applied through ``monkeypatch`` fixture toggles.
 """
 
-import itertools
-
 import pytest
 
 from repro.datalog.database import Instance
-from repro.datalog.terms import Null
 from repro.engine.batch import _BatchStep
 from repro.engine.incremental import DeltaSession
 from repro.engine.stats import STATS
@@ -50,7 +47,6 @@ def oracle_row_vs_batch():
     outcomes = {}
     for mode in ("row", "batch"):
         with matcher(mode):
-            Null._counter = itertools.count()
             STATS.reset()
             session = DeltaSession(TC_PROGRAM, es[:6])
             session.push(es[6:])

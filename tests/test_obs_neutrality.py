@@ -9,15 +9,13 @@ actually record events when tracing is on (a neutrality suite over dead
 instrumentation would prove nothing).
 """
 
-import itertools
-
 import pytest
 
 from repro.core.warded_engine import WardedEngine
 from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
-from repro.datalog.terms import Constant, Null
+from repro.datalog.terms import Constant
 from repro.engine.incremental import DeltaSession
 from repro.engine.stats import STATS
 from repro.obs.profile import PROFILER
@@ -90,7 +88,6 @@ SCENARIOS = [scenario_seminaive, scenario_warded, scenario_churn]
 
 def fingerprint(scenario):
     """Atoms (order + null labels) and gated counters for one fresh run."""
-    Null._counter = itertools.count()
     STATS.reset()
     atoms = [str(atom) for atom in scenario()]
     return atoms, STATS.gated()
@@ -145,10 +142,15 @@ class TestTracingNeutrality:
         ChaseEngine(max_null_depth=3, on_limit="stop").chase(
             database, program
         )
-        names = {event["name"] for event in TRACER.events()}
+        events = TRACER.events()
         TRACER.disable()
-        assert "chase.run" in names
-        assert "chase.round" in names
+        (run,) = [event for event in events if event["name"] == "chase.run"]
+        rounds = [event for event in events if event["name"] == "chase.round"]
+        assert len(rounds) == run["attrs"]["rounds"] > 1
+        assert [event["attrs"]["round"] for event in rounds] == list(
+            range(1, len(rounds) + 1)
+        )
+        assert sum(event["attrs"]["steps"] for event in rounds) == run["attrs"]["steps"]
 
 
 class TestOneSemiNaiveEngine:
