@@ -173,8 +173,9 @@ def match_atoms(
 def embeds(atoms: Sequence[Atom], instance) -> bool:
     """True iff some homomorphism maps every atom of ``atoms`` into ``instance``.
 
-    The constraint check of every engine: the depth-first matcher stops at
-    the first match and decodes no substitution dict.
+    The constraint check of every engine: :meth:`JoinPlan.exists
+    <repro.engine.plan.JoinPlan.exists>` over the body's cached plan, which
+    decodes no substitution dict.
     """
     return compile_body(atoms).exists(instance)
 
@@ -266,9 +267,11 @@ class ChaseEngine:
         if negation_reference is None:
             negation_reference = instance.snapshot()
         compiled = [compile_rule(rule) for rule in program.rules]
-        return self._run(compiled, instance, delta, negation_reference, state or ChaseState())
+        return self._run_fixpoint(
+            compiled, instance, delta, negation_reference, state or ChaseState()
+        )
 
-    def _run(self, compiled, instance, delta, negation_reference, state) -> ChaseResult:
+    def _run_fixpoint(self, compiled, instance, delta, negation_reference, state) -> ChaseResult:
         """One chase fixpoint of ``compiled`` on ``instance`` (cold for
         ``delta=None``): the shared :func:`~repro.datalog.seminaive.fixpoint`
         firing through :class:`_ChaseFiring`, which ``max_steps`` leaves mid-round.

@@ -138,7 +138,7 @@ class Instance:
     def has_key(self, key: Tuple[int, ...]) -> bool:
         """Membership of an encoded fact key ``(pid, tid1, ..., tidn)``.
 
-        The executors\' negation probes and restricted-chase head checks go
+        The engines\' negation probes and restricted-chase head checks go
         through this — one int-tuple dict lookup, no Atom construction.
         """
         return key in self._keys

@@ -115,7 +115,7 @@ class StratifiedSemantics(SemiNaiveEvaluator):
         """One stratum's chase under ``state``: cold for ``delta=None``, else
         resumed from ``delta``; returns the resumed rounds (0 when cold)."""
         compiled = self.compiled_strata[stratum]
-        return self.chase_engine._run(
+        return self.chase_engine._run_fixpoint(
             compiled, instance, delta, negation_reference, state
         ).delta_rounds
 

@@ -26,22 +26,21 @@ strategy per call:
   a constant check, a bound-slot check, or a slot binding (this covers
   repeated variables), negated atoms become precompiled membership probes,
   and semi-naive pivots get one dedicated plan per body atom.
-* Engines fire triggers one way — from the slot-ID rows
-  ``JoinPlan.rows`` returns, through precompiled ``RowOps`` templates.
-  ``rows`` is the column-at-a-time batch matcher (:mod:`repro.engine.batch`)
-  that extends a whole batch of partial matches per step, sharing one bulk
-  index probe per distinct probe key.  The depth-first backtracker
-  (``JoinPlan._run``, behind ``execute`` / ``exists`` / ``lazy_rows``)
-  answers head-satisfaction and constraint checks and goal-directed
-  re-derivation;
-  both matchers produce the same matches in the same order.
+* There is one matcher, ``JoinPlan.rows``: column-at-a-time steps
+  (:mod:`repro.engine.batch`) that extend a whole batch of partial matches
+  per step, sharing one bulk index probe per distinct probe key.  Engines
+  fire triggers from its slot-ID rows through precompiled ``RowOps``
+  templates; head-satisfaction and constraint checks (``exists``),
+  goal-directed re-derivation and ad-hoc matching (``execute``) read the
+  same rows.
 * :mod:`repro.engine.stats` exposes the counters (facts added, triggers
   fired, nulls invented, pivots skipped, batch probe groups) that
   ``benchmarks/harness.py`` samples per scenario.
-* :mod:`repro.engine.reference` keeps the original interpretive backtracker
-  as the executable specification that the differential tests in
-  ``tests/test_engine_parity.py`` and the fuzz suite in
-  ``tests/test_engine_batch_parity.py`` compare both compiled matchers against.
+* :mod:`repro.engine.reference` keeps the executable specifications the
+  differential tests compare the matcher against: the original interpretive
+  backtracker (``tests/test_engine_parity.py``) and a depth-first walk of
+  the compiled steps that fixes the match order
+  (``tests/test_engine_batch_parity.py``).
 """
 
 from repro.engine.index import InstanceSnapshot, PredicateIndex

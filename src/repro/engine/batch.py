@@ -1,25 +1,19 @@
-"""Column-at-a-time execution of compiled join plans: the matcher behind
-:meth:`JoinPlan.rows <repro.engine.plan.JoinPlan.rows>`, which every engine
-fires from.
+"""The join step of a compiled plan and its column-at-a-time execution.
 
-The row-at-a-time executor (``JoinPlan._run``) walks the join depth-first,
-re-probing the index once per outer binding: for every partial match it picks
-a postings bucket, iterates candidate row ids, and verifies ops one fact at a
-time.  On large relations that means the Python interpreter re-executes the
-same probe machinery thousands of times with different-but-often-equal probe
-keys.
-
-This module executes the same plan **step by step over a whole batch**: each
-:class:`_BatchStep` consumes a list of partial slot tuples and produces the
-list extended through one body atom.  Since the dictionary-encoding refactor
-(:mod:`repro.engine.interning`), slot tuples carry **term IDs**: probes,
+:meth:`JoinPlan.rows <repro.engine.plan.JoinPlan.rows>` is the one matcher:
+every engine fires from it, and the head-satisfaction and constraint checks
+(:meth:`~repro.engine.plan.JoinPlan.exists`) and ad-hoc matching
+(:meth:`~repro.engine.plan.JoinPlan.execute`) read it too.  It runs a plan
+**step by step over a whole batch**: each :class:`Step` consumes a list of
+partial slot tuples and produces the list extended through one body atom.
+Slot tuples carry **term IDs** (:mod:`repro.engine.interning`): probes,
 probe-key grouping, and intra-atom equality checks are all flat int
 operations over the index's packed column buffers
 (:attr:`~repro.engine.index.PredicateIndex.cols`, one
 :class:`~repro.engine.colbuf.ColumnBuffer` per predicate) — no term-object
-hashing anywhere in the loop.  The extension loop
-(:meth:`_BatchStep._extensions`) gathers straight from lane slices while a
-lane is clean (no tombstone, no padded row) and checks every row otherwise.
+hashing anywhere in the loop.  The extension loop (:meth:`Step._extensions`)
+gathers straight from lane slices while a lane is clean (no tombstone, no
+padded row) and checks every row otherwise.
 
 * **Bulk probes** — the batch is grouped by the tuple of probed slot values;
   one :meth:`~repro.engine.index.PredicateIndex.probe_ids` call (a capped
@@ -32,46 +26,50 @@ lane is clean (no tombstone, no padded row) and checks every row otherwise.
   a variable repeated across atoms becomes part of the probe key, so its
   equality is enforced by the grouped probe itself.
 * **Snapshot isolation** — the per-predicate row caps of the source
-  (``Instance`` → live row counts captured at run start,
-  ``InstanceSnapshot`` → the frozen limits) bound every probe, so a batch
-  run never sees rows appended after its caps were captured.
+  (``Instance`` → live row counts captured at step start,
+  ``InstanceSnapshot`` → the frozen limits) bound every probe, so a run
+  over a snapshot never sees rows appended after it was taken.
 
 **Order guarantee**: extensions are emitted row-major with candidate row ids
-ascending — exactly the depth-first order of the row-at-a-time executor.
-Both executors therefore produce the *same matches in the same order*, which
-keeps engine results, invented-null sequences, and the stats counters
-bit-identical whichever one computes the rows (the differential suites swap
-the depth-first matcher in as their oracle; ``tests/test_engine_batch_parity.py``
-also checks both against ``engine/reference.py``).
+ascending — the order a depth-first backtracker over the same steps would
+produce.  The differential suites pin it against exactly that backtracker
+(:func:`repro.engine.reference.depth_first_rows`, a test oracle), which
+keeps engine results, invented-null sequences and the gated stats counters
+tied to one specified match order.
 """
 
 from __future__ import annotations
 
-import time
 from operator import itemgetter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.engine.stats import STATS
-from repro.obs.profile import PROFILER
 
 #: A (partial) match: one term ID per bound slot, in slot order.
 SlotRow = Tuple[int, ...]
 
 
-class _BatchStep:
-    """One join step, recompiled for batched execution.
+class Step:
+    """One join step: how a body atom extends a batch of partial slot rows.
 
-    Derived from the row executor's ``_Step``: every verification op is
-    reclassified by *when* it can be evaluated under grouping —
+    :func:`repro.engine.plan.compile_body` numbers slots in first-binding
+    order (prebound variables first, then step by step), so the slots a
+    step binds are appended to the row and a partial row is always a prefix
+    of the full slot tuple.  Every term position of the atom lands in one
+    field, by *when* it can be evaluated under grouping:
 
-    * constant probes / bound-slot probes → the probe key (enforced by
-      ``probe_ids``, shared per group),
-    * ``BIND_SLOT`` ops → ``bind_positions`` (the extension tuple), and
-    * within-atom repeated-variable checks → ``intra_pairs``
-      (fact-internal, verified once per candidate).
+    * ``const_pairs`` — ``(position, constant ID)``: part of the probe key;
+    * ``slot_probes`` — ``(position, slot)`` for a variable bound before
+      this atom: part of the probe key, read from each row;
+    * ``bind_positions`` — the positions whose values extend the row (the
+      first occurrence of each fresh variable, in position order);
+    * ``intra_pairs`` — ``(position, binding position)`` for a fresh
+      variable repeated inside the atom: fact-internal, verified once per
+      candidate.
     """
 
     __slots__ = (
+        "atom",
         "predicate",
         "arity",
         "const_pairs",
@@ -80,38 +78,21 @@ class _BatchStep:
         "intra_pairs",
     )
 
-    def __init__(self, step) -> None:
-        from repro.engine.plan import BIND_SLOT, CHECK_CONST, CHECK_SLOT, PROBE_CONST
-
-        self.predicate: str = step.predicate
-        self.arity: int = step.arity
-        self.const_pairs: Tuple[Tuple[int, int], ...] = tuple(
-            (position, payload)
-            for position, kind, payload in step.probes
-            if kind == PROBE_CONST
-        )
-        self.slot_probes: Tuple[Tuple[int, int], ...] = tuple(
-            (position, payload)
-            for position, kind, payload in step.probes
-            if kind != PROBE_CONST
-        )
-        bind_positions: List[int] = []
-        intra_pairs: List[Tuple[int, int]] = []
-        bound_here: Dict[int, int] = {}  # slot -> position that binds it
-        for code, position, payload in step.ops:
-            if code == BIND_SLOT:
-                bound_here[payload] = position
-                bind_positions.append(position)
-            elif code == CHECK_SLOT and payload in bound_here:
-                # Repeated variable within this atom: the check compares two
-                # positions of the same fact, so it is row-independent.
-                intra_pairs.append((position, bound_here[payload]))
-            elif code == CHECK_CONST or code == CHECK_SLOT:
-                # Hoisted checks always carry a probe; the grouped probe key
-                # enforces them, so nothing remains to verify per row.
-                pass
-        self.bind_positions = tuple(bind_positions)
-        self.intra_pairs = tuple(intra_pairs)
+    def __init__(
+        self,
+        atom,
+        const_pairs: Tuple[Tuple[int, int], ...],
+        slot_probes: Tuple[Tuple[int, int], ...],
+        bind_positions: Tuple[int, ...],
+        intra_pairs: Tuple[Tuple[int, int], ...],
+    ) -> None:
+        self.atom = atom
+        self.predicate: str = atom.predicate
+        self.arity: int = atom.arity
+        self.const_pairs = const_pairs
+        self.slot_probes = slot_probes
+        self.bind_positions = bind_positions
+        self.intra_pairs = intra_pairs
 
     # -- execution -----------------------------------------------------------
 
@@ -243,87 +224,3 @@ class _BatchStep:
                 append(tuple(buffers[position][row_id] for position in bind_positions))
         return exts
 
-
-class BatchPlan:
-    """The column-at-a-time executor for one compiled :class:`JoinPlan`.
-
-    Built lazily on first batch execution and cached on the plan, so the
-    recompilation cost is paid once per (cached) plan per process.
-    """
-
-    __slots__ = ("plan", "steps", "n_prebound")
-
-    def __init__(self, plan) -> None:
-        self.plan = plan
-        self.steps = tuple(_BatchStep(step) for step in plan.steps)
-        self.n_prebound = len(plan.prebound)
-        # The batch representation relies on slots being assigned in
-        # first-binding order (prebound first, then step by step), so a
-        # partial row is always a prefix of the full slot tuple.
-        from repro.engine.plan import BIND_SLOT
-
-        prefix = self.n_prebound
-        for plan_step in plan.steps:
-            for code, _position, payload in plan_step.ops:
-                if code == BIND_SLOT:
-                    if payload != prefix:
-                        raise AssertionError(
-                            f"non-prefix slot assignment in {plan.atoms}: "
-                            f"slot {payload} bound at prefix {prefix}"
-                        )
-                    prefix += 1
-
-    def run(
-        self,
-        source,
-        initial: Optional[Dict] = None,
-        delta_source=None,
-    ) -> List[SlotRow]:
-        """All matches as full slot tuples, in depth-first order."""
-        index, limits = source._plan_source()
-        if delta_source is not None:
-            delta_index, delta_limits = delta_source._plan_source()
-        else:
-            delta_index, delta_limits = index, limits
-        base: List[Optional[int]] = [None] * self.n_prebound
-        if initial:
-            from repro.engine.plan import _seed_id
-
-            slot_of = self.plan.slot_of
-            n_prebound = self.n_prebound
-            for variable, value in initial.items():
-                slot = slot_of.get(variable)
-                if slot is not None and slot < n_prebound:
-                    base[slot] = _seed_id(value)
-        rows_batch: List[SlotRow] = [tuple(base)]
-        # Profiling costs one branch per step, never per row: the per-step
-        # counters are batch sizes, the ``STATS.batch_probe_groups`` delta,
-        # and one clock pair around ``apply`` — the numbers
-        # :meth:`repro.engine.plan.CompiledRule.explain` and the harness
-        # ``--profile`` artifact report.
-        profile = PROFILER.plan_profile(self.plan) if PROFILER.enabled else None
-        if profile is not None:
-            run_start = time.perf_counter_ns()
-        for depth, step in enumerate(self.steps):
-            if depth == 0 and delta_source is not None:
-                source_index, source_limits = delta_index, delta_limits
-            else:
-                source_index, source_limits = index, limits
-            if profile is None:
-                rows_batch = step.apply(source_index, source_limits, rows_batch)
-            else:
-                step_profile = profile.steps[depth]
-                step_profile.rows_in += len(rows_batch)
-                probes_before = STATS.batch_probe_groups
-                step_start = time.perf_counter_ns()
-                rows_batch = step.apply(source_index, source_limits, rows_batch)
-                step_profile.time_ns += time.perf_counter_ns() - step_start
-                step_profile.probes += STATS.batch_probe_groups - probes_before
-                step_profile.rows_out += len(rows_batch)
-            if not rows_batch:
-                break
-        if profile is not None:
-            profile.executions += 1
-            profile.rows_out += len(rows_batch)
-            profile.time_ns += time.perf_counter_ns() - run_start
-        return rows_batch

@@ -25,7 +25,7 @@ the only stored form of a fact; no decoded atom sits beside them:
   arity differs from the lane width (it pads that row or widens the lanes
   under the earlier ones).  Only a rebuild (compaction) clears it.
   While it is False the batch matcher gathers extension tuples straight
-  from lane slices (:meth:`repro.engine.batch._BatchStep._extensions`).
+  from lane slices (:meth:`repro.engine.batch.Step._extensions`).
 
 All lanes are heap ``array('q')`` for compactness: 8 bytes per value, where
 a list of ints pays a pointer plus a boxed int.

@@ -44,11 +44,10 @@ delta discipline *across* runs:
   chase sessions agree byte-identically whenever the cold run fires the same
   triggers, and always agree on the ground fact set and on query answers
   (both results are universal models of the same database and program).
-* **Matchers.**  Continuations and over-deletion fire from the same
-  slot-row path as cold runs (:meth:`~repro.engine.plan.JoinPlan.rows`).
-  Goal-directed re-derivation fires from slot rows too, through the seeded
-  depth-first matcher (:meth:`~repro.engine.plan.JoinPlan.lazy_rows`), which
-  stops at the first usable match.
+* **One matcher.**  Continuations, over-deletion and goal-directed
+  re-derivation all fire from the slot rows of
+  :meth:`~repro.engine.plan.JoinPlan.rows`, as cold runs do; re-derivation
+  seeds it with the frontier binding unified from the deleted fact.
 
 * **Deletions** go through :meth:`DeltaSession.retract`, a DRed
   (delete-and-rederive, Gupta–Mumick–Subrahmanian) maintenance pass:
@@ -517,17 +516,11 @@ class DeltaSession:
         """True iff no constraint body embeds into the materialisation.
 
         Recomputes every constraint (and refreshes the incremental verdict
-        cache); the push/retract paths use the cache-aware
-        :meth:`_check_consistent` instead, re-evaluating only constraints
-        whose body predicates intersect the batch's changed closure.
+        cache); the push/retract paths pass :meth:`_check_consistent` the
+        batch's changed closure instead, re-evaluating only constraints
+        whose body predicates intersect it.
         """
-        ok = True
-        for i, constraint in enumerate(self.program.constraints):
-            verdict = not embeds(constraint.body, self.instance)
-            self._constraint_cache[i] = verdict
-            if not verdict:
-                ok = False
-        return ok
+        return self._check_consistent()
 
     def close(self) -> None:
         """The session becomes read-only: later pushes and retractions raise."""
@@ -896,7 +889,7 @@ class DeltaSession:
         returns True if one fired (the fact is restored)."""
         ops = crule.row_ops(plan)
         negated = crule.rule.body_negative
-        for row in plan.lazy_rows(self.instance, initial):
+        for row in plan.rows(self.instance, initial):
             if negated and ops.negation_blocked_row(row, reference):
                 continue
             STATS.triggers_fired += 1
@@ -907,11 +900,15 @@ class DeltaSession:
 
     def _refire_chase_triggers(self, crule, plan, initial, reference) -> None:
         """Re-fire every surviving trigger of ``crule`` under ``initial``
-        whose head is no longer satisfied (restricted-chase repair)."""
+        whose head is no longer satisfied (restricted-chase repair).
+
+        The matches are computed before the first re-fire, as on every
+        other firing path; a trigger that a re-fired fact newly enables is
+        left to the delta rounds that follow."""
         ops = crule.row_ops(plan)
         negated = crule.rule.body_negative
         state = self._chase_state
-        for row in plan.lazy_rows(self.instance, initial):
+        for row in plan.rows(self.instance, initial):
             if negated and ops.negation_blocked_row(row, reference):
                 continue
             if ChaseEngine._head_satisfied_row(crule, ops, row, self.instance):

@@ -9,10 +9,9 @@ lookups that hand facts to callers (:meth:`PredicateIndex.scan`,
 * ``cols[predicate]`` holds the **ID rows** packed into a flat
   :class:`~repro.engine.colbuf.ColumnBuffer`: one int64 buffer per
   position plus an arity column and a gid column (the fact's insertion
-  ordinal).  Both executors — the row-at-a-time backtracker and the
-  column-at-a-time batch steps — probe and verify on these flat buffers
-  (``arities[row] != arity`` is the single check that rejects both
-  tombstones and wrong-arity rows).  While a lane is clean
+  ordinal).  The matcher's column-at-a-time steps probe and verify on
+  these flat buffers (``arities[row] != arity`` is the single check that
+  rejects both tombstones and wrong-arity rows).  While a lane is clean
   (:attr:`ColumnBuffer.mixed <repro.engine.colbuf.ColumnBuffer.mixed>`
   False) that check cannot reject anything, so the batch gather and
   :meth:`PredicateIndex.distinct_values` skip it and read the lanes with
@@ -22,7 +21,7 @@ lookups that hand facts to callers (:meth:`PredicateIndex.scan`,
 * ``postings`` keys are ``(predicate, position, tid)`` — int-keyed plain
   ``list`` buckets of ascending row ids, probed with IDs the plans compiled
   in at plan time.  Lists, not ``array('q')``: buckets are appended to on
-  every fact and iterated in every depth-first probe, and CPython lists beat
+  every fact and sliced or walked by every probe, and CPython lists beat
   typed arrays ~3x on append and ~30% on iteration (no re-boxing).
 
 Because rows are append-only, row ids within a postings list are strictly
@@ -284,8 +283,7 @@ class PredicateIndex:
         the anchor is long relative to the other buckets, those buckets are
         hashed once and probed instead.  An empty ``pairs`` means a full scan
         of the ``cap`` prefix.  Ids of tombstoned or wrong-arity rows may be
-        included; callers skip them exactly as the row-at-a-time executor
-        does.
+        included; the caller's arity check skips them.
 
         ``cols`` is the buffer the caller captured with ``cap``.  A read
         overlapping a retraction must reach its stale check, so the anchor is
@@ -507,7 +505,7 @@ class InstanceSnapshot:
     storage); the service layer turns a retraction under a pinned
     :class:`~repro.service.view.ViewSnapshot` into a loud error with its own
     retraction sequence.  Membership is answered at the encoded-key level
-    (:meth:`has_key`, the executors' hot path); ``in`` encodes the atom
+    (:meth:`has_key`, the engines' hot path); ``in`` encodes the atom
     first, without interning.
     """
 

@@ -10,18 +10,14 @@ resolves it **once** at plan time:
 * **Atom order** — a greedy selectivity order (most bound positions first,
   then most constants, then fewest fresh variables) computed over the
   statically known set of bound variables at each join step.
-* **Positions** — every term position compiles to one of three ops:
-  ``CHECK_CONST`` (the position must equal a constant — whose **dictionary
-  ID** is resolved here, at plan time, so the runtime comparison is a plain
-  int equality), ``CHECK_SLOT`` (the position must equal an already-bound
-  variable slot — this is also how repeated variables are enforced), or
-  ``BIND_SLOT`` (the position binds a fresh slot).  Verification of a
-  candidate fact is a flat loop over these ops on the fact's **ID row**
-  (:attr:`~repro.engine.index.PredicateIndex.cols`); no substitution dicts,
+* **Positions** — every term position of a body atom lands in one field of
+  its :class:`~repro.engine.batch.Step`: a constant probe (whose
+  **dictionary ID** is resolved here, at plan time, so the runtime
+  comparison is a plain int equality), a probe on an already-bound slot, a
+  fresh slot binding, or a fact-internal equality for a variable repeated
+  inside the atom.  Slots are numbered in first-binding order, so a partial
+  match is always a prefix of the full slot tuple; no substitution dicts,
   no pattern atoms, no term-object dispatch.
-* **Probes** — the positions usable for index lookup (constant IDs and bound
-  slots) are precomputed; at run time the executor picks the shortest
-  postings bucket among them.
 * **Negation** — each negated atom (ground under any full body match, by
   rule safety) compiles to a membership template evaluated directly against
   the negation reference at the encoded-key level.
@@ -35,13 +31,11 @@ resolves it **once** at plan time:
   that probed position (the per-round bound-value summaries of
   :meth:`~repro.engine.index.PredicateIndex.distinct_values`).
 
-* **Matchers** — a plan has two, each with its own job: engines fire from
-  the slot rows of the column-at-a-time batch matcher
-  (:meth:`JoinPlan.rows`, :mod:`repro.engine.batch`), and the depth-first
-  backtracker (:meth:`JoinPlan._run`, behind ``execute`` / ``exists`` /
-  ``lazy_rows``) answers head-satisfaction checks, constraint checks and
-  goal-directed re-derivation, which want one match at a time.  They produce the same
-  matches in the same order.
+* **One matcher** — :meth:`JoinPlan.rows` runs the steps column-at-a-time
+  (:mod:`repro.engine.batch`).  Engines fire from its slot rows; the
+  restricted chase's head check and the constraint check
+  (:meth:`JoinPlan.exists`), goal-directed re-derivation and ad-hoc
+  matching (:meth:`JoinPlan.execute`) read the same rows.
 
 Slot values are integers (term IDs) throughout execution; decoding back to
 :class:`~repro.datalog.terms.Term` objects happens only when substitution
@@ -62,18 +56,10 @@ from repro.datalog.atoms import Atom
 from repro.datalog.rules import Rule
 from repro.datalog.terms import Term, Variable
 from repro.engine import interning
+from repro.engine.batch import Step
 from repro.engine.interning import TERMS
 from repro.engine.stats import STATS
 from repro.obs.profile import PROFILER
-
-CHECK_CONST = 0
-CHECK_SLOT = 1
-BIND_SLOT = 2
-
-# Probe kinds: position equals a constant ID / the value of a bound slot.
-PROBE_CONST = 0
-PROBE_SLOT = 1
-
 
 def _seed_id(value):
     """Normalise a seed binding to a term ID (engine rows carry raw ints).
@@ -90,33 +76,13 @@ def _seed_id(value):
     return value if tid is None else tid
 
 
-class _Step:
-    """One join step: candidate probes plus verification ops for a body atom."""
-
-    __slots__ = ("atom", "predicate", "arity", "ops", "probes")
-
-    def __init__(
-        self,
-        atom: Atom,
-        ops: Tuple[Tuple[int, int, int], ...],
-        probes: Tuple[Tuple[int, int, int], ...],
-    ):
-        self.atom = atom
-        self.predicate = atom.predicate
-        self.arity = atom.arity
-        self.ops = ops
-        self.probes = probes
-
-
 class JoinPlan:
     """A compiled join over a fixed atom sequence.
 
-    ``execute`` yields one substitution dict per homomorphism of the body
-    into the instance, exactly as the legacy matcher did (term objects are
-    decoded at that boundary); ``rows`` returns the raw ID rows every engine
-    fires from, computed column-at-a-time; ``exists`` is the
-    allocation-free boolean variant used for head-satisfaction and
-    constraint checks.
+    ``rows`` returns the raw ID rows every engine fires from, computed
+    column-at-a-time; ``execute`` decodes them into one substitution dict
+    per homomorphism of the body into the instance; ``exists`` is the
+    boolean used for head-satisfaction and constraint checks.
     """
 
     __slots__ = (
@@ -126,7 +92,6 @@ class JoinPlan:
         "n_slots",
         "emit",
         "prebound",
-        "batch_plan",
         "pivot_flow",
         "profile",
     )
@@ -134,7 +99,7 @@ class JoinPlan:
     def __init__(
         self,
         atoms: Tuple[Atom, ...],
-        steps: Tuple[_Step, ...],
+        steps: Tuple[Step, ...],
         slot_of: Dict[Variable, int],
         prebound: FrozenSet[Variable],
     ):
@@ -147,14 +112,12 @@ class JoinPlan:
         # substitution dict is one C-level dict(zip(...)).
         self.emit = tuple(slot_of)
         self.prebound = prebound
-        # Lazily-built column-at-a-time executor (repro.engine.batch).
-        self.batch_plan = None
         # Lazily-built (step0 position, later predicate, later position)
         # triples for the slot-bound pivot-viability test.
         self.pivot_flow: Optional[Tuple[Tuple[int, str, int], ...]] = None
         # Per-step profiling accumulator, attached by repro.obs.profile on
         # the first execution with profiling enabled; None costs the
-        # executors exactly one flag branch per run.
+        # matcher exactly one flag branch per run.
         self.profile = None
 
     # -- execution ----------------------------------------------------------
@@ -174,7 +137,7 @@ class JoinPlan:
         emit = self.emit
         nulls = TERMS._nulls
         constants = TERMS._constants
-        for slots in self._run(source, initial, delta_source):
+        for slots in self.rows(source, initial, delta_source):
             try:
                 yield dict(
                     zip(emit, [(nulls if t & 1 else constants)[t >> 1] for t in slots])
@@ -202,36 +165,59 @@ class JoinPlan:
         initial: Optional[Dict[Variable, Term]] = None,
         delta_source=None,
     ) -> List[Tuple[int, ...]]:
-        """All homomorphisms as full slot-ID tuples, column-at-a-time.
+        """All homomorphisms as full slot-ID tuples, in depth-first order.
 
-        The engine-facing entry point every engine fires from.  Same
-        multiset *and order* as :meth:`execute` (each tuple is index-aligned
-        with :attr:`emit`, values are term IDs), but computed by the batch
-        executor of :mod:`repro.engine.batch`: one probe per distinct probe
-        key per step instead of one probe per outer binding.
+        The one matcher: each tuple is index-aligned with :attr:`emit` and
+        carries term IDs.  Each step extends the whole batch of partial
+        rows at once (:meth:`Step.apply <repro.engine.batch.Step.apply>`):
+        one probe per distinct probe key per step instead of one probe per
+        outer binding.
         """
-        batch = self.batch_plan
-        if batch is None:
-            from repro.engine.batch import BatchPlan
-
-            batch = self.batch_plan = BatchPlan(self)
-        return batch.run(source, initial, delta_source)
-
-    def execute_batch(
-        self,
-        source,
-        initial: Optional[Dict[Variable, Term]] = None,
-        delta_source=None,
-    ) -> List[Dict[Variable, Term]]:
-        """Batched :meth:`execute`: the matches as a list of substitution dicts."""
-        emit = self.emit
-        term = TERMS.term
-        return [
-            dict(
-                zip(emit, (term(tid) if type(tid) is int else tid for tid in row))
-            )
-            for row in self.rows(source, initial, delta_source)
-        ]
+        index, limits = source._plan_source()
+        if delta_source is not None:
+            delta_index, delta_limits = delta_source._plan_source()
+        else:
+            delta_index, delta_limits = index, limits
+        n_prebound = len(self.prebound)
+        base: List[Optional[int]] = [None] * n_prebound
+        if initial:
+            slot_of = self.slot_of
+            for variable, value in initial.items():
+                slot = slot_of.get(variable)
+                if slot is not None and slot < n_prebound:
+                    base[slot] = _seed_id(value)
+        batch: List[Tuple[int, ...]] = [tuple(base)]
+        # Profiling costs one branch per step, never per row: the per-step
+        # counters are batch sizes, the ``STATS.batch_probe_groups`` delta,
+        # and one clock pair around ``apply`` — the numbers
+        # :meth:`CompiledRule.explain` and the harness ``--profile``
+        # artifact report.
+        profile = PROFILER.plan_profile(self) if PROFILER.enabled else None
+        if profile is not None:
+            run_start = time.perf_counter_ns()
+        for depth, step in enumerate(self.steps):
+            if depth == 0 and delta_source is not None:
+                step_index, step_limits = delta_index, delta_limits
+            else:
+                step_index, step_limits = index, limits
+            if profile is None:
+                batch = step.apply(step_index, step_limits, batch)
+            else:
+                step_profile = profile.steps[depth]
+                step_profile.rows_in += len(batch)
+                probes_before = STATS.batch_probe_groups
+                step_start = time.perf_counter_ns()
+                batch = step.apply(step_index, step_limits, batch)
+                step_profile.time_ns += time.perf_counter_ns() - step_start
+                step_profile.probes += STATS.batch_probe_groups - probes_before
+                step_profile.rows_out += len(batch)
+            if not batch:
+                break
+        if profile is not None:
+            profile.executions += 1
+            profile.rows_out += len(batch)
+            profile.time_ns += time.perf_counter_ns() - run_start
+        return batch
 
     def _pivot_flow(self) -> Tuple[Tuple[int, str, int], ...]:
         """(step0 bind position, later predicate, later probed position) triples.
@@ -249,26 +235,25 @@ class JoinPlan:
             if not steps:
                 flow = ()
             else:
-                bound_at: Dict[int, int] = {}
-                for code, position, payload in steps[0].ops:
-                    if code == BIND_SLOT:
-                        bound_at[payload] = position
-                triples: List[Tuple[int, str, int]] = []
-                for step in steps[1:]:
-                    for position, kind, payload in step.probes:
-                        if kind == PROBE_SLOT and payload in bound_at:
-                            triples.append(
-                                (bound_at[payload], step.predicate, position)
-                            )
-                flow = tuple(triples)
+                # Step 0 binds the slots right after the prebound ones.
+                first = len(self.prebound)
+                bound_at = {
+                    first + k: position
+                    for k, position in enumerate(steps[0].bind_positions)
+                }
+                flow = tuple(
+                    (bound_at[slot], step.predicate, position)
+                    for step in steps[1:]
+                    for position, slot in step.slot_probes
+                    if slot in bound_at
+                )
             self.pivot_flow = flow
         return flow
 
     def pivot_viable(self, index, full_index=None) -> bool:
         """False iff this pivot join provably has no match in the delta.
 
-        Two cheap pre-checks, both evaluated identically in every execution
-        mode:
+        Two cheap pre-checks:
 
         * a **constant** probe of the first step has an empty postings
           bucket in ``index`` (the delta) — the bound term never occurs in
@@ -286,8 +271,8 @@ class JoinPlan:
         step = self.steps[0]
         predicate = step.predicate
         postings = index.postings
-        for position, kind, payload in step.probes:
-            if kind == PROBE_CONST and not postings.get((predicate, position, payload)):
+        for position, tid in step.const_pairs:
+            if not postings.get((predicate, position, tid)):
                 return False
         if full_index is not None:
             full_postings = full_index.postings
@@ -308,275 +293,7 @@ class JoinPlan:
         initial: Optional[Dict[Variable, Term]] = None,
     ) -> bool:
         """True iff at least one homomorphism exists (no dict per result)."""
-        for _ in self._run(source, initial, None):
-            return True
-        return False
-
-    def lazy_rows(
-        self,
-        source,
-        initial: Optional[Dict[Variable, Term]] = None,
-    ) -> Iterator[Tuple[int, ...]]:
-        """The slot-ID rows of :meth:`rows`, one at a time, depth-first.
-
-        For callers that stop at the first usable match (goal-directed
-        re-derivation): the backtracker behind :meth:`exists`, not the
-        batch matcher, so no match past the one consumed is computed.
-        """
-        return map(tuple, self._run(source, initial, None))
-
-    def _run(self, source, initial, delta_source) -> Iterator[List[int]]:
-        if PROFILER.enabled:
-            yield from self._run_profiled(source, initial, delta_source)
-            return
-        index, limits = source._plan_source()
-        slots: List[Optional[int]] = [None] * self.n_slots
-        if initial:
-            slot_of = self.slot_of
-            for variable, value in initial.items():
-                slot = slot_of.get(variable)
-                if slot is not None:
-                    slots[slot] = _seed_id(value)
-        steps = self.steps
-        n_steps = len(steps)
-        if n_steps == 0:
-            yield slots
-            return
-        if delta_source is not None:
-            delta_index, delta_limits = delta_source._plan_source()
-        else:
-            delta_index, delta_limits = index, limits
-
-        # Per-depth candidate state: the flat arity/position columns, the
-        # postings bucket (or None for a full scan), the cursor, the
-        # iteration bound, and the row-id cap capturing the prefix visible
-        # to this lookup.
-        ar_s: List = [None] * n_steps
-        bufs_s: List = [None] * n_steps
-        ids_s: List[Optional[Sequence[int]]] = [None] * n_steps
-        pos_s = [0] * n_steps
-        end_s = [0] * n_steps
-        cap_s = [0] * n_steps
-
-        def start(depth: int) -> None:
-            """Position the candidate cursor for the join step at ``depth``."""
-            step = steps[depth]
-            idx = delta_index if depth == 0 and delta_source is not None else index
-            lim = delta_limits if depth == 0 and delta_source is not None else limits
-            cols = idx.cols.get(step.predicate)
-            pos_s[depth] = 0
-            if not cols:
-                ar_s[depth] = None
-                end_s[depth] = 0
-                return
-            best = None
-            for position, kind, payload in step.probes:
-                value = payload if kind == PROBE_CONST else slots[payload]
-                bucket = idx.postings.get((step.predicate, position, value))
-                if bucket is None:
-                    ar_s[depth] = None
-                    end_s[depth] = 0
-                    return
-                if best is None or len(bucket) < len(best):
-                    best = bucket
-            cap = len(cols) if lim is None else min(len(cols), lim.get(step.predicate, 0))
-            ar_s[depth] = cols.arities
-            bufs_s[depth] = cols.buffers
-            ids_s[depth] = best
-            cap_s[depth] = cap
-            end_s[depth] = len(best) if best is not None else cap
-
-        depth = 0
-        start(0)
-        last = n_steps - 1
-        while depth >= 0:
-            step = steps[depth]
-            arities = ar_s[depth]
-            buffers = bufs_s[depth]
-            ids = ids_s[depth]
-            k = pos_s[depth]
-            end = end_s[depth]
-            cap = cap_s[depth]
-            ops = step.ops
-            arity = step.arity
-            advanced = False
-            while k < end:
-                if ids is None:
-                    row_id = k
-                else:
-                    row_id = ids[k]
-                    if row_id >= cap:
-                        k = end
-                        break
-                k += 1
-                if arities[row_id] != arity:
-                    continue
-                ok = True
-                for code, position, payload in ops:
-                    term = buffers[position][row_id]
-                    if code == CHECK_CONST:
-                        if term == payload:
-                            continue
-                        ok = False
-                        break
-                    if code == CHECK_SLOT:
-                        if term == slots[payload]:
-                            continue
-                        ok = False
-                        break
-                    slots[payload] = term
-                if ok:
-                    advanced = True
-                    break
-            pos_s[depth] = k
-            if not advanced:
-                depth -= 1
-                continue
-            if depth == last:
-                yield slots
-            else:
-                depth += 1
-                start(depth)
-
-    def _run_profiled(self, source, initial, delta_source) -> Iterator[List[int]]:
-        """Profiled twin of :meth:`_run` — same matches, same order.
-
-        Deliberately duplicated rather than parameterised: the backtracker
-        answers head-satisfaction ``exists``, constraint checks and
-        goal-directed re-derivation, so a per-candidate counter branch would
-        cost every unprofiled run.  Measured: one backtracker with an
-        ``if profile is not None`` branch at cursor start and advance made
-        the ``serve-*`` view's push p50 slower in 9 of 9 alternating pairs
-        (+2–7 %) and ``check_consistency`` slower in 8 of 9.  Change the
-        join logic in BOTH methods — the parity suites fail on divergence.
-        Per-step counters here are exact (candidates entering each depth,
-        probe lookups, survivors); the plan-level time is generator wall
-        time and therefore includes consumer time between yields (see
-        ``docs/observability.md``).
-        """
-        profile = PROFILER.plan_profile(self)
-        step_profiles = profile.steps
-        run_start = time.perf_counter_ns()
-        emitted = 0
-        try:
-            index, limits = source._plan_source()
-            slots: List[Optional[int]] = [None] * self.n_slots
-            if initial:
-                slot_of = self.slot_of
-                for variable, value in initial.items():
-                    slot = slot_of.get(variable)
-                    if slot is not None:
-                        slots[slot] = _seed_id(value)
-            steps = self.steps
-            n_steps = len(steps)
-            if n_steps == 0:
-                emitted += 1
-                yield slots
-                return
-            if delta_source is not None:
-                delta_index, delta_limits = delta_source._plan_source()
-            else:
-                delta_index, delta_limits = index, limits
-
-            ar_s: List = [None] * n_steps
-            bufs_s: List = [None] * n_steps
-            ids_s: List[Optional[Sequence[int]]] = [None] * n_steps
-            pos_s = [0] * n_steps
-            end_s = [0] * n_steps
-            cap_s = [0] * n_steps
-
-            def start(depth: int) -> None:
-                """Position the candidate cursor (counting rows in / probes)."""
-                step_profile = step_profiles[depth]
-                step_profile.rows_in += 1
-                step = steps[depth]
-                idx = delta_index if depth == 0 and delta_source is not None else index
-                lim = delta_limits if depth == 0 and delta_source is not None else limits
-                cols = idx.cols.get(step.predicate)
-                pos_s[depth] = 0
-                if not cols:
-                    ar_s[depth] = None
-                    end_s[depth] = 0
-                    return
-                best = None
-                for position, kind, payload in step.probes:
-                    value = payload if kind == PROBE_CONST else slots[payload]
-                    step_profile.probes += 1
-                    bucket = idx.postings.get((step.predicate, position, value))
-                    if bucket is None:
-                        ar_s[depth] = None
-                        end_s[depth] = 0
-                        return
-                    if best is None or len(bucket) < len(best):
-                        best = bucket
-                cap = (
-                    len(cols)
-                    if lim is None
-                    else min(len(cols), lim.get(step.predicate, 0))
-                )
-                ar_s[depth] = cols.arities
-                bufs_s[depth] = cols.buffers
-                ids_s[depth] = best
-                cap_s[depth] = cap
-                end_s[depth] = len(best) if best is not None else cap
-
-            depth = 0
-            start(0)
-            last = n_steps - 1
-            while depth >= 0:
-                step = steps[depth]
-                arities = ar_s[depth]
-                buffers = bufs_s[depth]
-                ids = ids_s[depth]
-                k = pos_s[depth]
-                end = end_s[depth]
-                cap = cap_s[depth]
-                ops = step.ops
-                arity = step.arity
-                advanced = False
-                while k < end:
-                    if ids is None:
-                        row_id = k
-                    else:
-                        row_id = ids[k]
-                        if row_id >= cap:
-                            k = end
-                            break
-                    k += 1
-                    if arities[row_id] != arity:
-                        continue
-                    ok = True
-                    for code, position, payload in ops:
-                        term = buffers[position][row_id]
-                        if code == CHECK_CONST:
-                            if term == payload:
-                                continue
-                            ok = False
-                            break
-                        if code == CHECK_SLOT:
-                            if term == slots[payload]:
-                                continue
-                            ok = False
-                            break
-                        slots[payload] = term
-                    if ok:
-                        advanced = True
-                        break
-                pos_s[depth] = k
-                if not advanced:
-                    depth -= 1
-                    continue
-                step_profiles[depth].rows_out += 1
-                if depth == last:
-                    emitted += 1
-                    yield slots
-                else:
-                    depth += 1
-                    start(depth)
-        finally:
-            profile.executions += 1
-            profile.rows_out += emitted
-            profile.time_ns += time.perf_counter_ns() - run_start
+        return bool(self.rows(source, initial))
 
     # -- introspection -------------------------------------------------------
 
@@ -587,8 +304,6 @@ class JoinPlan:
         variable names that own them; each line shows what the step scans
         or probes and which variables it binds.
         """
-        slot_names = {slot: variable.name for variable, slot in self.slot_of.items()}
-
         def term_text(tid) -> str:
             if type(tid) is not int:
                 return repr(tid)
@@ -599,24 +314,15 @@ class JoinPlan:
 
         lines: List[str] = []
         for i, step in enumerate(self.steps):
-            probes = []
-            for position, kind, payload in step.probes:
-                value = (
-                    term_text(payload)
-                    if kind == PROBE_CONST
-                    else f"?{slot_names.get(payload, payload)}"
-                )
-                probes.append(f"[{position}]={value}")
-            binds = []
-            checks = []
-            for code, position, payload in step.ops:
-                if code == BIND_SLOT:
-                    binds.append(f"?{slot_names.get(payload, payload)}")
-                elif code == CHECK_SLOT and not any(
-                    kind == PROBE_SLOT and probe_payload == payload
-                    for _, kind, probe_payload in step.probes
-                ):
-                    checks.append(f"[{position}]==?{slot_names.get(payload, payload)}")
+            terms = step.atom.terms
+            probed = [(position, term_text(tid)) for position, tid in step.const_pairs]
+            probed += [(position, f"?{terms[position].name}") for position, _ in step.slot_probes]
+            probes = [f"[{position}]={value}" for position, value in sorted(probed)]
+            binds = [f"?{terms[position].name}" for position in step.bind_positions]
+            checks = [
+                f"[{position}]==?{terms[position].name}"
+                for position, _ in step.intra_pairs
+            ]
             access = f"probe {{{', '.join(probes)}}}" if probes else "scan"
             line = f"step {i}: {step.atom}  {access}"
             if binds:
@@ -1021,40 +727,40 @@ def _build_ordered(
 
     Constant payloads are interned to term IDs **here** — at plan-build
     time — which is what makes every runtime comparison an int equality.
+    A variable gets its slot where it is first bound, so slots are numbered
+    in first-binding order (prebound variables first).
     """
     slot_of: Dict[Variable, int] = {}
     for variable in sorted(prebound):
         slot_of[variable] = len(slot_of)
-    bound_slots = set(slot_of.values())
-    steps: List[_Step] = []
+    steps: List[Step] = []
     for i in order:
         atom = atoms[i]
-        probes: List[Tuple[int, int, int]] = []
-        hoisted: List[Tuple[int, int, int]] = []
-        trailing: List[Tuple[int, int, int]] = []
+        const_pairs: List[Tuple[int, int]] = []
+        slot_probes: List[Tuple[int, int]] = []
+        bind_positions: List[int] = []
+        intra_pairs: List[Tuple[int, int]] = []
+        bound_here: Dict[Variable, int] = {}  # fresh variable -> its binding position
         for position, term in enumerate(atom.terms):
             if not isinstance(term, Variable):
-                tid = TERMS.intern_term(term)
-                hoisted.append((CHECK_CONST, position, tid))
-                probes.append((position, PROBE_CONST, tid))
-                continue
-            slot = slot_of.get(term)
-            if slot is None:
-                slot = slot_of[term] = len(slot_of)
-            if slot in bound_slots:
-                # Bound before this atom: probe-able and hoistable.  Bound
-                # within this atom (repeated variable): the check must stay
-                # after its BIND_SLOT, and the slot value is not yet known
-                # at probe time.
-                if any(op[0] == BIND_SLOT and op[2] == slot for op in trailing):
-                    trailing.append((CHECK_SLOT, position, slot))
-                else:
-                    hoisted.append((CHECK_SLOT, position, slot))
-                    probes.append((position, PROBE_SLOT, slot))
+                const_pairs.append((position, TERMS.intern_term(term)))
+            elif term in bound_here:
+                intra_pairs.append((position, bound_here[term]))
+            elif term in slot_of:
+                slot_probes.append((position, slot_of[term]))
             else:
-                bound_slots.add(slot)
-                trailing.append((BIND_SLOT, position, slot))
-        steps.append(_Step(atom, tuple(hoisted + trailing), tuple(probes)))
+                slot_of[term] = len(slot_of)
+                bound_here[term] = position
+                bind_positions.append(position)
+        steps.append(
+            Step(
+                atom,
+                tuple(const_pairs),
+                tuple(slot_probes),
+                tuple(bind_positions),
+                tuple(intra_pairs),
+            )
+        )
     return JoinPlan(atoms, tuple(steps), slot_of, prebound)
 
 

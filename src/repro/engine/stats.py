@@ -12,18 +12,20 @@ Two classes of counter coexist:
 * **Gated** (``facts_added``, ``triggers_fired``, ``nulls_invented``,
   ``pivots_skipped``, and the retraction trio ``retractions`` /
   ``rederived`` / ``nulls_collected``) — deterministic, and unchanged if the
-  batch matcher behind ``JoinPlan.rows`` is swapped for the depth-first
-  one, because both produce the same rows in the same order, one firing
-  path consumes them, and the pivot-skip test is shared.  The retraction
+  matcher behind ``JoinPlan.rows`` is swapped for the depth-first oracle
+  (:func:`repro.engine.reference.depth_first_rows`), because both produce
+  the same rows in the same order, one firing path consumes them, and the
+  pivot-skip test is shared.  The retraction
   counters are defined on *sets* (the over-deleted closure, the restored
   survivors, the unreachable nulls), which makes them
   match-order-independent by construction.  These are the counters the
   bench-smoke gate requires to **equal** the committed baseline's;
   ``tests/test_engine_stats_determinism.py`` pins both the repeatability and
   the equality against the depth-first oracle.
-* **Batch instrumentation** (``batch_probe_groups``) — only advances when
-  the batch matcher runs; it counts distinct probe-key groups per step and
-  is reported in the benchmark JSON but never gated.
+* **Matcher instrumentation** (``batch_probe_groups``) — counts distinct
+  probe-key groups per step of every ``JoinPlan.rows`` run (firing, head
+  and constraint checks alike); the oracle does not advance it, so it is
+  reported in the benchmark JSON but never gated.
 
 The counters are advisory instrumentation: they are not thread-safe and must
 never influence evaluation results.  Only engine code increments them, and in
@@ -72,7 +74,7 @@ class EngineStats:
     #: Invented nulls dropped by the post-retraction garbage collector
     #: because no surviving fact references them (odd-ID reachability scan).
     nulls_collected: int = 0
-    #: Distinct probe-key groups evaluated by the batch executor (0 under
+    #: Distinct probe-key groups evaluated by the matcher (0 under
     #: the depth-first oracle of the differential tests); the ratio to batch
     #: rows shows how much probe work was shared.
     batch_probe_groups: int = 0

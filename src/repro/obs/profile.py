@@ -1,7 +1,8 @@
 """Per-step join-plan profiling behind a single enabled flag.
 
-When :data:`PROFILER` is enabled, both executors accumulate per-step
-counters onto the plan they run — candidate rows entering each step,
+When :data:`PROFILER` is enabled, the matcher (:meth:`JoinPlan.rows
+<repro.engine.plan.JoinPlan.rows>`) accumulates per-step counters onto the
+plan it runs — candidate rows entering each step,
 postings probe groups evaluated, rows surviving verification, negation
 pre-filter hits, and per-step wall time — without changing what they
 compute (``tests/test_obs_neutrality.py`` pins byte-parity with profiling
@@ -12,13 +13,11 @@ on).  The counters surface two ways:
 * ``benchmarks/harness.py --profile out.json`` snapshots the hottest plans
   per scenario (:meth:`Profiler.snapshot`) into a JSON artifact.
 
-Cost model: disabled, the executors pay one attribute read and branch per
-*plan execution* (not per row).  Enabled, the batch executor adds one
-timestamp pair and a handful of integer adds per step-batch; the row
-executor wraps its backtracker generator, so its per-step numbers count
-candidates and survivors exactly but its plan-level time includes consumer
-time between yields (batch mode, the default, is the accurate one — see
-``docs/observability.md``).
+Cost model: disabled, the matcher pays one attribute read and branch per
+*plan execution* (not per row).  Enabled, it adds one timestamp pair and a
+handful of integer adds per step-batch.  Every match goes through it, so
+rule firings, the chase's head checks and constraint checks all register
+profiles (see ``docs/observability.md``).
 """
 
 from __future__ import annotations
@@ -91,7 +90,7 @@ class PlanProfile:
 class Profiler:
     """The process-global plan-profile registry and master switch.
 
-    ``enabled`` is the one flag both executors read; :meth:`plan_profile`
+    ``enabled`` is the one flag the matcher reads; :meth:`plan_profile`
     hands out (and registers) the per-plan accumulator.  Profiles survive
     across executions until :meth:`reset`, so a snapshot covers everything
     since the last reset — the harness resets between scenario records.
@@ -151,5 +150,5 @@ class Profiler:
         return [profile.as_dict() for profile in profiles]
 
 
-#: The process-global profiler both executors consult.
+#: The process-global profiler the matcher consults.
 PROFILER = Profiler()

@@ -1,4 +1,4 @@
-"""Edge-case properties of the column-at-a-time executor.
+"""Edge-case properties of the column-at-a-time matcher.
 
 Targets the classic vectorised-executor failure modes one by one:
 
@@ -19,30 +19,11 @@ from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant, Variable
 from repro.engine.plan import compile_body, compile_rule
-from repro.engine.reference import reference_match_atoms
+from test_engine_batch_parity import assert_three_way_parity as assert_parity
 from test_engine_batch_parity import matcher
 
 V = Variable
 C = Constant
-
-
-def canonical(substitutions):
-    return sorted(
-        tuple(sorted((v.name, str(t)) for v, t in s.items())) for s in substitutions
-    )
-
-
-def assert_parity(atoms, instance, initial=None):
-    atoms = tuple(atoms)
-    prebound = frozenset(initial) if initial else frozenset()
-    plan = compile_body(atoms, prebound)
-    row_matches = list(plan.execute(instance, initial))
-    batch_matches = plan.execute_batch(instance, initial)
-    assert batch_matches == row_matches
-    assert canonical(batch_matches) == canonical(
-        reference_match_atoms(atoms, instance, initial)
-    )
-    return batch_matches
 
 
 class TestRepeatedVariables:
@@ -182,13 +163,13 @@ class TestSnapshotIsolation:
         )
         snapshot = instance.snapshot()
         plan = compile_body((Atom("e", (V("X"), V("Y"))),))
-        before = plan.execute_batch(snapshot)
+        before = list(plan.execute(snapshot))
         assert len(before) == 2
         instance.add(Atom("e", (C("c"), C("d"))))
         instance.add(Atom("e", (C("a"), C("z"))))
-        after = plan.execute_batch(snapshot)
+        after = list(plan.execute(snapshot))
         assert after == before  # frozen prefix: appended rows invisible
-        live = plan.execute_batch(instance)
+        live = list(plan.execute(instance))
         assert len(live) == 4
 
     def test_batch_probe_respects_snapshot_caps_per_bucket(self):
@@ -198,7 +179,7 @@ class TestSnapshotIsolation:
         # the snapshot must not extend the snapshot's candidate set.
         instance.add(Atom("e", (C("a"), C("c"))))
         plan = compile_body((Atom("e", (C("a"), V("Y"))),))
-        matches = plan.execute_batch(snapshot)
+        matches = list(plan.execute(snapshot))
         assert [m[V("Y")] for m in matches] == [C("b")]
 
     def test_negation_probe_against_snapshot_is_frozen(self):
@@ -237,12 +218,12 @@ class TestDegenerateShapes:
     def test_unmatched_predicate(self):
         instance = Instance([Atom("e", (C("a"), C("b")))])
         plan = compile_body((Atom("missing", (V("X"),)),))
-        assert plan.execute_batch(instance) == []
+        assert list(plan.execute(instance)) == []
 
     def test_unmatched_constant_bucket(self):
         instance = Instance([Atom("e", (C("a"), C("b")))])
         plan = compile_body((Atom("e", (C("z"), V("Y"))),))
-        assert plan.execute_batch(instance) == []
+        assert list(plan.execute(instance)) == []
 
     def test_empty_body_with_prebound_seed(self):
         instance = Instance([Atom("e", (C("a"), C("b")))])

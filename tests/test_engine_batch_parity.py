@@ -1,17 +1,18 @@
-"""Differential fuzzing: the batch executor vs row-at-a-time vs the reference.
+"""Differential fuzzing: the matcher vs the depth-first oracle vs the reference.
 
-The column-at-a-time executor (:mod:`repro.engine.batch`) promises *exact*
-parity with the row-at-a-time plans — same matches, same order — which in
-turn are locked to the seed's interpretive matcher
-(:mod:`repro.engine.reference`).  This suite generates random programs over
-random RDF graphs, chain ontologies, and k-clique instances (all with fixed
-seeds, so CI runs are reproducible) and asserts:
+The column-at-a-time matcher (``JoinPlan.rows``, :mod:`repro.engine.batch`)
+promises *exact* parity with a depth-first walk of the same compiled steps
+(:func:`repro.engine.reference.depth_first_rows`) — same matches, same order
+— and both are locked to the seed's interpretive matcher
+(:func:`repro.engine.reference.reference_match_atoms`).  This suite
+generates random programs over random RDF graphs, chain ontologies, and
+k-clique instances (all with fixed seeds, so CI runs are reproducible) and
+asserts:
 
-* **match level** — ``JoinPlan.execute_batch`` equals ``JoinPlan.execute``
-  row for row *in order*, and both equal ``reference_match_atoms`` as
-  multisets (the reference orders atoms differently, so only the multiset is
-  specified there); ``JoinPlan.rows``, the seam the engines fire from,
-  equals the depth-first oracle's rows;
+* **match level** — ``JoinPlan.rows`` equals ``depth_first_rows`` row for
+  row *in order*, and the decoded matches of both equal
+  ``reference_match_atoms`` as multisets (the reference orders atoms
+  differently, so only the multiset is specified there);
 * **engine level** — all three engines produce atom-for-atom identical
   instances with the production matcher and with the depth-first oracle
   behind ``JoinPlan.rows`` (:func:`matcher`; for engines that invent nulls,
@@ -36,7 +37,11 @@ from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Constant, Variable
 from repro.engine.plan import JoinPlan, compile_body, compile_pivot
-from repro.engine.reference import reference_match_atoms, reference_satisfies_some
+from repro.engine.reference import (
+    depth_first_rows,
+    reference_match_atoms,
+    reference_satisfies_some,
+)
 from repro.reductions.clique import clique_database, clique_program
 from repro.workloads.graphs import random_rdf_graph, random_undirected_graph
 from repro.workloads.ontologies import chain_ontology_graph
@@ -48,16 +53,16 @@ V = Variable
 def matcher(mode):
     """Run the block with ``mode``'s matcher behind ``JoinPlan.rows``.
 
-    ``"batch"`` is production; ``"row"`` swaps in the depth-first
-    backtracker, the oracle every differential suite compares against.
+    ``"batch"`` is production; ``"row"`` swaps in
+    :func:`~repro.engine.reference.depth_first_rows`, the oracle every
+    differential suite compares against.  ``exists`` and ``execute`` read
+    ``rows``, so head and constraint checks switch with it.
     """
     if mode == "batch":
         yield
         return
     production = JoinPlan.rows
-    JoinPlan.rows = lambda self, source, initial=None, delta_source=None: [
-        tuple(s) for s in self._run(source, initial, delta_source)
-    ]
+    JoinPlan.rows = depth_first_rows
     try:
         yield
     finally:
@@ -72,16 +77,19 @@ def canonical(substitutions):
 
 
 def assert_three_way_parity(atoms, instance, initial=None):
-    """batch == row (ordered) and batch == reference (multiset)."""
+    """rows == depth-first oracle (ordered), both == reference (multiset)."""
     atoms = tuple(atoms)
     prebound = frozenset(initial) if initial else frozenset()
     plan = compile_body(atoms, prebound)
-    row_matches = list(plan.execute(instance, initial))
-    batch_matches = plan.execute_batch(instance, initial)
-    assert batch_matches == row_matches  # exact order, not just content
-    assert canonical(batch_matches) == canonical(
+    # Exact order, not just content.
+    assert plan.rows(instance, initial) == depth_first_rows(plan, instance, initial)
+    matches = list(plan.execute(instance, initial))
+    with matcher("row"):
+        assert list(plan.execute(instance, initial)) == matches
+    assert canonical(matches) == canonical(
         reference_match_atoms(atoms, instance, initial)
     )
+    return matches
 
 
 def naive_stratified_fixpoint(program, database):

@@ -1,6 +1,6 @@
 """Differential fuzzing of the batch matcher's two lane loops.
 
-The extension loop (:meth:`_BatchStep._extensions`) and the distinct-value
+The extension loop (:meth:`Step._extensions`) and the distinct-value
 summary (:meth:`PredicateIndex.distinct_values`) each read one predicate's
 packed :class:`ColumnBuffer` lanes along two paths: a gather by C loops
 while the lane is clean (``mixed`` False: no tombstone, no padded row) and a
@@ -25,7 +25,7 @@ import random
 
 import pytest
 
-from repro.engine.batch import _BatchStep
+from repro.engine.batch import Step
 from repro.engine.colbuf import ColumnBuffer
 from repro.engine.index import PredicateIndex
 from repro.engine.stats import STATS
@@ -104,8 +104,8 @@ def all_shapes(rng, n_rows):
 
 
 def make_step(arity, bind_positions, intra_pairs):
-    """A bare :class:`_BatchStep` carrying only what ``_extensions`` reads."""
-    step = _BatchStep.__new__(_BatchStep)
+    """A bare :class:`Step` carrying only what ``_extensions`` reads."""
+    step = Step.__new__(Step)
     step.arity = arity
     step.bind_positions = bind_positions
     step.intra_pairs = intra_pairs

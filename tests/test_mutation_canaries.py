@@ -12,9 +12,9 @@ engine broke".
 
 Two mutations, one per batch-executor layer:
 
-* **perturb one probe verdict** — :meth:`_BatchStep._extensions` is the
-  packed bulk-extension loop of the batch executor; swallowing one surviving
-  extension must break row/batch byte-parity;
+* **perturb one probe verdict** — :meth:`Step._extensions` is the packed
+  bulk-extension loop of the matcher; swallowing one surviving extension
+  must break matcher/oracle byte-parity;
 * **drop one head fire** — :meth:`Instance.add_key` lands every engine's
   head facts; pretending the first genuinely-new fact was a duplicate (so
   only the first of the two runs loses it) must break the same parity.
@@ -25,7 +25,7 @@ The mutations are applied through ``monkeypatch`` fixture toggles.
 import pytest
 
 from repro.datalog.database import Instance
-from repro.engine.batch import _BatchStep
+from repro.engine.batch import Step
 from repro.engine.incremental import DeltaSession
 from repro.engine.stats import STATS
 from test_engine_batch_parity import matcher
@@ -42,7 +42,7 @@ def edges(n):
 
 
 def oracle_row_vs_batch():
-    """Row and batch executors: byte-identical atoms and gated counters."""
+    """Matcher and depth-first oracle: byte-identical atoms and gated counters."""
     es = edges(10)
     outcomes = {}
     for mode in ("row", "batch"):
@@ -62,7 +62,7 @@ def oracle_row_vs_batch():
 
 def test_perturbed_probe_verdict_is_caught(monkeypatch):
     oracle_row_vs_batch()  # clean: must pass
-    original = _BatchStep._extensions
+    original = Step._extensions
     state = {"perturbed": False}
 
     def mutant(self, cols, candidate_ids):
@@ -73,7 +73,7 @@ def test_perturbed_probe_verdict_is_caught(monkeypatch):
         return result
 
     with monkeypatch.context() as m:
-        m.setattr(_BatchStep, "_extensions", mutant)
+        m.setattr(Step, "_extensions", mutant)
         with pytest.raises(AssertionError):
             oracle_row_vs_batch()
     assert state["perturbed"], "the mutant kernel was never exercised"

@@ -1,7 +1,8 @@
 """Plan profiling and EXPLAIN tests (repro.obs.profile + CompiledRule.explain).
 
-Profiles accumulate per-step candidate/probe/survivor counts on the plans
-both executors run; EXPLAIN renders the compiled step order always and the
+Profiles accumulate per-step candidate/probe/survivor counts on every plan
+the matcher runs — rule bodies, head checks and constraint checks alike;
+EXPLAIN renders the compiled step order always and the
 counters once a profiled execution happened.  Byte-parity of results with
 profiling on lives in ``tests/test_obs_neutrality.py``.
 """
@@ -9,6 +10,7 @@ profiling on lives in ``tests/test_obs_neutrality.py``.
 import pytest
 
 from repro.datalog.atoms import Atom
+from repro.datalog.chase import ChaseEngine, violates
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant
@@ -48,7 +50,7 @@ class TestProfiler:
         run("batch")
         assert PROFILER.snapshot() == []
 
-    @pytest.mark.parametrize("mode", ["row", "batch"])
+    @pytest.mark.parametrize("mode", ["batch"])
     def test_profiles_accumulate_per_step_counters(self, mode):
         PROFILER.enable()
         PROFILER.reset()
@@ -68,6 +70,44 @@ class TestProfiler:
         assert transitive["rows_out"] <= first["rows_out"] * max(
             1, second["rows_out"]
         )
+
+    def test_constraint_and_head_checks_register_step_profiles(self):
+        """``violates`` and the restricted chase's head check match through
+        ``JoinPlan.rows`` like rule firing does, so each registers a plan
+        profile with per-step counters."""
+        program = parse_program(
+            """
+            person(?X) -> exists ?Y . parent(?X, ?Y).
+            parent(?X, ?Y), person(?Y) -> false.
+            """
+        )
+        database = [
+            Atom("person", (C("ann"),)),
+            Atom("person", (C("bob"),)),
+            Atom("parent", (C("ann"), C("bob"))),
+        ]
+        PROFILER.enable()
+        PROFILER.reset()
+        instance = ChaseEngine().chase(database, program).instance
+        assert violates(program.constraints, instance)
+        plans = PROFILER.snapshot()
+
+        def profile_of(label):
+            (plan,) = [p for p in plans if p["label"] == label]
+            return plan
+
+        # The head check of the existential rule: one step, run once per
+        # person, satisfied for ann (parent(ann, bob)) and not for bob.
+        head = profile_of("parent(?X, ?Y)")
+        (step,) = head["steps"]
+        assert head["executions"] == step["rows_in"] == 2
+        assert step["rows_out"] == head["rows_out"] == 1
+        # The two-atom constraint body: parent(ann, bob), person(bob).
+        constraint = profile_of("parent(?X, ?Y) AND person(?Y)")
+        assert constraint["executions"] == 1
+        assert [s["rows_in"] for s in constraint["steps"]] == [1, 2]
+        assert [s["rows_out"] for s in constraint["steps"]] == [2, 1]
+        assert constraint["rows_out"] == 1
 
     def test_negation_counters_accumulate_in_batch_mode(self):
         PROFILER.enable()

@@ -25,7 +25,6 @@ import urllib.request
 import pytest
 
 from repro.engine import index as engine_index
-from repro.engine.batch import BatchPlan
 from repro.engine.plan import CompiledRule, JoinPlan
 from repro.engine.stats import STATS
 from repro.service.view import MaterializedView
@@ -60,8 +59,6 @@ def matchers_raise_off_main_thread(monkeypatch):
     main = threading.main_thread()
     for owner, name in (
         (JoinPlan, "rows"),
-        (JoinPlan, "_run"),
-        (BatchPlan, "run"),
         (CompiledRule, "trigger_row_batches"),
     ):
         original = getattr(owner, name)
