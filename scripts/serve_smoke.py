@@ -3,8 +3,11 @@
 
 Boots a real :class:`repro.service.QueryService` on an ephemeral port, runs
 a fixed query mix over HTTP (interleaved with delta pushes, DRed
-retractions, and an epoch reset), checks every response for consistency, and asserts the query p50
-stays under a deliberately loose ceiling — this is a smoke gate against
+retractions, and an epoch reset), checks every response for consistency,
+checks the final answers of every query against a cold in-process
+:class:`~repro.translation.entailment_regime.EntailmentView` of the expected
+final graph (so a retraction that leaves a derived fact behind fails), and
+asserts the query p50 stays under a deliberately loose ceiling — this is a smoke gate against
 "serving got 100x slower or wedged", not a benchmark (the harness's
 ``bench_service_concurrent.py`` scenario is the measured, baseline-gated
 number).
@@ -47,11 +50,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     from repro.service import QueryService
+    from repro.sparql.parser import parse_sparql
+    from repro.translation.entailment_regime import EntailmentView
     from repro.workloads.ontologies import university_graph
 
-    service = QueryService(
-        university_graph(n_departments=1, students_per_department=5), port=0
-    )
+    def base_graph():
+        return university_graph(n_departments=1, students_per_department=5)
+
+    service = QueryService(base_graph(), port=0)
     loop = asyncio.new_event_loop()
     started = threading.Event()
 
@@ -85,6 +91,7 @@ def main(argv=None) -> int:
 
     failures = []
     latencies = []
+    live_writes = {}  # the smoke triples pushed and not retracted, in order
     health = get("/healthz")
     if health.get("status") != "ok" or not health.get("consistent"):
         failures.append(f"unhealthy boot: {health}")
@@ -102,25 +109,44 @@ def main(argv=None) -> int:
         # Interleave writer traffic: a push every other round, one epoch
         # reset mid-run.
         if round_number % 2 == 0:
-            pushed = post(
-                "/push",
-                {"triples": [[f"smoke_{round_number}", "rdf:type", "Student"]]},
-            )
+            triple = (f"smoke_{round_number}", "rdf:type", "Student")
+            pushed = post("/push", {"triples": [list(triple)]})
+            live_writes[triple] = None
             if not pushed["consistent"]:
                 failures.append(f"push declared inconsistent: {pushed}")
         elif round_number > 1:
             # Retract the previous round's smoke student: the deletion path
             # (DRed) must remove it from the EDB and stay consistent.
-            retracted = post(
-                "/retract",
-                {"triples": [[f"smoke_{round_number - 1}", "rdf:type", "Student"]]},
-            )
+            triple = (f"smoke_{round_number - 1}", "rdf:type", "Student")
+            retracted = post("/retract", {"triples": [list(triple)]})
+            live_writes.pop(triple, None)
             if retracted["removed_edb"] != 1:
                 failures.append(f"retract missed its fact: {retracted}")
             if not retracted["consistent"]:
                 failures.append(f"retract declared inconsistent: {retracted}")
         if round_number == ROUNDS // 2:
             post("/rematerialize", {})
+
+    # After the writes, every query must answer exactly what a cold
+    # materialisation of the expected final graph answers.
+    expected_graph = base_graph()
+    expected_graph.add_all(live_writes)
+    reference = EntailmentView(expected_graph)
+    for text in QUERY_TEXTS:
+        served = get(f"/query?q={urllib.parse.quote(text)}&mode=U")["answers"]
+        answers = reference.evaluate(parse_sparql(text), "U")
+        expected = sorted(
+            (
+                {variable.name: term.value for variable, term in mapping.items()}
+                for mapping in answers
+            ),
+            key=lambda row: sorted(row.items()),
+        )
+        if served != expected:
+            failures.append(
+                f"answers after the writes differ for {text!r}: served "
+                f"{len(served)} rows, a cold view of the final graph {len(expected)}"
+            )
 
     stats = get("/stats")
 

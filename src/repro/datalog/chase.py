@@ -280,7 +280,9 @@ class ChaseEngine:
         fire = _ChaseFiring(self, state)
         run_start = time.perf_counter_ns() if TRACER.enabled else 0
         try:
-            rounds = fixpoint(compiled, instance, delta, negation_reference, fire)
+            rounds = fixpoint(
+                compiled, instance, delta, negation_reference, fire, fire.begin_round
+            )
         except _StepBudgetSpent:
             rounds = fire.rounds
         fire.end_round()
@@ -365,8 +367,9 @@ class _ChaseFiring:
     reference): a trigger whose head is satisfied is skipped — which also
     stops a pivot plan re-firing a first-round trigger; past the step budget
     the loop ends (:class:`_StepBudgetSpent`); a trigger that would invent a
-    too-deep null is skipped and noted in ``depth_cut``.  A new delta sink
-    starts a new round, and the previous round's ``chase.round`` event.
+    too-deep null is skipped and noted in ``depth_cut``.  The loop's round
+    hook (:meth:`begin_round`) closes one ``chase.round`` event and opens
+    the next, so each round's ``seminaive.rule`` records lie inside it.
     """
 
     def __init__(self, engine: ChaseEngine, state: ChaseState):
@@ -375,17 +378,9 @@ class _ChaseFiring:
         self.steps = self.invented = self.rounds = 0
         self.limit_reason: Optional[str] = None
         self.depth_cut: Optional[str] = None
-        self._sink = None
         self._round_start = self._round_steps = 0
 
     def __call__(self, crule, instance, negation_reference, delta_sink, delta) -> None:
-        if delta_sink is not self._sink:
-            self.end_round()
-            self._sink = delta_sink
-            self.rounds += 1
-            if TRACER.enabled:
-                self._round_start = time.perf_counter_ns()
-                self._round_steps = self.steps
         engine = self.engine
         add_key = instance.add_key
         sink_add = delta_sink.add_key
@@ -411,9 +406,17 @@ class _ChaseFiring:
                     if add_key(key):
                         sink_add(key)
 
+    def begin_round(self) -> None:
+        """Record the finished round (if any) and open the next one."""
+        self.end_round()
+        self.rounds += 1
+        if TRACER.enabled:
+            self._round_start = time.perf_counter_ns()
+            self._round_steps = self.steps
+
     def end_round(self) -> None:
         """Record the round in progress as a ``chase.round`` event (when traced)."""
-        if self._sink is not None and TRACER.enabled:
+        if self.rounds and TRACER.enabled:
             TRACER.record(
                 "chase.round",
                 self._round_start,

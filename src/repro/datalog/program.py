@@ -123,11 +123,6 @@ class Program:
         return frozenset(preds)
 
     @property
-    def edb_predicates(self) -> FrozenSet[str]:
-        """Predicates never derived: purely extensional."""
-        return self.schema - self.head_predicates
-
-    @property
     def constants(self) -> FrozenSet[Constant]:
         """All constants mentioned by the rules and constraints."""
         consts: Set[Constant] = set()
@@ -184,10 +179,6 @@ class Program:
     def is_plain_datalog(self) -> bool:
         """True iff plain Datalog: no existentials, negation, or constraints."""
         return not (self.has_existentials or self.has_negation or self.has_constraints)
-
-    def rules_defining(self, predicate: str) -> Tuple[Rule, ...]:
-        """The rules whose head mentions ``predicate``."""
-        return tuple(r for r in self.rules if predicate in r.head_predicates)
 
     def fresh_predicate(self, prefix: str) -> str:
         """A predicate name not yet used by the program."""

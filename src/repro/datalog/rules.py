@@ -23,7 +23,6 @@ A constraint is ``a1, ..., an -> false`` (the ``⊥`` of the paper).
 
 from __future__ import annotations
 
-import itertools
 from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from repro.datalog.atoms import Atom
@@ -334,13 +333,3 @@ class Constraint:
         """
         head = Atom(witness_predicate, tuple(star for _ in range(arity)))
         return Rule(self.body, (head,), label=self.label)
-
-
-def fresh_variable_factory(prefix: str = "V") -> "itertools.count":
-    """Shared counter used by normalisation passes needing fresh variables."""
-    return itertools.count()
-
-
-def make_fresh_variable(counter: "itertools.count", prefix: str = "V") -> Variable:
-    """Return a variable unlikely to clash with user variables."""
-    return Variable(f"__{prefix}{next(counter)}")

@@ -126,7 +126,9 @@ class SemiNaiveEvaluator:
                         sink_add(key)
 
 
-def fixpoint(compiled, instance: Instance, delta, negation_reference, fire) -> int:
+def fixpoint(
+    compiled, instance: Instance, delta, negation_reference, fire, begin_round=None
+) -> int:
     """Rounds of ``compiled`` until one adds nothing; returns the count.
 
     ``delta=None`` is a cold run, whose first round runs every rule's full
@@ -135,10 +137,15 @@ def fixpoint(compiled, instance: Instance, delta, negation_reference, fire) -> i
     Negation reads ``negation_reference``, a frozen snapshot.
     ``fire(crule, instance, negation_reference, delta_sink, delta)`` fires
     one rule for one round; it may end the loop mid-round by raising.
+    ``begin_round()``, when given, runs at the top of every round, before
+    the round's first ``seminaive.rule`` record starts; it may end the loop
+    between rounds by raising.
     """
     rounds = 0
     while delta is None or len(delta):
         rounds += 1
+        if begin_round is not None:
+            begin_round()
         new_delta = Instance()
         for crule in compiled:
             traced = TRACER.enabled

@@ -44,35 +44,38 @@ delta discipline *across* runs:
   chase sessions agree byte-identically whenever the cold run fires the same
   triggers, and always agree on the ground fact set and on query answers
   (both results are universal models of the same database and program).
-* **One matcher.**  Continuations, over-deletion and goal-directed
-  re-derivation all fire from the slot rows of
-  :meth:`~repro.engine.plan.JoinPlan.rows`, as cold runs do; re-derivation
-  seeds it with the frontier binding unified from the deleted fact.
+* **One matcher, one loop.**  Continuations, over-deletion and
+  goal-directed re-derivation all fire from the slot rows of
+  :meth:`~repro.engine.plan.JoinPlan.rows`, as cold runs do; over-deletion
+  marks through the shared :func:`~repro.datalog.seminaive.fixpoint`, and
+  re-derivation seeds the matcher with the frontier binding unified from
+  the deleted fact.
 
 * **Deletions** go through :meth:`DeltaSession.retract`, a DRed
   (delete-and-rederive, Gupta–Mumick–Subrahmanian) maintenance pass:
 
   1. **Over-delete.**  On the pre-deletion instance, the downward closure of
      the retracted EDB facts is *marked* per stratum ascending — every fact
-     some rule match derives from at least one marked fact, enumerated with
-     the same pivot plans (and the same matchers) the insertion path uses.
+     some rule match derives from at least one marked fact, enumerated by a
+     marking firing function of the shared fixpoint loop.
      For existential rules the invented null of a candidate trigger is
      reconstructed from its content-addressed label; a label the term table
      has never seen proves the trigger never fired, so nothing downstream of
      it is marked.  Marking is a superset of what must go (a marked fact may
-     have other support) — DRed's classic over-estimate.
+     have other support) — DRed's classic over-estimate.  Past half the
+     materialisation, marking aborts and the affected strata are rebuilt
+     cold from the surviving EDB instead of steps 2–3.
   2. **Delete.**  The marked set is tombstoned in place
      (:meth:`~repro.engine.index.PredicateIndex.tombstone`): surviving rows
      are never renumbered and postings stay sound (probes skip tombstones).
   3. **Re-derive.**  Per stratum ascending: retracted-but-still-accumulated
      EDB facts come back verbatim; every other marked fact is re-checked
-     *goal-directedly* (unify the rule heads with the deleted fact, search
-     the surviving instance for an alternative body match); restorations
+     *goal-directedly* (unify the rule heads with the deleted fact, re-fire
+     each surviving body match whose head is unsatisfied); restorations
      then propagate through the ordinary delta rounds.  For the chase, the
-     goal-directed pass also re-fires triggers whose head *witness* was
-     deleted — the restricted-chase fixpoint invariant ("every trigger's
-     head is satisfied") is re-established with the same digest-named nulls
-     a cold run would invent.
+     same re-fire repairs triggers whose head *witness* was deleted — the
+     restricted-chase invariant ("every trigger's head is satisfied") is
+     re-established with the digest-named nulls a cold run would invent.
   4. **Re-check.**  Strata whose negation references may have shrunk are
      re-run from scratch (the same static dependency closure
      :meth:`push` uses), constraints whose body predicates intersect the
@@ -104,13 +107,17 @@ from repro.datalog.semantics import (
     StratifiedSemantics,
     ground_answers,
 )
-from repro.datalog.seminaive import SemiNaiveEvaluator
+from repro.datalog.seminaive import SemiNaiveEvaluator, fixpoint
 from repro.datalog.terms import Term
 from repro.engine import index as engine_index
 from repro.engine.interning import TERMS
 from repro.engine.plan import compile_body
 from repro.engine.stats import STATS
 from repro.obs.trace import TRACER
+
+
+class _MarkingOverflow(Exception):
+    """Over-deletion outgrew half the materialisation: rebuild instead."""
 
 
 @dataclass
@@ -367,9 +374,9 @@ class DeltaSession:
         references.  When over-deletion would mark more than half the
         materialisation — DRed's dense-instance worst case — the session
         aborts marking and rebuilds the affected strata cold from the
-        surviving EDB instead (:meth:`_retract_degenerate`), landing on the
-        same answer for less than per-fact restoration would cost.
-        The result is exactly the stratified semantics of the
+        surviving EDB instead, landing on the same answer for less than
+        per-fact restoration would cost; both branches end in the same null
+        GC, compaction and result.  The result is exactly the stratified semantics of the
         surviving EDB — the same parity contract as :meth:`push`, pinned by
         ``tests/test_engine_retract_parity.py``.  For chase sessions,
         over-deletion reconstructs invented-null labels from their
@@ -411,29 +418,37 @@ class DeltaSession:
         rebuild_from = self._rebuild_point(affected, changed)
         stop = rebuild_from if rebuild_from is not None else self.n_strata
         # Phase 1: mark the downward closure on the pre-deletion instance.
-        # ``None`` means marking aborted past the degeneration threshold —
-        # the closure covers most of the materialisation, so per-fact
-        # restoration would cost strictly more than evaluating cold.
         with TRACER.span("retract.overdelete", seeds=len(seeds)):
             marked = self._overdelete_closure(seeds, affected, stop)
         if marked is None:
+            # Marking outgrew half the materialisation: per-fact restoration
+            # would cost more than evaluating cold, so the affected strata
+            # are rebuilt from the surviving EDB (the parity oracle itself).
+            # ``overdeleted`` counts the facts the rebuild dropped,
+            # ``rederived`` the ones it brought back.
             with TRACER.span("retract.degenerate", stratum=affected):
-                return self._retract_degenerate(
-                    len(batch), removed_edb, affected, changed
-                )
-        # Phase 2: physical deletion.
-        with TRACER.span("retract.tombstone", marked=len(marked)):
-            discard = self.instance.discard
-            for fact in marked:
-                discard(fact)
-            STATS.retractions += len(marked)
-        # Phase 3: restore survivors, strata ascending.
-        with TRACER.span("retract.rederive", strata=max(0, stop - affected)):
-            rounds = self._rederive(affected, stop, marked)
-        # Phase 4: strata whose negation references shrank re-run cold.
-        if rebuild_from is not None:
-            self._rebuild(rebuild_from)
-        rederived = sum(1 for fact in marked if fact in self.instance)
+                overdeleted = self._facts_from(affected)
+                STATS.retractions += overdeleted
+                self._rebuild(affected)
+                rederived = self._facts_from(affected)
+            marked = {}
+            rebuild_from = affected
+            rounds = 0
+        else:
+            # Phase 2: physical deletion.
+            with TRACER.span("retract.tombstone", marked=len(marked)):
+                discard = self.instance.discard
+                for fact in marked:
+                    discard(fact)
+                STATS.retractions += len(marked)
+            # Phase 3: restore survivors, strata ascending.
+            with TRACER.span("retract.rederive", strata=max(0, stop - affected)):
+                rounds = self._rederive(affected, stop, marked)
+            # Phase 4: strata whose negation references shrank re-run cold.
+            if rebuild_from is not None:
+                self._rebuild(rebuild_from)
+            overdeleted = len(marked)
+            rederived = sum(1 for fact in marked if fact in self.instance)
         STATS.rederived += rederived
         with TRACER.span("retract.null_gc", marked=len(marked)):
             collected = self._collect_nulls(marked, rebuild_from is not None)
@@ -444,14 +459,14 @@ class DeltaSession:
                 "delta.retract",
                 retract_start,
                 batch=len(batch),
-                overdeleted=len(marked),
+                overdeleted=overdeleted,
                 rederived=rederived,
                 nulls_collected=collected,
             )
         return RetractResult(
             batch_size=len(batch),
             removed_edb=removed_edb,
-            overdeleted=len(marked),
+            overdeleted=overdeleted,
             rederived=rederived,
             nulls_collected=collected,
             affected_stratum=affected,
@@ -653,44 +668,6 @@ class DeltaSession:
 
     # -- retraction internals (DRed) -----------------------------------------
 
-    def _retract_degenerate(
-        self, batch_size: int, removed_edb: int, affected: int, changed: Set[str]
-    ) -> RetractResult:
-        """Deletion's analogue of a negation stratum re-run: over-deletion
-        marked more than half the live materialisation, so drop every fact of
-        strata ``>= affected`` and rebuild them cold from the surviving EDB.
-
-        :meth:`_rebuild` already owns the machinery (fresh instance,
-        constraint-cache reset, content-addressed nulls), and cold
-        evaluation of the surviving EDB *is* the parity oracle — the rebuilt
-        instance is byte-identical to what per-fact restoration would have
-        produced, minus the 2×-or-worse cost of restoring each survivor
-        individually.  ``overdeleted`` counts the facts dropped by the
-        instance swap and ``rederived`` the ones the rebuild brought back
-        (monotone shrinkage: the surviving EDB derives a subset of the old
-        instance, so everything re-materialised was indeed dropped first).
-        """
-        dropped = self._facts_from(affected)
-        STATS.retractions += dropped
-        self._rebuild(affected)
-        rederived = self._facts_from(affected)
-        STATS.rederived += rederived
-        collected = self._collect_nulls({}, True)
-        self.retractions += 1
-        return RetractResult(
-            batch_size=batch_size,
-            removed_edb=removed_edb,
-            overdeleted=dropped,
-            rederived=rederived,
-            nulls_collected=collected,
-            affected_stratum=affected,
-            rebuilt_from=affected,
-            rounds=0,
-            consistent=self._check_consistent(changed),
-            completed=self.completed,
-            limit_reason=self.limit_reason,
-        )
-
     def _facts_from(self, stratum: int) -> int:
         """The number of live facts of strata ``>= stratum``."""
         stratum_of = self.stratification
@@ -706,7 +683,10 @@ class DeltaSession:
         """Mark the downward closure of ``seeds``: every fact some derivation
         chain from a retracted fact reaches, over-approximated rule by rule.
 
-        Pure marking — the instance is untouched until phase 2, so every
+        Each stratum runs the shared :func:`~repro.datalog.seminaive.fixpoint`
+        with a firing function that marks every materialised head fact of a
+        trigger reading a marked fact, in ``_fire_rule``'s trigger order.
+        Marking is pure — the instance is untouched until phase 2, so every
         trigger is matched against the *pre-deletion* materialisation (DRed's
         over-deletion semantics).  The negation reference is likewise the
         pre-deletion snapshot: strata in ``[first, stop)`` negate only
@@ -714,55 +694,51 @@ class DeltaSession:
         :meth:`_rebuild_point` computed), so pre- and post-deletion snapshots
         agree on every predicate these rules negate.
 
-        Returns ``None`` when the closure outgrows half the materialisation
-        (checked between rounds).  On densely connected instances — a clique
-        of overlapping social windows, say — almost every derived fact can be
-        routed through a deleted edge, over-deletion approaches the whole
-        instance, and per-fact restoration costs strictly more than
-        re-evaluating the survivors cold; the caller falls back to
-        :meth:`_retract_degenerate`.
+        Returns ``None`` once the closure outgrows half the materialisation.
+        On densely connected instances — a clique of overlapping social
+        windows, say — almost every derived fact can be routed through a
+        deleted edge, over-deletion approaches the whole instance, and
+        per-fact restoration costs strictly more than re-evaluating the
+        survivors cold; :meth:`retract` rebuilds instead.  The loop's round
+        hook checks the size: ``marked`` only grows, so the decision equals
+        a per-firing check's, and an aborted round's matching stays whole.
         """
         marked: Dict[Atom, None] = dict.fromkeys(seeds)
         threshold = len(self.instance) // 2
-        if len(marked) > threshold:
-            return None
+        has_key = self.instance.has_key
+        decode_atom = TERMS.decode_atom
+
+        def check_size() -> None:
+            if len(marked) > threshold:
+                raise _MarkingOverflow
+
+        def mark(crule, instance, reference, sink, delta) -> None:
+            for plan, rows in crule.trigger_row_batches(instance, delta, reference):
+                ops = crule.row_ops(plan)
+                for row in rows:
+                    extended = self._extend_row(crule, ops, row)
+                    if extended is None:
+                        continue
+                    for key in ops.head_keys_row(extended):
+                        if has_key(key):
+                            atom = decode_atom(key)
+                            if atom not in marked:
+                                marked[atom] = None
+                                sink.add_key(key)
+
         reference = self.instance.snapshot()
-        for stratum in range(first, stop):
-            compiled = self.compiled_strata[stratum]
-            if not compiled:
-                continue
-            delta = Instance()
-            for fact in marked:
-                delta.add(fact)
-            while len(delta):
-                sink = Instance()
-                for crule in compiled:
-                    self._overdelete_rule(crule, delta, reference, marked, sink)
-                if len(marked) > threshold:
-                    return None
-                delta = sink
+        try:
+            check_size()
+            for stratum in range(first, stop):
+                compiled = self.compiled_strata[stratum]
+                if compiled:
+                    delta = Instance()
+                    for fact in marked:
+                        delta.add(fact)
+                    fixpoint(compiled, self.instance, delta, reference, mark, check_size)
+        except _MarkingOverflow:
+            return None
         return marked
-
-    def _overdelete_rule(self, crule, delta, reference, marked, sink) -> None:
-        """One rule's over-deletion round: mark every currently-materialised
-        head fact of a trigger that reads at least one marked fact.
-
-        Enumerates triggers exactly as ``SemiNaiveEvaluator._fire_rule`` does,
-        so the marked dict's insertion order is the trigger order.
-        """
-        batches = crule.trigger_row_batches(self.instance, delta, reference)
-        for plan, rows in batches:
-            ops = crule.row_ops(plan)
-            for row in rows:
-                extended = self._extend_row(crule, ops, row)
-                if extended is None:
-                    continue
-                for key in ops.head_keys_row(extended):
-                    if self.instance.has_key(key):
-                        atom = TERMS.decode_atom(key)
-                        if atom not in marked:
-                            marked[atom] = None
-                            sink.add_key(key)
 
     def _extend_row(self, crule, ops, row):
         """Extend an over-deletion trigger row with the nulls its chase firing
@@ -787,11 +763,13 @@ class DeltaSession:
     def _rederive(self, first: int, stop: int, marked: Dict[Atom, None]) -> int:
         """Phase 3 for strata ``first..stop-1``; returns the round count.
 
-        The chase's witness repair (:meth:`_refire_chase_triggers`) can add
-        facts that are not restorations — a trigger whose head only a deleted
+        The chase's witness repair (:meth:`_refire_triggers`) can add facts
+        that are not restorations — a trigger whose head only a deleted
         witness satisfied fires under its own null labels — so no marked
         fact stands for their consequences: each higher stratum continues
-        from these ``fresh`` facts after its own restorations.
+        from these ``fresh`` facts after its own restorations.  (Without
+        existential rules every re-fired head fact is a marked one: the
+        surviving instance derives nothing the pre-deletion fixpoint lacked.)
         """
         rounds = 0
         fresh = Instance()
@@ -802,12 +780,11 @@ class DeltaSession:
             if len(fresh) and self.compiled_strata[stratum]:
                 reference = self.instance.snapshot()
                 rounds += self._fixpoint(stratum, fresh, reference)
-            if self.chase_engine is not None:
-                fresh.load_keys(
-                    key
-                    for key in self._window_keys(mark, mark_limits)
-                    if TERMS.decode_atom(key) not in marked
-                )
+            fresh.load_keys(
+                key
+                for key in self._window_keys(mark, mark_limits)
+                if TERMS.decode_atom(key) not in marked
+            )
         return rounds
 
     def _rederive_stratum(self, stratum: int, marked: Dict[Atom, None]) -> int:
@@ -843,17 +820,17 @@ class DeltaSession:
     ) -> None:
         """Re-derive marked facts of ``stratum`` that still have alternative
         support, by unifying each against the rule heads that can produce it
-        and matching the rule bodies under that binding.
+        and re-firing the rule bodies' surviving matches under that binding
+        (:meth:`_refire_triggers`).
 
-        Semi-naive sessions stop at the first surviving trigger (one support
-        suffices; the delta rounds propagate).  Chase sessions enumerate
-        *every* trigger and re-fire each one whose head is no longer
-        satisfied — this is also what restores the restricted-chase
-        invariant for triggers whose head witness was over-deleted, with the
-        digest nulls guaranteeing the re-invented labels match a cold chase
-        of the surviving EDB whenever the trigger sets align.  This pass is
-        goal-directed repair, not forward chase, so it is exempt from the
-        engine's ``max_steps`` budget (``state.steps`` is not bumped).
+        Once a trigger restored the fact, every later trigger with the same
+        head is satisfied and skipped; for the chase, the re-fire is also
+        what restores the restricted-chase invariant for triggers whose head
+        witness was over-deleted, with the digest nulls guaranteeing the
+        re-invented labels match a cold chase of the surviving EDB whenever
+        the trigger sets align.  This pass is goal-directed repair, not
+        forward chase, so it is exempt from the engine's ``max_steps``
+        budget (``state.steps`` is not bumped).
         """
         stratum_of = self.stratification
         compiled = self.compiled_strata[stratum]
@@ -876,41 +853,23 @@ class DeltaSession:
                         v: t for v, t in binding.items() if v in frontier_set
                     }
                     plan = compile_body(crule.rule.body_positive, initial)
-                    if self.chase_engine is not None:
-                        self._refire_chase_triggers(crule, plan, initial, reference)
-                    elif self._restore_seminaive(crule, plan, initial, reference):
-                        break
-                else:
-                    continue
-                break
+                    self._refire_triggers(crule, plan, initial, reference)
 
-    def _restore_seminaive(self, crule, plan, initial, reference) -> bool:
-        """Fire the first surviving trigger of ``crule`` under ``initial``;
-        returns True if one fired (the fact is restored)."""
-        ops = crule.row_ops(plan)
-        negated = crule.rule.body_negative
-        for row in plan.rows(self.instance, initial):
-            if negated and ops.negation_blocked_row(row, reference):
-                continue
-            STATS.triggers_fired += 1
-            for key in ops.head_keys_row(row):
-                self.instance.add_key(key)
-            return True
-        return False
-
-    def _refire_chase_triggers(self, crule, plan, initial, reference) -> None:
+    def _refire_triggers(self, crule, plan, initial, reference) -> None:
         """Re-fire every surviving trigger of ``crule`` under ``initial``
-        whose head is no longer satisfied (restricted-chase repair).
+        whose head is no longer satisfied, inventing digest nulls for
+        existential rules (restricted-chase repair).
 
-        The matches are computed before the first re-fire, as on every
-        other firing path; a trigger that a re-fired fact newly enables is
-        left to the delta rounds that follow."""
+        The matches are computed, and their negation filtered against the
+        frozen ``reference``, before the first re-fire, as on every other
+        firing path; a trigger that a re-fired fact newly enables is left to
+        the delta rounds that follow."""
         ops = crule.row_ops(plan)
-        negated = crule.rule.body_negative
+        rows = plan.rows(self.instance, initial)
+        if crule.rule.body_negative:
+            rows = crule._filter_negation_rows(rows, plan, reference)
         state = self._chase_state
-        for row in plan.rows(self.instance, initial):
-            if negated and ops.negation_blocked_row(row, reference):
-                continue
+        for row in rows:
             if ChaseEngine._head_satisfied_row(crule, ops, row, self.instance):
                 continue
             if crule.sorted_existentials:
@@ -928,7 +887,8 @@ class DeltaSession:
 
     def _collect_nulls(self, marked: Dict[Atom, None], rebuilt: bool) -> int:
         """Drop invented nulls no surviving fact references from the chase's
-        depth bookkeeping; returns the count (0 for semi-naive sessions).
+        depth bookkeeping; returns the count (always 0 without existential
+        rules, which invent none).
 
         Candidates are the odd term IDs of marked facts that stayed deleted
         — the only place references can have been lost — widened to every
@@ -937,8 +897,6 @@ class DeltaSession:
         themselves are retired logically here and reclaimed physically at
         the next term-table epoch (:meth:`TermTable.begin_epoch`).
         """
-        if self.chase_engine is None:
-            return 0
         null_depth = self._chase_state.null_depth
         candidates = {
             tid

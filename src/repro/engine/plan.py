@@ -19,8 +19,11 @@ resolves it **once** at plan time:
   match is always a prefix of the full slot tuple; no substitution dicts,
   no pattern atoms, no term-object dispatch.
 * **Negation** — each negated atom (ground under any full body match, by
-  rule safety) compiles to a membership template evaluated directly against
-  the negation reference at the encoded-key level.
+  rule safety) compiles to a key template; one routine,
+  :meth:`CompiledRule._filter_negation_rows`, filters a batch of slot rows
+  against a frozen negation reference (an ``Instance`` or snapshot) by
+  encoded-key membership, memoised per distinct key.  Every firing path —
+  rounds, and DeltaSession's goal-directed restore — reads it.
 * **Pivots** — for semi-naive delta joins, :func:`compile_rule` prepares one
   plan per body atom with that atom forced first; the executor reads the
   first step's candidates from the delta and the rest from the full
@@ -50,7 +53,7 @@ the first call.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datalog.atoms import Atom
 from repro.datalog.rules import Rule
@@ -333,49 +336,17 @@ class JoinPlan:
         return lines
 
 
-def _reference_has_key(reference) -> Optional[Callable]:
-    """The encoded-membership probe of ``reference``, or None.
-
-    Instances and snapshots answer membership at the key level; anything
-    else (a plain set in a test, say) falls back to decoded-Atom ``in``.
-    """
-    return getattr(reference, "has_key", None)
-
-
-def _negation_hit(templates, row, has_key, reference) -> bool:
-    """True iff some encoded negation template matches ``reference`` at ``row``.
-
-    The single definition both the per-row check and the memoised batch
-    pre-filter go through, so the two paths cannot drift: keys are built
-    from the slot templates and answered via ``has_key`` when the reference
-    speaks encoded keys, else by decoded-Atom membership.
-    """
-    for _, pid, template in templates:
-        key = (pid, *(
-            row[payload] if is_slot else payload
-            for is_slot, payload in template
-        ))
-        if (
-            has_key(key)
-            if has_key is not None
-            else TERMS.decode_atom(key) in reference
-        ):
-            return True
-    return False
-
-
 class RowOps:
     """Row-level firing helpers for one (rule, plan) pair.
 
     Matches reach the engines as slot-ID tuples (:meth:`JoinPlan.rows`); this
     object is the precompiled bridge from those rows to everything an engine
     does with a match — building encoded head-fact keys, body instantiations
-    (provenance), frontier bindings, and negation membership probes —
-    without ever materialising a substitution dict (or, on the
-    firing fast path, an Atom).  Existential head variables map to
-    *extended* slot ids ``n_slots + j`` (``j`` over the rule's sorted
-    existentials): engines append the invented nulls' IDs to the row and
-    feed the extended tuple to :meth:`head_keys_row`.
+    (provenance) and frontier bindings — without ever materialising a
+    substitution dict (or, on the firing fast path, an Atom).  Existential
+    head variables map to *extended* slot ids ``n_slots + j`` (``j`` over
+    the rule's sorted existentials): engines append the invented nulls' IDs
+    to the row and feed the extended tuple to :meth:`head_keys_row`.
     """
 
     __slots__ = (
@@ -384,7 +355,6 @@ class RowOps:
         "head_templates",
         "body_templates",
         "frontier_slots",
-        "neg_templates",
     )
 
     def __init__(self, crule: "CompiledRule", plan: JoinPlan):
@@ -416,7 +386,6 @@ class RowOps:
         self.frontier_slots = tuple(
             (variable, slot_of[variable]) for variable in crule.sorted_frontier
         )
-        self.neg_templates = crule._negation_slots(plan)[1]
 
     def head_keys_row(self, extended_row) -> List[Tuple[int, ...]]:
         """The encoded head-fact keys instantiated from an (extended) slot row."""
@@ -439,12 +408,6 @@ class RowOps:
                 ))
             )
             for _, pid, template in self.body_templates
-        )
-
-    def negation_blocked_row(self, row, reference) -> bool:
-        """Unmemoised per-row negation check (for mutable references)."""
-        return _negation_hit(
-            self.neg_templates, row, _reference_has_key(reference), reference
         )
 
 
@@ -593,16 +556,17 @@ class CompiledRule:
     def _filter_negation_rows(self, rows, plan: JoinPlan, reference):
         """Drop slot rows whose negated atoms hold in ``reference``.
 
-        The membership probes are batched: rows agreeing on every slot the
-        negated atoms read share one memoised verdict, so the encoded keys
-        are built once per distinct key instead of once per match — and no
-        Atom is ever constructed when the reference answers at the key
-        level.
+        ``reference`` is a frozen :class:`~repro.datalog.database.Instance`
+        or :class:`~repro.engine.index.InstanceSnapshot`, answering
+        membership of encoded keys.  The probes are batched: rows agreeing
+        on every slot the negated atoms read share one memoised verdict, so
+        the keys are built once per distinct key instead of once per match,
+        and no Atom is ever constructed.
         """
         if not rows:
             return rows
         neg_slots, templates = self._negation_slots(plan)
-        has_key = _reference_has_key(reference)
+        has_key = reference.has_key
         memo: Dict[Tuple, bool] = {}
         memo_get = memo.get
         kept = []
@@ -611,7 +575,15 @@ class CompiledRule:
             key = tuple(row[slot] for slot in neg_slots)
             blocked = memo_get(key)
             if blocked is None:
-                blocked = memo[key] = _negation_hit(templates, row, has_key, reference)
+                blocked = False
+                for _, pid, template in templates:
+                    if has_key((pid, *(
+                        row[payload] if is_slot else payload
+                        for is_slot, payload in template
+                    ))):
+                        blocked = True
+                        break
+                memo[key] = blocked
             if not blocked:
                 append(row)
         if PROFILER.enabled:

@@ -5,7 +5,9 @@ removed in 4.0.0; ``repro.engine.mode`` keeps only the two report shims the
 benchmark ledger imports.  The depth-first backtracker, its profiled twin
 and the separate batch plan were removed in 10.0.0: ``JoinPlan.rows`` is the
 one matcher, and the depth-first walk survives only as a test oracle in
-``repro.engine.reference``, which no production module imports.
+``repro.engine.reference``, which no production module imports.  Since
+11.0.0 DRed's marking runs on the one round loop, ``seminaive.fixpoint``,
+and both engines restore through one re-fire routine.
 """
 
 import ast
@@ -16,7 +18,8 @@ import pytest
 
 import repro
 from repro.engine import batch, mode
-from repro.engine.plan import JoinPlan
+from repro.engine.incremental import DeltaSession
+from repro.engine.plan import JoinPlan, RowOps
 
 SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "repro"
@@ -56,6 +59,27 @@ def test_one_matcher():
     for removed in ("_run", "_run_profiled", "lazy_rows", "execute_batch"):
         assert not hasattr(JoinPlan, removed), removed
     assert not hasattr(batch, "BatchPlan")
+
+
+def test_one_maintenance_path():
+    """DRed marks on the shared fixpoint and restores through one re-fire.
+
+    The only ``while ... len(delta)`` round loop under ``src/repro`` is
+    ``seminaive.fixpoint``; the semi-naive restore, the separate degenerate
+    retract exit and the per-row negation check are gone.
+    """
+    loops = []
+    for relative, text in source_modules():
+        for function in ast.walk(ast.parse(text)):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(function):
+                if isinstance(node, ast.While) and "len(delta)" in ast.unparse(node.test):
+                    loops.append((relative, function.name))
+    assert loops == [("datalog/seminaive.py", "fixpoint")]
+    for removed in ("_restore_seminaive", "_retract_degenerate"):
+        assert not hasattr(DeltaSession, removed), removed
+    assert not hasattr(RowOps, "negation_blocked_row")
 
 
 def test_no_production_module_imports_the_oracles():

@@ -111,20 +111,20 @@ class TestCompiledRule:
     def test_negation_probe_blocks(self):
         program = parse_program("p(?X), not q(?X) -> r(?X).")
         crule = compile_rule(program.rules[0])
-        ops = crule.row_ops(crule.plan)
         reference = Instance([Atom("q", (a,))])
-        assert ops.negation_blocked_row(row_of(crule.plan, {X: a}), reference)
-        assert not ops.negation_blocked_row(row_of(crule.plan, {X: b}), reference)
+        row_a, row_b = row_of(crule.plan, {X: a}), row_of(crule.plan, {X: b})
+        kept = crule._filter_negation_rows([row_a, row_b], crule.plan, reference)
+        assert kept == [row_b]
 
     def test_negation_probe_against_snapshot(self):
         program = parse_program("p(?X), not q(?X) -> r(?X).")
         crule = compile_rule(program.rules[0])
-        ops = crule.row_ops(crule.plan)
         instance = Instance([Atom("q", (a,))])
         frozen = instance.snapshot()
         instance.add(Atom("q", (b,)))
-        assert ops.negation_blocked_row(row_of(crule.plan, {X: a}), frozen)
-        assert not ops.negation_blocked_row(row_of(crule.plan, {X: b}), frozen)
+        row_a, row_b = row_of(crule.plan, {X: a}), row_of(crule.plan, {X: b})
+        kept = crule._filter_negation_rows([row_a, row_b], crule.plan, frozen)
+        assert kept == [row_b]
 
     def test_delta_substitutions_require_delta_overlap(self):
         program = parse_program("e(?X, ?Y), e(?Y, ?Z) -> t(?X, ?Z).")

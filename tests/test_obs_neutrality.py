@@ -10,10 +10,14 @@ actually record events when tracing is on (a neutrality suite over dead
 instrumentation would prove nothing).
 """
 
+import itertools
+import time
+
 import pytest
 
 from repro.core.warded_engine import WardedEngine
 from repro.datalog.atoms import Atom
+from repro.datalog.chase import ChaseEngine
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant
@@ -152,6 +156,62 @@ class TestTracingNeutrality:
             range(1, len(rounds) + 1)
         )
         assert sum(event["attrs"]["steps"] for event in rounds) == run["attrs"]["steps"]
+
+
+class TestAttribution:
+    def test_chase_rule_records_lie_inside_one_round(self, monkeypatch):
+        """Every ``seminaive.rule`` record of a traced chase run sits inside
+        exactly one ``chase.round``; rounds do not overlap, and there are as
+        many as the run reports."""
+        # A clock that advances 1 µs per reading: the exported microsecond
+        # timestamps then order any two readings strictly.
+        ticks = itertools.count()
+        monkeypatch.setattr(time, "perf_counter_ns", lambda: next(ticks) * 1000)
+        database = [edge(f"n{i}", f"n{i + 1}") for i in range(6)]
+        TRACER.enable()
+        ChaseEngine().chase(database, parse_program(CHURN_PROGRAM))
+        events = TRACER.events()
+        TRACER.disable()
+
+        def spans(name):
+            return [
+                (event["start_us"], event["start_us"] + event["duration_us"])
+                for event in events
+                if event["name"] == name
+            ]
+
+        (run,) = [event for event in events if event["name"] == "chase.run"]
+        rounds, rules = spans("chase.round"), spans("seminaive.rule")
+        assert len(rounds) == run["attrs"]["rounds"] == 6
+        assert len(rules) == 3 * len(rounds)
+        for (_, end), (start, _) in zip(rounds, rounds[1:]):
+            assert end <= start
+        for start, end in rules:
+            owners = [r for r in rounds if r[0] <= start and end <= r[1]]
+            assert len(owners) == 1, (start, end)
+
+    def test_degenerate_retract_records_delta_retract(self):
+        """A retract whose marking overflows is traced like any other."""
+        program = parse_program(
+            """
+            edge(?X, ?Y) -> path(?X, ?Y).
+            path(?X, ?Y), edge(?Y, ?Z) -> path(?X, ?Z).
+            """
+        )
+        edges = [edge(f"n{i}", f"n{i + 1}") for i in range(12)]
+        session = DeltaSession(program, edges)
+        TRACER.enable()
+        result = session.retract(edges[3:9])
+        events = TRACER.events()
+        TRACER.disable()
+        session.close()
+        names = [event["name"] for event in events]
+        assert names.count("retract.degenerate") == 1
+        (record,) = [event for event in events if event["name"] == "delta.retract"]
+        assert record["attrs"]["overdeleted"] == result.overdeleted > 0
+        assert record["attrs"]["rederived"] == result.rederived
+        assert result.rebuilt_from == result.affected_stratum
+        assert result.rounds == 0
 
 
 class TestOneSemiNaiveEngine:
