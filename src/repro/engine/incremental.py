@@ -895,8 +895,12 @@ class DeltaSession:
         tracked null after a stratum rebuild (the rebuild swaps the whole
         instance, so any null may have died).  The dictionary entries
         themselves are retired logically here and reclaimed physically at
-        the next term-table epoch (:meth:`TermTable.begin_epoch`).
+        the next term-table epoch (:meth:`TermTable.begin_epoch`).  A
+        program with no existential rule returns at once, before reading
+        ``marked``.
         """
+        if not self.program.has_existentials:
+            return 0
         null_depth = self._chase_state.null_depth
         candidates = {
             tid

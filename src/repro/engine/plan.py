@@ -7,7 +7,8 @@ a fresh pattern ``Atom`` per candidate, and delegated per-fact verification
 to a generic unifier.  All of that is static for a fixed body, so this module
 resolves it **once** at plan time:
 
-* **Atom order** — a greedy selectivity order (most bound positions first,
+* **Atom order** — a greedy selectivity order (connected atoms first —
+  those sharing a variable with what is bound — then most bound positions,
   then most constants, then fewest fresh variables) computed over the
   statically known set of bound variables at each join step.
 * **Positions** — every term position of a body atom lands in one field of
@@ -305,7 +306,9 @@ class JoinPlan:
 
         Constant IDs are decoded back to spellings, slot indices to the
         variable names that own them; each line shows what the step scans
-        or probes and which variables it binds.
+        or probes and which variables it binds.  A step after the first that
+        probes no bound slot is tagged ``cross``: it joins its candidates
+        with every row so far (a cross product).
         """
         def term_text(tid) -> str:
             if type(tid) is not int:
@@ -332,6 +335,8 @@ class JoinPlan:
                 line += f"  bind [{', '.join(binds)}]"
             if checks:
                 line += f"  check [{', '.join(checks)}]"
+            if i and not step.slot_probes:
+                line += "  cross"
             lines.append(line)
         return lines
 
@@ -655,9 +660,11 @@ def _profile_lines(profile, indent: str) -> List[str]:
 def _selectivity_order(
     atoms: Sequence[Atom], prebound: FrozenSet[Variable], first: Optional[int]
 ) -> List[int]:
-    """Greedy join order: most bound positions, then most constants, then
-    fewest fresh variables; ties keep the original order.  ``first`` pins a
-    pivot atom to the front."""
+    """Greedy join order: connected first (an atom shares a *variable*, not
+    a constant, with the bound set, or nothing is bound yet), then most
+    bound positions, then most constants, then fewest fresh variables; ties
+    keep the original order.  So no step is a cross product while a
+    connected atom remains.  ``first`` pins a pivot atom to the front."""
     order: List[int] = []
     bound = set(prebound)
     remaining = list(range(len(atoms)))
@@ -672,17 +679,19 @@ def _selectivity_order(
             atom = atoms[i]
             n_bound = 0
             n_const = 0
+            connected = not bound
             fresh = set()
             for term in atom.terms:
                 if isinstance(term, Variable):
                     if term in bound:
                         n_bound += 1
+                        connected = True
                     else:
                         fresh.add(term)
                 else:
                     n_bound += 1
                     n_const += 1
-            score = (n_bound, n_const, -len(fresh), -i)
+            score = (connected, n_bound, n_const, -len(fresh), -i)
             if best_score is None or score > best_score:
                 best_score = score
                 best_index = i

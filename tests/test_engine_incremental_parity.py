@@ -475,3 +475,45 @@ class TestModesAndDeterminism:
         closed.close()
         with pytest.raises(RuntimeError, match="closed"):
             closed.push([edge("x", "y")])
+
+
+# ---------------------------------------------------------------------------
+# Null collection after a retract
+# ---------------------------------------------------------------------------
+
+
+class UnreadableMarks(dict):
+    """The marked facts of a retract, as a mapping whose iteration raises."""
+
+    def __iter__(self):
+        raise AssertionError("_collect_nulls iterated the marked facts")
+
+
+class TestNullCollection:
+    def spy_on_collect_nulls(self, monkeypatch):
+        """Hand ``_collect_nulls`` unreadable marks; return the sizes it got."""
+        original = DeltaSession._collect_nulls
+        sizes = []
+
+        def spy(self, marked, rebuilt):
+            sizes.append(len(marked))
+            return original(self, UnreadableMarks(marked), rebuilt)
+
+        monkeypatch.setattr(DeltaSession, "_collect_nulls", spy)
+        return sizes
+
+    def test_existential_free_retract_never_reads_the_marks(self, monkeypatch):
+        sizes = self.spy_on_collect_nulls(monkeypatch)
+        session = DeltaSession(TC_PROGRAM, [edge(f"n{i}", f"n{i + 1}") for i in range(6)])
+        result = session.retract([edge("n2", "n3")])
+        assert sizes and sizes[0] > 0  # the retract did mark facts
+        assert result.nulls_collected == 0
+        assert session.instance.sorted_atoms() == cold_equivalent(session).sorted_atoms()
+        session.close()
+
+    def test_existential_retract_still_reads_the_marks(self, monkeypatch):
+        self.spy_on_collect_nulls(monkeypatch)
+        session = DeltaSession(ANCESTOR_CHASE_PROGRAM, [person("ann"), person("bob")])
+        with pytest.raises(AssertionError, match="iterated the marked facts"):
+            session.retract([person("ann")])
+        session.close()

@@ -2,14 +2,22 @@
 
 import pytest
 
+from repro.core.triqlite import TriQLiteQuery
 from repro.datalog.atoms import Atom
 from repro.datalog.chase import ChaseEngine
 from repro.datalog.database import Database, Instance
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant, Null, Variable
 from repro.engine.interning import TERMS
-from repro.engine.plan import compile_body, compile_rule
+from repro.engine.plan import compile_body, compile_pivot, compile_rule
 from repro.engine.stats import STATS
+from repro.obs.profile import PROFILER
+from repro.owl.entailment_rules import owl2ql_core_program
+from repro.sparql.parser import parse_sparql
+from repro.translation.entailment_regime import translate_under_entailment
+from repro.workloads.ontologies import lubm_style_graph
+from test_engine_incremental_parity import TC_NEGATION_PROGRAM, TC_PROGRAM
+from test_translation_entailment_regime import LUBM_MIX6_QUERIES
 
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
@@ -204,3 +212,134 @@ class TestBulkLoadAndStats:
         assert instance.discard(Atom("p", (a,)))
         assert list(instance.matching(Atom("p", (X,)))) == [Atom("p", (b,))]
         assert compile_body((Atom("p", (X,)),)).execute(instance).__next__()[X] == b
+
+
+# ---------------------------------------------------------------------------
+# Join order: no cross product while a connected atom remains
+# ---------------------------------------------------------------------------
+
+W = Variable("W")
+
+
+def avoidable_cross_steps(plan):
+    """Indices of steps sharing no variable with the variables bound before
+    them while a later step's atom shares one.  Constants are no connection;
+    while nothing is bound, every atom is connected."""
+    atoms = [step.atom for step in plan.steps]
+    bound = set(plan.prebound)
+    avoidable = []
+    for i, atom in enumerate(atoms):
+        if not bound & atom.variables and any(
+            bound & later.variables for later in atoms[i + 1 :]
+        ):
+            avoidable.append(i)
+        bound |= atom.variables
+    return avoidable
+
+
+def ledger_programs():
+    """The programs the layer ledger runs: the six ``lubm-mix6``
+    translations, the OWL 2 QL core, and the reachability and social
+    programs."""
+    programs = [
+        translate_under_entailment(parse_sparql(query)).program
+        for query in LUBM_MIX6_QUERIES
+    ]
+    programs.append(owl2ql_core_program())
+    programs.extend(parse_program(text) for text in (TC_PROGRAM, TC_NEGATION_PROGRAM))
+    return programs
+
+
+def compiled_plans(program):
+    """Every plan the engines compile for ``program``: cold and per pivot,
+    the head check, the goal-directed restore (frontier prebound) and the
+    constraint checks."""
+    for rule in program.rules:
+        crule = compile_rule(rule)
+        yield str(rule), "cold", crule.plan
+        for pivot, plan in enumerate(crule.pivot_plans):
+            yield str(rule), f"pivot {pivot}", plan
+        if crule.head_plan is not None:
+            yield str(rule), "head", crule.head_plan
+        yield str(rule), "restore", compile_body(rule.body_positive, rule.frontier)
+    for constraint in program.constraints:
+        yield str(constraint), "constraint", compile_body(constraint.body)
+
+
+def trap_plans():
+    """``(plan, joined, disjoint)`` for bodies where an atom ``disjoint``
+    from the bound variables outscores the atom ``joined`` on bound
+    positions only through its constants: a pivot, a prebound and a cold
+    plan.  The first is the trap a score counting constants as a
+    connection falls into: after ``C(?Y)`` both ``t`` atoms have two bound
+    positions, and ``t(?X, a, b)`` wins on its extra constant."""
+    c_y = Atom("C", (Y,))
+    typed = Atom("t", (X, a, b))  # constants only, disjoint from ?Y
+    joined = Atom("t", (X, c, Y))
+    yield compile_pivot((c_y, typed, joined), 0), joined, typed
+    yield compile_body((typed, joined), prebound=(Y,)), joined, typed
+    # Cold: s(?X, a, b) binds ?X first; then t(?Z, c, b) outscores r(?X, ?W).
+    cold_joined, cold_disjoint = Atom("r", (X, W)), Atom("t", (Z, c, b))
+    body = (Atom("s", (X, a, b)), cold_disjoint, cold_joined)
+    yield compile_body(body), cold_joined, cold_disjoint
+
+
+def assert_planner_never_picks_a_disconnected_atom():
+    """The planner invariant, over the traps and every ledger plan."""
+    for plan, joined, disjoint in trap_plans():
+        atoms = [step.atom for step in plan.steps]
+        assert avoidable_cross_steps(plan) == [], plan.describe()
+        assert atoms.index(joined) < atoms.index(disjoint), plan.describe()
+    for program in ledger_programs():
+        for rule, kind, plan in compiled_plans(program):
+            assert avoidable_cross_steps(plan) == [], (rule, kind, plan.describe())
+
+
+class TestConnectedOrder:
+    def test_planner_never_picks_a_disconnected_atom(self):
+        assert_planner_never_picks_a_disconnected_atom()
+
+    def test_cross_tag_marks_only_a_disconnected_body(self):
+        disconnected = compile_body((Atom("p", (X,)), Atom("q", (Y,))))
+        assert avoidable_cross_steps(disconnected) == []  # nothing to join
+        assert disconnected.describe() == [
+            "step 0: p(?X)  scan  bind [?X]",
+            "step 1: q(?Y)  scan  bind [?Y]  cross",
+        ]
+        joined = compile_body((Atom("p", (X,)), Atom("q", (X, Y)))).describe()
+        assert not any(line.endswith("cross") for line in joined)
+
+    def test_student_join_pivot_plan_through_explain(self):
+        graph = lubm_style_graph(
+            seed=0,
+            n_universities=1,
+            departments_per_university=1,
+            faculty_per_department=4,
+            students_per_department=6,
+            courses_per_department=2,
+        )
+        student_join = LUBM_MIX6_QUERIES[2]
+        translation = translate_under_entailment(parse_sparql(student_join))
+        (rule,) = [
+            rule
+            for rule in translation.program.rules
+            if rule.head[0].predicate == "query_0_X_Y"
+        ]
+        PROFILER.enable()
+        try:
+            query = TriQLiteQuery(
+                translation.program, translation.answer_predicate, translation.arity
+            )
+            query.evaluate(graph.to_database())
+            explain = compile_rule(rule).explain().splitlines()
+        finally:
+            PROFILER.disable()
+            PROFILER.reset()
+        start = explain.index("pivot 3 (C(?Y) from delta):")
+        assert explain[start + 1 : start + 5] == [
+            "  step 0: C(?Y)  scan  bind [?Y]",
+            "  step 1: triple1(?X, takesCourse, ?Y)  probe {[1]=takesCourse, [2]=?Y}  bind [?X]",
+            "  step 2: triple1(?X, rdf:type, Student)  probe {[0]=?X, [1]=rdf:type, [2]=Student}",
+            "  step 3: C(?X)  probe {[0]=?X}",
+        ]
+        assert not any(line.endswith("cross") for line in explain)
