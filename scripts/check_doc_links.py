@@ -1,12 +1,21 @@
 #!/usr/bin/env python
-"""Fail on broken relative links in the repo's Markdown documentation.
+"""Fail on broken relative links and stale file paths in the repo's Markdown docs.
 
 Scans the documentation tier — ``README.md``, ``docs/*.md``, and the
-package-level READMEs — for Markdown links and validates every *relative*
-target against the working tree (anchors and external ``http(s)``/``mailto``
-targets are ignored; absolute paths are rejected as unportable).  Run by the
-CI lint job and by ``tests/test_docs_links.py``, so a file rename that
-orphans a docs link fails before merge.
+package-level READMEs — for two kinds of reference to the working tree:
+
+* Markdown links: every *relative* target must exist (anchors and external
+  ``http(s)``/``mailto`` targets are ignored; absolute paths are rejected
+  as unportable);
+* backticked repo paths: every word of an inline code span that starts with
+  one of the top-level trees (``src/``, ``tests/``, ``benchmarks/``,
+  ``scripts/``, ``docs/``, ``ledger/``, ``examples/``) must name a file or
+  directory that exists, after dropping a pytest node id (``::Test``) or a
+  line reference (``:42``).  Globs and placeholders (``*``, ``{a,b}``,
+  ``<dir>``) are skipped.
+
+Run by the CI lint job and by ``tests/test_docs_links.py``, so a file
+rename that orphans a docs link or path fails before merge.
 
 Usage::
 
@@ -26,6 +35,15 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: Inline Markdown links: [text](target); images share the syntax.
 _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
+#: Inline code spans (single backticks; a span never crosses a line).
+_CODE_RE = re.compile(r"`([^`\n]+)`")
+
+#: The top-level trees a backticked path is checked under.
+_PATH_PREFIXES = ("src/", "tests/", "benchmarks/", "scripts/", "docs/", "ledger/", "examples/")
+
+#: Characters that make a path a glob or a placeholder, which is not checked.
+_PATTERN_CHARS = frozenset("*?[]{}<>…")
+
 DEFAULT_DOCS = (
     ["README.md", "ROADMAP.md"]
     + sorted(glob.glob("docs/*.md", root_dir=REPO_ROOT))
@@ -33,12 +51,26 @@ DEFAULT_DOCS = (
 )
 
 
+def backticked_paths(text: str) -> list:
+    """The repo paths the inline code spans of ``text`` name, in order."""
+    paths = []
+    for span in _CODE_RE.findall(text):
+        for word in span.split():
+            if not word.startswith(_PATH_PREFIXES) or _PATTERN_CHARS.intersection(word):
+                continue
+            paths.append(re.split(r"::|:\d", word, maxsplit=1)[0].rstrip(".,;:)"))
+    return paths
+
+
 def check_file(path: str) -> list:
-    """Broken-link messages for one Markdown file (empty when clean)."""
+    """Broken-link and missing-path messages for one Markdown file (empty when clean)."""
     problems = []
     full = os.path.join(REPO_ROOT, path)
     with open(full, encoding="utf-8") as handle:
         text = handle.read()
+    for target in backticked_paths(text):
+        if not os.path.exists(os.path.join(REPO_ROOT, target)):
+            problems.append(f"{path}: backticked path {target!r} does not exist")
     for match in _LINK_RE.finditer(text):
         target = match.group(1)
         if target.startswith(("http://", "https://", "mailto:", "#")):
@@ -63,9 +95,9 @@ def main(argv) -> int:
     for problem in problems:
         print(problem, file=sys.stderr)
     if problems:
-        print(f"{len(problems)} broken doc link(s)", file=sys.stderr)
+        print(f"{len(problems)} broken doc link(s) or path(s)", file=sys.stderr)
         return 1
-    print(f"doc links OK ({len(docs)} files)")
+    print(f"doc links and paths OK ({len(docs)} files)")
     return 0
 
 

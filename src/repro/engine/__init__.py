@@ -36,11 +36,12 @@ strategy per call:
 * :mod:`repro.engine.stats` exposes the counters (facts added, triggers
   fired, nulls invented, pivots skipped, batch probe groups) that
   ``benchmarks/harness.py`` samples per scenario.
-* :mod:`repro.engine.reference` keeps the executable specifications the
-  differential tests compare the matcher against: the original interpretive
-  backtracker (``tests/test_engine_parity.py``) and a depth-first walk of
-  the compiled steps that fixes the match order
-  (``tests/test_engine_batch_parity.py``).
+
+The executable specifications the differential tests compare the matcher
+against live outside the package, in ``tests/engine_reference.py``: the
+original interpretive backtracker (``tests/test_engine_parity.py``) and a
+depth-first walk of the compiled steps that fixes the match order
+(``tests/test_engine_batch_parity.py``).
 """
 
 from repro.engine.index import InstanceSnapshot, PredicateIndex

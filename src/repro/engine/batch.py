@@ -33,7 +33,7 @@ padded row) and checks every row otherwise.
 **Order guarantee**: extensions are emitted row-major with candidate row ids
 ascending — the order a depth-first backtracker over the same steps would
 produce.  The differential suites pin it against exactly that backtracker
-(:func:`repro.engine.reference.depth_first_rows`, a test oracle), which
+(``depth_first_rows`` in ``tests/engine_reference.py``), which
 keeps engine results, invented-null sequences and the gated stats counters
 tied to one specified match order.
 """

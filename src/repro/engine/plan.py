@@ -1,7 +1,7 @@
 """Compile-once join plans for rule-body evaluation, executed on term IDs.
 
-The seed matcher (`repro.engine.reference.reference_match_atoms`, formerly
-``chase.match_atoms``) re-derived its entire strategy on every call: it
+The seed matcher (``reference_match_atoms`` in ``tests/engine_reference.py``,
+formerly ``chase.match_atoms``) re-derived its entire strategy on every call: it
 re-``sorted()`` the body atoms, re-applied the running substitution to build
 a fresh pattern ``Atom`` per candidate, and delegated per-fact verification
 to a generic unifier.  All of that is static for a fixed body, so this module

@@ -13,7 +13,7 @@ Two classes of counter coexist:
   ``pivots_skipped``, and the retraction trio ``retractions`` /
   ``rederived`` / ``nulls_collected``) — deterministic, and unchanged if the
   matcher behind ``JoinPlan.rows`` is swapped for the depth-first oracle
-  (:func:`repro.engine.reference.depth_first_rows`), because both produce
+  (``depth_first_rows`` in ``tests/engine_reference.py``), because both produce
   the same rows in the same order, one firing path consumes them, and the
   pivot-skip test is shared.  The retraction
   counters are defined on *sets* (the over-deleted closure, the restored
@@ -31,7 +31,8 @@ The counters are advisory instrumentation: they are not thread-safe and must
 never influence evaluation results.  Only engine code increments them, and in
 the query service engine code runs only on the writer thread: a reader's
 evaluation goes ``evaluate_view_ids`` → ``matching_ids`` → the index's
-``scan_ids`` / ``probe_ids`` and never reaches a counter site
+``scan_ids`` / ``probe_ids`` (and ``has_key`` for the active-domain guard)
+and never reaches a counter site
 (``tests/test_service_metrics.py`` patches the matcher entry points to raise
 off the main thread and pins this).  The service reads :data:`STATS` at
 request time for ``/stats`` and ``/metrics``; nothing copies it.
@@ -62,7 +63,8 @@ class EngineStats:
     nulls_invented: int = 0
     #: Semi-naive pivots skipped because the delta's postings bucket for a
     #: bound (constant) term of the pivot atom was empty — the cost-based
-    #: pivot selection of the ROADMAP, identical under either matcher.
+    #: pivot selection of the ROADMAP, identical under the matcher and the
+    #: depth-first oracle.
     pivots_skipped: int = 0
     #: Facts physically removed by DRed retraction: the retracted EDB seeds
     #: plus the over-deleted downward closure that was tombstoned before

@@ -10,7 +10,6 @@ relational view used by every translation of Section 5.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple, Union
 
 from repro.datalog.atoms import Atom
@@ -83,7 +82,7 @@ def triple_atom(
 
 
 class RDFGraph:
-    """A finite set of RDF triples with subject/predicate/object indexes."""
+    """A finite, insertion-ordered set of RDF triples; SPARQL reads the engine's store, not this."""
 
     def __init__(self, triples: Iterable[Union[Triple, TripleLike]] = ()):
         # Insertion-ordered (dict-backed): iteration and ``to_database()``
@@ -91,13 +90,6 @@ class RDFGraph:
         # null numbering (e.g. the anonymisation example) flips between
         # runs and example outputs stop being byte-comparable across modes.
         self._triples: Dict[Triple, None] = {}
-        self._by_subject: Dict[Union[Constant, Null], Set[Triple]] = defaultdict(set)
-        self._by_predicate: Dict[Union[Constant, Null], Set[Triple]] = defaultdict(set)
-        self._by_object: Dict[Union[Constant, Null], Set[Triple]] = defaultdict(set)
-        # Mutation counter: lets derived views (the SPARQL evaluator's
-        # interned ID view) cache against the graph and invalidate exactly
-        # when the triple set changes.
-        self._version = 0
         for triple in triples:
             self.add(triple)
 
@@ -110,10 +102,6 @@ class RDFGraph:
         if triple in self._triples:
             return False
         self._triples[triple] = None
-        self._by_subject[triple.subject].add(triple)
-        self._by_predicate[triple.predicate].add(triple)
-        self._by_object[triple.object].add(triple)
-        self._version += 1
         return True
 
     def add_all(self, triples: Iterable[Union[Triple, TripleLike]]) -> int:
@@ -127,10 +115,6 @@ class RDFGraph:
         if triple not in self._triples:
             return False
         del self._triples[triple]
-        self._by_subject[triple.subject].discard(triple)
-        self._by_predicate[triple.predicate].discard(triple)
-        self._by_object[triple.object].discard(triple)
-        self._version += 1
         return True
 
     def union(self, other: "RDFGraph") -> "RDFGraph":
@@ -173,25 +157,11 @@ class RDFGraph:
         predicate: Optional[Union[Constant, Null, str]] = None,
         object: Optional[Union[Constant, Null, str]] = None,
     ) -> Iterator[Triple]:
-        """All triples matching the given (possibly ``None``) components."""
+        """All triples matching the given (possibly ``None``) components, in insertion order."""
         subject = _as_node(subject) if subject is not None else None
         predicate = _as_node(predicate) if predicate is not None else None
         object = _as_node(object) if object is not None else None
-
-        candidates: Optional[Set[Triple]] = None
-        for index, key in (
-            (self._by_subject, subject),
-            (self._by_predicate, predicate),
-            (self._by_object, object),
-        ):
-            if key is None:
-                continue
-            bucket = index.get(key, set())
-            if candidates is None or len(bucket) < len(candidates):
-                candidates = bucket
-        if candidates is None:
-            candidates = self._triples
-        for triple in candidates:
+        for triple in self._triples:
             if subject is not None and triple.subject != subject:
                 continue
             if predicate is not None and triple.predicate != predicate:

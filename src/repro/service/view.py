@@ -55,7 +55,7 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import FrozenSet, Iterator, Optional, Set, Union
+from typing import Iterator, Optional, Set, Union
 
 from repro.datalog.semantics import INCONSISTENT
 from repro.engine.incremental import DeltaSession, PushResult, RetractResult
@@ -67,11 +67,7 @@ from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import GraphPattern
 from repro.sparql.evaluator import IdMapping, decode_id_mappings
 from repro.sparql.parser import SelectQuery
-from repro.translation.entailment_regime import (
-    ACTIVE_DOMAIN_MODE,
-    active_domain_ids,
-    evaluate_view_ids,
-)
+from repro.translation.entailment_regime import ACTIVE_DOMAIN_MODE, evaluate_view_ids
 
 
 #: Milliseconds above which a query lands in the slow-query log (the
@@ -124,7 +120,7 @@ class ViewSnapshot:
     """An immutable published read state of a :class:`MaterializedView`.
 
     Carries the frozen instance prefix, the term-table epoch it was built
-    under, the cached active-domain ID set, and the ordinal high-water mark.
+    under, and the ordinal high-water mark.
     All query work happens on interned IDs; decoding checks the epoch first,
     so a reader that (incorrectly) held a snapshot across a
     :meth:`MaterializedView.rematerialize` fails loudly instead of decoding
@@ -136,7 +132,6 @@ class ViewSnapshot:
         "epoch",
         "watermark",
         "consistent",
-        "_active_domain",
         "_view",
         "_retract_seq",
     )
@@ -156,9 +151,6 @@ class ViewSnapshot:
         # non-monotonically).
         self._view = view
         self._retract_seq = view._retract_seq if view is not None else 0
-        self._active_domain: FrozenSet[int] = (
-            active_domain_ids(snapshot) if consistent else frozenset()
-        )
 
     def _check_epoch(self) -> None:
         if TERMS.epoch() != self.epoch:
@@ -184,12 +176,14 @@ class ViewSnapshot:
     ) -> Set[IdMapping]:
         """``⟦P⟧^mode`` over the frozen prefix, as ID mappings.
 
-        Checked against the retraction sequence before and after evaluating,
-        so a retraction that overlaps the evaluation raises
+        Callers must have checked :attr:`consistent`: the active-domain
+        guard reads the store's ``C`` facts as they are.  Checked against
+        the retraction sequence before and after evaluating, so a
+        retraction that overlaps the evaluation raises
         :class:`StaleSnapshotError` instead of returning its partial view.
         """
         self._check_epoch()
-        ids = evaluate_view_ids(pattern, self._snapshot, mode, self._active_domain)
+        ids = evaluate_view_ids(pattern, self._snapshot, mode)
         self._check_epoch()
         return ids
 

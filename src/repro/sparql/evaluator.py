@@ -11,33 +11,33 @@ The semantics is defined recursively on the pattern structure:
 5. ``⟦P FILTER R⟧ = { mu ∈ ⟦P⟧ | mu ⊨ R }``;
 6. ``⟦SELECT W P⟧ = { mu|_W | mu ∈ ⟦P⟧ }``.
 
-Since PR 6 the evaluation core runs **ID-native** on the engine's interned
-term IDs (:mod:`repro.engine.interning`): an *ID mapping* is a frozenset of
+The evaluation core runs on the engine's interned term IDs
+(:mod:`repro.engine.interning`): an *ID mapping* is a frozenset of
 ``(Variable, tid)`` pairs, triple matching probes flat int rows, and the
 whole algebra (join/union/minus/left-outer-join, built-in conditions)
 compares ints.  Terms are decoded back into boxed
 :class:`~repro.sparql.mappings.Mapping` objects only at the result boundary
-(:func:`decode_id_mappings`).  The BGP case takes its triple source as a
-``scan(pairs)`` callable, and two kinds of store supply one:
+(:func:`decode_id_mappings`).  The BGP case reads triples through a
+``scan(pairs)`` callable, and every scan is the engine's
+:meth:`~repro.engine.index.PredicateIndex.scan_ids`:
 
-* :class:`GraphIdView` — an interned postings view of an
-  :class:`~repro.rdf.graph.RDFGraph`, built once per graph version and
-  cached on the graph (the classic ``⟦P⟧_G`` entry points
-  :func:`evaluate_pattern` / :func:`evaluate_bgp` pass its ``scan``);
-* a materialized :class:`~repro.datalog.database.Instance` or frozen
-  :class:`~repro.engine.index.InstanceSnapshot` — the entailment-regime
-  view (:func:`repro.translation.entailment_regime.evaluate_view_ids`, and
-  through it the query service) passes ``store.matching_ids`` over the
-  ``triple1`` rows in a lambda, so it reads without ever decoding.
+* :func:`evaluate_pattern` / :func:`evaluate_bgp` (``⟦P⟧_G``) load
+  ``tau_db(G)`` into a fresh index per call and scan its ``triple`` rows;
+  nothing is cached on the graph;
+* the entailment-regime view
+  (:func:`repro.translation.entailment_regime.evaluate_view_ids`, and
+  through it the query service) scans the ``triple1`` rows of a
+  materialized ``Instance`` or frozen ``InstanceSnapshot``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union as TypingUnion
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union as TypingUnion
 
 from repro.datalog.terms import Null, Variable
+from repro.engine.index import PredicateIndex
 from repro.engine.interning import TERMS
-from repro.rdf.graph import RDFGraph
+from repro.rdf.graph import TRIPLE_PREDICATE, RDFGraph
 from repro.sparql.ast import (
     And,
     AndCondition,
@@ -62,83 +62,6 @@ IdMapping = FrozenSet[Tuple[Variable, int]]
 
 #: ``mu_∅`` in ID form.
 EMPTY_ID_MAPPING: IdMapping = frozenset()
-
-
-# ---------------------------------------------------------------------------
-# Triple sources
-# ---------------------------------------------------------------------------
-
-
-class GraphIdView:
-    """Interned postings view of an :class:`RDFGraph` (built per version).
-
-    Every graph term is interned through the global table once; matching then
-    probes ``(position, tid)`` postings exactly like the engine's
-    :class:`~repro.engine.index.PredicateIndex`, without the per-candidate
-    term ``__eq__`` dispatch the decoded evaluator paid.
-    """
-
-    __slots__ = ("_rows", "_postings")
-
-    def __init__(self, graph: RDFGraph):
-        rows: List[Tuple[int, int, int]] = []
-        postings: Dict[Tuple[int, int], List[int]] = {}
-        intern = TERMS.intern_term
-        for triple in graph:
-            ids = (
-                intern(triple.subject),
-                intern(triple.predicate),
-                intern(triple.object),
-            )
-            row_id = len(rows)
-            rows.append(ids)
-            for position, tid in enumerate(ids):
-                bucket = postings.get((position, tid))
-                if bucket is None:
-                    postings[(position, tid)] = [row_id]
-                else:
-                    bucket.append(row_id)
-        self._rows = rows
-        self._postings = postings
-
-    def scan(self, pairs: Sequence[Tuple[int, int]]) -> Iterator[Tuple[int, int, int]]:
-        """Triple ID rows matching every ``(position, tid)`` pair."""
-        rows = self._rows
-        if not pairs:
-            return iter(rows)
-        buckets: List[List[int]] = []
-        for position, tid in pairs:
-            bucket = self._postings.get((position, tid))
-            if not bucket:
-                return iter(())
-            buckets.append(bucket)
-        smallest = min(buckets, key=len)
-        if len(pairs) == 1:
-            return (rows[row_id] for row_id in smallest)
-        return (
-            rows[row_id]
-            for row_id in smallest
-            if all(rows[row_id][position] == tid for position, tid in pairs)
-        )
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
-def graph_id_view(graph: RDFGraph) -> GraphIdView:
-    """The (cached) :class:`GraphIdView` of ``graph``.
-
-    The cache key pairs the graph's mutation counter with the term-table
-    epoch: a graph edit or an epoch reset (which may reassign blank-node
-    IDs) both invalidate the view.
-    """
-    key = (graph._version, TERMS.epoch())
-    cached = getattr(graph, "_id_view", None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    view = GraphIdView(graph)
-    graph._id_view = (key, view)
-    return view
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +303,30 @@ def satisfies(mapping: Mapping, condition: Condition) -> bool:
     raise TypeError(f"unknown built-in condition {condition!r}")
 
 
+def _graph_scan(
+    graph: RDFGraph,
+) -> Callable[[Sequence[Tuple[int, int]]], Iterable[Tuple[int, ...]]]:
+    """The ``scan`` of ``tau_db(G)``, loaded into a fresh engine index.
+
+    The rows land in a bare :class:`PredicateIndex` rather than an
+    :class:`~repro.datalog.database.Instance`, whose load would count in the
+    engine's ``facts_added``: evaluating a pattern materializes nothing.
+    """
+    intern = TERMS.intern_term
+    rows = [(intern(t.subject), intern(t.predicate), intern(t.object)) for t in graph]
+    index = PredicateIndex()
+    index.add_bulk(TRIPLE_PREDICATE, rows, range(len(rows)))
+    return lambda pairs: index.scan_ids(TRIPLE_PREDICATE, 3, pairs)
+
+
 def evaluate_bgp(bgp: BGP, graph: RDFGraph) -> Set[Mapping]:
     """Case (1) of the semantics: basic graph patterns (decoded boundary)."""
-    return decode_id_mappings(evaluate_bgp_ids(bgp, graph_id_view(graph).scan))
+    return decode_id_mappings(evaluate_bgp_ids(bgp, _graph_scan(graph)))
 
 
 def evaluate_pattern(pattern: GraphPattern, graph: RDFGraph) -> Set[Mapping]:
     """``⟦P⟧_G``: the set of mappings resulting from evaluating ``P`` over ``G``."""
-    scan = graph_id_view(graph).scan
+    scan = _graph_scan(graph)
     return decode_id_mappings(
         evaluate_pattern_ids(pattern, lambda bgp: evaluate_bgp_ids(bgp, scan))
     )

@@ -39,11 +39,12 @@ Two evaluation strategies implement the same semantics:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Set, Tuple, Union
+from typing import Set, Tuple, Union
 
 from repro.core.triqlite import TriQLiteQuery
 from repro.datalog.semantics import INCONSISTENT
-from repro.datalog.terms import Variable
+from repro.datalog.terms import Constant, Variable
+from repro.engine.interning import TERMS
 from repro.owl.entailment_rules import owl2ql_core_program
 from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import BGP, GraphPattern, Select
@@ -147,20 +148,10 @@ def _as_pattern(pattern: Union[str, GraphPattern, SelectQuery]) -> GraphPattern:
     return pattern
 
 
-def active_domain_ids(store) -> FrozenSet[int]:
-    """The interned IDs of ``C`` — the active domain of the materialization.
-
-    ``store`` is a core-materialized :class:`~repro.datalog.database.Instance`
-    or :class:`~repro.engine.index.InstanceSnapshot`.
-    """
-    return frozenset(ids[0] for ids in store.matching_ids(ACTIVE_DOMAIN, 1, ()))
-
-
 def evaluate_view_ids(
     pattern: Union[str, GraphPattern, SelectQuery],
     store,
     mode: EntailmentMode = ACTIVE_DOMAIN_MODE,
-    active_domain: Optional[FrozenSet[int]] = None,
 ) -> Set[IdMapping]:
     """``⟦P⟧^mode`` over an already-materialized core instance, as ID mappings.
 
@@ -169,20 +160,24 @@ def evaluate_view_ids(
     concern (see :class:`EntailmentView` / the query service, which check it
     once per materialization, not per query).  Basic graph patterns read the
     interned ``triple1`` rows; variables are guarded by active-domain
-    membership in both regimes, blank nodes only under the active-domain
-    semantics ``"U"`` (Section 5.3 drops that guard, letting blank nodes be
-    witnessed by invented nulls).  Decoding is left to the caller — the
-    service serializes straight from IDs.
+    membership (a ``C`` fact of the store) in both regimes, blank nodes only
+    under the active-domain semantics ``"U"`` (Section 5.3 drops that guard,
+    letting blank nodes be witnessed by invented nulls).  Decoding is left
+    to the caller — the service serializes straight from IDs.
     """
     if mode not in (ACTIVE_DOMAIN_MODE, ALL_MODE):
         raise ValueError(f"unknown entailment mode {mode!r}; expected 'U' or 'All'")
-    domain = active_domain if active_domain is not None else active_domain_ids(store)
+    # ``find_term``, not ``intern``: readers run off the writer thread and
+    # must not grow the term table.  ``None`` (no ``C`` fact was ever
+    # stored) makes every probe miss, as it should.
+    domain_pid = TERMS.find_term(Constant(ACTIVE_DOMAIN))
+    has_key = store.has_key
     guard_blanks = mode == ACTIVE_DOMAIN_MODE
 
     def guard(binder, tid: int) -> bool:
-        if isinstance(binder, Variable):
-            return tid in domain
-        return tid in domain if guard_blanks else True
+        if guard_blanks or isinstance(binder, Variable):
+            return has_key((domain_pid, tid))
+        return True
 
     # The translation's empty-BGP rule fires iff the (graph) domain is
     # non-empty, i.e. iff any ``triple`` fact exists.
@@ -215,9 +210,6 @@ class EntailmentView:
         self._session = DeltaSession(owl2ql_core_program(), graph.to_database())
         self.instance = self._session.instance
         self.consistent = self._session.check_consistency()
-        self._active_domain = (
-            active_domain_ids(self.instance) if self.consistent else frozenset()
-        )
 
     def evaluate_ids(
         self,
@@ -225,7 +217,7 @@ class EntailmentView:
         mode: EntailmentMode = ACTIVE_DOMAIN_MODE,
     ) -> Set[IdMapping]:
         """ID answers (callers must have checked :attr:`consistent`)."""
-        return evaluate_view_ids(pattern, self.instance, mode, self._active_domain)
+        return evaluate_view_ids(pattern, self.instance, mode)
 
     def evaluate(
         self,

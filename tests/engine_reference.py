@@ -12,9 +12,10 @@
   (:meth:`JoinPlan.rows <repro.engine.plan.JoinPlan.rows>`) must reproduce
   row for row; the differential suites swap it in behind ``rows``.
 
-Production code must not import this module (``tests/test_engine_mode_lazy.py``
-checks it); it is quadratic-ish in all the ways the compiled core exists to
-avoid.
+It lives under ``tests/``, outside the ``repro`` package
+(``tests/test_engine_mode_lazy.py`` checks that no ``src/repro`` module is
+named ``reference``); it is quadratic-ish in all the ways the compiled core
+exists to avoid.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 The column-at-a-time matcher (``JoinPlan.rows``, :mod:`repro.engine.batch`)
 promises *exact* parity with a depth-first walk of the same compiled steps
-(:func:`repro.engine.reference.depth_first_rows`) — same matches, same order
+(:func:`engine_reference.depth_first_rows`) — same matches, same order
 — and both are locked to the seed's interpretive matcher
-(:func:`repro.engine.reference.reference_match_atoms`).  This suite
+(:func:`engine_reference.reference_match_atoms`).  This suite
 generates random programs over random RDF graphs, chain ontologies, and
 k-clique instances (all with fixed seeds, so CI runs are reproducible) and
 asserts:
@@ -37,14 +37,15 @@ from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Constant, Variable
 from repro.engine.plan import JoinPlan, compile_body, compile_pivot
-from repro.engine.reference import (
+from repro.reductions.clique import clique_database, clique_program
+from repro.workloads.graphs import random_rdf_graph, random_undirected_graph
+from repro.workloads.ontologies import chain_ontology_graph
+
+from engine_reference import (
     depth_first_rows,
     reference_match_atoms,
     reference_satisfies_some,
 )
-from repro.reductions.clique import clique_database, clique_program
-from repro.workloads.graphs import random_rdf_graph, random_undirected_graph
-from repro.workloads.ontologies import chain_ontology_graph
 
 V = Variable
 
@@ -54,7 +55,7 @@ def matcher(mode):
     """Run the block with ``mode``'s matcher behind ``JoinPlan.rows``.
 
     ``"batch"`` is production; ``"row"`` swaps in
-    :func:`~repro.engine.reference.depth_first_rows`, the oracle every
+    :func:`~engine_reference.depth_first_rows`, the oracle every
     differential suite compares against.  ``exists`` and ``execute`` read
     ``rows``, so head and constraint checks switch with it.
     """

@@ -4,10 +4,11 @@ Row mode, its setters and the ``repro.Engine`` configuration facade were
 removed in 4.0.0; ``repro.engine.mode`` keeps only the two report shims the
 benchmark ledger imports.  The depth-first backtracker, its profiled twin
 and the separate batch plan were removed in 10.0.0: ``JoinPlan.rows`` is the
-one matcher, and the depth-first walk survives only as a test oracle in
-``repro.engine.reference``, which no production module imports.  Since
-11.0.0 DRed's marking runs on the one round loop, ``seminaive.fixpoint``,
-and both engines restore through one re-fire routine.
+one matcher, and the depth-first walk survives only as a test oracle, which
+since 12.0.0 lives in ``tests/engine_reference.py``, outside the package.
+Since 11.0.0 DRed's marking runs on the one round loop,
+``seminaive.fixpoint``, and both engines restore through one re-fire
+routine.
 """
 
 import ast
@@ -83,16 +84,13 @@ def test_one_maintenance_path():
 
 
 def test_no_production_module_imports_the_oracles():
-    """``repro.engine.reference`` holds test oracles only."""
-    for relative, text in source_modules():
-        if relative == "engine/reference.py":
-            continue
-        for node in ast.walk(ast.parse(text)):
-            if isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-                names += [f"{node.module}.{alias.name}" for alias in node.names]
-            elif isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            else:
-                continue
-            assert "repro.engine.reference" not in names, relative
+    """The test oracles live under ``tests/``: no ``src/repro`` module is
+    named ``reference``, so none can import them."""
+    named = [
+        relative
+        for relative, _ in source_modules()
+        if os.path.basename(relative) == "reference.py"
+    ]
+    assert named == []
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.engine.reference")

@@ -2,7 +2,7 @@
 
 The compiled core (:mod:`repro.engine.plan`) must produce *exactly* the
 substitution sets of the seed's backtracking matcher, which is preserved
-verbatim as :func:`repro.engine.reference.reference_match_atoms`.  These
+verbatim as :func:`engine_reference.reference_match_atoms`.  These
 tests compare the two across the ``workloads/`` generators — random RDF
 graphs, chain ontologies, and k-clique reductions — and additionally check
 the engines end-to-end (atom-for-atom equal instances) on programs with
@@ -19,10 +19,11 @@ from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Constant, Variable
-from repro.engine.reference import reference_match_atoms, reference_satisfies_some
 from repro.reductions.clique import clique_database, clique_program
 from repro.workloads.graphs import random_rdf_graph, transport_network
 from repro.workloads.ontologies import chain_ontology_graph, university_graph
+
+from engine_reference import reference_match_atoms, reference_satisfies_some
 
 
 def canonical(substitutions):

@@ -5,6 +5,23 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.datalog.atoms import Atom, unify_with_fact
 from repro.datalog.database import Instance
 from repro.datalog.terms import Constant, Variable
+from repro.engine.interning import TERMS
+from repro.sparql.ast import (
+    AndCondition,
+    Bound,
+    EqualsConstant,
+    EqualsVariable,
+    Not,
+    OrCondition,
+)
+from repro.sparql.evaluator import (
+    decode_id_mappings,
+    join_ids,
+    left_outer_join_ids,
+    minus_ids,
+    satisfies,
+    satisfies_ids,
+)
 from repro.sparql.mappings import (
     Mapping,
     compatible,
@@ -50,6 +67,26 @@ def pattern_atoms(draw):
 
 
 mapping_sets = st.sets(mappings(), max_size=5)
+
+#: Built-in conditions (Section 3.1); ``never_bound_g`` is a constant no
+#: mapping holds.
+conditions = st.recursive(
+    st.one_of(
+        variables.map(Bound),
+        st.builds(
+            EqualsConstant,
+            variables,
+            st.sampled_from(["a", "b", "c", "never_bound_g"]).map(Constant),
+        ),
+        st.builds(EqualsVariable, variables, variables),
+    ),
+    lambda inner: st.one_of(
+        inner.map(Not),
+        st.builds(OrCondition, inner, inner),
+        st.builds(AndCondition, inner, inner),
+    ),
+    max_leaves=6,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +143,42 @@ class TestMappingAlgebraProperties:
         assert restricted.domain <= mapping.domain
         for variable in restricted.domain:
             assert restricted[variable] == mapping[variable]
+
+
+def encode(mapping_set):
+    """The ID mappings of boxed mappings, as the evaluator's BGP case builds them."""
+    return {
+        frozenset((variable, TERMS.intern_term(value)) for variable, value in mu.items())
+        for mu in mapping_set
+    }
+
+
+class TestIdAlgebraEqualsPaperAlgebra:
+    """The production algebra on interned IDs (``sparql/evaluator.py``) equals
+    the paper-literal algebra on boxed mappings (``sparql/mappings.py``)."""
+
+    @given(mapping_sets)
+    def test_encoding_round_trips(self, mapping_set):
+        assert decode_id_mappings(encode(mapping_set)) == mapping_set
+
+    @given(mapping_sets, mapping_sets)
+    def test_join(self, left, right):
+        assert decode_id_mappings(join_ids(encode(left), encode(right))) == join(left, right)
+
+    @given(mapping_sets, mapping_sets)
+    def test_minus(self, left, right):
+        assert decode_id_mappings(minus_ids(encode(left), encode(right))) == minus(left, right)
+
+    @given(mapping_sets, mapping_sets)
+    def test_left_outer_join(self, left, right):
+        assert decode_id_mappings(
+            left_outer_join_ids(encode(left), encode(right))
+        ) == left_outer_join(left, right)
+
+    @given(mappings(), conditions)
+    def test_satisfies(self, mapping, condition):
+        (id_mapping,) = encode({mapping})
+        assert satisfies_ids(dict(id_mapping), condition) == satisfies(mapping, condition)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,13 @@ class TestRDFGraph:
         assert len(list(graph.triples(subject="a", predicate="p"))) == 1
         assert list(graph.triples(subject="zzz")) == []
 
+    def test_triples_come_in_insertion_order(self):
+        rows = [("e", "p", "b"), ("a", "p", "b"), ("c", "q", "b"), ("d", "p", "b")]
+        graph = RDFGraph(rows)
+        matches = [tuple(map(str, t)) for t in graph.triples(predicate="p", object="b")]
+        assert matches == [rows[0], rows[1], rows[3]]
+        assert list(graph.triples()) == list(graph)
+
     def test_union(self):
         left = RDFGraph([("a", "p", "b")])
         right = RDFGraph([("c", "p", "d")])

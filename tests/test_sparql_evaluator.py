@@ -1,6 +1,7 @@
 """Tests for the SPARQL evaluation semantics ⟦P⟧_G (Section 3.1)."""
 
 from repro.datalog.terms import Constant, Variable
+from repro.engine.interning import TERMS
 from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import (
     And,
@@ -19,6 +20,7 @@ from repro.sparql.evaluator import evaluate_pattern, satisfies
 from repro.sparql.mappings import Mapping
 
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
+N = Variable("N")
 
 
 def graph():
@@ -114,6 +116,71 @@ class TestOperators:
         result = evaluate_pattern(pattern, graph())
         assert Mapping({X: "alice", Z: "123"}) in result
         assert Mapping({X: "bob"}) in result
+
+
+class TestEveryCallReadsTheGraphAsItIs:
+    """``evaluate_pattern`` answers over the graph as it is at each call."""
+
+    KNOWS = BGP.of(("?X", "knows", "?Y"))
+
+    def test_add_and_discard_between_calls(self):
+        g = graph()
+        assert evaluate_pattern(self.KNOWS, g) == {Mapping({X: "alice", Y: "bob"})}
+        g.add(("bob", "knows", "carol"))
+        assert evaluate_pattern(self.KNOWS, g) == {
+            Mapping({X: "alice", Y: "bob"}),
+            Mapping({X: "bob", Y: "carol"}),
+        }
+        g.discard(("alice", "knows", "bob"))
+        assert evaluate_pattern(self.KNOWS, g) == {Mapping({X: "bob", Y: "carol"})}
+        g.discard(("bob", "knows", "carol"))
+        assert evaluate_pattern(self.KNOWS, g) == set()
+
+    @staticmethod
+    def blank_graph():
+        return RDFGraph(
+            [
+                ("_:b1", "knows", "alice"),
+                ("_:b1", "name", "B1"),
+                ("_:b2", "knows", "bob"),
+                ("_:b2", "name", "B2"),
+                ("carol", "knows", "_:b2"),
+            ]
+        )
+
+    #: Joins on the data's blank nodes, projected onto URIs.
+    NAMED = Select([Y, N], BGP.of(("?X", "knows", "?Y"), ("?X", "name", "?N")))
+    EXPECTED = {Mapping({Y: "alice", N: "B1"}), Mapping({Y: "bob", N: "B2"})}
+
+    def test_data_holding_blank_nodes(self):
+        g = self.blank_graph()
+        assert evaluate_pattern(self.NAMED, g) == self.EXPECTED
+        # A pattern blank node is existential over the data's blank nodes.
+        assert evaluate_pattern(
+            BGP.of(("carol", "knows", "_:B"), ("_:B", "name", "?N")), g
+        ) == {Mapping({N: "B2"})}
+
+    def test_before_and_after_an_epoch_reset(self):
+        # A ground graph outlives the reset (constant IDs survive it); a
+        # null-bearing one belongs to the old epoch and is rebuilt after.
+        ground = graph()
+        assert evaluate_pattern(self.KNOWS, ground) == {Mapping({X: "alice", Y: "bob"})}
+        assert evaluate_pattern(self.NAMED, self.blank_graph()) == self.EXPECTED
+        TERMS.begin_epoch()
+        # Other nulls take the reset null space first, so the rebuilt
+        # graph's blank nodes get IDs other than their pre-reset ones.
+        for label in ("_:e1", "_:e2", "_:e3"):
+            TERMS.intern_null(label)
+        assert evaluate_pattern(self.KNOWS, ground) == {Mapping({X: "alice", Y: "bob"})}
+        ground.add(("bob", "knows", "alice"))
+        assert evaluate_pattern(self.KNOWS, ground) == {
+            Mapping({X: "alice", Y: "bob"}),
+            Mapping({X: "bob", Y: "alice"}),
+        }
+        rebuilt = self.blank_graph()
+        assert evaluate_pattern(self.NAMED, rebuilt) == self.EXPECTED
+        rebuilt.discard(("_:b2", "name", "B2"))
+        assert evaluate_pattern(self.NAMED, rebuilt) == {Mapping({Y: "alice", N: "B1"})}
 
 
 class TestConditionSatisfaction:
