@@ -1,8 +1,10 @@
 #!/usr/bin/env python
 """Fail on broken relative links and stale file paths in the repo's Markdown docs.
 
-Scans the documentation tier — ``README.md``, ``docs/*.md``, and the
-package-level READMEs — for two kinds of reference to the working tree:
+Scans the documentation tier — ``README.md``, ``docs/*.md``, the
+package-level READMEs and the verification recipe
+(``.claude/skills/verify/SKILL.md``, which names test files and scripts) —
+for two kinds of reference to the working tree:
 
 * Markdown links: every *relative* target must exist (anchors and external
   ``http(s)``/``mailto`` targets are ignored; absolute paths are rejected
@@ -47,7 +49,7 @@ _PATTERN_CHARS = frozenset("*?[]{}<>…")
 DEFAULT_DOCS = (
     ["README.md", "ROADMAP.md"]
     + sorted(glob.glob("docs/*.md", root_dir=REPO_ROOT))
-    + ["benchmarks/README.md", "src/repro/engine/README.md"]
+    + ["benchmarks/README.md", "src/repro/engine/README.md", ".claude/skills/verify/SKILL.md"]
 )
 
 

@@ -25,9 +25,8 @@ runs the full plans; every round fires from the slot-ID rows
 :meth:`~repro.engine.plan.CompiledRule.trigger_row_batches` returns, with
 negation pre-filtered in bulk.  The firing adds the restricted chase's head
 check, the step budget, null invention and the depth cut.
-:func:`match_atoms` remains as the wrapper for callers that match ad-hoc
-atom sequences into substitution dicts (analysis, tests); :func:`embeds` and
-:func:`violates` answer constraint checks without one.
+:func:`embeds` and :func:`violates` answer constraint checks on the same
+plans, without decoding a row.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from repro.datalog.database import Instance
 from repro.datalog.program import Program
 from repro.datalog.rules import Constraint, Rule
 from repro.datalog.seminaive import fixpoint
-from repro.datalog.terms import Constant, Null, Term, Variable
+from repro.datalog.terms import Constant, Null, Term
 from repro.engine.interning import TERMS
 from repro.engine.plan import compile_body, compile_rule
 from repro.engine.stats import STATS
@@ -153,29 +152,11 @@ def _term_key(value: Term) -> str:
     raise TypeError(f"frontier values must be ground terms, got {value!r}")
 
 
-def match_atoms(
-    atoms: Sequence[Atom],
-    instance: Instance,
-    initial: Optional[Dict[Variable, Term]] = None,
-) -> Iterator[Dict[Variable, Term]]:
-    """All homomorphisms mapping every atom of ``atoms`` into ``instance``.
-
-    Variables already bound by ``initial`` are respected (and included in the
-    yielded substitutions).  Thin wrapper over the compiled join-plan core:
-    the (cached) plan fixes the join order and per-position checks once, so
-    repeated calls over the same body pay no per-call strategy cost.
-    """
-    atoms = tuple(atoms)
-    prebound = frozenset(initial) if initial else frozenset()
-    return compile_body(atoms, prebound).execute(instance, initial)
-
-
 def embeds(atoms: Sequence[Atom], instance) -> bool:
     """True iff some homomorphism maps every atom of ``atoms`` into ``instance``.
 
     The constraint check of every engine: :meth:`JoinPlan.exists
-    <repro.engine.plan.JoinPlan.exists>` over the body's cached plan, which
-    decodes no substitution dict.
+    <repro.engine.plan.JoinPlan.exists>` over the body's cached plan.
     """
     return compile_body(atoms).exists(instance)
 

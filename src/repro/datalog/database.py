@@ -10,9 +10,11 @@ per-predicate lanes with hash postings of row ids).  Homomorphism matching
 during the chase and semi-naive evaluation iterates candidate buckets under
 a captured length instead of copying them, and freezing the lower strata for
 stratified negation (:meth:`Instance.snapshot`) is O(#predicates) instead of
-a full re-index.  :class:`~repro.datalog.atoms.Atom` objects exist only
-where a fact leaves the store: iteration, :meth:`Instance.with_predicate`,
-:meth:`Instance.matching` and :meth:`Instance.sorted_atoms` decode them.
+a full re-index.  Engines read facts as ID rows (the join plans,
+:meth:`Instance.matching_ids`) or as membership answers
+(:meth:`Instance.has_key`, ``in``) and decode nothing;
+:class:`~repro.datalog.atoms.Atom` objects exist only in the result API —
+iteration, :meth:`Instance.with_predicate` and :meth:`Instance.sorted_atoms`.
 """
 
 from __future__ import annotations
@@ -190,11 +192,7 @@ class Instance:
         only per-predicate row counts.
         """
         return InstanceSnapshot(
-            self._keys,
-            self._index,
-            self._counter,
-            self._index.row_limits(),
-            len(self._keys),
+            self._keys, self._index, self._counter, self._index.row_limits()
         )
 
     # -- lookup -------------------------------------------------------------------
@@ -202,17 +200,6 @@ class Instance:
     def with_predicate(self, predicate: str) -> FrozenSet[Atom]:
         """All facts over ``predicate``."""
         return frozenset(self._index.atoms(predicate))
-
-    def matching(self, pattern: Atom) -> Iterator[Atom]:
-        """All facts that the (possibly non-ground) ``pattern`` can map to.
-
-        Constants and nulls in the pattern must match exactly; variables match
-        anything (repeated variables are checked by the caller's unifier).
-        Facts added while the returned iterator is consumed are not seen by
-        it — the chase and the semi-naive rounds rely on this
-        snapshot-per-call behaviour.
-        """
-        return self._index.scan(pattern)
 
     def matching_ids(
         self,
@@ -222,10 +209,10 @@ class Instance:
     ) -> Iterator[Tuple[int, ...]]:
         """ID rows of ``predicate`` matching every ``(position, tid)`` pair.
 
-        The ID-level sibling of :meth:`matching`: yields the flat term-ID
-        tuples without touching an Atom, so callers (the ID-native SPARQL
-        evaluator, the query service) decode only at their own result
-        boundary.  Same snapshot-per-call capture as :meth:`matching`.
+        Yields the flat term-ID tuples without touching an Atom, so callers
+        (the ID-native SPARQL evaluator, the query service) decode only at
+        their own result boundary.  The rows are those present at call
+        time: facts added while the iterator is consumed are not seen by it.
         """
         pairs = pairs if isinstance(pairs, (tuple, list)) else tuple(pairs)
         return self._index.scan_ids(predicate, arity, pairs)

@@ -30,9 +30,9 @@ strategy per call:
   (:mod:`repro.engine.batch`) that extend a whole batch of partial matches
   per step, sharing one bulk index probe per distinct probe key.  Engines
   fire triggers from its slot-ID rows through precompiled ``RowOps``
-  templates; head-satisfaction and constraint checks (``exists``),
-  goal-directed re-derivation and ad-hoc matching (``execute``) read the
-  same rows.
+  templates; head-satisfaction and constraint checks (``exists``) and
+  goal-directed re-derivation read the same rows, and a caller that wants
+  terms decodes them itself.
 * :mod:`repro.engine.stats` exposes the counters (facts added, triggers
   fired, nulls invented, pivots skipped, batch probe groups) that
   ``benchmarks/harness.py`` samples per scenario.

@@ -2,8 +2,7 @@
 
 :meth:`JoinPlan.rows <repro.engine.plan.JoinPlan.rows>` is the one matcher:
 every engine fires from it, and the head-satisfaction and constraint checks
-(:meth:`~repro.engine.plan.JoinPlan.exists`) and ad-hoc matching
-(:meth:`~repro.engine.plan.JoinPlan.execute`) read it too.  It runs a plan
+(:meth:`~repro.engine.plan.JoinPlan.exists`) read it too.  It runs a plan
 **step by step over a whole batch**: each :class:`Step` consumes a list of
 partial slot tuples and produces the list extended through one body atom.
 Slot tuples carry **term IDs** (:mod:`repro.engine.interning`): probes,

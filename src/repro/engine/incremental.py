@@ -252,12 +252,6 @@ class DeltaSession:
             self._edb[fact] = None
             self.instance.add(fact)
         self._closed = False
-        self.pushes = 0
-        #: Retraction generation: bumped once per completed :meth:`retract`.
-        #: Snapshot holders (the service's published views) record it so a
-        #: snapshot pinned before a deletion fails loudly instead of
-        #: silently missing rows.
-        self.retractions = 0
         #: predicate -> lane compactions performed on it this session; the
         #: service surfaces this through ``MaterializedView.maintenance()``.
         self.compaction_counts: Dict[str, int] = {}
@@ -310,7 +304,6 @@ class DeltaSession:
         for fact in batch:
             if self.instance.add(fact):
                 added.append(fact)
-        self.pushes += 1
         if not added:
             return PushResult(
                 len(batch),
@@ -453,7 +446,6 @@ class DeltaSession:
         with TRACER.span("retract.null_gc", marked=len(marked)):
             collected = self._collect_nulls(marked, rebuild_from is not None)
         self._maybe_compact()
-        self.retractions += 1
         if TRACER.enabled:
             TRACER.record(
                 "delta.retract",
@@ -848,9 +840,13 @@ class DeltaSession:
                     binding = unify_with_fact(head_atom, fact)
                     if binding is None:
                         continue
+                    # The marked fact was in the instance, so each of its
+                    # terms is interned.
                     frontier_set = set(crule.sorted_frontier)
                     initial = {
-                        v: t for v, t in binding.items() if v in frontier_set
+                        v: TERMS.find_term(t)
+                        for v, t in binding.items()
+                        if v in frontier_set
                     }
                     plan = compile_body(crule.rule.body_positive, initial)
                     self._refire_triggers(crule, plan, initial, reference)

@@ -2,9 +2,10 @@
 
 Facts live in append-only per-predicate rows with row-id postings, the whole
 structure **dictionary-encoded** on the engine's
-:mod:`~repro.engine.interning` term IDs.  No :class:`Atom` is stored: the
-lookups that hand facts to callers (:meth:`PredicateIndex.scan`,
-:meth:`PredicateIndex.atoms`) decode them from the ID rows on the way out.
+:mod:`~repro.engine.interning` term IDs.  No :class:`Atom` is stored: reads
+hand out ID rows (:meth:`PredicateIndex.scan_ids`, and the join plans'
+probes), and the caller decodes them; only :meth:`PredicateIndex.atoms`,
+behind ``Instance.with_predicate``, decodes on the way out.
 
 * ``cols[predicate]`` holds the **ID rows** packed into a flat
   :class:`~repro.engine.colbuf.ColumnBuffer`: one int64 buffer per
@@ -42,11 +43,9 @@ its own retraction sequence (:class:`~repro.service.view.ViewSnapshot`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import islice
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datalog.atoms import Atom
-from repro.datalog.terms import Variable
 from repro.engine.colbuf import ColumnBuffer
 from repro.engine.interning import TERMS
 
@@ -91,7 +90,6 @@ class PredicateIndex:
         "cols",
         "postings",
         "live",
-        "tombstoned",
         "_summaries",
     )
 
@@ -103,8 +101,6 @@ class PredicateIndex:
         self.postings: Dict[Tuple[str, int, int], List[int]] = {}
         # predicate -> number of non-tombstoned rows.
         self.live: Dict[str, int] = {}
-        # Total tombstones ever created (lets snapshots detect deletions).
-        self.tombstoned = 0
         # (predicate, position) -> (row count, distinct tids | None) — the
         # per-round bound-value summaries behind extended pivot skipping.
         self._summaries: Dict[Tuple[str, int], Tuple[int, Optional[frozenset]]] = {}
@@ -204,7 +200,6 @@ class PredicateIndex:
         row_id = bisect_left(cols.gids, gid)
         cols.kill(row_id)
         self.live[predicate] -= 1
-        self.tombstoned += 1
         self._unlink(predicate, row_id, ids)
 
     def _unlink(self, predicate: str, row_id: int, ids: Tuple[int, ...]) -> None:
@@ -237,10 +232,6 @@ class PredicateIndex:
         * drops the predicate's postings buckets (rebuilt by ``add_bulk``), and
         * drops its memoised distinct-value summaries (a stale summary is no
           longer a superset once new appends land on the shrunken count).
-
-        :attr:`tombstoned` stays monotone — snapshots taken before the
-        triggering retraction already recount their length after the
-        tombstoning that preceded this call.
         """
         cols = self.cols.get(predicate)
         if cols is None:
@@ -347,14 +338,15 @@ class PredicateIndex:
         row_limits: Optional[Dict[str, int]] = None,
     ) -> Iterator[Tuple[int, ...]]:
         """ID rows of ``predicate`` whose value at each ``(position, tid)``
-        pair matches — the ID-level sibling of :meth:`scan`.
+        pair matches.
 
         Yields the flat ``(tid1, ..., tidn)`` tuples directly (no Atom is
         touched), skipping tombstoned and wrong-arity rows.  ``row_limits``
         restricts the scan to a frozen prefix (snapshot isolation); without
-        it the prefix is captured at call time, like :meth:`scan`.  The
-        SPARQL evaluator's BGP matching and the query service's read path
-        run on this.
+        it the prefix is captured **now**, at call time (not at first
+        consumption), so rows appended while the iterator is consumed stay
+        invisible to it.  The SPARQL evaluator's BGP matching and the query
+        service's read path run on this.
         """
         cols = self.cols.get(predicate)
         if not cols:
@@ -439,58 +431,19 @@ class PredicateIndex:
         """Current per-predicate row counts (the state an InstanceSnapshot captures)."""
         return {predicate: len(cols) for predicate, cols in self.cols.items()}
 
-    def scan(
-        self,
-        pattern: Atom,
-        row_limits: Optional[Dict[str, int]] = None,
-    ) -> Iterator[Atom]:
-        """Facts agreeing with ``pattern`` on every constant and null, decoded.
-
-        The bound positions are probed together (:meth:`probe_ids`);
-        repeated variables are left to the caller's unifier.  Bound pattern
-        terms are looked up in the term table without interning, so scans
-        over unseen vocabulary allocate nothing.  ``row_limits`` restricts
-        the scan to a frozen prefix; without it the prefix is captured
-        **now**, at call time (not at first consumption), so facts added
-        while the iterator is consumed stay invisible to it.
-        """
-        predicate = pattern.predicate
-        if not self.cols.get(predicate):
-            return iter(())
-        pairs = []
-        for position, term in enumerate(pattern.terms):
-            if isinstance(term, Variable):
-                continue
-            tid = TERMS.find_term(term)
-            if tid is None:
-                return iter(())
-            pairs.append((position, tid))
-        return _decode(
-            predicate, self.scan_ids(predicate, pattern.arity, pairs, row_limits)
-        )
-
-    def atoms(
-        self, predicate: str, row_limits: Optional[Dict[str, int]] = None
-    ) -> Iterator[Atom]:
-        """Every live fact of ``predicate`` (any arity), decoded, in row order.
-
-        ``row_limits`` restricts the rows to a frozen prefix, as in
-        :meth:`scan_ids`.
-        """
+    def atoms(self, predicate: str) -> Iterator[Atom]:
+        """Every live fact of ``predicate`` (any arity), decoded, in row order."""
         cols = self.cols.get(predicate)
         if not cols:
             return iter(())
-        cap = len(cols) if row_limits is None else min(len(cols), row_limits.get(predicate, 0))
+        pid = TERMS.intern_constant(predicate)
+        decode_atom = TERMS.decode_atom
         # One (arity, *lane values) tuple per row; tombstones have arity -1.
-        rows = islice(zip(cols.arities, *cols.buffers), cap)
-        return _decode(predicate, (row[1 : row[0] + 1] for row in rows if row[0] >= 0))
-
-
-def _decode(predicate: str, id_rows) -> Iterator[Atom]:
-    """Decode ID rows of a stored ``predicate`` into Atoms (the result boundary)."""
-    pid = TERMS.intern_constant(predicate)
-    decode_atom = TERMS.decode_atom
-    return (decode_atom((pid, *ids)) for ids in id_rows)
+        return (
+            decode_atom((pid, *row[1 : row[0] + 1]))
+            for row in zip(cols.arities, *cols.buffers)
+            if row[0] >= 0
+        )
 
 
 class InstanceSnapshot:
@@ -504,12 +457,15 @@ class InstanceSnapshot:
     per stratum.  Deletions *do* propagate (the view shares the live
     storage); the service layer turns a retraction under a pinned
     :class:`~repro.service.view.ViewSnapshot` into a loud error with its own
-    retraction sequence.  Membership is answered at the encoded-key level
-    (:meth:`has_key`, the engines' hot path); ``in`` encodes the atom
-    first, without interning.
+    retraction sequence.
+
+    Facts leave the view only as ID rows (:meth:`matching_ids`, and the join
+    plans through :meth:`_plan_source`) or as membership answers
+    (:meth:`has_key`, the engines' hot path; ``in`` encodes the atom first,
+    without interning).
     """
 
-    __slots__ = ("_keys", "_index", "_cut", "_limits", "_size", "_tombstoned")
+    __slots__ = ("_keys", "_index", "_cut", "_limits")
 
     def __init__(
         self,
@@ -517,14 +473,11 @@ class InstanceSnapshot:
         index: PredicateIndex,
         cut: int,
         limits: Dict[str, int],
-        size: int,
     ):
         self._keys = keys
         self._index = index
         self._cut = cut
         self._limits = limits
-        self._size = size
-        self._tombstoned = index.tombstoned
 
     def __contains__(self, atom: Atom) -> bool:
         return self.has_key(TERMS.find_key(atom))
@@ -534,24 +487,8 @@ class InstanceSnapshot:
         ordinal = self._keys.get(key)
         return ordinal is not None and ordinal < self._cut
 
-    def __iter__(self) -> Iterator[Atom]:
-        cut = self._cut
-        for key, ordinal in self._keys.items():
-            if ordinal >= cut:
-                break
-            yield TERMS.decode_atom(key)
-
-    def __len__(self) -> int:
-        # The captured size is exact unless the base instance deleted facts
-        # after the snapshot; in that (rare, diagnostic-only) case, recount so
-        # len() stays consistent with iteration and membership.
-        if self._index.tombstoned != self._tombstoned:
-            cut = self._cut
-            return sum(1 for ordinal in self._keys.values() if ordinal < cut)
-        return self._size
-
     def __repr__(self) -> str:
-        return f"InstanceSnapshot({self._size} atoms)"
+        return f"InstanceSnapshot(cut={self._cut})"
 
     @property
     def cut(self) -> int:
@@ -561,10 +498,6 @@ class InstanceSnapshot:
         service publishes it as the reader-visible high-water mark.
         """
         return self._cut
-
-    def matching(self, pattern: Atom) -> Iterator[Atom]:
-        """As ``Instance.matching``, restricted to the frozen prefix."""
-        return self._index.scan(pattern, self._limits)
 
     def matching_ids(
         self,
@@ -579,21 +512,6 @@ class InstanceSnapshot:
         holding this snapshot never observes rows a concurrent writer appends.
         """
         return self._index.scan_ids(predicate, arity, pairs, self._limits)
-
-    def with_predicate(self, predicate: str) -> FrozenSet[Atom]:
-        """The snapshot's facts over ``predicate`` (prefix rows only)."""
-        return frozenset(self._index.atoms(predicate, self._limits))
-
-    @property
-    def predicates(self) -> FrozenSet[str]:
-        """Predicates with at least one live fact inside the snapshot."""
-        cols = self._index.cols
-        return frozenset(
-            predicate
-            for predicate, limit in self._limits.items()
-            if predicate in cols
-            and any(arity >= 0 for arity in cols[predicate].arities[:limit])
-        )
 
     def _plan_source(self) -> Tuple[PredicateIndex, Optional[Dict[str, int]]]:
         """(index, row limits) pair the join-plan executor runs against."""

@@ -75,7 +75,10 @@ class TermTable:
     process coherent; everything null-bearing — encoded instances, snapshots,
     delta sessions, decoded atoms carrying ``_key`` memos — belongs to the
     discarded materialization and must be dropped by the caller *before* the
-    reset (the service layer enforces this by fencing reads).  Hooks
+    reset (the service layer enforces this by fencing reads).  Terms and
+    atoms the caller built itself are safe to keep: a null ID is memoised
+    only on the canonical null objects, which the reset clears, never on a
+    caller's null or on the key of an atom holding one.  Hooks
     registered via :func:`register_epoch_hook` run first and take care of the
     engine-internal invalidation (plan caches).
     """
@@ -132,7 +135,13 @@ class TermTable:
         return tid
 
     def intern_term(self, term: Term) -> int:
-        """The ID of a ground term (memoised on the term object by :data:`TERMS`)."""
+        """The ID of a ground term.
+
+        :data:`TERMS` memoises the ID on constants only.  A null's ID lives
+        no longer than its epoch, and :meth:`begin_epoch` can clear the memo
+        only on the canonical null objects (which :meth:`intern_null` gives
+        theirs), so a caller's own null object is looked up by label.
+        """
         if self._memoise:
             try:
                 tid = term._tid
@@ -142,13 +151,12 @@ class TermTable:
                 return tid
         if type(term) is Constant:
             tid = self.intern_constant(term.value)
-        elif type(term) is Null:
-            tid = self.intern_null(term.label)
-        else:
-            raise TypeError(f"cannot intern non-ground term {term!r}")
-        if self._memoise:
-            term._tid = tid
-        return tid
+            if self._memoise:
+                term._tid = tid
+            return tid
+        if type(term) is Null:
+            return self.intern_null(term.label)
+        raise TypeError(f"cannot intern non-ground term {term!r}")
 
     def find_term(self, term: Term) -> "int | None":
         """The ID of ``term`` if already interned, else None (never interns).
@@ -165,13 +173,13 @@ class TermTable:
                 return tid
         if type(term) is Constant:
             tid = self._constant_ids.get(term.value)
-        elif type(term) is Null:
-            tid = self._null_ids.get(term.label)
-        else:
-            return None
-        if tid is not None and self._memoise:
-            term._tid = tid
-        return tid
+            if tid is not None and self._memoise:
+                term._tid = tid
+            return tid
+        if type(term) is Null:
+            # Never memoised: see :meth:`intern_term`.
+            return self._null_ids.get(term.label)
+        return None
 
     def find_null(self, label: str) -> "int | None":
         """The ID of the null labelled ``label`` if interned, else None.
@@ -229,22 +237,15 @@ class TermTable:
     def atom_key(self, atom: Atom) -> Tuple[int, ...]:
         """The encoded fact key ``(pid, tid1, ..., tidn)`` of ``atom``.
 
-        Memoised on the atom; raises :class:`TypeError` for non-fact atoms
-        (variables cannot be interned).
+        Memoised on the atom when the key holds no null ID (a null ID lives
+        no longer than its epoch); raises :class:`TypeError` for non-fact
+        atoms (variables cannot be interned).
         """
-        if not self._memoise:
-            intern = self.intern_term
-            return (
-                self.intern_constant(atom.predicate),
-                *(intern(term) for term in atom.terms),
-            )
-        key = atom._key
-        if key is None:
-            intern = self.intern_term
-            key = atom._key = (
-                self.intern_constant(atom.predicate),
-                *(intern(term) for term in atom.terms),
-            )
+        if self._memoise and atom._key is not None:
+            return atom._key
+        key = (self.intern_constant(atom.predicate), *map(self.intern_term, atom.terms))
+        if self._memoise:
+            self._memoise_key(atom, key)
         return key
 
     def find_key(self, atom: Atom) -> "Tuple[int, ...] | None":
@@ -252,7 +253,7 @@ class TermTable:
 
         Never interns: membership tests and deletions go through this, so
         probing for a fact over unseen vocabulary (or a non-fact atom) does
-        not grow the table.
+        not grow the table.  Memoised as :meth:`atom_key` is.
         """
         if self._memoise and atom._key is not None:
             return atom._key
@@ -267,8 +268,17 @@ class TermTable:
             key.append(tid)
         key = tuple(key)
         if self._memoise:
-            atom._key = key
+            self._memoise_key(atom, key)
         return key
+
+    @staticmethod
+    def _memoise_key(atom: Atom, key: Tuple[int, ...]) -> None:
+        """Cache ``key`` on ``atom`` unless it holds a null ID (which the
+        next :meth:`begin_epoch` may hand to another null)."""
+        for tid in key[1:]:
+            if tid & 1:
+                return
+        atom._key = key
 
     def counts(self) -> Tuple[int, int]:
         """(#constants, #nulls) currently interned."""

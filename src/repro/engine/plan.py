@@ -37,14 +37,15 @@ resolves it **once** at plan time:
 
 * **One matcher** — :meth:`JoinPlan.rows` runs the steps column-at-a-time
   (:mod:`repro.engine.batch`).  Engines fire from its slot rows; the
-  restricted chase's head check and the constraint check
-  (:meth:`JoinPlan.exists`), goal-directed re-derivation and ad-hoc
-  matching (:meth:`JoinPlan.execute`) read the same rows.
+  restricted chase's head check, the constraint check
+  (:meth:`JoinPlan.exists`) and goal-directed re-derivation read the same
+  rows.
 
-Slot values are integers (term IDs) throughout execution; decoding back to
-:class:`~repro.datalog.terms.Term` objects happens only when substitution
-dicts leave the matcher (:meth:`JoinPlan.execute` — ad-hoc matching) or
-when provenance records the body facts of a firing (:meth:`RowOps.body_facts_row`).  Head facts stay encoded keys.
+Slot values are term IDs throughout, seeds included: ``rows`` and
+``exists`` take ``initial`` as ``{Variable: term ID}``.  A caller that wants
+terms decodes the rows itself (``TERMS.term`` over :attr:`JoinPlan.slot_of`);
+inside the package only provenance does, when it records the body facts of a
+firing (:meth:`RowOps.body_facts_row`).  Head facts stay encoded keys.
 
 Plans are cached in memory (bodies and rules are hashable), so constraint
 checks and repeated engine runs over the same program compile nothing after
@@ -54,39 +55,25 @@ the first call.
 from __future__ import annotations
 
 import time
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.datalog.atoms import Atom
 from repro.datalog.rules import Rule
-from repro.datalog.terms import Term, Variable
+from repro.datalog.terms import Variable
 from repro.engine import interning
 from repro.engine.batch import Step
 from repro.engine.interning import TERMS
 from repro.engine.stats import STATS
 from repro.obs.profile import PROFILER
 
-def _seed_id(value):
-    """Normalise a seed binding to a term ID (engine rows carry raw ints).
-
-    A seed term the table has never interned is kept as the term object
-    itself rather than interned: an absent term can never equal any stored
-    ID (so joins on it correctly find nothing), a foreign prebound variable
-    still round-trips through :meth:`JoinPlan.execute` unchanged, and
-    ad-hoc query vocabulary does not grow the process-global table.
-    """
-    if type(value) is int:
-        return value
-    tid = TERMS.find_term(value)
-    return value if tid is None else tid
-
 
 class JoinPlan:
     """A compiled join over a fixed atom sequence.
 
-    ``rows`` returns the raw ID rows every engine fires from, computed
-    column-at-a-time; ``execute`` decodes them into one substitution dict
-    per homomorphism of the body into the instance; ``exists`` is the
-    boolean used for head-satisfaction and constraint checks.
+    ``rows`` returns the ID rows every engine fires from, one per
+    homomorphism of the body into the instance, computed column-at-a-time;
+    ``exists`` is the boolean used for head-satisfaction and constraint
+    checks.
     """
 
     __slots__ = (
@@ -94,7 +81,6 @@ class JoinPlan:
         "steps",
         "slot_of",
         "n_slots",
-        "emit",
         "prebound",
         "pivot_flow",
         "profile",
@@ -111,10 +97,6 @@ class JoinPlan:
         self.steps = steps
         self.slot_of = slot_of
         self.n_slots = len(slot_of)
-        # Slot ids are assigned in insertion order of ``slot_of``, so the
-        # variable tuple is index-aligned with the runtime slots list and a
-        # substitution dict is one C-level dict(zip(...)).
-        self.emit = tuple(slot_of)
         self.prebound = prebound
         # Lazily-built (step0 position, later predicate, later position)
         # triples for the slot-bound pivot-viability test.
@@ -126,53 +108,21 @@ class JoinPlan:
 
     # -- execution ----------------------------------------------------------
 
-    def execute(
-        self,
-        source,
-        initial: Optional[Dict[Variable, Term]] = None,
-        delta_source=None,
-    ) -> Iterator[Dict[Variable, Term]]:
-        """All homomorphisms as variable→term dicts (including seeded bindings).
-
-        ``source`` is anything exposing ``_plan_source()`` (an ``Instance``
-        or an ``InstanceSnapshot``).  With ``delta_source``, the first step's
-        candidates are read from it instead — the semi-naive pivot join.
-        """
-        emit = self.emit
-        nulls = TERMS._nulls
-        constants = TERMS._constants
-        for slots in self.rows(source, initial, delta_source):
-            try:
-                yield dict(
-                    zip(emit, [(nulls if t & 1 else constants)[t >> 1] for t in slots])
-                )
-            except TypeError:
-                # Non-int slots pass through undecoded: None for a prebound
-                # variable never seeded nor bound (the legacy contract), or
-                # the original term object for a seed the table never
-                # interned (see :func:`_seed_id`).
-                yield dict(
-                    zip(
-                        emit,
-                        [
-                            (nulls if t & 1 else constants)[t >> 1]
-                            if type(t) is int
-                            else t
-                            for t in slots
-                        ],
-                    )
-                )
-
     def rows(
         self,
         source,
-        initial: Optional[Dict[Variable, Term]] = None,
+        initial: Optional[Dict[Variable, int]] = None,
         delta_source=None,
     ) -> List[Tuple[int, ...]]:
         """All homomorphisms as full slot-ID tuples, in depth-first order.
 
-        The one matcher: each tuple is index-aligned with :attr:`emit` and
-        carries term IDs.  Each step extends the whole batch of partial
+        ``source`` is anything exposing ``_plan_source()`` (an ``Instance``
+        or an ``InstanceSnapshot``).  ``initial`` maps every prebound
+        variable to a term ID.  With ``delta_source``, the first step's
+        candidates are read from it instead — the semi-naive pivot join.
+
+        The one matcher: each tuple carries term IDs, slot ``i`` holding the
+        variable :attr:`slot_of` maps to ``i``.  Each step extends the whole batch of partial
         rows at once (:meth:`Step.apply <repro.engine.batch.Step.apply>`):
         one probe per distinct probe key per step instead of one probe per
         outer binding.
@@ -186,10 +136,10 @@ class JoinPlan:
         base: List[Optional[int]] = [None] * n_prebound
         if initial:
             slot_of = self.slot_of
-            for variable, value in initial.items():
+            for variable, tid in initial.items():
                 slot = slot_of.get(variable)
                 if slot is not None and slot < n_prebound:
-                    base[slot] = _seed_id(value)
+                    base[slot] = tid
         batch: List[Tuple[int, ...]] = [tuple(base)]
         # Profiling costs one branch per step, never per row: the per-step
         # counters are batch sizes, the ``STATS.batch_probe_groups`` delta,
@@ -294,9 +244,9 @@ class JoinPlan:
     def exists(
         self,
         source,
-        initial: Optional[Dict[Variable, Term]] = None,
+        initial: Optional[Dict[Variable, int]] = None,
     ) -> bool:
-        """True iff at least one homomorphism exists (no dict per result)."""
+        """True iff at least one homomorphism exists (``initial`` as in :meth:`rows`)."""
         return bool(self.rows(source, initial))
 
     # -- introspection -------------------------------------------------------
@@ -355,8 +305,6 @@ class RowOps:
     """
 
     __slots__ = (
-        "emit",
-        "n_slots",
         "head_templates",
         "body_templates",
         "frontier_slots",
@@ -384,8 +332,6 @@ class RowOps:
                     parts.append((False, TERMS.intern_term(term)))
             return (atom.predicate, TERMS.intern_constant(atom.predicate), tuple(parts))
 
-        self.emit = plan.emit
-        self.n_slots = n_slots
         self.head_templates = tuple(template(atom) for atom in rule.head)
         self.body_templates = tuple(template(atom) for atom in rule.body_positive)
         self.frontier_slots = tuple(

@@ -1,6 +1,9 @@
 """Mappings and the SPARQL algebra over sets of mappings (Section 3.1).
 
-A mapping is a partial function from variables to URIs.  Two mappings are
+A mapping is a partial function from variables to URIs.  The paper's graphs
+hold no blank nodes (footnote 5), but the graphs here tolerate them
+(:mod:`repro.rdf.graph`), so a mapping may also bind a variable to a blank
+node of the data (a :class:`~repro.datalog.terms.Null`).  Two mappings are
 compatible when they agree on their shared domain.  The algebra provides the
 join, union, difference and left-outer join used to define the semantics of
 AND, UNION and OPT.
@@ -10,11 +13,15 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, Iterator, Mapping as TypingMapping, Optional, Set, Tuple
 
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.terms import Constant, Null, Variable
 
 
 class Mapping:
-    """A partial function ``mu: V -> U`` (immutable, hashable)."""
+    """A partial function ``mu: V -> U`` (immutable, hashable).
+
+    Values are constants or blank nodes of the data (nulls); a plain string
+    value is read as a constant.
+    """
 
     __slots__ = ("_bindings", "_hash")
 
@@ -24,8 +31,10 @@ class Mapping:
         for variable, value in source:
             if not isinstance(variable, Variable):
                 variable = Variable(variable)
-            if not isinstance(value, Constant):
+            if isinstance(value, str):
                 value = Constant(value)
+            elif not isinstance(value, (Constant, Null)):
+                raise TypeError(f"mapping values must be constants or nulls, got {value!r}")
             items[variable] = value
         self._bindings: Tuple[Tuple[Variable, Constant], ...] = tuple(
             sorted(items.items(), key=lambda kv: kv[0].name)

@@ -3,14 +3,22 @@
 import pytest
 
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import ChaseEngine, ChaseNonTermination, ChaseState, match_atoms
+from repro.datalog.chase import ChaseEngine, ChaseNonTermination, ChaseState
 from repro.datalog.database import Database, Instance
 from repro.datalog.parser import parse_atom, parse_program
 from repro.datalog.terms import Constant, Null, Variable
+from repro.engine.plan import compile_body
+
+from engine_reference import plan_matches
 
 
 def db(*facts):
     return Database([parse_atom(f) for f in facts])
+
+
+def match_atoms(atoms, instance, initial=None):
+    """The compiled body's matches, decoded into substitution dicts."""
+    return plan_matches(compile_body(atoms, initial or ()), instance, initial)
 
 
 class TestMatchAtoms:

@@ -5,6 +5,7 @@ import pytest
 from repro.datalog.atoms import Atom
 from repro.datalog.database import Database, Instance
 from repro.datalog.terms import Constant, Null, Variable
+from repro.engine.interning import TERMS
 
 a, b, c = Constant("a"), Constant("b"), Constant("c")
 z = Null("_:z")
@@ -31,7 +32,7 @@ class TestInstance:
         assert instance.discard(Atom("p", (a,)))
         assert not instance.discard(Atom("p", (a,)))
         assert len(instance) == 0
-        assert list(instance.matching(Atom("p", (Variable("X"),)))) == []
+        assert list(instance.matching_ids("p", 1)) == []
 
     def test_with_predicate(self):
         instance = Instance([Atom("p", (a,)), Atom("q", (b,))])
@@ -39,12 +40,12 @@ class TestInstance:
 
     def test_matching_uses_constants(self):
         instance = Instance([Atom("p", (a, b)), Atom("p", (a, c)), Atom("p", (b, c))])
-        matches = list(instance.matching(Atom("p", (a, Variable("X")))))
-        assert set(matches) == {Atom("p", (a, b)), Atom("p", (a, c))}
+        rows = instance.matching_ids("p", 2, [(0, TERMS.intern_term(a))])
+        assert {TERMS.decode(ids) for ids in rows} == {(a, b), (a, c)}
 
     def test_matching_no_candidates(self):
         instance = Instance([Atom("p", (a, b))])
-        assert list(instance.matching(Atom("p", (c, Variable("X"))))) == []
+        assert list(instance.matching_ids("p", 2, [(0, TERMS.intern_term(c))])) == []
 
     def test_domain_and_constants(self):
         instance = Instance([Atom("p", (a, z))])

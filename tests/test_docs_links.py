@@ -34,6 +34,12 @@ def test_default_set_covers_the_docs_tier():
     assert "README.md" in checker.DEFAULT_DOCS
     assert "docs/architecture.md" in checker.DEFAULT_DOCS
     assert "docs/benchmarks.md" in checker.DEFAULT_DOCS
+    assert ".claude/skills/verify/SKILL.md" in checker.DEFAULT_DOCS
+
+
+def test_the_verification_recipe_names_only_existing_paths():
+    checker = _load_checker()
+    assert checker.check_file(".claude/skills/verify/SKILL.md") == []
 
 
 def test_a_backticked_path_to_a_missing_file_fails(tmp_path):

@@ -22,6 +22,8 @@ from repro.engine.plan import compile_body, compile_rule
 from test_engine_batch_parity import assert_three_way_parity as assert_parity
 from test_engine_batch_parity import matcher
 
+from engine_reference import plan_matches
+
 V = Variable
 C = Constant
 
@@ -163,13 +165,13 @@ class TestSnapshotIsolation:
         )
         snapshot = instance.snapshot()
         plan = compile_body((Atom("e", (V("X"), V("Y"))),))
-        before = list(plan.execute(snapshot))
+        before = plan.rows(snapshot)
         assert len(before) == 2
         instance.add(Atom("e", (C("c"), C("d"))))
         instance.add(Atom("e", (C("a"), C("z"))))
-        after = list(plan.execute(snapshot))
+        after = plan.rows(snapshot)
         assert after == before  # frozen prefix: appended rows invisible
-        live = list(plan.execute(instance))
+        live = plan.rows(instance)
         assert len(live) == 4
 
     def test_batch_probe_respects_snapshot_caps_per_bucket(self):
@@ -179,7 +181,7 @@ class TestSnapshotIsolation:
         # the snapshot must not extend the snapshot's candidate set.
         instance.add(Atom("e", (C("a"), C("c"))))
         plan = compile_body((Atom("e", (C("a"), V("Y"))),))
-        matches = list(plan.execute(snapshot))
+        matches = plan_matches(plan, snapshot)
         assert [m[V("Y")] for m in matches] == [C("b")]
 
     def test_negation_probe_against_snapshot_is_frozen(self):
@@ -218,12 +220,12 @@ class TestDegenerateShapes:
     def test_unmatched_predicate(self):
         instance = Instance([Atom("e", (C("a"), C("b")))])
         plan = compile_body((Atom("missing", (V("X"),)),))
-        assert list(plan.execute(instance)) == []
+        assert plan.rows(instance) == []
 
     def test_unmatched_constant_bucket(self):
         instance = Instance([Atom("e", (C("a"), C("b")))])
         plan = compile_body((Atom("e", (C("z"), V("Y"))),))
-        assert list(plan.execute(instance)) == []
+        assert plan.rows(instance) == []
 
     def test_empty_body_with_prebound_seed(self):
         instance = Instance([Atom("e", (C("a"), C("b")))])

@@ -10,7 +10,7 @@ k-clique instances (all with fixed seeds, so CI runs are reproducible) and
 asserts:
 
 * **match level** — ``JoinPlan.rows`` equals ``depth_first_rows`` row for
-  row *in order*, and the decoded matches of both equal
+  row *in order*, and the decoded rows (``plan_matches``) equal
   ``reference_match_atoms`` as multisets (the reference orders atoms
   differently, so only the multiset is specified there);
 * **engine level** — all three engines produce atom-for-atom identical
@@ -28,7 +28,7 @@ import pytest
 
 from repro.core.warded_engine import WardedEngine
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import ChaseEngine, match_atoms
+from repro.datalog.chase import ChaseEngine
 from repro.datalog.database import Instance
 from repro.datalog.parser import parse_program
 from repro.datalog.rules import Rule
@@ -36,6 +36,7 @@ from repro.datalog.program import Program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Constant, Variable
+from repro.engine.interning import TERMS
 from repro.engine.plan import JoinPlan, compile_body, compile_pivot
 from repro.reductions.clique import clique_database, clique_program
 from repro.workloads.graphs import random_rdf_graph, random_undirected_graph
@@ -43,6 +44,7 @@ from repro.workloads.ontologies import chain_ontology_graph
 
 from engine_reference import (
     depth_first_rows,
+    plan_matches,
     reference_match_atoms,
     reference_satisfies_some,
 )
@@ -56,8 +58,8 @@ def matcher(mode):
 
     ``"batch"`` is production; ``"row"`` swaps in
     :func:`~engine_reference.depth_first_rows`, the oracle every
-    differential suite compares against.  ``exists`` and ``execute`` read
-    ``rows``, so head and constraint checks switch with it.
+    differential suite compares against.  ``exists`` reads ``rows``, so
+    head and constraint checks switch with it.
     """
     if mode == "batch":
         yield
@@ -82,11 +84,10 @@ def assert_three_way_parity(atoms, instance, initial=None):
     atoms = tuple(atoms)
     prebound = frozenset(initial) if initial else frozenset()
     plan = compile_body(atoms, prebound)
+    seeds = {variable: TERMS.find_term(term) for variable, term in (initial or {}).items()}
     # Exact order, not just content.
-    assert plan.rows(instance, initial) == depth_first_rows(plan, instance, initial)
-    matches = list(plan.execute(instance, initial))
-    with matcher("row"):
-        assert list(plan.execute(instance, initial)) == matches
+    assert plan.rows(instance, seeds) == depth_first_rows(plan, instance, seeds)
+    matches = plan_matches(plan, instance, initial)
     assert canonical(matches) == canonical(
         reference_match_atoms(atoms, instance, initial)
     )
@@ -295,10 +296,6 @@ class TestMatchLevelFuzz:
         for sub in list(reference_match_atoms(body, instance))[:5]:
             initial = {V("X"): sub[V("X")]}
             assert_three_way_parity(body, instance, initial)
-            # Compatibility wrapper must agree too.
-            assert canonical(match_atoms(body, instance, initial)) == canonical(
-                reference_match_atoms(body, instance, initial)
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ one matcher, and the depth-first walk survives only as a test oracle, which
 since 12.0.0 lives in ``tests/engine_reference.py``, outside the package.
 Since 11.0.0 DRed's marking runs on the one round loop,
 ``seminaive.fixpoint``, and both engines restore through one re-fire
-routine.
+routine.  Since 13.0.0 a fact leaves the store only as an ID row or a
+membership answer: the decoded matchers and scans are gone.
 """
 
 import ast
@@ -18,8 +19,11 @@ import os
 import pytest
 
 import repro
-from repro.engine import batch, mode
+from repro.datalog import chase
+from repro.datalog.database import Instance
+from repro.engine import batch, mode, plan
 from repro.engine.incremental import DeltaSession
+from repro.engine.index import InstanceSnapshot, PredicateIndex
 from repro.engine.plan import JoinPlan, RowOps
 
 SRC = os.path.join(
@@ -60,6 +64,24 @@ def test_one_matcher():
     for removed in ("_run", "_run_profiled", "lazy_rows", "execute_batch"):
         assert not hasattr(JoinPlan, removed), removed
     assert not hasattr(batch, "BatchPlan")
+
+
+def test_one_read_path():
+    """The decoded twins of the ID read path are gone."""
+    for owner, removed in (
+        (JoinPlan, "execute"),
+        (JoinPlan, "emit"),
+        (RowOps, "emit"),
+        (chase, "match_atoms"),
+        (plan, "_seed_id"),
+        (PredicateIndex, "scan"),
+        (PredicateIndex, "tombstoned"),
+        (Instance, "matching"),
+    ):
+        assert not hasattr(owner, removed), (owner.__name__, removed)
+    defined = set(vars(InstanceSnapshot))
+    for removed in ("__iter__", "__len__", "matching", "with_predicate", "predicates"):
+        assert removed not in defined, removed
 
 
 def test_one_maintenance_path():

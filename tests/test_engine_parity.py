@@ -2,7 +2,8 @@
 
 The compiled core (:mod:`repro.engine.plan`) must produce *exactly* the
 substitution sets of the seed's backtracking matcher, which is preserved
-verbatim as :func:`engine_reference.reference_match_atoms`.  These
+as :func:`engine_reference.reference_match_atoms`: a plan's ID rows,
+decoded (:func:`engine_reference.plan_matches`), must equal its answers.  These
 tests compare the two across the ``workloads/`` generators — random RDF
 graphs, chain ontologies, and k-clique reductions — and additionally check
 the engines end-to-end (atom-for-atom equal instances) on programs with
@@ -13,17 +14,18 @@ matcher serves as the oracle.
 import pytest
 
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import ChaseEngine, match_atoms
+from repro.datalog.chase import ChaseEngine
 from repro.datalog.database import Instance
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.stratification import partition_by_stratum, stratify
 from repro.datalog.terms import Constant, Variable
+from repro.engine.plan import compile_body
 from repro.reductions.clique import clique_database, clique_program
 from repro.workloads.graphs import random_rdf_graph, transport_network
 from repro.workloads.ontologies import chain_ontology_graph, university_graph
 
-from engine_reference import reference_match_atoms, reference_satisfies_some
+from engine_reference import plan_matches, reference_match_atoms, reference_satisfies_some
 
 
 def canonical(substitutions):
@@ -34,7 +36,8 @@ def canonical(substitutions):
 
 
 def assert_same_matches(atoms, instance, initial=None):
-    compiled = canonical(match_atoms(atoms, instance, initial))
+    plan = compile_body(atoms, initial or ())
+    compiled = canonical(plan_matches(plan, instance, initial))
     reference = canonical(reference_match_atoms(atoms, instance, initial))
     assert compiled == reference
 

@@ -19,6 +19,8 @@ from repro.workloads.ontologies import lubm_style_graph
 from test_engine_incremental_parity import TC_NEGATION_PROGRAM, TC_PROGRAM
 from test_translation_entailment_regime import LUBM_MIX6_QUERIES
 
+from engine_reference import plan_matches
+
 a, b, c, d = Constant("a"), Constant("b"), Constant("c"), Constant("d")
 X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 
@@ -26,7 +28,7 @@ X, Y, Z = Variable("X"), Variable("Y"), Variable("Z")
 def subs(plan, instance, initial=None):
     return sorted(
         tuple(sorted((v.name, str(t)) for v, t in s.items()))
-        for s in plan.execute(instance, initial)
+        for s in plan_matches(plan, instance, initial)
     )
 
 
@@ -99,9 +101,9 @@ class TestJoinPlan:
         instance = Instance([Atom("p", (a,))])
         plan = compile_body((Atom("p", (X,)),))
         seen = []
-        for sub in plan.execute(instance):
+        for (tid,) in plan.rows(instance):
             instance.add(Atom("p", (Constant(f"x{len(seen)}"),)))
-            seen.append(sub[X])
+            seen.append(TERMS.term(tid))
         assert seen == [a]
 
     def test_exists(self):
@@ -142,7 +144,7 @@ class TestCompiledRule:
         assert crule.trigger_row_batches(instance, empty_delta) == []
         delta = Instance([Atom("e", (b, c))])
         found = {
-            tuple(sorted((v.name, str(TERMS.term(tid))) for v, tid in zip(plan.emit, row)))
+            tuple(sorted((v.name, str(TERMS.term(row[slot]))) for v, slot in plan.slot_of.items()))
             for plan, rows in crule.trigger_row_batches(instance, delta)
             for row in rows
         }
@@ -175,16 +177,10 @@ class TestInstanceSnapshot:
         instance.add(Atom("p", (b,)))
         assert Atom("p", (a,)) in frozen
         assert Atom("p", (b,)) not in frozen
-        assert len(frozen) == 1
-        assert set(frozen) == {Atom("p", (a,))}
-        assert list(frozen.matching(Atom("p", (X,)))) == [Atom("p", (a,))]
-
-    def test_snapshot_with_predicate_and_predicates(self):
-        instance = Instance([Atom("p", (a,)), Atom("q", (b,))])
-        frozen = instance.snapshot()
-        instance.add(Atom("r", (c,)))
-        assert frozen.with_predicate("p") == {Atom("p", (a,))}
-        assert frozen.predicates == {"p", "q"}
+        assert frozen.has_key(TERMS.atom_key(Atom("p", (a,))))
+        assert not frozen.has_key(TERMS.atom_key(Atom("p", (b,))))
+        assert list(frozen.matching_ids("p", 1)) == [(TERMS.intern_term(a),)]
+        assert list(frozen.matching_ids("p", 1, [(0, TERMS.intern_term(b))])) == []
 
 
 class TestBulkLoadAndStats:
@@ -210,8 +206,8 @@ class TestBulkLoadAndStats:
     def test_discard_hides_fact_from_matching(self):
         instance = Instance([Atom("p", (a,)), Atom("p", (b,))])
         assert instance.discard(Atom("p", (a,)))
-        assert list(instance.matching(Atom("p", (X,)))) == [Atom("p", (b,))]
-        assert compile_body((Atom("p", (X,)),)).execute(instance).__next__()[X] == b
+        assert list(instance.matching_ids("p", 1)) == [(TERMS.intern_term(b),)]
+        assert plan_matches(compile_body((Atom("p", (X,)),)), instance) == [{X: b}]
 
 
 # ---------------------------------------------------------------------------

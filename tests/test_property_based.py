@@ -6,6 +6,7 @@ from repro.datalog.atoms import Atom, unify_with_fact
 from repro.datalog.database import Instance
 from repro.datalog.terms import Constant, Variable
 from repro.engine.interning import TERMS
+from repro.engine.plan import compile_body
 from repro.sparql.ast import (
     AndCondition,
     Bound,
@@ -30,6 +31,8 @@ from repro.sparql.mappings import (
     minus,
     union,
 )
+
+from engine_reference import plan_matches
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -207,11 +210,8 @@ class TestAtomProperties:
     @given(st.lists(ground_atoms(), max_size=15), pattern_atoms())
     def test_matching_returns_exactly_the_unifiable_facts(self, atoms, pattern):
         instance = Instance(atoms)
-        matched = {
-            fact
-            for fact in instance.matching(pattern)
-            if unify_with_fact(pattern, fact) is not None
-        }
+        plan = compile_body((pattern,))
+        matched = {pattern.apply(sub) for sub in plan_matches(plan, instance)}
         expected = {
             fact
             for fact in set(atoms)

@@ -1,6 +1,6 @@
 """Tests for the SPARQL evaluation semantics ⟦P⟧_G (Section 3.1)."""
 
-from repro.datalog.terms import Constant, Variable
+from repro.datalog.terms import Constant, Null, Variable
 from repro.engine.interning import TERMS
 from repro.rdf.graph import RDFGraph
 from repro.sparql.ast import (
@@ -159,6 +159,11 @@ class TestEveryCallReadsTheGraphAsItIs:
         assert evaluate_pattern(
             BGP.of(("carol", "knows", "_:B"), ("_:B", "name", "?N")), g
         ) == {Mapping({N: "B2"})}
+
+    def test_an_answer_binding_a_blank_node(self):
+        g = RDFGraph([("_:x", "knows", "a")])
+        query = Select([X, Y], BGP.of(("?X", "knows", "?Y")))
+        assert evaluate_pattern(query, g) == {Mapping({X: Null("_:x"), Y: "a"})}
 
     def test_before_and_after_an_epoch_reset(self):
         # A ground graph outlives the reset (constant IDs survive it); a
