@@ -35,7 +35,7 @@ The library takes no configuration.  See ``docs/api.md`` for the front
 doors and the names removed in each breaking release.
 """
 
-__version__ = "13.0.0"
+__version__ = "13.0.1"
 
 # -- the data model ---------------------------------------------------------
 from repro.datalog import (

@@ -96,11 +96,13 @@ class Step:
     # -- execution -----------------------------------------------------------
 
     def apply(self, index, limits, rows_in: List[SlotRow]) -> List[SlotRow]:
-        """Extend every partial row in ``rows_in`` through this atom."""
+        """Extend every partial row in ``rows_in`` through this atom.
+
+        The predicate has a live row in ``index``: :meth:`JoinPlan.rows
+        <repro.engine.plan.JoinPlan.rows>` runs no step otherwise.
+        """
         predicate = self.predicate
-        rows = index.cols.get(predicate)
-        if not rows:
-            return []
+        rows = index.cols[predicate]
         cap = len(rows) if limits is None else min(len(rows), limits.get(predicate, 0))
         if cap <= 0:
             return []

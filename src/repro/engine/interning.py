@@ -73,14 +73,13 @@ class TermTable:
     exclusively (rule bodies contain variables and constants, never nulls),
     so constants surviving the reset is exactly what keeps the rest of the
     process coherent; everything null-bearing — encoded instances, snapshots,
-    delta sessions, decoded atoms carrying ``_key`` memos — belongs to the
-    discarded materialization and must be dropped by the caller *before* the
-    reset (the service layer enforces this by fencing reads).  Terms and
-    atoms the caller built itself are safe to keep: a null ID is memoised
-    only on the canonical null objects, which the reset clears, never on a
-    caller's null or on the key of an atom holding one.  Hooks
-    registered via :func:`register_epoch_hook` run first and take care of the
-    engine-internal invalidation (plan caches).
+    delta sessions — belongs to the discarded materialization and must be
+    dropped by the caller *before* the reset (the service layer enforces
+    this by fencing reads).  Atoms are safe to keep, decoded ones included:
+    a null ID is memoised only on the canonical null objects, which the
+    reset clears, never on a caller's null or on the key of an atom holding
+    one.  Hooks registered via :func:`register_epoch_hook` run first and
+    take care of the engine-internal invalidation (plan caches).
     """
 
     __slots__ = (
@@ -226,12 +225,14 @@ class TermTable:
         Instances store keys, not atoms, so this runs only where a fact
         leaves the store: instance iteration and lookups, provenance
         records, DRed's marked set, error messages.  No engine firing path
-        calls it.  The returned atom carries the key in its ``_key`` cache,
-        so adding it back to an instance re-encodes nothing.
+        calls it.  A null-free atom carries the key in its ``_key`` cache,
+        so adding it back to an instance re-encodes nothing; a null-bearing
+        one is memoised as :meth:`atom_key` would (not at all), so it stays
+        correct across :meth:`begin_epoch`.
         """
         atom = Atom(self._constants[key[0] >> 1].value, self.decode(key[1:]))
         if self._memoise:
-            atom._key = tuple(key)
+            self._memoise_key(atom, tuple(key))
         return atom
 
     def atom_key(self, atom: Atom) -> Tuple[int, ...]:

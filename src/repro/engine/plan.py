@@ -126,6 +126,15 @@ class JoinPlan:
         rows at once (:meth:`Step.apply <repro.engine.batch.Step.apply>`):
         one probe per distinct probe key per step instead of one probe per
         outer binding.
+
+        The zero-row guard: if any step's predicate has no live row (step 0
+        counted in the delta when one is given), the plan runs no step and
+        returns ``[]``.  That is exact for an ``InstanceSnapshot`` too: it
+        shares the live index and deletions propagate to it, so a predicate
+        with ``live == 0`` has no row any pinned snapshot sees, and rows
+        appended after the pin only raise ``live`` — the plan then runs and
+        the snapshot's row limits cap it as before.  An early-out still
+        counts as one profiled execution with zero rows.
         """
         index, limits = source._plan_source()
         if delta_source is not None:
@@ -149,7 +158,17 @@ class JoinPlan:
         profile = PROFILER.plan_profile(self) if PROFILER.enabled else None
         if profile is not None:
             run_start = time.perf_counter_ns()
+        # The zero-row guard: step 0 reads the delta's live counts, every
+        # later step the source's; an empty predicate empties the batch.
+        live = delta_index.live
+        for step in self.steps:
+            if not live.get(step.predicate):
+                batch = []
+                break
+            live = index.live
         for depth, step in enumerate(self.steps):
+            if not batch:
+                break
             if depth == 0 and delta_source is not None:
                 step_index, step_limits = delta_index, delta_limits
             else:
@@ -165,8 +184,6 @@ class JoinPlan:
                 step_profile.time_ns += time.perf_counter_ns() - step_start
                 step_profile.probes += STATS.batch_probe_groups - probes_before
                 step_profile.rows_out += len(batch)
-            if not batch:
-                break
         if profile is not None:
             profile.executions += 1
             profile.rows_out += len(batch)

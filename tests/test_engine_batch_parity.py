@@ -246,6 +246,56 @@ class TestMatchLevelFuzz:
                             assert full.rows(instance) == expected
                             assert pivot.rows(instance, None, delta) == expected_delta
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bodies_over_empty_predicates(self, seed):
+        """The zero-row guard in ``rows`` against the unguarded oracle: one
+        body predicate absent, fully tombstoned (``live == 0`` over a
+        non-empty lane), or empty in the delta only (pivot step 0)."""
+        rng = random.Random(seed)
+        instance, constants = random_instance(rng, n_constants=6, n_facts=80)
+        tombstoned = Instance(instance)
+        for atom in tombstoned.with_predicate("f"):
+            tombstoned.discard(atom)
+        assert tombstoned._index.cols["f"] and not tombstoned._index.live["f"]
+        # No "f" in the delta; "g" only in the delta, absent from the source.
+        delta = Instance(
+            [atom for atom in list(instance)[:30] if atom.predicate != "f"]
+            + [Atom("g", (rng.choice(constants), rng.choice(constants))) for _ in range(6)]
+        )
+        for n_atoms in (0, 1, 2):
+            for _ in range(4):
+                body = list(random_body(rng, constants, n_atoms))
+                empty = Atom(rng.choice(("g", "f")), (rng.choice(VARS[:3]), rng.choice(VARS[:3])))
+                body.insert(rng.randint(0, n_atoms), empty)
+                body = tuple(body)
+                for source in (instance, tombstoned):
+                    assert_three_way_parity(body, source)
+                for pivot, atom in enumerate(body):
+                    plan = compile_pivot(body, pivot)
+                    rows = plan.rows(instance, None, delta)
+                    assert rows == depth_first_rows(plan, instance, None, delta)
+                    if atom.predicate == "f" or (atom.predicate != "g" and empty.predicate == "g"):
+                        assert rows == []
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_snapshot_pinned_while_a_predicate_is_empty(self, seed):
+        """Rows appended to a predicate after the pin raise its live count,
+        so the guard lets the plan run and the snapshot's limits cap it."""
+        rng = random.Random(seed)
+        instance, constants = random_instance(rng, n_constants=6, n_facts=80)
+        late = [atom for atom in list(instance) if atom.predicate == "f"]
+        instance = Instance(atom for atom in list(instance) if atom.predicate != "f")
+        frozen = instance.snapshot()
+        for atom in late:
+            instance.add(atom)
+        for n_atoms in (1, 2, 3):
+            for _ in range(4):
+                plan = compile_body(random_body(rng, constants, n_atoms))
+                rows = plan.rows(frozen)
+                assert rows == depth_first_rows(plan, frozen)
+                if any(step.predicate == "f" for step in plan.steps):
+                    assert rows == []
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_random_rdf_graph_patterns(self, seed):
         graph = random_rdf_graph(n_triples=150, n_nodes=25, seed=seed)

@@ -164,6 +164,17 @@ class TestNullMemosAcrossEpochs:
         TERMS.begin_epoch()
         assert atom not in Instance([Atom("p", (Null("_:y"),))])
 
+    def test_a_decoded_null_bearing_atom_keeps_no_key_across_a_reset(self):
+        TERMS.begin_epoch()
+        (decoded,) = Instance([Atom("p", (Null("_:x"),))])
+        TERMS.begin_epoch()
+        # _:y takes the ID _:x had; a memoised key would still match it.
+        assert decoded not in Instance([Atom("p", (Null("_:y"),))])
+
+    def test_a_decoded_null_free_atom_keeps_its_key(self):
+        (decoded,) = Instance([Atom("p", (Constant("a"),))])
+        assert decoded._key == TERMS.atom_key(Atom("p", (Constant("a"),)))
+
 
 class TestInstanceEncoding:
     def test_instance_round_trip_and_key_membership(self):

@@ -4,15 +4,17 @@ import pytest
 
 from repro.core.triqlite import TriQLiteQuery
 from repro.datalog.atoms import Atom
-from repro.datalog.chase import ChaseEngine
+from repro.datalog.chase import ChaseEngine, violates
 from repro.datalog.database import Database, Instance
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Constant, Null, Variable
+from repro.engine.incremental import DeltaSession
 from repro.engine.interning import TERMS
 from repro.engine.plan import compile_body, compile_pivot, compile_rule
 from repro.engine.stats import STATS
 from repro.obs.profile import PROFILER
 from repro.owl.entailment_rules import owl2ql_core_program
+from repro.service.view import MaterializedView
 from repro.sparql.parser import parse_sparql
 from repro.translation.entailment_regime import translate_under_entailment
 from repro.workloads.ontologies import lubm_style_graph
@@ -339,3 +341,54 @@ class TestConnectedOrder:
             "  step 3: C(?X)  probe {[0]=?X}",
         ]
         assert not any(line.endswith("cross") for line in explain)
+
+
+# ---------------------------------------------------------------------------
+# The zero-row guard: a plan over an empty predicate runs no step
+# ---------------------------------------------------------------------------
+
+SMALL_LUBM = dict(
+    departments_per_university=1,
+    faculty_per_department=2,
+    students_per_department=4,
+    courses_per_department=2,
+)
+STUDENT_AND_COURSE = [
+    ("ldg0", "rdf:type", "GraduateStudent"),
+    ("ldg0", "rdf:type", "GraduateCourse"),
+]
+
+
+def disjoint_lubm_graph():
+    """The LUBM graph plus ``(Student, owl:disjointWith, Course)``."""
+    graph = lubm_style_graph(**SMALL_LUBM)
+    graph.add(("Student", "owl:disjointWith", "Course"))
+    return graph
+
+
+class TestZeroRowGuard:
+    def test_the_guard_does_not_hide_a_violation_in_a_session(self):
+        session = DeltaSession(owl2ql_core_program(), disjoint_lubm_graph())
+        assert session.check_consistency()
+        assert not session.push(STUDENT_AND_COURSE).consistent
+        assert session.retract(STUDENT_AND_COURSE).consistent
+
+    def test_the_guard_does_not_hide_a_violation_in_a_view(self):
+        view = MaterializedView(disjoint_lubm_graph())
+        assert view.consistent
+        view.push(STUDENT_AND_COURSE)
+        assert not view.consistent
+        view.retract(STUDENT_AND_COURSE)
+        assert view.consistent
+
+    def test_constraints_over_empty_predicates_probe_nothing(self):
+        """On the plain LUBM graph ``disj`` and ``disj_property`` are empty,
+        so neither constraint plan runs a step."""
+        program = owl2ql_core_program()
+        session = DeltaSession(program, lubm_style_graph(**SMALL_LUBM))
+        probes = STATS.batch_probe_groups
+        assert not violates(program.constraints, session.instance)
+        assert STATS.batch_probe_groups == probes
+
+    def test_an_empty_body_still_yields_its_seed_row(self):
+        assert compile_body(()).rows(Instance()) == [()]

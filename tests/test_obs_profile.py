@@ -11,6 +11,7 @@ import pytest
 
 from repro.datalog.atoms import Atom
 from repro.datalog.chase import ChaseEngine, violates
+from repro.datalog.database import Instance
 from repro.datalog.parser import parse_program
 from repro.datalog.seminaive import SemiNaiveEvaluator
 from repro.datalog.terms import Constant
@@ -108,6 +109,25 @@ class TestProfiler:
         assert [s["rows_in"] for s in constraint["steps"]] == [1, 2]
         assert [s["rows_out"] for s in constraint["steps"]] == [2, 1]
         assert constraint["rows_out"] == 1
+
+    def test_a_constraint_over_an_empty_predicate_stays_profiled(self):
+        """The zero-row guard runs no step of a plan whose last predicate
+        is empty, yet the plan still counts one execution with zero rows."""
+        program = parse_program("parent(?X, ?Y), person(?Y), banned(?Y) -> false.")
+        instance = Instance(
+            [Atom("person", (C("bob"),)), Atom("parent", (C("ann"), C("bob")))]
+        )
+        PROFILER.enable()
+        PROFILER.reset()
+        assert not violates(program.constraints, instance)
+        (constraint,) = [
+            p
+            for p in PROFILER.snapshot()
+            if p["label"] == "parent(?X, ?Y) AND person(?Y) AND banned(?Y)"
+        ]
+        assert constraint["executions"] == 1
+        assert constraint["rows_out"] == 0
+        assert [s["rows_in"] for s in constraint["steps"]] == [0, 0, 0]
 
     def test_negation_counters_accumulate_in_batch_mode(self):
         PROFILER.enable()
